@@ -140,7 +140,7 @@ def generate(family, n, m, p, size, seed, spec_path, list_size, universe, lists_
 @click.option("--out", default=None)
 @_config_guard
 def solve(graph_path, lists_path, order, node_budget, time_budget, out):
-    """Backtracking list incidence colouring; exit 0/1/2 for
+    """Backtracking list incidence colouring; exit 0/1/3 for
     coloured/unsatisfiable/unknown."""
     g = graph_from_json(_read_json(graph_path))
     lists = lists_from_json(g, _read_json(lists_path))
@@ -150,7 +150,7 @@ def solve(graph_path, lists_path, order, node_budget, time_budget, out):
     if res.status == COLOURED:
         _write_json(_out_dir(out) / "colouring.json", colouring_to_json(g, res.colouring))
         sys.exit(0)
-    sys.exit(1 if res.status == UNSATISFIABLE else 2)
+    sys.exit(1 if res.status == UNSATISFIABLE else 3)
 
 
 @main.command()

@@ -158,15 +158,52 @@ def incidence_neighbourhood(inc: Incidence, g: Graph) -> set[Incidence]:
     return out
 
 
+def _vertex_index(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The incidence ids grouped by vertex, as ``(off, head, mate)``.
+
+    ``off[v]:off[v+1]`` are the ids of the incidences at ``v`` (contiguous,
+    because :func:`incidences` sorts by vertex); for ``i = (v, vu)``,
+    ``head[i]`` is ``u`` and ``mate[i]`` is the id of ``(u, uv)``.  So
+    ``head[mate[i]]`` is ``v``.
+    """
+    if "vertex_index" not in g._cache:
+        off = [0]
+        for a in g.adj:
+            off.append(off[-1] + len(a))
+        # The incidences (u, uv) at a fixed u are met in increasing order of
+        # v, which is their id order at u: one cursor per vertex suffices.
+        cursor = off[:-1]
+        head: list[int] = []
+        mate: list[int] = []
+        for a in g.adj:
+            head.extend(a)
+            for u in a:
+                mate.append(cursor[u])
+                cursor[u] += 1
+        g._cache["vertex_index"] = (tuple(off), tuple(head), tuple(mate))
+    return g._cache["vertex_index"]
+
+
 def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Per-incidence sorted ids of adjacent incidences (the incidence graph
-    as an adjacency structure)."""
+    as an adjacency structure).
+
+    The neighbours of ``(v, vu)`` are ``A-(v) | A+(v) | A-(u)`` minus
+    itself: the incidences at ``v``, their mates, and the incidences at
+    ``u``.
+    """
     if "incidence_neighbour_ids" not in g._cache:
-        index = incidence_index(g)
+        off, head, mate = _vertex_index(g)
         out = []
-        for inc in incidences(g):
-            ids = sorted(index[x] for x in incidence_neighbourhood(inc, g))
-            out.append(tuple(ids))
+        for v in range(g.n):
+            lo, hi = off[v], off[v + 1]
+            around_v = set(range(lo, hi))
+            around_v.update(mate[lo:hi])
+            for i in range(lo, hi):
+                u = head[i]
+                ids = around_v.union(range(off[u], off[u + 1]))
+                ids.discard(i)
+                out.append(tuple(sorted(ids)))
         g._cache["incidence_neighbour_ids"] = tuple(out)
     return g._cache["incidence_neighbour_ids"]
 
@@ -273,6 +310,12 @@ class Verdict:
         return self.total and self.proper and self.list_respecting in (True, None)
 
 
+# The verdicts without a violation, keyed by ``list_respecting``.  Verdicts
+# are immutable, so these are shared: building one is about a fifth of the
+# whole check on a small graph.
+_VALID = {True: Verdict(True, True, True), None: Verdict(True, True, None)}
+
+
 def validate_colouring(
     g: Graph,
     lists: Optional[ListAssignment],
@@ -280,45 +323,67 @@ def validate_colouring(
 ) -> Verdict:
     """Check a colouring against ``g`` (and ``lists``, if given).
 
-    Properness is established by a pairwise scan over all incidence pairs
-    using :func:`incidence_adjacent` only, independently of any adjacency
-    structure the solvers use.  Unknown incidence ids are structural errors
-    (:class:`GraphError`), not colouring violations.
+    Properness is checked vertex by vertex, in time linear in the number of
+    incidences: the colours at each vertex ``u`` must be distinct, and every
+    ``(v, vu)`` must avoid every colour used at ``u``.  These two conditions
+    cover the three cases of incidence adjacency (same vertex; same edge;
+    ``vw`` equal to one of the two edges).  Only when one fails are the
+    incidences searched for the first clashing pair ``(i, j)``, ``i < j``,
+    in id order, which the violation names.  Unknown incidence ids are
+    structural errors (:class:`GraphError`), not colouring violations.
+
+    The solvers' adjacency (:func:`incidence_neighbour_ids`) is built from
+    the same per-vertex index, so the tests check both against a pairwise
+    scan with :func:`incidence_adjacent`.
     """
-    incs = incidences(g)
-    m = len(incs)
-    for i in colouring.assignment:
+    off, head, mate = _vertex_index(g)
+    m = len(head)
+    assignment = colouring.assignment
+    for i in assignment:
         if not (0 <= i < m):
             raise GraphError(f"unknown incidence id {i}")
-    total = len(colouring) == m
+    total = len(assignment) == m
     violation = None
 
+    if total:
+        col = list(map(assignment.__getitem__, range(m)))
+    else:
+        # A fresh object per gap equals no colour and no other gap.
+        col = [assignment[i] if i in assignment else object() for i in range(m)]
+    col_of_mate = list(map(col.__getitem__, mate))
     proper = True
-    coloured = sorted(colouring.assignment.items())
-    for a in range(len(coloured)):
-        i, ci = coloured[a]
-        for b in range(a + 1, len(coloured)):
-            j, cj = coloured[b]
-            if ci == cj and incidence_adjacent(incs[i], incs[j]):
-                proper = False
-                if violation is None:
-                    violation = f"incidences {i} and {j} are adjacent and share colour {ci}"
-                break
-        if not proper:
+    for lo, hi in zip(off, off[1:]):
+        here = set(col[lo:hi])
+        if len(here) < hi - lo or not here.isdisjoint(col_of_mate[lo:hi]):
+            proper = False
+            i, j = next(_clashing_pairs(off, head, mate, assignment))
+            violation = f"incidences {i} and {j} are adjacent and share colour {assignment[i]}"
             break
 
     list_respecting: Optional[bool] = None
     if lists is not None:
         if len(lists) != m:
             raise GraphError("list assignment does not match the graph")
-        list_respecting = True
-        for i, c in coloured:
-            if c not in lists[i]:
-                list_respecting = False
-                if violation is None:
-                    violation = f"incidence {i} uses colour {c} outside its list"
-                break
+        members = lists.lists
+        list_respecting = all(c in members[i] for i, c in assignment.items())
+        if not list_respecting and violation is None:
+            i = min(i for i, c in assignment.items() if c not in members[i])
+            violation = f"incidence {i} uses colour {assignment[i]} outside its list"
     if violation is None and not total:
         missing = next(i for i in range(m) if i not in colouring)
         violation = f"incidence {missing} is uncoloured"
+    if violation is None:
+        return _VALID[list_respecting]
     return Verdict(total=total, proper=proper, list_respecting=list_respecting, violation=violation)
+
+
+def _clashing_pairs(off, head, mate, assignment: Mapping[int, int]):
+    """Pairs ``(i, j)``, ``i < j``, of adjacent incidences with one colour,
+    in lexicographic order."""
+    for i in sorted(assignment):
+        c = assignment[i]
+        u, v = head[i], head[mate[i]]
+        lo, hi = off[v], off[v + 1]
+        around = {*range(lo, hi), *mate[lo:hi], *range(off[u], off[u + 1])}
+        for j in sorted(j for j in around if j > i and j in assignment and assignment[j] == c):
+            yield i, j

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +68,11 @@ class FuzzCampaign:
     universe: Optional[int] = None   # None: 3 * k
     pre: bool = False                # corona only: pre-colour one pendant edge
     workers: int = 1
+
+    def __post_init__(self):
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise InputError(f"workers must be in [1, {cpus}], got {self.workers}")
 
 
 @dataclass

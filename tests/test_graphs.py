@@ -11,10 +11,12 @@ from incolour.graphs import (
     Incidence,
     IncidenceColouring,
     ListAssignment,
+    Verdict,
     canon_edge,
     incidence_adjacent,
     incidence_graph,
     incidence_id,
+    incidence_neighbour_ids,
     incidence_neighbourhood,
     incidences,
     validate_colouring,
@@ -198,3 +200,75 @@ def test_empty_and_edgeless_graphs():
     assert incidence_graph(lonely).n == 0
     verdict = validate_colouring(lonely, None, IncidenceColouring({}))
     assert verdict.total and verdict.proper
+
+
+def _pairwise_verdict(g, lists, colouring):
+    """Oracle for :func:`validate_colouring`: scan every pair of coloured
+    incidences with :func:`incidence_adjacent`, in id order."""
+    incs = incidences(g)
+    m = len(incs)
+    total = len(colouring) == m
+    violation = None
+    proper = True
+    coloured = sorted(colouring.assignment.items())
+    for a in range(len(coloured)):
+        i, ci = coloured[a]
+        for b in range(a + 1, len(coloured)):
+            j, cj = coloured[b]
+            if ci == cj and incidence_adjacent(incs[i], incs[j]):
+                proper = False
+                violation = f"incidences {i} and {j} are adjacent and share colour {ci}"
+                break
+        if not proper:
+            break
+    list_respecting = None
+    if lists is not None:
+        list_respecting = True
+        for i, c in coloured:
+            if c not in lists[i]:
+                list_respecting = False
+                if violation is None:
+                    violation = f"incidence {i} uses colour {c} outside its list"
+                break
+    if violation is None and not total:
+        missing = next(i for i in range(m) if i not in colouring)
+        violation = f"incidence {missing} is uncoloured"
+    return Verdict(total=total, proper=proper, list_respecting=list_respecting, violation=violation)
+
+
+@st.composite
+def _graphs(draw):
+    """Random simple graphs on 0-9 vertices, often with isolated vertices,
+    and stars with up to two isolated vertices beside them."""
+    if draw(st.booleans()):
+        star, _ = gen_basic("star", draw(st.integers(1, 6)))
+        return Graph(star.n + draw(st.integers(0, 2)), star.edges)
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n, [])
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_colouring_matches_pairwise_oracle(data):
+    g = data.draw(_graphs())
+    m = 2 * len(g.edges)
+    # Few colours and many gaps: most colourings clash or are partial.
+    slots = data.draw(st.lists(st.none() | st.integers(1, 4), min_size=m, max_size=m))
+    colouring = IncidenceColouring({i: c for i, c in enumerate(slots) if c is not None})
+    lists = data.draw(st.none() | st.lists(
+        st.frozensets(st.integers(1, 5), min_size=1), min_size=m, max_size=m,
+    ).map(ListAssignment))
+    assert validate_colouring(g, lists, colouring) == _pairwise_verdict(g, lists, colouring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_neighbour_ids_match_pairwise_adjacency(g):
+    incs = incidences(g)
+    expected = tuple(
+        tuple(j for j, b in enumerate(incs) if incidence_adjacent(a, b)) for a in incs
+    )
+    assert incidence_neighbour_ids(g) == expected

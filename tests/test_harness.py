@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
@@ -106,13 +107,19 @@ def test_campaign_worker_count_invariance():
         instances=(FamilySpec("corona", {"n": 3, "p": 2}),),
         trials=12,
         master_seed=5,
-        workers=2,
+        workers=min(2, os.cpu_count()),
     )
     r1 = run_campaign(campaign1).to_json()
     r2 = run_campaign(campaign2).to_json()
     for inst in (*r1["instances"], *r2["instances"]):
         inst.pop("seconds")
     assert r1 == r2
+
+
+@pytest.mark.parametrize("workers", [0, -1, os.cpu_count() + 1])
+def test_campaign_rejects_worker_counts_outside_cpu_range(workers):
+    with pytest.raises(InputError):
+        FuzzCampaign(instances=(FamilySpec("corona", {"n": 3, "p": 2}),), workers=workers)
 
 
 def test_campaign_precoloured_corona():
@@ -133,7 +140,7 @@ def test_campaign_multiworker_cactus_and_halin():
         instances=(cactus_row_specs()[0], halin_specs()[0]),
         trials=6,
         master_seed=3,
-        workers=2,
+        workers=min(2, os.cpu_count()),
     )
     report = run_campaign(campaign)
     assert report.total_failures == 0 and report.total_trials == 12

@@ -91,7 +91,7 @@ def test_cli_solve_unsat_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["solve", "--graph", f"{out}/graph.json",
                              "--lists", f"{out}/lists.json", "--node-budget", "1",
                              "--out", out])
-    assert r.exit_code == 2
+    assert r.exit_code == 3
 
 
 def test_cli_construct_with_trace(runner, tmp_path):
@@ -182,4 +182,6 @@ def test_cli_config_error_exit_code(runner):
     r = runner.invoke(main, ["generate", "--family", "wheel", "--n", "1"])
     assert r.exit_code == 2
     r = runner.invoke(main, ["fuzz", "--family", "nonsense"])
+    assert r.exit_code == 2
+    r = runner.invoke(main, ["fuzz", "--family", "cycle", "--workers", "0"])
     assert r.exit_code == 2
