@@ -5,22 +5,19 @@ kernel is selected at import time); any build failure therefore only costs
 speed, never correctness.
 """
 
-import os
 import sys
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("INCOLOUR_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            ["src/incolour/_ckernel.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("Cython unavailable; building without the compiled kernel",
-              file=sys.stderr)
+    ext_modules = cythonize(
+        ["src/incolour/_ckernel.pyx"],
+        compiler_directives={"language_level": "3"},
+    )
+except ImportError:
+    print("Cython unavailable; building without the compiled kernel", file=sys.stderr)
+    ext_modules = []
 
 setup(ext_modules=ext_modules)

@@ -77,20 +77,30 @@ def search(nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline):
     cdef long long budget = -1 if node_budget is None else <long long> node_budget
     cdef double limit = -1.0 if deadline is None else <double> deadline
 
-    cdef int* c_dom_off = <int*> malloc((n + 1) * sizeof(int))
-    cdef int* c_dom_val = <int*> malloc(max(ndom, 1) * sizeof(int))
-    cdef int* c_adj_off = <int*> malloc((n + 1) * sizeof(int))
-    cdef int* c_adj = <int*> malloc(max(nadj, 1) * sizeof(int))
-    cdef int* assigned = <int*> malloc(n * sizeof(int))
-    cdef int* blocked = <int*> malloc(max(ndom, 1) * sizeof(int))
-    cdef int* navail = <int*> malloc(n * sizeof(int))
-    cdef int* trail = <int*> malloc(n * sizeof(int))
-    if (c_dom_off == NULL or c_dom_val == NULL or c_adj_off == NULL or c_adj == NULL
-            or assigned == NULL or blocked == NULL or navail == NULL or trail == NULL):
-        raise MemoryError()
-
+    # Every buffer starts NULL and is allocated inside the try, so a failed
+    # allocation frees the ones before it (free(NULL) does nothing).
+    cdef int* c_dom_off = NULL
+    cdef int* c_dom_val = NULL
+    cdef int* c_adj_off = NULL
+    cdef int* c_adj = NULL
+    cdef int* assigned = NULL
+    cdef int* blocked = NULL
+    cdef int* navail = NULL
+    cdef int* trail = NULL
     cdef int i
     try:
+        c_dom_off = <int*> malloc((n + 1) * sizeof(int))
+        c_dom_val = <int*> malloc(max(ndom, 1) * sizeof(int))
+        c_adj_off = <int*> malloc((n + 1) * sizeof(int))
+        c_adj = <int*> malloc(max(nadj, 1) * sizeof(int))
+        assigned = <int*> malloc(n * sizeof(int))
+        blocked = <int*> malloc(max(ndom, 1) * sizeof(int))
+        navail = <int*> malloc(n * sizeof(int))
+        trail = <int*> malloc(n * sizeof(int))
+        if (c_dom_off == NULL or c_dom_val == NULL or c_adj_off == NULL or c_adj == NULL
+                or assigned == NULL or blocked == NULL or navail == NULL or trail == NULL):
+            raise MemoryError()
+
         for i in range(n + 1):
             c_dom_off[i] = dom_off[i]
             c_adj_off[i] = adj_off[i]

@@ -1,9 +1,10 @@
 """Pure-Python backtracking kernel for list colouring.
 
 The compiled extension ``incolour._ckernel`` implements the identical
-algorithm; :mod:`incolour.kernel` picks whichever is importable.  Both
-must be bit-for-bit interchangeable: same variable order, same value
-order, same node counts.
+algorithm; :mod:`incolour.kernel` uses it when it is importable and this
+module otherwise.  This module is also the parity reference: both must be
+bit-for-bit interchangeable (same variable order, same value order, same
+node counts), which ``tests/test_kernel_parity.py`` checks.
 
 Inputs are flat CSR-style arrays:
 

@@ -10,7 +10,7 @@ from ..families import FamilySpec, gen_basic, generate
 from ..graphs import Graph, IncolourError, InputError, ListAssignment, incidences
 from ..solver import COLOURED, solve_list_colouring
 from .cactus import cactus_bound, colour_cactus
-from .coronae import colour_corona, corona_bound
+from .coronae import colour_corona, corona_bound, pendant_edge_ids
 from .grids import choose_grid_window, colour_grid, window_choice_valid
 from .halin import (
     choose_halin_boundary,
@@ -97,15 +97,12 @@ def construct(
         return colour_grid(spec.params["m"], spec.params["n"], lists)
     if f in ("halin", "wheel", "complete"):
         _no_pre(pre, f)
-        hspec = _as_halin(spec)
-        hg, _ = generate(hspec)
-        return colour_halin(hg, hspec, lists)
+        return colour_halin(g, _as_halin(spec), lists)
     if f == "corona":
-        return colour_corona(spec.params["n"], spec.params["p"], lists, pre=_corona_pre(spec, pre))
+        return colour_corona(spec.params["n"], spec.params["p"], lists, pre=_corona_pre(g, spec, pre))
     if f == "cactus":
         _no_pre(pre, f)
-        g2, _ = generate(spec)
-        return colour_cactus(g2, spec, lists)
+        return colour_cactus(g, spec, lists)
     if f == "ham_cubic":
         _no_pre(pre, f)
         return colour_hamiltonian_cubic(g, spec, lists)
@@ -117,18 +114,12 @@ def _no_pre(pre, family):
         raise InputError(f"family {family!r} does not take a pre-colouring")
 
 
-def _corona_pre(spec, pre) -> Optional[tuple[int, int]]:
+def _corona_pre(g, spec, pre) -> Optional[tuple[int, int]]:
     """The corona procedure pre-colours exactly the two incidences of the
     pendant edge v0-v0^1."""
     if not pre:
         return None
-    from ..families import corona_pendant
-    from ..graphs import incidence_id
-
-    n, p = spec.params["n"], spec.params["p"]
-    g, _ = generate(spec)
-    down = incidence_id(g, 0, corona_pendant(0, 1, n, p))
-    up = incidence_id(g, corona_pendant(0, 1, n, p), 0)
+    down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
     if sorted(pre) != sorted((down, up)):
         raise InputError(
             f"corona pre-colouring must cover incidences {down} and {up} only")

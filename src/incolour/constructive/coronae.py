@@ -25,6 +25,7 @@ from ..graphs import (
     IncolourError,
     InputError,
     ListAssignment,
+    incidence_id,
 )
 from ..solver import COLOURED, solve_list_colouring
 from .report import ConstructiveReport, Painter, StuckError
@@ -83,8 +84,7 @@ def _solver_fallback(g, n, p, lists, pre) -> ConstructiveReport:
     if pre is not None:
         a, b = pre
         fixed = list(lists.lists)
-        down = _iid_static(g, 0, corona_pendant(0, 1, n, p))
-        up = _iid_static(g, corona_pendant(0, 1, n, p), 0)
+        down, up = pendant_edge_ids(g, n, p)
         fixed[down] = frozenset({a})
         fixed[up] = frozenset({b})
         solve_lists = ListAssignment(fixed)
@@ -98,10 +98,11 @@ def _solver_fallback(g, n, p, lists, pre) -> ConstructiveReport:
     return painter.report()
 
 
-def _iid_static(g: Graph, x: int, y: int) -> int:
-    from ..graphs import incidence_id
-
-    return incidence_id(g, x, y)
+def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
+    """Ids of the two incidences of the pendant edge v0-v0^1 of the corona
+    ``g``: ``(v0, v0·v0^1)`` first, then ``(v0^1, v0^1·v0)``."""
+    leaf = corona_pendant(0, 1, n, p)
+    return incidence_id(g, 0, leaf), incidence_id(g, leaf, 0)
 
 
 def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> None:

@@ -14,7 +14,6 @@ from ..graphs import (
     ListAssignment,
     incidence_id,
     incidence_neighbour_ids,
-    incidences,
 )
 
 
@@ -144,16 +143,8 @@ def lists_for_subgraph(
     """Restrict a parent list assignment to a subgraph on the same vertex
     ids.  Returns the sub lists plus, for each sub incidence id, the parent
     incidence id it came from."""
-    from ..graphs import incidence_index
-
-    parent_of: list[int] = []
-    idx = incidence_index(parent)
-    out = []
-    for inc in incidences(sub):
-        pid = idx[inc]
-        parent_of.append(pid)
-        out.append(parent_lists[pid])
-    return ListAssignment(out), parent_of
+    parent_of = [incidence_id(parent, v, u) for v, u in _endpoints(sub)]
+    return ListAssignment([parent_lists[p] for p in parent_of]), parent_of
 
 
 def relabelled_subgraph(
@@ -164,15 +155,13 @@ def relabelled_subgraph(
     """Subgraph on the endpoints of ``edges`` with dense relabelled
     vertices.  Returns the subgraph, its restricted lists, and the parent
     incidence id of each sub incidence."""
-    from ..graphs import Incidence, canon_edge, incidence_index
-
     verts = sorted({x for e in edges for x in e})
     remap = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(remap[x], remap[y]) for x, y in edges])
-    idx = incidence_index(parent)
-    parent_of = []
-    for inc in incidences(sub):
-        pv = verts[inc.vertex]
-        pu = verts[inc.edge[0] if inc.edge[1] == inc.vertex else inc.edge[1]]
-        parent_of.append(idx[Incidence(pv, canon_edge(pv, pu))])
+    parent_of = [incidence_id(parent, verts[v], verts[u]) for v, u in _endpoints(sub)]
     return sub, ListAssignment([parent_lists[p] for p in parent_of]), parent_of
+
+
+def _endpoints(g: Graph):
+    """``(v, u)`` for each incidence ``(v, vu)`` of ``g``, in id order."""
+    return ((v, u) for v in range(g.n) for u in g.adj[v])

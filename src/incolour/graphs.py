@@ -9,6 +9,7 @@ deterministic enumeration returned by :func:`incidences`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -113,19 +114,15 @@ def incidences(g: Graph) -> tuple[Incidence, ...]:
     return g._cache["incidences"]
 
 
-def incidence_index(g: Graph) -> Mapping[Incidence, int]:
-    """Map from incidence to its id."""
-    if "incidence_index" not in g._cache:
-        g._cache["incidence_index"] = {inc: i for i, inc in enumerate(incidences(g))}
-    return g._cache["incidence_index"]
-
-
 def incidence_id(g: Graph, vertex: int, other: int) -> int:
-    """Id of the incidence ``(vertex, vertex·other)``."""
-    try:
-        return incidence_index(g)[Incidence(vertex, canon_edge(vertex, other))]
-    except KeyError:
-        raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence") from None
+    """Id of the incidence ``(vertex, vertex·other)``: the ids at ``vertex``
+    start at ``off[vertex]`` and follow ``g.adj[vertex]`` in order."""
+    if 0 <= vertex < g.n:
+        nbrs = g.adj[vertex]
+        pos = bisect_left(nbrs, other)
+        if pos < len(nbrs) and nbrs[pos] == other:
+            return _vertex_index(g)[0][vertex] + pos
+    raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence")
 
 
 def incidence_adjacent(a: Incidence, b: Incidence) -> bool:

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .constructive import construct, guaranteed_bound
-from .families import FamilySpec, corona_pendant, generate
+from .constructive.coronae import pendant_edge_ids
+from .families import FamilySpec, generate
 from .graphs import (
     Graph,
     IncolourError,
     InputError,
     ListAssignment,
-    incidence_id,
     validate_colouring,
 )
 from .solver import (
@@ -132,9 +132,7 @@ class CampaignReport:
 
 def corona_pre_pair(g: Graph, spec: FamilySpec, lists: ListAssignment, seed: int):
     """Deterministic pre-colours (a, b) for the pendant edge v0-v0^1."""
-    n, p = spec.params["n"], spec.params["p"]
-    down = incidence_id(g, 0, corona_pendant(0, 1, n, p))
-    up = incidence_id(g, corona_pendant(0, 1, n, p), 0)
+    down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
     rng = random.Random(seed ^ 0x5EED)
     a = rng.choice(sorted(lists[down]))
     b = rng.choice(sorted(lists[up] - {a}) or sorted(lists[up]))
@@ -142,13 +140,16 @@ def corona_pre_pair(g: Graph, spec: FamilySpec, lists: ListAssignment, seed: int
 
 
 def _run_trial(task: dict) -> dict:
+    """One trial: ``{"ok", "error", "seconds"}``, where ``seconds`` is the
+    time this trial took, whichever process ran it."""
+    start = time.perf_counter()
     spec = FamilySpec.from_json(task["spec"])
     g, spec = generate(spec)
     lists = random_list_assignment(g, task["k"], task["universe"], task["seed"])
     pre = None
     if task["pre"]:
         pre = corona_pre_pair(g, spec, lists, task["seed"])
-    out = {"instance": task["instance"], "trial": task["trial"], "ok": True, "error": None}
+    out = {"ok": True, "error": None}
     try:
         report = construct(spec, lists, pre=pre)
         verdict = validate_colouring(g, lists, report.colouring)
@@ -156,6 +157,7 @@ def _run_trial(task: dict) -> dict:
             out.update(ok=False, error=f"invalid colouring: {verdict.violation}")
     except IncolourError as exc:
         out.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+    out["seconds"] = time.perf_counter() - start
     return out
 
 
@@ -181,18 +183,17 @@ def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
                 "seed": trial_seed(campaign.master_seed, key, trial),
             })
 
-    start = time.monotonic()
     if campaign.workers > 1:
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=16))
     else:
         outcomes = [_run_trial(t) for t in tasks]
-    elapsed = time.monotonic() - start
 
-    outcomes.sort(key=lambda o: (o["instance"], o["trial"]))
-    for task, out in zip(sorted(tasks, key=lambda t: (t["instance"], t["trial"])), outcomes):
-        r = results[out["instance"]]
+    # map keeps task order, so each outcome sits beside its own task
+    for task, out in zip(tasks, outcomes):
+        r = results[task["instance"]]
         r.trials += 1
+        r.seconds += out["seconds"]
         if out["ok"]:
             r.successes += 1
         else:
@@ -205,19 +206,12 @@ def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
                 "pre": task["pre"],
                 "error": out["error"],
             })
-    if results:
-        per = elapsed / len(results)
-        for r in results:
-            r.seconds = per
     return CampaignReport(results)
 
 
 def replay_failure(bundle: dict) -> dict:
     """Re-run one failure bundle; returns the fresh trial outcome."""
-    task = dict(bundle)
-    task.setdefault("instance", 0)
-    task.setdefault("trial", bundle.get("trial", 0))
-    return _run_trial(task)
+    return _run_trial(bundle)
 
 
 # ------------------------------------------------------------ regression ---

@@ -1,47 +1,31 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The backtracking kernel: the compiled extension ``incolour._ckernel``
+when it is importable, the pure-Python ``incolour._pykernel`` otherwise.
 
-Set ``INCOLOUR_PURE=1`` in the environment to force the pure-Python kernel
-(used by the parity tests and the benchmark).
+The choice is made once, at import time.  Both kernels return identical
+results; ``backend_name()`` says which one runs.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pykernel
-
-FOUND = _pykernel.FOUND
-EXHAUSTED = _pykernel.EXHAUSTED
-CUTOFF = _pykernel.CUTOFF
-
-_BACKENDS = {"python": _pykernel}
 try:  # pragma: no cover - depends on the build environment
-    from . import _ckernel  # type: ignore[attr-defined]
+    from . import _ckernel as _impl  # type: ignore[attr-defined]
 
-    _BACKENDS["c"] = _ckernel
+    _BACKEND = "c"
 except ImportError:  # pragma: no cover
-    _ckernel = None
+    from . import _pykernel as _impl
 
-_active = "python" if (os.environ.get("INCOLOUR_PURE") or "c" not in _BACKENDS) else "c"
+    _BACKEND = "python"
+
+FOUND = _impl.FOUND
+EXHAUSTED = _impl.EXHAUSTED
+CUTOFF = _impl.CUTOFF
 
 
 def backend_name() -> str:
-    return _active
+    return _BACKEND
 
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def set_backend(name: str) -> None:
-    """Switch kernels at runtime (benchmark / parity-test hook)."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"kernel backend {name!r} not available")
-    _active = name
-
-
+# Defined here rather than bound to ``_impl.search``, so that tools which
+# wrap this module's own functions (the benchmark's tracer) see it.
 def search(nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline):
-    return _BACKENDS[_active].search(
-        nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline
-    )
+    return _impl.search(nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline)

@@ -272,3 +272,16 @@ def test_neighbour_ids_match_pairwise_adjacency(g):
         tuple(j for j, b in enumerate(incs) if incidence_adjacent(a, b)) for a in incs
     )
     assert incidence_neighbour_ids(g) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_incidence_id_matches_enumeration(g):
+    incs = incidences(g)
+    for v in range(-1, g.n + 1):
+        for u in range(-1, g.n + 1):
+            if 0 <= v < g.n and u in g.adj[v]:
+                assert incidence_id(g, v, u) == incs.index(Incidence(v, canon_edge(v, u)))
+            else:
+                with pytest.raises(GraphError):
+                    incidence_id(g, v, u)

@@ -116,6 +116,15 @@ def test_campaign_worker_count_invariance():
     assert r1 == r2
 
 
+def test_campaign_times_each_instance_by_its_own_trials():
+    campaign = FuzzCampaign(
+        instances=(FamilySpec("cycle", {"n": 3}), FamilySpec("grid", {"m": 7, "n": 7})),
+        trials=4,
+    )
+    cycle, grid = run_campaign(campaign).results
+    assert grid.seconds > cycle.seconds > 0
+
+
 @pytest.mark.parametrize("workers", [0, -1, os.cpu_count() + 1])
 def test_campaign_rejects_worker_counts_outside_cpu_range(workers):
     with pytest.raises(InputError):

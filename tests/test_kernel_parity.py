@@ -1,66 +1,38 @@
 """The compiled and pure-Python kernels must be interchangeable: same
-statuses, same colourings, same node counts."""
+statuses, same slots, same node counts on the same flattened inputs."""
 
 from __future__ import annotations
 
 import pytest
 
-from incolour import kernel
+from incolour import _pykernel
 from incolour.families import gen_basic, gen_random_graph
 from incolour.graphs import ListAssignment
 from incolour.harness import random_list_assignment
-from incolour.solver import SolverConfig, solve_list_colouring
+from incolour.solver import _flatten
 
-needs_both = pytest.mark.skipif(
-    len(kernel.available_backends()) < 2,
-    reason="compiled kernel not built",
-)
+_ckernel = pytest.importorskip("incolour._ckernel")
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernel.backend_name()
-    yield
-    kernel.set_backend(before)
+def _search_both(g, lists, use_mrv, node_budget=None):
+    args = (*_flatten(g, lists), use_mrv, node_budget, None)
+    return _pykernel.search(*args), _ckernel.search(*args)
 
 
-def _run_both(g, lists, cfg):
-    out = {}
-    for backend in kernel.available_backends():
-        kernel.set_backend(backend)
-        out[backend] = solve_list_colouring(g, lists, cfg)
-    return out
-
-
-@needs_both
-@pytest.mark.parametrize("order", ["static", "most-constrained-first"])
-def test_parity_random_instances(order):
-    cfg = SolverConfig(order=order)
+@pytest.mark.parametrize("use_mrv", [False, True], ids=["static", "most-constrained-first"])
+def test_parity_random_instances(use_mrv):
     for seed in range(120):
         g = gen_random_graph(2 + seed % 7, seed, density=0.45)
         if not g.edges:
             continue
         k = 2 + seed % 4
         lists = random_list_assignment(g, k, 2 * k, seed)
-        results = _run_both(g, lists, cfg)
-        ref = results["python"]
-        other = results["c"]
-        assert other.status == ref.status
-        assert other.nodes == ref.nodes
-        if ref.colouring is not None:
-            assert other.colouring == ref.colouring
+        ref, other = _search_both(g, lists, use_mrv)
+        assert other == ref
 
 
-@needs_both
 def test_parity_budget_cutoff():
     g, _ = gen_basic("complete", 5)
-    cfg = SolverConfig(node_budget=17)
-    results = _run_both(g, ListAssignment.uniform(g, 4), cfg)
-    assert results["python"].status == results["c"].status == "unknown"
-    assert results["python"].nodes == results["c"].nodes
-
-
-def test_backend_management():
-    assert kernel.backend_name() in kernel.available_backends()
-    with pytest.raises(ValueError):
-        kernel.set_backend("fortran")
+    ref, other = _search_both(g, ListAssignment.uniform(g, 4), True, node_budget=17)
+    assert ref[0] == other[0] == _pykernel.CUTOFF
+    assert other == ref
