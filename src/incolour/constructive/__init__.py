@@ -10,9 +10,10 @@ from ..families import FamilySpec, gen_basic, generate
 from ..graphs import Graph, IncolourError, InputError, ListAssignment, incidences
 from ..solver import COLOURED, solve_list_colouring
 from .cactus import cactus_bound, colour_cactus
-from .coronae import colour_corona, corona_bound, pendant_edge_ids
-from .grids import choose_grid_window, colour_grid, window_choice_valid
+from .coronae import _colour_corona, colour_corona, corona_bound, pendant_edge_ids
+from .grids import _colour_grid, choose_grid_window, colour_grid, window_choice_valid
 from .halin import (
+    _colour_halin,
     choose_halin_boundary,
     choose_k4_triple,
     colour_halin,
@@ -20,7 +21,12 @@ from .halin import (
     k4_triple_valid,
     required_halin_lists,
 )
-from .hamcubic import choose_ham_boundary, colour_hamiltonian_cubic, ham_boundary_valid
+from .hamcubic import (
+    _colour_hamiltonian_cubic,
+    choose_ham_boundary,
+    colour_hamiltonian_cubic,
+    ham_boundary_valid,
+)
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
 from .trees import colour_tree
 
@@ -42,7 +48,11 @@ def colour_cycle(n: int, lists: ListAssignment) -> ConstructiveReport:
     Three colours per list suffice exactly when n is divisible by 3, four
     always do; smaller lists are rejected up front.
     """
-    g, _ = gen_basic("cycle", n)
+    return _colour_cycle(gen_basic("cycle", n)[0], n, lists)
+
+
+def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
+    """:func:`colour_cycle` on ``g = gen_basic("cycle", n)``."""
     if len(lists) != 2 * n:
         raise InputError("list assignment does not cover the cycle")
     required = 3 if n % 3 == 0 else 4
@@ -84,28 +94,33 @@ def construct(
     lists: ListAssignment,
     pre: Optional[dict[int, int]] = None,
 ) -> ConstructiveReport:
-    """Route a family spec to its constructive colouring procedure."""
+    """Route a family spec to its constructive colouring procedure.
+
+    The graph is generated once, here, and handed to the procedure, which
+    therefore skips its own build and its graph-matches-spec check.
+    """
     g, spec = generate(spec)
     f = spec.family
     if f in ("path", "star", "tree"):
         return colour_tree(g, lists, pre=pre)
     if f == "cycle":
         _no_pre(pre, f)
-        return colour_cycle(spec.params["n"], lists)
+        return _colour_cycle(g, spec.params["n"], lists)
     if f == "grid":
         _no_pre(pre, f)
-        return colour_grid(spec.params["m"], spec.params["n"], lists)
+        return _colour_grid(g, spec.params["m"], spec.params["n"], lists)
     if f in ("halin", "wheel", "complete"):
         _no_pre(pre, f)
-        return colour_halin(g, _as_halin(spec), lists)
+        return _colour_halin(g, _as_halin(spec), lists)
     if f == "corona":
-        return colour_corona(spec.params["n"], spec.params["p"], lists, pre=_corona_pre(g, spec, pre))
+        n, p = spec.params["n"], spec.params["p"]
+        return _colour_corona(g, n, p, lists, _corona_pre(g, spec, pre))
     if f == "cactus":
         _no_pre(pre, f)
         return colour_cactus(g, spec, lists)
     if f == "ham_cubic":
         _no_pre(pre, f)
-        return colour_hamiltonian_cubic(g, spec, lists)
+        return _colour_hamiltonian_cubic(g, spec, lists)
     raise InputError(f"no constructive procedure for family {f!r}")
 
 

@@ -53,7 +53,17 @@ def colour_corona(
     """Total list incidence colouring of the corona C_n with p pendants per
     vertex; ``pre = (a, b)`` fixes the two incidences of the pendant edge
     v0-v0^1 (a on the cycle side) beforehand."""
-    g, _spec = gen_corona(n, p)
+    return _colour_corona(gen_corona(n, p)[0], n, p, lists, pre)
+
+
+def _colour_corona(
+    g: Graph,
+    n: int,
+    p: int,
+    lists: ListAssignment,
+    pre: Optional[tuple[int, int]],
+) -> ConstructiveReport:
+    """:func:`colour_corona` on ``g = gen_corona(n, p)``."""
     if len(lists) != 2 * len(g.edges):
         raise InputError("list assignment does not cover the corona")
     required = corona_bound(n, p, pre is not None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..families import gen_grid, grid_vertex
-from ..graphs import IncolourError, InputError, ListAssignment
+from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .report import ConstructiveReport, Painter
 
 
@@ -148,10 +148,14 @@ def colour_grid(m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
         m, n = n, m
     if n < 2:
         raise InputError("grid colouring needs n >= 2")
+    return _colour_grid(gen_grid(m, n)[0], m, n, lists)
+
+
+def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
+    """:func:`colour_grid` on ``g = gen_grid(m, n)``, with m >= n >= 2."""
     required = 5 if n == 2 else 6
     if lists.min_size() < required:
         raise InputError(f"grid with n={n} needs lists of size >= {required}")
-    g, _spec = gen_grid(m, n)
     painter = Painter(g, lists)
 
     def iid(i1: int, j1: int, i2: int, j2: int) -> int:

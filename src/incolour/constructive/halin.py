@@ -191,6 +191,11 @@ def colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> Construct
     built, _ = generate(spec)
     if built != g:
         raise InputError("graph does not match its halin spec")
+    return _colour_halin(g, spec, lists)
+
+
+def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> ConstructiveReport:
+    """:func:`colour_halin` on a graph known to match its halin spec."""
     required = required_halin_lists(g, spec)
     if lists.min_size() < required:
         raise InputError(f"halin colouring needs lists of size >= {required}")

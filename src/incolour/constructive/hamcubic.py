@@ -97,6 +97,15 @@ def colour_hamiltonian_cubic(
     built, _ = generate(spec)
     if built != g:
         raise InputError("graph does not match its ham_cubic spec")
+    return _colour_hamiltonian_cubic(g, spec, lists)
+
+
+def _colour_hamiltonian_cubic(
+    g: Graph,
+    spec: FamilySpec,
+    lists: ListAssignment,
+) -> ConstructiveReport:
+    """:func:`colour_hamiltonian_cubic` on a graph known to match its spec."""
     if lists.min_size() < 6:
         raise InputError("hamiltonian cubic colouring needs lists of size >= 6")
     n = spec.params["n"]

@@ -27,5 +27,6 @@ def backend_name() -> str:
 
 # Defined here rather than bound to ``_impl.search``, so that tools which
 # wrap this module's own functions (the benchmark's tracer) see it.
-def search(nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline):
-    return _impl.search(nv, dom_off, dom_val, adj_off, adj, use_mrv, node_budget, deadline)
+def search(nv, dom_off, dom_val, adj_off, adj, uniform, use_mrv, node_budget, deadline):
+    return _impl.search(nv, dom_off, dom_val, adj_off, adj, uniform, use_mrv, node_budget,
+                        deadline)

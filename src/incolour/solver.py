@@ -68,19 +68,28 @@ class EnumerationBudgetExceeded(IncolourError):
 
 
 def _flatten(g: Graph, lists: ListAssignment):
-    neigh = incidence_neighbour_ids(g)
-    nv = len(neigh)
+    """The kernel's inputs ``(nv, dom_off, dom_val, adj_off, adj, uniform)``.
+
+    The adjacency arrays are built once per graph and cached on it (the
+    kernels only read them).  ``uniform`` is true when every list equals
+    the first one; the tuple comparison stops at the first unequal list.
+    """
+    if "kernel_adjacency" not in g._cache:
+        adj_off = [0]
+        adj: list[int] = []
+        for ids in incidence_neighbour_ids(g):
+            adj.extend(ids)
+            adj_off.append(len(adj))
+        g._cache["kernel_adjacency"] = (adj_off, adj)
+    adj_off, adj = g._cache["kernel_adjacency"]
+    nv = len(adj_off) - 1
     dom_off = [0]
     dom_val: list[int] = []
     for i in range(nv):
         dom_val.extend(sorted(lists[i]))
         dom_off.append(len(dom_val))
-    adj_off = [0]
-    adj: list[int] = []
-    for ids in neigh:
-        adj.extend(ids)
-        adj_off.append(len(adj))
-    return nv, dom_off, dom_val, adj_off, adj
+    uniform = nv > 0 and lists.lists == (lists[0],) * nv
+    return nv, dom_off, dom_val, adj_off, adj, uniform
 
 
 def solve_list_colouring(
@@ -97,10 +106,10 @@ def solve_list_colouring(
     m = 2 * len(g.edges)
     if len(lists) != m:
         raise GraphError("list assignment does not cover the incidences")
-    nv, dom_off, dom_val, adj_off, adj = _flatten(g, lists)
+    nv, dom_off, dom_val, adj_off, adj, uniform = _flatten(g, lists)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     status, slots, nodes = kernel.search(
-        nv, dom_off, dom_val, adj_off, adj,
+        nv, dom_off, dom_val, adj_off, adj, uniform,
         cfg.order == "most-constrained-first", cfg.node_budget, deadline,
     )
     if status == kernel.FOUND:
@@ -117,17 +126,28 @@ def solve_list_colouring(
 def incidence_chromatic_number(g: Graph, cfg: SolverConfig = DEFAULT_CONFIG) -> int:
     """Smallest p admitting an incidence colouring with colours {1..p}.
 
-    Starts from the lower bound ``max_degree + 1`` and never needs more
-    than ``3*max_degree - 2`` colours (``2`` when the maximum degree is 1).
-    Raises :class:`ChiUnknown` with the best-known bracket if the budget
-    runs out mid-sweep.
+    The sweep climbs from the lower bound ``max_degree + 1``.  It stops at
+    the largest colour that :func:`greedy_degenerate` uses on the lists
+    ``{1..3*max_degree-2}`` (``{1, 2}`` when the maximum degree is 1): the
+    re-validated greedy colouring proves that value without a search.  If
+    the greedy gets stuck, the sweep runs up to ``3*max_degree - 2``.
+    Raises :class:`ChiUnknown` with the tightest proven bracket if the
+    budget runs out mid-sweep.
     """
     if not g.edges:
         return 0
     delta = g.max_degree
-    lo = delta + 1
     hi = 2 if delta == 1 else 3 * delta - 2
-    for p in range(lo, hi + 1):
+    greedy = greedy_degenerate(g, ListAssignment.uniform(g, hi))
+    proven = None
+    if greedy.found:
+        proven = hi = max(greedy.colouring.assignment.values())
+        verdict = validate_colouring(g, ListAssignment.uniform(g, hi), greedy.colouring)
+        if not verdict.ok:  # pragma: no cover - greedy soundness guard
+            raise IncolourError(f"greedy produced an invalid colouring: {verdict.violation}")
+    for p in range(delta + 1, hi + 1):
+        if p == proven:
+            return p
         res = solve_list_colouring(g, ListAssignment.uniform(g, p), cfg)
         if res.status == COLOURED:
             return p

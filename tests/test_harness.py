@@ -174,6 +174,62 @@ def test_construct_rejects_unsupported_families():
         construct(k5, ListAssignment.uniform(g5, 13))
 
 
+_BUILDERS = ("gen_basic", "gen_grid", "gen_corona", "gen_halin", "gen_ham_cubic")
+
+
+def _public_procedure(spec, g, lists):
+    from incolour import constructive as c
+
+    f, p = spec.family, spec.params
+    if f == "grid":
+        return c.colour_grid(p["m"], p["n"], lists)
+    if f == "cycle":
+        return c.colour_cycle(p["n"], lists)
+    if f == "corona":
+        return c.colour_corona(p["n"], p["p"], lists)
+    if f == "halin":
+        return c.colour_halin(g, spec, lists)
+    return c.colour_hamiltonian_cubic(g, spec, lists)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("grid", {"m": 7, "n": 7}),
+    FamilySpec("cycle", {"n": 7}),
+    FamilySpec("corona", {"n": 5, "p": 3}),
+    FamilySpec("halin", {"tree_edges": [[0, 5], [1, 5], [2, 6], [3, 6], [4, 6], [5, 6]],
+                         "leaf_order": [0, 1, 2, 3, 4]}),
+    FamilySpec("ham_cubic", {"n": 8, "seed": 1}),
+], ids=lambda spec: spec.family)
+def test_construct_generates_its_graph_once(monkeypatch, spec):
+    """``construct`` builds the graph once and hands it on; its report is
+    the one the public procedure gives."""
+    import sys
+
+    from incolour import families
+    from incolour.constructive import construct, guaranteed_bound
+
+    g, spec = families.generate(spec)
+    k = guaranteed_bound(spec)
+    lists = random_list_assignment(g, k, 3 * k, 7)
+    calls = []
+    for name in _BUILDERS:
+        real = getattr(families, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("incolour") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    report = construct(spec, lists)
+    assert len(calls) == 1, calls
+    monkeypatch.undo()
+    expected = _public_procedure(spec, g, lists)
+    assert report.trace == expected.trace
+    assert report.colouring.assignment == expected.colouring.assignment
+
+
 def test_regression_table():
     report = regression_chi()
     assert report.ok

@@ -91,17 +91,27 @@ def test_budget_yields_unknown_never_unsat():
     res = solve_list_colouring(g, ListAssignment.uniform(g, 4),
                                SolverConfig(node_budget=3))
     assert res.status == UNKNOWN
+    # chi(K5) = 5 = max_degree + 1 is proven by the greedy, with no search
+    assert incidence_chromatic_number(g, SolverConfig(node_budget=3)) == 5
+    c5, _ = gen_basic("cycle", 5)
     with pytest.raises(ChiUnknown) as err:
-        incidence_chromatic_number(g, SolverConfig(node_budget=3))
-    assert err.value.lower >= g.max_degree + 1
+        incidence_chromatic_number(c5, SolverConfig(node_budget=3))
+    assert (err.value.lower, err.value.upper) == (3, 4)
 
 
 def test_time_budget_yields_unknown():
-    # an unsatisfiable star whose exhaustion needs >> 1024 nodes
+    # Searches that run past node 1024, where the deadline is first checked.
+    # General lists: an unsatisfiable star whose last list has a ninth
+    # colour (the uniform 8-colour star now ends within 1024 nodes).
     g, _ = gen_basic("star", 8)
-    res = solve_list_colouring(g, ListAssignment.uniform(g, 8),
-                               SolverConfig(time_budget=1e-9))
-    assert res.status == UNKNOWN
+    m = 2 * len(g.edges)
+    lists = ListAssignment([range(1, 9)] * (m - 1) + [range(1, 10)])
+    res = solve_list_colouring(g, lists, SolverConfig(time_budget=1e-9))
+    assert (res.status, res.nodes) == (UNKNOWN, 1024)
+    # Uniform lists: the 8x8 grid at p=5 is undecided after 100,000 nodes.
+    g, _ = gen_grid(8, 8)
+    res = solve_list_colouring(g, ListAssignment.uniform(g, 5), SolverConfig(time_budget=1e-9))
+    assert (res.status, res.nodes) == (UNKNOWN, 1024)
 
 
 def test_chi_cycles():
