@@ -25,6 +25,9 @@ COLOURED = "coloured"
 UNSATISFIABLE = "unsatisfiable"
 UNKNOWN = "unknown"
 
+# Colourings the choosability sweep keeps for reuse as witnesses.
+WITNESS_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -179,6 +182,18 @@ def check_choosability_exhaustive(
     add nothing (the union of all lists can never use more colours) and
     are rejected.  Any counterexample is re-checked by a fresh solver run
     before being returned.
+
+    Consecutive assignments differ only in their last lists, so a proper
+    colouring found for one usually fits the next.  The sweep keeps the
+    last ``WITNESS_CACHE_SIZE`` validated colourings, most recently used
+    first.  An assignment that one of them fits (every colour lies in its
+    incidence's list) is colourable and is counted without a solve.  No
+    colouring fits an unsatisfiable assignment, so the counterexample and
+    ``assignments_checked`` are those of solving every assignment.  A
+    witness can settle an assignment whose solve would have hit the
+    node or time budget of ``cfg``; that turns a raise of
+    :class:`EnumerationBudgetExceeded` into the correct answer and never
+    into ``choosable=False``.
     """
     m = 2 * len(g.edges)
     if k < 1 or universe_size < k:
@@ -198,7 +213,7 @@ def check_choosability_exhaustive(
             if checked > assignment_budget:
                 raise EnumerationBudgetExceeded(
                     f"more than {assignment_budget} canonical assignments")
-            yield list(lists_so_far)
+            yield lists_so_far
             return
         for fresh in range(0, k + 1):
             if used + fresh > universe_size:
@@ -209,17 +224,38 @@ def check_choosability_exhaustive(
                 yield from extend(pos + 1, used + fresh)
                 lists_so_far.pop()
 
+    witnesses: list[tuple[int, ...]] = []
     for raw in extend(1, k):
+        if _fitting_witness(witnesses, raw) is not None:
+            continue
         assignment = ListAssignment(raw)
         res = solve_list_colouring(g, assignment, cfg)
-        if res.status == UNKNOWN:
+        if res.status == COLOURED:
+            witnesses.insert(0, tuple(res.colouring[i] for i in range(m)))
+            del witnesses[WITNESS_CACHE_SIZE:]
+        elif res.status == UNKNOWN:
             raise EnumerationBudgetExceeded("solver budget hit inside the sweep")
-        if res.status == UNSATISFIABLE:
+        else:
             recheck = solve_list_colouring(g, assignment, DEFAULT_CONFIG)
             if recheck.status != UNSATISFIABLE:  # pragma: no cover
                 raise IncolourError("counterexample failed its re-check")
             return ChoosabilityResult(False, assignment, checked)
     return ChoosabilityResult(True, None, checked)
+
+
+def _fitting_witness(
+    witnesses: list[tuple[int, ...]], lists: Sequence[frozenset[int]],
+) -> Optional[tuple[int, ...]]:
+    """The first of ``witnesses`` (colours by incidence id) whose every
+    colour lies in its incidence's list, moved to the front; ``None`` when
+    none fits."""
+    for i, witness in enumerate(witnesses):
+        if all(map(frozenset.__contains__, lists, witness)):
+            if i:
+                del witnesses[i]
+                witnesses.insert(0, witness)
+            return witness
+    return None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incolour import solver
 from incolour.families import (
     gen_basic,
     gen_grid,
@@ -15,6 +16,7 @@ from incolour.families import (
 )
 from incolour.graphs import (
     Graph,
+    IncidenceColouring,
     ListAssignment,
     incidence_adjacent,
     incidence_neighbour_ids,
@@ -27,6 +29,7 @@ from incolour.solver import (
     UNKNOWN,
     UNSATISFIABLE,
     ChiUnknown,
+    EnumerationBudgetExceeded,
     InputError,
     SolverConfig,
     check_choosability_exhaustive,
@@ -225,6 +228,120 @@ def test_choosability_guards(k2):
     c4, _ = gen_basic("cycle", 4)
     with pytest.raises(EnumerationBudgetExceeded):
         check_choosability_exhaustive(c4, 4, 8, assignment_budget=50)
+
+
+def _canonical_assignments(m, k, universe):
+    """Every canonical k-list assignment of ``m`` incidences from
+    {1..universe}, in the sweep's order: the first list is {1..k}, each
+    later list's colours above those used so far are the next ones in
+    line, and at each position lists with fewer new colours come first,
+    then lists whose old colours come first lexicographically."""
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, universe + 1), k)]
+
+    def rec(prefix, used):
+        if len(prefix) == m:
+            yield prefix
+            return
+        options = []
+        for s in subsets:
+            new = sorted(c for c in s if c > used)
+            if new == list(range(used + 1, used + 1 + len(new))):
+                options.append((len(new), sorted(c for c in s if c <= used), s))
+        for fresh, _, s in sorted(options, key=lambda o: o[:2]):
+            yield from rec(prefix + [s], used + fresh)
+
+    yield from rec([frozenset(range(1, k + 1))], k)
+
+
+def _reference_sweep(g, k, universe):
+    """Solve every canonical assignment, with no reuse; stop at the first
+    unsatisfiable one."""
+    checked = 0
+    for lists in _canonical_assignments(2 * len(g.edges), k, universe):
+        checked += 1
+        if solve_list_colouring(g, ListAssignment(lists)).status == UNSATISFIABLE:
+            return False, checked, tuple(lists)
+    return True, checked, None
+
+
+def _outcome(res):
+    return (res.choosable, res.assignments_checked,
+            res.counterexample.lists if res.counterexample else None)
+
+
+_SWEEP_GRAPHS = {
+    "K2": Graph(2, [(0, 1)]),
+    "P3": gen_basic("path", 3)[0],
+    "P4": gen_basic("path", 4)[0],
+    "K1,3": gen_basic("star", 3)[0],
+    "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "C3": gen_basic("cycle", 3)[0],
+    "C4": gen_basic("cycle", 4)[0],
+}
+# Every universe from k to k+2, except P4 at k=3 over {1..5}: its 66,667
+# assignments take seconds to solve one by one, and C3 covers that size.
+_SWEEP_CASES = [
+    (name, k, universe)
+    for name in _SWEEP_GRAPHS
+    for k in (2, 3)
+    for universe in range(k, k + 3)
+    if universe <= 2 * k * len(_SWEEP_GRAPHS[name].edges)
+    and (name, k, universe) != ("P4", 3, 5)
+]
+
+
+@pytest.mark.parametrize("name,k,universe", _SWEEP_CASES)
+def test_choosability_sweep_matches_reference_without_reuse(name, k, universe):
+    g = _SWEEP_GRAPHS[name]
+    assert _outcome(check_choosability_exhaustive(g, k, universe)) == \
+        _reference_sweep(g, k, universe)
+
+
+def test_choosability_witnesses_are_sound(monkeypatch):
+    c3, _ = gen_basic("cycle", 3)
+    hits = solves = 0
+    fitting_witness = solver._fitting_witness
+    solve = solver.solve_list_colouring
+
+    def checked_witness(witnesses, lists):
+        nonlocal hits
+        witness = fitting_witness(witnesses, lists)
+        if witness is not None:
+            hits += 1
+            colouring = IncidenceColouring(dict(enumerate(witness)))
+            verdict = validate_colouring(c3, ListAssignment(lists), colouring)
+            assert verdict.ok, verdict.violation
+        return witness
+
+    def counted_solve(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fitting_witness", checked_witness)
+    monkeypatch.setattr(solver, "solve_list_colouring", counted_solve)
+    res = check_choosability_exhaustive(c3, 3, 5)
+    assert (res.choosable, res.assignments_checked) == (True, 66_667)
+    assert solves < 2_000
+    assert hits + solves == 66_667
+
+
+def test_choosability_budget_never_gives_a_wrong_answer():
+    c3, _ = gen_basic("cycle", 3)
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_choosability_exhaustive(c3, 3, 5, SolverConfig(node_budget=1))
+    # Each run either raises or gives the unbudgeted answer; a witness can
+    # settle an assignment whose own solve would hit the budget.
+    for name, k, universe in [("C3", 3, 4), ("P4", 3, 4), ("C3", 2, 3), ("C4", 3, 4)]:
+        g = _SWEEP_GRAPHS[name]
+        want = _outcome(check_choosability_exhaustive(g, k, universe))
+        for budget in range(1, 21):
+            try:
+                res = check_choosability_exhaustive(g, k, universe,
+                                                    SolverConfig(node_budget=budget))
+            except EnumerationBudgetExceeded:
+                continue
+            assert _outcome(res) == want
 
 
 def test_degeneracy_order_invariant():
