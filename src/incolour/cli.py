@@ -134,17 +134,16 @@ def generate(family, n, m, p, size, seed, spec_path, list_size, universe, lists_
 @main.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--lists", "lists_path", required=True, type=click.Path(exists=True))
-@click.option("--order", default="most-constrained-first", show_default=True)
 @click.option("--node-budget", type=int, default=None)
 @click.option("--time-budget", type=float, default=None)
 @click.option("--out", default=None)
 @_config_guard
-def solve(graph_path, lists_path, order, node_budget, time_budget, out):
+def solve(graph_path, lists_path, node_budget, time_budget, out):
     """Backtracking list incidence colouring; exit 0/1/3 for
     coloured/unsatisfiable/unknown."""
     g = graph_from_json(_read_json(graph_path))
     lists = lists_from_json(g, _read_json(lists_path))
-    cfg = SolverConfig(order=order, node_budget=node_budget, time_budget=time_budget)
+    cfg = SolverConfig(node_budget=node_budget, time_budget=time_budget)
     res = solve_list_colouring(g, lists, cfg)
     click.echo(f"{res.status} after {res.nodes} nodes")
     if res.status == COLOURED:

@@ -31,16 +31,20 @@ WITNESS_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search knobs.  A hit budget or deadline yields the distinguishable
-    ``unknown`` outcome, never a wrong ``unsatisfiable``."""
+    """Search budgets.  ``None`` means no limit; ``time_budget=0`` sets a
+    deadline that has already passed (the kernel checks it every 1,024
+    nodes).  A hit budget or deadline yields the distinguishable
+    ``unknown`` outcome, never a wrong ``unsatisfiable``.  Negative (or
+    NaN) budgets are rejected as configuration errors."""
 
-    order: str = "most-constrained-first"   # or "static"
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None     # seconds
 
     def __post_init__(self):
-        if self.order not in ("static", "most-constrained-first"):
-            raise InputError(f"unknown variable order {self.order!r}")
+        for name in ("node_budget", "time_budget"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise InputError(f"{name} must be >= 0, got {value}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -74,7 +78,7 @@ def _flatten(g: Graph, lists: ListAssignment):
     """The kernel's inputs ``(nv, dom_off, dom_val, adj_off, adj, uniform)``.
 
     The adjacency arrays are built once per graph and cached on it (the
-    kernels only read them).  ``uniform`` is true when every list equals
+    kernel only reads them).  ``uniform`` is true when every list equals
     the first one; the tuple comparison stops at the first unequal list.
     """
     if "kernel_adjacency" not in g._cache:
@@ -110,11 +114,9 @@ def solve_list_colouring(
     if len(lists) != m:
         raise GraphError("list assignment does not cover the incidences")
     nv, dom_off, dom_val, adj_off, adj, uniform = _flatten(g, lists)
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
+    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     status, slots, nodes = kernel.search(
-        nv, dom_off, dom_val, adj_off, adj, uniform,
-        cfg.order == "most-constrained-first", cfg.node_budget, deadline,
-    )
+        nv, dom_off, dom_val, adj_off, adj, uniform, cfg.node_budget, deadline)
     if status == kernel.FOUND:
         colouring = IncidenceColouring({i: dom_val[slots[i]] for i in range(nv)})
         verdict = validate_colouring(g, lists, colouring)

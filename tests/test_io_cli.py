@@ -178,10 +178,22 @@ def test_cli_out_dir_from_environment(runner, tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "graph.json").exists()
 
 
-def test_cli_config_error_exit_code(runner):
+def test_cli_config_error_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["generate", "--family", "wheel", "--n", "1"])
     assert r.exit_code == 2
     r = runner.invoke(main, ["fuzz", "--family", "nonsense"])
     assert r.exit_code == 2
     r = runner.invoke(main, ["fuzz", "--family", "cycle", "--workers", "0"])
     assert r.exit_code == 2
+    out = str(tmp_path)
+    r = runner.invoke(main, ["generate", "--family", "cycle", "--n", "4",
+                             "--k", "3", "--universe", "0", "--out", out])
+    assert r.exit_code == 0, r.output
+    graph = ["--graph", f"{out}/graph.json"]
+    solve = ["solve", *graph, "--lists", f"{out}/lists.json", "--out", out]
+    r = runner.invoke(main, [*solve, "--node-budget", "-1"])
+    assert r.exit_code == 2 and "node_budget" in r.output, r.output
+    r = runner.invoke(main, ["chi", *graph, "--time-budget", "-1"])
+    assert r.exit_code == 2 and "time_budget" in r.output, r.output
+    r = runner.invoke(main, [*solve, "--order", "static"])   # no such option
+    assert r.exit_code == 2 and "--order" in r.output, r.output

@@ -41,27 +41,33 @@ from incolour.solver import (
 )
 
 
-def naive_satisfiable(g, p):
-    """Independent oracle: lexicographic enumeration of all assignments of
-    {1..p}, pruning a branch as soon as two adjacent incidences clash."""
+def naive_satisfiable(g, lists):
+    """Independent oracle: plain backtracking over per-incidence lists,
+    with adjacency from the pairwise ``incidence_adjacent`` and no forward
+    checking or availability counts.  The next incidence is the uncoloured
+    one with the most coloured neighbours (lowest id on ties); its colours
+    are tried in ascending order."""
     incs = incidences(g)
     m = len(incs)
-    earlier = [[j for j in range(i) if incidence_adjacent(incs[i], incs[j])]
-               for i in range(m)]
-    assign = [0] * m
+    nbrs = [[j for j in range(m) if j != i and incidence_adjacent(incs[i], incs[j])]
+            for i in range(m)]
+    colour = [None] * m
 
-    def rec(i):
-        if i == m:
+    def rec(left):
+        if not left:
             return True
-        for c in range(1, p + 1):
-            if all(assign[j] != c for j in earlier[i]):
-                assign[i] = c
-                if rec(i + 1):
+        i = max((v for v in range(m) if colour[v] is None),
+                key=lambda v: sum(colour[w] is not None for w in nbrs[v]))
+        taken = {colour[w] for w in nbrs[i]}
+        for c in sorted(lists[i]):
+            if c not in taken:
+                colour[i] = c
+                if rec(left - 1):
                     return True
-        assign[i] = 0
+        colour[i] = None
         return False
 
-    return rec(0)
+    return rec(m)
 
 
 def test_cycle_examples():
@@ -78,15 +84,19 @@ def test_k2_forced(k2):
     assert res.colouring.assignment == {0: 1, 1: 2}
 
 
-def test_solver_orders_agree():
+def test_solver_agrees_with_naive_oracle_on_dense_random_lists():
+    unsat = []
     for seed in range(30):
         g = gen_random_graph(7, seed, density=0.5)
         if not g.edges:
             continue
         lists = random_list_assignment(g, 4, 8, seed)
-        a = solve_list_colouring(g, lists, SolverConfig(order="static"))
-        b = solve_list_colouring(g, lists, SolverConfig(order="most-constrained-first"))
-        assert (a.status == COLOURED) == (b.status == COLOURED)
+        got = solve_list_colouring(g, lists).status
+        assert got in (COLOURED, UNSATISFIABLE)
+        assert (got == COLOURED) == naive_satisfiable(g, lists)
+        if got == UNSATISFIABLE:
+            unsat.append(seed)
+    assert unsat == [4, 19]   # both outcomes exercised
 
 
 def test_budget_yields_unknown_never_unsat():
@@ -104,17 +114,27 @@ def test_budget_yields_unknown_never_unsat():
 
 def test_time_budget_yields_unknown():
     # Searches that run past node 1024, where the deadline is first checked.
-    # General lists: an unsatisfiable star whose last list has a ninth
-    # colour (the uniform 8-colour star now ends within 1024 nodes).
-    g, _ = gen_basic("star", 8)
-    m = 2 * len(g.edges)
-    lists = ListAssignment([range(1, 9)] * (m - 1) + [range(1, 10)])
-    res = solve_list_colouring(g, lists, SolverConfig(time_budget=1e-9))
-    assert (res.status, res.nodes) == (UNKNOWN, 1024)
-    # Uniform lists: the 8x8 grid at p=5 is undecided after 100,000 nodes.
-    g, _ = gen_grid(8, 8)
-    res = solve_list_colouring(g, ListAssignment.uniform(g, 5), SolverConfig(time_budget=1e-9))
-    assert (res.status, res.nodes) == (UNKNOWN, 1024)
+    # A zero budget is a deadline already passed, not "no deadline".
+    for budget in (1e-9, 0.0):
+        cfg = SolverConfig(time_budget=budget)
+        # General lists: an unsatisfiable star whose last list has a ninth
+        # colour (the uniform 8-colour star ends within 1024 nodes).
+        g, _ = gen_basic("star", 8)
+        m = 2 * len(g.edges)
+        lists = ListAssignment([range(1, 9)] * (m - 1) + [range(1, 10)])
+        res = solve_list_colouring(g, lists, cfg)
+        assert (res.status, res.nodes) == (UNKNOWN, 1024)
+        # Uniform lists: the 8x8 grid at p=5 is undecided after 100,000 nodes.
+        g, _ = gen_grid(8, 8)
+        res = solve_list_colouring(g, ListAssignment.uniform(g, 5), cfg)
+        assert (res.status, res.nodes) == (UNKNOWN, 1024)
+
+
+def test_negative_budgets_are_configuration_errors():
+    for bad in ({"node_budget": -5}, {"time_budget": -1.0}, {"time_budget": float("nan")}):
+        with pytest.raises(InputError):
+            SolverConfig(**bad)
+    SolverConfig(node_budget=0, time_budget=0.0)   # zero is a valid budget
 
 
 def test_chi_cycles():
@@ -161,31 +181,10 @@ def test_completeness_against_naive_oracle_small():
         for combo in itertools.combinations(pool, r):
             g = Graph(4, combo)
             for p in (1, 2, 3, 4):
-                want = naive_satisfiable(g, p)
-                got = solve_list_colouring(g, ListAssignment.uniform(g, p))
+                lists = ListAssignment.uniform(g, p)
+                want = naive_satisfiable(g, lists)
+                got = solve_list_colouring(g, lists)
                 assert (got.status == COLOURED) == want
-
-
-def _naive_list_satisfiable(g, lists):
-    """Lexicographic enumeration with per-incidence lists."""
-    incs = incidences(g)
-    m = len(incs)
-    earlier = [[j for j in range(i) if incidence_adjacent(incs[i], incs[j])]
-               for i in range(m)]
-    assign = [0] * m
-
-    def rec(i):
-        if i == m:
-            return True
-        for c in sorted(lists[i]):
-            if all(assign[j] != c for j in earlier[i]):
-                assign[i] = c
-                if rec(i + 1):
-                    return True
-        assign[i] = 0
-        return False
-
-    return rec(0)
 
 
 def test_completeness_against_naive_oracle_random_lists():
@@ -199,7 +198,7 @@ def test_completeness_against_naive_oracle_random_lists():
             continue
         k = rng.randint(1, 3)
         lists = random_list_assignment(g, k, rng.randint(k, 2 * k + 1), seed)
-        want = _naive_list_satisfiable(g, lists)
+        want = naive_satisfiable(g, lists)
         got = solve_list_colouring(g, lists).status == COLOURED
         assert want == got
         checked += 1

@@ -1,20 +1,16 @@
 """The uniform-list fast path of the kernel: value symmetry breaking and
 O(1) slots, set only when every list is equal.
 
-The pure-Python kernel with the flag off is the oracle: with the flag on
-it must reach the same status and the same slots whenever the oracle
-decides, with no more nodes.
+The kernel with the flag off is the oracle: with the flag on it must
+reach the same status and the same slots whenever the oracle decides,
+with no more nodes.
 """
 
 from __future__ import annotations
 
-import inspect
-import re
-from pathlib import Path
-
 import pytest
 
-from incolour import _pykernel
+from incolour import kernel
 from incolour.families import gen_basic, gen_cycle_power, gen_grid, gen_random_graph
 from incolour.graphs import Graph, ListAssignment
 from incolour.solver import (
@@ -32,13 +28,12 @@ def petersen() -> Graph:
     return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
 
 
-def _search(flat, uniform, use_mrv, node_budget=None):
-    return _pykernel.search(*flat[:5], uniform, use_mrv, node_budget, None)
+def _search(flat, uniform, node_budget=None):
+    return kernel.search(*flat[:5], uniform, node_budget, None)
 
 
-@pytest.mark.parametrize("use_mrv", [False, True], ids=["static", "most-constrained-first"])
 @pytest.mark.parametrize("node_budget", [None, 40], ids=["unbudgeted", "budget-40"])
-def test_flag_on_matches_flag_off(use_mrv, node_budget):
+def test_flag_on_matches_flag_off(node_budget):
     pruned = 0
     for seed in range(120):
         # at most 6 vertices keeps the oracle's exhaustive runs small
@@ -47,15 +42,15 @@ def test_flag_on_matches_flag_off(use_mrv, node_budget):
             continue
         flat = _flatten(g, ListAssignment.uniform(g, g.max_degree + seed % 3))
         assert flat[5]
-        off = _search(flat, False, use_mrv, node_budget)
-        on = _search(flat, True, use_mrv, node_budget)
+        off = _search(flat, False, node_budget)
+        on = _search(flat, True, node_budget)
         assert on[2] <= off[2]
         pruned += off[2] - on[2]
-        if off[0] != _pykernel.CUTOFF:
+        if off[0] != kernel.CUTOFF:
             assert on[:2] == off[:2]
-        elif on[0] == _pykernel.FOUND:
+        elif on[0] == kernel.FOUND:
             # the budget cut the oracle short: compare with its full run
-            assert on[1] == _search(flat, False, use_mrv)[1]
+            assert on[1] == _search(flat, False)[1]
     assert pruned > 0
 
 
@@ -64,18 +59,16 @@ def test_flag_on_matches_flag_off_on_cycles(p):
     for n in range(3, 11):
         g, _ = gen_basic("cycle", n)
         flat = _flatten(g, ListAssignment.uniform(g, p))
-        for use_mrv in (False, True):
-            off = _search(flat, False, use_mrv)
-            on = _search(flat, True, use_mrv)
-            assert on[:2] == off[:2] and on[2] <= off[2]
+        off = _search(flat, False)
+        on = _search(flat, True)
+        assert on[:2] == off[:2] and on[2] <= off[2]
 
 
 def test_wide_domains_match_flag_off():
     # 2p + 1 > 255: the availability counts no longer fit in a byte
     g, _ = gen_basic("complete", 4)
     flat = _flatten(g, ListAssignment.uniform(g, 130))
-    for use_mrv in (False, True):
-        assert _search(flat, True, use_mrv) == _search(flat, False, use_mrv)
+    assert _search(flat, True) == _search(flat, False)
 
 
 @pytest.mark.parametrize("name, g, chi", [
@@ -86,9 +79,9 @@ def test_wide_domains_match_flag_off():
 def test_pinned_chi_and_flag_off_unsat_below_it(name, g, chi):
     assert incidence_chromatic_number(g) == chi
     flat = _flatten(g, ListAssignment.uniform(g, chi - 1))
-    off = _search(flat, False, True)
-    on = _search(flat, True, True)
-    assert off[0] == on[0] == _pykernel.EXHAUSTED
+    off = _search(flat, False)
+    on = _search(flat, True)
+    assert off[0] == on[0] == kernel.EXHAUSTED
     assert on[2] < off[2]
 
 
@@ -105,8 +98,8 @@ def test_flag_needs_every_list_equal():
         flat = _flatten(g, lists)
         assert not flat[5]
         res = solve_list_colouring(g, lists)
-        assert res.nodes == _search(flat, False, True)[2]
-        assert res.nodes > _search(_flatten(g, ListAssignment.uniform(g, 4)), True, True)[2]
+        assert res.nodes == _search(flat, False)[2]
+        assert res.nodes > _search(_flatten(g, ListAssignment.uniform(g, 4)), True)[2]
 
 
 def test_grid_chi_bracket_under_budget():
@@ -116,12 +109,3 @@ def test_grid_chi_bracket_under_budget():
         incidence_chromatic_number(g, SolverConfig(node_budget=100_000))
     assert (err.value.lower, err.value.upper) == (5, 6)
 
-
-def test_pyx_search_signature_matches_python_kernel():
-    """``search`` in ``_ckernel.pyx`` takes the parameters of
-    ``_pykernel.search``, in the same order (a text check: it needs no
-    compiled extension)."""
-    pyx = Path(_pykernel.__file__).with_name("_ckernel.pyx").read_text()
-    (params,) = re.findall(r"^def search\(([^)]*)\):", pyx, re.M)
-    assert [p.strip() for p in params.split(",")] == list(
-        inspect.signature(_pykernel.search).parameters)
