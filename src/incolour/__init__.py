@@ -53,11 +53,6 @@ from .solver import (
 from .constructive import (
     ConstructiveReport,
     colour_cactus,
-    colour_corona,
-    colour_cycle,
-    colour_grid,
-    colour_halin,
-    colour_hamiltonian_cubic,
     colour_tree,
     construct,
     guaranteed_bound,

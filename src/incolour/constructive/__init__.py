@@ -6,34 +6,27 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..families import FamilySpec, gen_basic, generate
-from ..graphs import Graph, IncolourError, InputError, ListAssignment, incidences
+from ..families import FamilySpec, generate
+from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from ..solver import COLOURED, solve_list_colouring
 from .cactus import cactus_bound, colour_cactus
-from .coronae import _colour_corona, colour_corona, corona_bound, pendant_edge_ids
-from .grids import _colour_grid, choose_grid_window, colour_grid, window_choice_valid
+from .coronae import _colour_corona, corona_bound
+from .grids import _colour_grid, choose_grid_window, window_choice_valid
 from .halin import (
     _colour_halin,
     choose_halin_boundary,
     choose_k4_triple,
-    colour_halin,
     halin_boundary_valid,
     k4_triple_valid,
     required_halin_lists,
 )
-from .hamcubic import (
-    _colour_hamiltonian_cubic,
-    choose_ham_boundary,
-    colour_hamiltonian_cubic,
-    ham_boundary_valid,
-)
+from .hamcubic import _colour_hamiltonian_cubic, choose_ham_boundary, ham_boundary_valid
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
 from .trees import colour_tree
 
 __all__ = [
     "ConstructiveReport", "Painter", "StuckError", "TraceStep",
-    "colour_tree", "colour_grid", "colour_halin", "colour_corona",
-    "colour_cactus", "colour_hamiltonian_cubic", "colour_cycle",
+    "colour_tree", "colour_cactus",
     "choose_grid_window", "choose_halin_boundary", "choose_k4_triple",
     "choose_ham_boundary", "window_choice_valid", "halin_boundary_valid",
     "k4_triple_valid", "ham_boundary_valid",
@@ -42,17 +35,12 @@ __all__ = [
 ]
 
 
-def colour_cycle(n: int, lists: ListAssignment) -> ConstructiveReport:
-    """List incidence colouring of the cycle C_n via exact search.
+def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
+    """List incidence colouring of the cycle ``g = C_n`` via exact search.
 
     Three colours per list suffice exactly when n is divisible by 3, four
     always do; smaller lists are rejected up front.
     """
-    return _colour_cycle(gen_basic("cycle", n)[0], n, lists)
-
-
-def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """:func:`colour_cycle` on ``g = gen_basic("cycle", n)``."""
     if len(lists) != 2 * n:
         raise InputError("list assignment does not cover the cycle")
     required = 3 if n % 3 == 0 else 4
@@ -94,51 +82,33 @@ def construct(
     lists: ListAssignment,
     pre: Optional[dict[int, int]] = None,
 ) -> ConstructiveReport:
-    """Route a family spec to its constructive colouring procedure.
+    """Colour the incidences of the family graph ``spec`` from ``lists``
+    with the family's constructive procedure.
 
-    The graph is generated once, here, and handed to the procedure, which
-    therefore skips its own build and its graph-matches-spec check.
+    ``pre`` maps incidence ids to fixed colours; trees take any set of
+    them, coronae exactly the two incidences of the pendant edge v0-v0^1
+    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`). The
+    graph is generated once, here, and handed to the procedure.
     """
     g, spec = generate(spec)
     f = spec.family
+    if pre and f not in ("path", "star", "tree", "corona"):
+        raise InputError(f"family {f!r} does not take a pre-colouring")
     if f in ("path", "star", "tree"):
         return colour_tree(g, lists, pre=pre)
     if f == "cycle":
-        _no_pre(pre, f)
         return _colour_cycle(g, spec.params["n"], lists)
     if f == "grid":
-        _no_pre(pre, f)
         return _colour_grid(g, spec.params["m"], spec.params["n"], lists)
     if f in ("halin", "wheel", "complete"):
-        _no_pre(pre, f)
         return _colour_halin(g, _as_halin(spec), lists)
     if f == "corona":
-        n, p = spec.params["n"], spec.params["p"]
-        return _colour_corona(g, n, p, lists, _corona_pre(g, spec, pre))
+        return _colour_corona(g, spec.params["n"], spec.params["p"], lists, pre)
     if f == "cactus":
-        _no_pre(pre, f)
-        return colour_cactus(g, spec, lists)
+        return colour_cactus(g, lists)
     if f == "ham_cubic":
-        _no_pre(pre, f)
         return _colour_hamiltonian_cubic(g, spec, lists)
     raise InputError(f"no constructive procedure for family {f!r}")
-
-
-def _no_pre(pre, family):
-    if pre:
-        raise InputError(f"family {family!r} does not take a pre-colouring")
-
-
-def _corona_pre(g, spec, pre) -> Optional[tuple[int, int]]:
-    """The corona procedure pre-colours exactly the two incidences of the
-    pendant edge v0-v0^1."""
-    if not pre:
-        return None
-    down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
-    if sorted(pre) != sorted((down, up)):
-        raise InputError(
-            f"corona pre-colouring must cover incidences {down} and {up} only")
-    return pre[down], pre[up]
 
 
 def _as_halin(spec: FamilySpec) -> FamilySpec:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..families import FamilySpec, cactus_cycles, gen_corona, is_connected
+from ..families import cactus_cycles, gen_corona, is_connected
 from ..graphs import Graph, InputError, ListAssignment
 from .coronae import paint_corona_instance
 from .report import ConstructiveReport, Painter
@@ -40,15 +40,9 @@ def cactus_bound(g: Graph, cycles: Optional[list[list[int]]] = None) -> int:
     return max(delta + 1, 8)
 
 
-def colour_cactus(
-    g: Graph,
-    spec: Optional[FamilySpec],
-    lists: ListAssignment,
-) -> ConstructiveReport:
+def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
     """Total list incidence colouring of a connected cactus at the census
     bound of :func:`cactus_bound`."""
-    if spec is not None and spec.family != "cactus":
-        raise InputError("colour_cactus needs a cactus family spec")
     cycles = cactus_cycles(g)
     if cycles is None:
         raise InputError("input graph is not a cactus")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..families import corona_pendant, gen_corona
+from ..families import corona_pendant
 from ..graphs import (
     Graph,
     IncolourError,
@@ -44,32 +44,23 @@ def corona_bound(n: int, p: int, pre: bool) -> int:
     return max(p + 3, 7)
 
 
-def colour_corona(
-    n: int,
-    p: int,
-    lists: ListAssignment,
-    pre: Optional[tuple[int, int]] = None,
-) -> ConstructiveReport:
-    """Total list incidence colouring of the corona C_n with p pendants per
-    vertex; ``pre = (a, b)`` fixes the two incidences of the pendant edge
-    v0-v0^1 (a on the cycle side) beforehand."""
-    return _colour_corona(gen_corona(n, p)[0], n, p, lists, pre)
-
-
 def _colour_corona(
     g: Graph,
     n: int,
     p: int,
     lists: ListAssignment,
-    pre: Optional[tuple[int, int]],
+    pre: Optional[dict[int, int]],
 ) -> ConstructiveReport:
-    """:func:`colour_corona` on ``g = gen_corona(n, p)``."""
+    """Total list incidence colouring of the corona ``g = gen_corona(n, p)``,
+    the cycle C_n with p pendants per vertex; ``pre`` fixes the two
+    incidences of the pendant edge v0-v0^1 beforehand."""
     if len(lists) != 2 * len(g.edges):
         raise InputError("list assignment does not cover the corona")
-    required = corona_bound(n, p, pre is not None)
+    pair = _corona_pre(g, n, p, lists, pre)
+    required = corona_bound(n, p, pair is not None)
     if lists.min_size() < required:
-        raise InputError(f"corona (n={n}, p={p}{', pre' if pre else ''}) needs lists of size >= {required}")
-    return paint_corona_instance(g, n, p, lists, pre)
+        raise InputError(f"corona (n={n}, p={p}{', pre' if pair else ''}) needs lists of size >= {required}")
+    return paint_corona_instance(g, n, p, lists, pair)
 
 
 def paint_corona_instance(
@@ -115,6 +106,30 @@ def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
     return incidence_id(g, 0, leaf), incidence_id(g, leaf, 0)
 
 
+def _corona_pre(
+    g: Graph,
+    n: int,
+    p: int,
+    lists: ListAssignment,
+    pre: Optional[dict[int, int]],
+) -> Optional[tuple[int, int]]:
+    """The pre-colours ``(a, b)`` of the pendant edge v0-v0^1, cycle side
+    first, from ``pre``, which must cover exactly its two incidences with
+    two different colours from their lists."""
+    if not pre:
+        return None
+    down, up = pendant_edge_ids(g, n, p)
+    if sorted(pre) != sorted((down, up)):
+        raise InputError(
+            f"corona pre-colouring must cover incidences {down} and {up} only")
+    for i in (down, up):
+        if pre[i] not in lists[i]:
+            raise InputError(f"pre-colour {pre[i]} outside the list of incidence {i}")
+    if pre[down] == pre[up]:
+        raise InputError("the two pre-colours must differ")
+    return pre[down], pre[up]
+
+
 def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> None:
     def pend(i, j):
         return corona_pendant(i, j, n, p)
@@ -129,8 +144,6 @@ def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> 
     if seed:
         if pre is not None:
             a, b = pre
-            if a == b:
-                raise InputError("the two pre-colours must differ")
             painter.paint(iid(0, pend(0, 1)), a, "corona-pre")
             painter.paint(iid(pend(0, 1), 0), b, "corona-pre")
         else:

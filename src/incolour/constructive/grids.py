@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..families import gen_grid, grid_vertex
+from ..families import grid_vertex
 from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .report import ConstructiveReport, Painter
 
@@ -138,21 +138,12 @@ def _pick(pool: Iterable[int], avoid: set[int]) -> int:
     raise IncolourError("window selector ran out of colours")  # pragma: no cover
 
 
-def colour_grid(m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """Total list incidence colouring of the m-by-n grid.
+def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
+    """Total list incidence colouring of the m-by-n grid ``g = gen_grid(m, n)``,
+    m >= n >= 2.
 
     Lists need 5 colours when the short side is 2 and 6 otherwise.
-    Arguments with m < n are transposed (the generated graph is the same).
     """
-    if m < n:
-        m, n = n, m
-    if n < 2:
-        raise InputError("grid colouring needs n >= 2")
-    return _colour_grid(gen_grid(m, n)[0], m, n, lists)
-
-
-def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """:func:`colour_grid` on ``g = gen_grid(m, n)``, with m >= n >= 2."""
     required = 5 if n == 2 else 6
     if lists.min_size() < required:
         raise InputError(f"grid with n={n} needs lists of size >= {required}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from ..families import FamilySpec, gen_basic, generate, halin_leaf_parents
+from ..families import FamilySpec, gen_basic, halin_leaf_parents
 from ..graphs import (
     Graph,
     IncolourError,
@@ -182,20 +182,11 @@ def required_halin_lists(g: Graph, spec: FamilySpec) -> int:
     return delta + 1
 
 
-def colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> ConstructiveReport:
-    """Total list incidence colouring of a Halin graph at its guaranteed
-    list size (6 for maximum degree 3 or 4 except the 4-wheel, 7 for
-    maximum degree 5 and the 4-wheel, max degree + 1 beyond)."""
-    if spec.family != "halin":
-        raise InputError("colour_halin needs a halin family spec")
-    built, _ = generate(spec)
-    if built != g:
-        raise InputError("graph does not match its halin spec")
-    return _colour_halin(g, spec, lists)
-
-
 def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> ConstructiveReport:
-    """:func:`colour_halin` on a graph known to match its halin spec."""
+    """Total list incidence colouring of the Halin graph ``g`` of the halin
+    ``spec`` at its guaranteed list size (6 for maximum degree 3 or 4
+    except the 4-wheel, 7 for maximum degree 5 and the 4-wheel, max degree
+    + 1 beyond)."""
     required = required_halin_lists(g, spec)
     if lists.min_size() < required:
         raise InputError(f"halin colouring needs lists of size >= {required}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..families import FamilySpec, generate
+from ..families import FamilySpec
 from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .halin import _colour_k4
 from .report import ConstructiveReport, Painter
@@ -85,27 +85,13 @@ def ham_boundary_valid(values, A, B, C, D, E, guard_outer, guard_inner) -> bool:
     )
 
 
-def colour_hamiltonian_cubic(
-    g: Graph,
-    spec: FamilySpec,
-    lists: ListAssignment,
-) -> ConstructiveReport:
-    """Total list incidence colouring of a Hamiltonian cubic graph from
-    6-colour lists."""
-    if spec.family != "ham_cubic":
-        raise InputError("colour_hamiltonian_cubic needs a ham_cubic spec")
-    built, _ = generate(spec)
-    if built != g:
-        raise InputError("graph does not match its ham_cubic spec")
-    return _colour_hamiltonian_cubic(g, spec, lists)
-
-
 def _colour_hamiltonian_cubic(
     g: Graph,
     spec: FamilySpec,
     lists: ListAssignment,
 ) -> ConstructiveReport:
-    """:func:`colour_hamiltonian_cubic` on a graph known to match its spec."""
+    """Total list incidence colouring of the Hamiltonian cubic graph ``g``
+    of the ham_cubic ``spec`` from 6-colour lists."""
     if lists.min_size() < 6:
         raise InputError("hamiltonian cubic colouring needs lists of size >= 6")
     n = spec.params["n"]

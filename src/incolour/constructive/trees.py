@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional, Union
 from ..families import is_tree
 from ..graphs import (
     Graph,
+    IncidenceColouring,
     InputError,
     ListAssignment,
     incidence_adjacent,
@@ -56,19 +57,13 @@ def colour_tree(
                 raise InputError(f"pre-coloured incidences {i}, {j} are adjacent and equal")
 
     if m == 0:
-        return ConstructiveReport(colouring=_empty_colouring(), trace=())
+        return ConstructiveReport(colouring=IncidenceColouring({}), trace=())
 
     events = _solve(g, list(lists.lists), pre_items)
     painter = Painter(g, lists)
     for ev in events:
         painter.paint(ev.incidence, ev.colour, ev.tag)
     return painter.report()
-
-
-def _empty_colouring():
-    from ..graphs import IncidenceColouring
-
-    return IncidenceColouring({})
 
 
 def _solve(g: Graph, lists: list[frozenset[int]], pre: list[tuple[int, int]]) -> list[TraceStep]:

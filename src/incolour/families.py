@@ -114,7 +114,7 @@ def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) ->
     """
     nt = max(max(e) for e in tree_edges) + 1
     tree = Graph(nt, tree_edges)
-    if len(tree.edges) != nt - 1 or not _connected(tree):
+    if len(tree.edges) != nt - 1 or not is_connected(tree):
         raise InputError("tree_edges do not describe a tree")
     if nt < 4:
         raise InputError("Halin tree needs order >= 4")
@@ -375,7 +375,7 @@ def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
     return comps
 
 
-def _connected(g: Graph) -> bool:
+def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     seen = {0}
@@ -389,12 +389,8 @@ def _connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def is_connected(g: Graph) -> bool:
-    return _connected(g)
-
-
 def is_tree(g: Graph) -> bool:
-    return _connected(g) and len(g.edges) == g.n - 1
+    return is_connected(g) and len(g.edges) == g.n - 1
 
 
 def gen_random_graph(n: int, seed: int, density: float = 0.3) -> Graph:

@@ -73,6 +73,8 @@ class FuzzCampaign:
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise InputError(f"workers must be in [1, {cpus}], got {self.workers}")
+        if self.pre and any(spec.family != "corona" for spec in self.instances):
+            raise InputError("pre applies to corona instances only")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from incolour.catalogue import (
 from incolour.constructive import (
     choose_grid_window,
     colour_tree,
+    construct,
     window_choice_valid,
 )
 from incolour.families import (
@@ -139,12 +140,10 @@ def test_criterion_05_k4():
     spec = FamilySpec("halin", {"tree_edges": [[0, 3], [1, 3], [2, 3]],
                                 "leaf_order": [0, 1, 2]})
     g, spec = generate(spec)
-    from incolour.constructive import colour_halin
-
     failures = 0
     for trial in range(1000):
         lists = random_list_assignment(g, 6, 18, trial)
-        rep = colour_halin(g, spec, lists)
+        rep = construct(spec, lists)
         if not validate_colouring(g, lists, rep.colouring).ok:
             failures += 1
     assert failures == 0

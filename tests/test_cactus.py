@@ -24,7 +24,7 @@ def test_two_triangles_with_bridge():
     spec = cactus_row_specs()[0]
     g, spec = generate(spec)
     lists = ListAssignment.uniform(g, 5)
-    rep = colour_cactus(g, spec, lists)
+    rep = colour_cactus(g, lists)
     assert_valid_report(g, lists, rep)
 
 
@@ -35,7 +35,7 @@ def test_handcrafted_rows_random_lists(row):
     k = cactus_bound(g)
     for trial in range(50):
         lists = random_list_assignment(g, k, 3 * k, trial)
-        rep = colour_cactus(g, spec, lists)
+        rep = colour_cactus(g, lists)
         assert_valid_report(g, lists, rep)
 
 
@@ -45,27 +45,27 @@ def test_random_cactuses():
         k = cactus_bound(g)
         for trial in range(20):
             lists = random_list_assignment(g, k, 3 * k, trial)
-            rep = colour_cactus(g, spec, lists)
+            rep = colour_cactus(g, lists)
             assert_valid_report(g, lists, rep)
 
 
 def test_rejects_tree_and_cycle_inputs():
     t, _ = generate(FamilySpec("tree", {"n": 6, "seed": 0}))
     with pytest.raises(InputError):
-        colour_cactus(t, None, ListAssignment.uniform(t, 9))
+        colour_cactus(t, ListAssignment.uniform(t, 9))
     c, _ = gen_basic("cycle", 5)
     with pytest.raises(InputError):
-        colour_cactus(c, None, ListAssignment.uniform(c, 9))
+        colour_cactus(c, ListAssignment.uniform(c, 9))
     k4, _ = gen_basic("complete", 4)
     with pytest.raises(InputError):
-        colour_cactus(k4, None, ListAssignment.uniform(k4, 9))
+        colour_cactus(k4, ListAssignment.uniform(k4, 9))
 
 
 def test_rejects_small_lists():
     spec = cactus_row_specs()[4]
     g, spec = generate(spec)
     with pytest.raises(InputError):
-        colour_cactus(g, spec, ListAssignment.uniform(g, cactus_bound(g) - 1))
+        colour_cactus(g, ListAssignment.uniform(g, cactus_bound(g) - 1))
 
 
 def test_cycle_with_tree_branches_off_one_vertex():
@@ -78,7 +78,7 @@ def test_cycle_with_tree_branches_off_one_vertex():
     assert cactus_cycles(g) == [[0, 1, 2, 3]]
     k = cactus_bound(g)
     lists = random_list_assignment(g, k, 3 * k, 2)
-    rep = colour_cactus(g, spec, lists)
+    rep = colour_cactus(g, lists)
     assert_valid_report(g, lists, rep)
 
 
@@ -86,6 +86,6 @@ def test_deterministic():
     spec = cactus_row_specs()[3]
     g, spec = generate(spec)
     lists = random_list_assignment(g, cactus_bound(g), 21, 8)
-    r1 = colour_cactus(g, spec, lists)
-    r2 = colour_cactus(g, spec, lists)
+    r1 = colour_cactus(g, lists)
+    r2 = colour_cactus(g, lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import assert_valid_report
-from incolour.constructive import colour_corona, corona_bound
-from incolour.families import corona_pendant, gen_corona
+from incolour.constructive import construct, corona_bound
+from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import random_list_assignment
 
@@ -16,6 +16,10 @@ def pendant_edge_ids(n, p):
     down = incidence_id(g, 0, corona_pendant(0, 1, n, p))
     up = incidence_id(g, corona_pendant(0, 1, n, p), 0)
     return g, down, up
+
+
+def corona(n, p):
+    return FamilySpec("corona", {"n": n, "p": p})
 
 
 def test_bounds_table():
@@ -31,33 +35,32 @@ def test_bounds_table():
 def test_small_p_uniform():
     g, _ = gen_corona(5, 1)
     lists = ListAssignment.uniform(g, 5)
-    rep = colour_corona(5, 1, lists)
+    rep = construct(corona(5, 1), lists)
     assert_valid_report(g, lists, rep)
 
 
 def test_precoloured_pendant_edge_respected():
     g, down, up = pendant_edge_ids(4, 4)
     lists = ListAssignment.uniform(g, 7)
-    rep = colour_corona(4, 4, lists, pre=(1, 2))
+    rep = construct(corona(4, 4), lists, {down: 1, up: 2})
     assert_valid_report(g, lists, rep, expect={down: 1, up: 2})
 
 
 def test_precoloured_triangle_needs_eight():
     g, down, up = pendant_edge_ids(3, 3)
-    rep = colour_corona(3, 3, ListAssignment.uniform(g, 8), pre=(1, 2))
+    rep = construct(corona(3, 3), ListAssignment.uniform(g, 8), {down: 1, up: 2})
     assert_valid_report(g, ListAssignment.uniform(g, 8), rep, expect={down: 1, up: 2})
     with pytest.raises(InputError):
-        colour_corona(3, 3, ListAssignment.uniform(g, 7), pre=(1, 2))
+        construct(corona(3, 3), ListAssignment.uniform(g, 7), {down: 1, up: 2})
 
 
 def test_rejects_equal_precolours_and_foreign_colours():
     g, down, up = pendant_edge_ids(4, 3)
     lists = ListAssignment.uniform(g, 7)
     with pytest.raises(InputError):
-        colour_corona(4, 3, lists, pre=(2, 2))
-    from incolour.graphs import IncolourError
-    with pytest.raises(IncolourError):
-        colour_corona(4, 3, lists, pre=(99, 2))
+        construct(corona(4, 3), lists, {down: 2, up: 2})
+    with pytest.raises(InputError, match="outside the list"):
+        construct(corona(4, 3), lists, {down: 99, up: 2})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -72,10 +75,10 @@ def test_random_lists_plain_and_precoloured(n, p):
                 rng = random.Random(trial)
                 a = rng.choice(sorted(lists[down]))
                 b = rng.choice(sorted(lists[up] - {a}))
-                rep = colour_corona(n, p, lists, pre=(a, b))
+                rep = construct(corona(n, p), lists, {down: a, up: b})
                 assert_valid_report(g, lists, rep, expect={down: a, up: b})
             else:
-                rep = colour_corona(n, p, lists)
+                rep = construct(corona(n, p), lists)
                 assert_valid_report(g, lists, rep)
 
 
@@ -83,7 +86,7 @@ def test_primary_path_avoids_solver_fallback():
     g, down, up = pendant_edge_ids(5, 3)
     for trial in range(50):
         lists = random_list_assignment(g, 7, 21, trial)
-        rep = colour_corona(5, 3, lists)
+        rep = construct(corona(5, 3), lists)
         assert not any("fallback" in s.tag for s in rep.trace)
 
 
@@ -137,7 +140,7 @@ def test_pendant_squeeze_at_the_exact_bound():
     la = ListAssignment([lists[t] for t in range(m)])
     assert la.min_size() == 7 == corona_bound(n, p, pre=True)
 
-    rep = colour_corona(n, p, la, pre=(1, 2))
+    rep = construct(corona(n, p), la, {iid(0, pend(0, 1)): 1, iid(pend(0, 1), 0): 2})
     assert_valid_report(g, la, rep)
     tags = {s.tag for s in rep.trace}
     assert "corona-pendant-matched" in tags
@@ -166,6 +169,8 @@ def test_solver_fallback_on_adversarial_lists():
 def test_deterministic():
     g, down, up = pendant_edge_ids(4, 2)
     lists = random_list_assignment(g, 6, 18, 13)
-    r1 = colour_corona(4, 2, lists, pre=(min(lists[down]), min(lists[up] - {min(lists[down])})))
-    r2 = colour_corona(4, 2, lists, pre=(min(lists[down]), min(lists[up] - {min(lists[down])})))
+    a = min(lists[down])
+    pre = {down: a, up: min(lists[up] - {a})}
+    r1 = construct(corona(4, 2), lists, pre)
+    r2 = construct(corona(4, 2), lists, pre)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import assert_valid_report
-from incolour.constructive import choose_grid_window, colour_grid, window_choice_valid
-from incolour.families import gen_grid
+from incolour.constructive import choose_grid_window, construct, window_choice_valid
+from incolour.families import FamilySpec, gen_grid
 from incolour.graphs import InputError, ListAssignment
 from incolour.harness import random_list_assignment
 
@@ -81,14 +81,14 @@ def test_grid_uniform_lists(m, n):
     g, _ = gen_grid(m, n)
     k = 5 if n == 2 else 6
     lists = ListAssignment.uniform(g, k)
-    rep = colour_grid(m, n, lists)
+    rep = construct(FamilySpec("grid", {"m": m, "n": n}), lists)
     assert_valid_report(g, lists, rep)
 
 
 def test_grid_trace_uses_the_five_passes():
     g, _ = gen_grid(5, 4)
     lists = ListAssignment.uniform(g, 6)
-    rep = colour_grid(5, 4, lists)
+    rep = construct(FamilySpec("grid", {"m": 5, "n": 4}), lists)
     stages = {step.tag.split(":")[0] for step in rep.trace}
     assert stages == {
         "grid-step-1", "grid-step-2", "grid-step-3a", "grid-step-3b",
@@ -96,27 +96,19 @@ def test_grid_trace_uses_the_five_passes():
     }
 
 
-def test_grid_transposes_arguments():
-    g, _ = gen_grid(5, 3)
-    lists = random_list_assignment(g, 6, 18, 0)
-    a = colour_grid(5, 3, lists)
-    b = colour_grid(3, 5, lists)
-    assert a.colouring == b.colouring
-
-
 def test_grid_rejects_small_lists():
     g, _ = gen_grid(4, 2)
     with pytest.raises(InputError):
-        colour_grid(4, 2, ListAssignment.uniform(g, 4))
+        construct(FamilySpec("grid", {"m": 4, "n": 2}), ListAssignment.uniform(g, 4))
     g, _ = gen_grid(4, 3)
     with pytest.raises(InputError):
-        colour_grid(4, 3, ListAssignment.uniform(g, 5))
+        construct(FamilySpec("grid", {"m": 4, "n": 3}), ListAssignment.uniform(g, 5))
 
 
 def test_grid_random_lists_seeded():
     g, _ = gen_grid(3, 3)
     lists = random_list_assignment(g, 6, 18, 7)
-    rep = colour_grid(3, 3, lists)
+    rep = construct(FamilySpec("grid", {"m": 3, "n": 3}), lists)
     assert_valid_report(g, lists, rep)
-    again = colour_grid(3, 3, lists)
+    again = construct(FamilySpec("grid", {"m": 3, "n": 3}), lists)
     assert again.colouring == rep.colouring and again.trace == rep.trace

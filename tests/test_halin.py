@@ -10,7 +10,7 @@ from incolour.catalogue import halin_interleaved_spec, halin_specs, random_halin
 from incolour.constructive import (
     choose_halin_boundary,
     choose_k4_triple,
-    colour_halin,
+    construct,
     halin_boundary_valid,
     k4_triple_valid,
     required_halin_lists,
@@ -93,7 +93,7 @@ def test_k4_thousand_random_lists():
     g, spec = k4_spec()
     for trial in range(1000):
         lists = random_list_assignment(g, 6, 18, trial)
-        rep = colour_halin(g, spec, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
 
 
@@ -128,7 +128,7 @@ def test_k4_every_branch_reachable():
     }
     for expected_tag, named in cases.items():
         lists = build(named)
-        rep = colour_halin(g, spec, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
         assert expected_tag in {s.tag for s in rep.trace}
 
@@ -145,7 +145,7 @@ def test_wheels_at_their_bound():
         k = required_halin_lists(g, spec)
         for trial in range(60):
             lists = random_list_assignment(g, k, 3 * k, trial)
-            rep = colour_halin(g, spec, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
 
 
@@ -156,7 +156,7 @@ def test_nonwheel_halins_six_lists():
         assert required_halin_lists(g, spec) == 6
         for trial in range(60):
             lists = random_list_assignment(g, 6, 18, trial)
-            rep = colour_halin(g, spec, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
             assert not any("fallback" in s.tag for s in rep.trace)
 
@@ -165,7 +165,7 @@ def test_interleaved_leaf_order_falls_back_to_search():
     spec = halin_interleaved_spec()
     g, spec = generate(spec)
     lists = random_list_assignment(g, 6, 18, 5)
-    rep = colour_halin(g, spec, lists)
+    rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
     assert any(s.tag == "halin-solver-fallback" for s in rep.trace)
 
@@ -184,7 +184,7 @@ def test_big_delta_nonwheel_uses_tree_first():
     k = required_halin_lists(g, spec)
     assert k == 7
     lists = random_list_assignment(g, k, 3 * k, 1)
-    rep = colour_halin(g, spec, lists)
+    rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
     assert any(s.tag == "halin-tree" for s in rep.trace)
 
@@ -204,7 +204,7 @@ def test_random_halin_structures():
         k = required_halin_lists(g, spec)
         for trial in range(15):
             lists = random_list_assignment(g, k, 3 * k, 7000 + 97 * i + trial)
-            rep = colour_halin(g, spec, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
         tags = {s.tag.split(":")[0] for s in rep.trace}
         if "halin-tree" in tags:
@@ -216,19 +216,16 @@ def test_random_halin_structures():
     assert {"tree-first", "boundary"} <= routes
 
 
-def test_rejects_small_lists_and_bad_spec():
+def test_rejects_small_lists():
     g, spec = wheel_as_halin(5)
     with pytest.raises(InputError):
-        colour_halin(g, spec, ListAssignment.uniform(g, 6))
-    other, _ = generate(FamilySpec("wheel", {"n": 6}))
-    with pytest.raises(InputError):
-        colour_halin(other, spec, ListAssignment.uniform(other, 8))
+        construct(spec, ListAssignment.uniform(g, 6))
 
 
 def test_deterministic():
     spec = halin_specs()[0]
     g, spec = generate(spec)
     lists = random_list_assignment(g, 6, 18, 9)
-    r1 = colour_halin(g, spec, lists)
-    r2 = colour_halin(g, spec, lists)
+    r1 = construct(spec, lists)
+    r2 = construct(spec, lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import assert_valid_report
 from incolour.catalogue import ham_cubic_named
-from incolour.constructive import choose_ham_boundary, colour_hamiltonian_cubic, ham_boundary_valid
+from incolour.constructive import choose_ham_boundary, construct, ham_boundary_valid
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment
 from incolour.harness import random_list_assignment
@@ -52,7 +52,7 @@ def test_named_graphs_uniform_lists():
     for spec in ham_cubic_named():
         g, spec = generate(spec)
         lists = ListAssignment.uniform(g, 6)
-        rep = colour_hamiltonian_cubic(g, spec, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
 
 
@@ -61,7 +61,7 @@ def test_named_graphs_random_lists():
         g, spec = generate(spec)
         for trial in range(100):
             lists = random_list_assignment(g, 6, 18, trial)
-            rep = colour_hamiltonian_cubic(g, spec, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
 
 
@@ -70,7 +70,7 @@ def test_k33_thousand_random_lists():
     g, spec = generate(spec)
     for trial in range(1000):
         lists = random_list_assignment(g, 6, 18, trial)
-        rep = colour_hamiltonian_cubic(g, spec, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
 
 
@@ -79,7 +79,7 @@ def test_rotation_when_first_vertex_matched_two_ahead():
     g, spec = generate(spec)
     for trial in range(50):
         lists = random_list_assignment(g, 6, 18, trial)
-        rep = colour_hamiltonian_cubic(g, spec, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
 
 
@@ -89,24 +89,21 @@ def test_random_cubic_graphs():
         g, spec = generate(spec)
         for trial in range(25):
             lists = random_list_assignment(g, 6, 18, 31 * i + trial)
-            rep = colour_hamiltonian_cubic(g, spec, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
 
 
-def test_rejects_small_lists_and_mismatched_graph():
+def test_rejects_small_lists():
     spec = ham_cubic_named()[1]
     g, spec = generate(spec)
     with pytest.raises(InputError):
-        colour_hamiltonian_cubic(g, spec, ListAssignment.uniform(g, 5))
-    other, _ = generate(ham_cubic_named()[2])
-    with pytest.raises(InputError):
-        colour_hamiltonian_cubic(other, spec, ListAssignment.uniform(other, 6))
+        construct(spec, ListAssignment.uniform(g, 5))
 
 
 def test_deterministic():
     spec = ham_cubic_named()[2]
     g, spec = generate(spec)
     lists = random_list_assignment(g, 6, 18, 17)
-    r1 = colour_hamiltonian_cubic(g, spec, lists)
-    r2 = colour_hamiltonian_cubic(g, spec, lists)
+    r1 = construct(spec, lists)
+    r2 = construct(spec, lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace

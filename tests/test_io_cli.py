@@ -197,3 +197,15 @@ def test_cli_config_error_exit_code(runner, tmp_path):
     assert r.exit_code == 2 and "time_budget" in r.output, r.output
     r = runner.invoke(main, [*solve, "--order", "static"])   # no such option
     assert r.exit_code == 2 and "--order" in r.output, r.output
+    # a corona pre-colour outside its list: (2, 20) is the pendant edge v0-v0^1
+    r = runner.invoke(main, ["generate", "--family", "corona", "--n", "4", "--p", "3",
+                             "--k", "7", "--out", out])
+    assert r.exit_code == 0, r.output
+    (tmp_path / "pre.json").write_text(json.dumps({"pre": [[2, 99], [20, 2]]}))
+    r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
+                             "--lists", f"{out}/lists.json", "--pre", f"{out}/pre.json",
+                             "--out", out])
+    assert r.exit_code == 2 and "outside the list of incidence 2" in r.output, r.output
+    r = runner.invoke(main, ["fuzz", "--family", "grid", "--pre", "--trials", "1",
+                             "--out", out])
+    assert r.exit_code == 2 and "corona instances only" in r.output, r.output
