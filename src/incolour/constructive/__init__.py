@@ -41,8 +41,6 @@ def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport
     Three colours per list suffice exactly when n is divisible by 3, four
     always do; smaller lists are rejected up front.
     """
-    if len(lists) != 2 * n:
-        raise InputError("list assignment does not cover the cycle")
     required = 3 if n % 3 == 0 else 4
     if lists.min_size() < required:
         raise InputError(f"cycle of order {n} needs lists of size >= {required}")
@@ -91,6 +89,8 @@ def construct(
     graph is generated once, here, and handed to the procedure.
     """
     g, spec = generate(spec)
+    if len(lists) != 2 * len(g.edges):
+        raise InputError("list assignment does not cover the incidences")
     f = spec.family
     if pre and f not in ("path", "star", "tree", "corona"):
         raise InputError(f"family {f!r} does not take a pre-colouring")

@@ -11,6 +11,7 @@ from ..graphs import (
     Graph,
     IncidenceColouring,
     IncolourError,
+    InputError,
     ListAssignment,
     incidence_id,
     incidence_neighbour_ids,
@@ -78,7 +79,7 @@ class Painter:
 
     def __init__(self, g: Graph, lists: ListAssignment):
         if len(lists) != 2 * len(g.edges):
-            raise IncolourError("list assignment does not cover the incidences")
+            raise InputError("list assignment does not cover the incidences")
         self.graph = g
         self.lists = lists
         self.neigh = incidence_neighbour_ids(g)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from incolour.graphs import Graph, validate_colouring
+from incolour.graphs import Graph, incidence_adjacent, incidences, validate_colouring
 
 
 def assert_valid_report(g, lists, report, expect=None):
@@ -14,6 +14,35 @@ def assert_valid_report(g, lists, report, expect=None):
     if expect:
         for i, c in expect.items():
             assert report.colouring[i] == c
+
+
+def naive_satisfiable(g, lists):
+    """Independent oracle: plain backtracking over per-incidence lists,
+    with adjacency from the pairwise ``incidence_adjacent`` and no forward
+    checking or availability counts.  The next incidence is the uncoloured
+    one with the most coloured neighbours (lowest id on ties); its colours
+    are tried in ascending order."""
+    incs = incidences(g)
+    m = len(incs)
+    nbrs = [[j for j in range(m) if j != i and incidence_adjacent(incs[i], incs[j])]
+            for i in range(m)]
+    colour = [None] * m
+
+    def rec(left):
+        if not left:
+            return True
+        i = max((v for v in range(m) if colour[v] is None),
+                key=lambda v: sum(colour[w] is not None for w in nbrs[v]))
+        taken = {colour[w] for w in nbrs[i]}
+        for c in sorted(lists[i]):
+            if c not in taken:
+                colour[i] = c
+                if rec(left - 1):
+                    return True
+        colour[i] = None
+        return False
+
+    return rec(m)
 
 
 @pytest.fixture

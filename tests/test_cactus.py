@@ -68,6 +68,13 @@ def test_rejects_small_lists():
         colour_cactus(g, ListAssignment.uniform(g, cactus_bound(g) - 1))
 
 
+def test_rejects_lists_that_do_not_cover_the_graph():
+    g, _ = generate(cactus_row_specs()[4])
+    short = ListAssignment([range(1, 20)] * (2 * len(g.edges) - 1))
+    with pytest.raises(InputError, match="does not cover the incidences"):
+        colour_cactus(g, short)
+
+
 def test_cycle_with_tree_branches_off_one_vertex():
     # a vertex shared by one cycle and several tree branches is allowed
     spec = FamilySpec("cactus", {

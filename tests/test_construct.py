@@ -6,9 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from incolour.catalogue import default_fuzz_instances
 from incolour.constructive import construct, guaranteed_bound
 from incolour.families import FamilySpec, generate
+from incolour.graphs import InputError, ListAssignment
 from incolour.harness import corona_pre_pair, random_list_assignment
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
@@ -41,3 +44,22 @@ def test_construct_traces_match_golden_digest():
         runs += 1
     assert runs == 54
     assert h.hexdigest()[:16] == TRACE_DIGEST
+
+
+# one spec for every family that construct accepts
+EVERY_FAMILY = [next(s for s in default_fuzz_instances(f) if s.family == f)
+                for f in FUZZ_FAMILIES] + [
+    FamilySpec("path", {"n": 4}),
+    FamilySpec("star", {"n": 3}),
+    FamilySpec("wheel", {"n": 5}),
+    FamilySpec("complete", {"n": 4}),
+]
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_construct_rejects_lists_that_do_not_cover_the_graph(spec, extra):
+    g, _ = generate(spec)
+    lists = ListAssignment([range(1, 20)] * (2 * len(g.edges) + extra))
+    with pytest.raises(InputError, match="does not cover the incidences"):
+        construct(spec, lists)

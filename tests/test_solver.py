@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_satisfiable
 from incolour import solver
 from incolour.families import (
     gen_basic,
@@ -18,9 +19,7 @@ from incolour.graphs import (
     Graph,
     IncidenceColouring,
     ListAssignment,
-    incidence_adjacent,
     incidence_neighbour_ids,
-    incidences,
     validate_colouring,
 )
 from incolour.harness import random_list_assignment
@@ -41,35 +40,6 @@ from incolour.solver import (
 )
 
 
-def naive_satisfiable(g, lists):
-    """Independent oracle: plain backtracking over per-incidence lists,
-    with adjacency from the pairwise ``incidence_adjacent`` and no forward
-    checking or availability counts.  The next incidence is the uncoloured
-    one with the most coloured neighbours (lowest id on ties); its colours
-    are tried in ascending order."""
-    incs = incidences(g)
-    m = len(incs)
-    nbrs = [[j for j in range(m) if j != i and incidence_adjacent(incs[i], incs[j])]
-            for i in range(m)]
-    colour = [None] * m
-
-    def rec(left):
-        if not left:
-            return True
-        i = max((v for v in range(m) if colour[v] is None),
-                key=lambda v: sum(colour[w] is not None for w in nbrs[v]))
-        taken = {colour[w] for w in nbrs[i]}
-        for c in sorted(lists[i]):
-            if c not in taken:
-                colour[i] = c
-                if rec(left - 1):
-                    return True
-        colour[i] = None
-        return False
-
-    return rec(m)
-
-
 def test_cycle_examples():
     c6, _ = gen_basic("cycle", 6)
     res = solve_list_colouring(c6, ListAssignment.uniform(c6, 3))
@@ -84,19 +54,30 @@ def test_k2_forced(k2):
     assert res.colouring.assignment == {0: 1, 1: 2}
 
 
+# per-seed node counts of the search over non-uniform lists (37,093 in
+# all), recorded before the kernel's two loops were merged into one
+DENSE_RANDOM_NODES = [
+    16, 24, 18, 18, 527, 16, 18, 80, 128, 4163, 18, 16, 24, 24, 20,
+    18, 26, 16, 97, 25216, 20, 30, 18, 6143, 16, 18, 16, 16, 264, 69,
+]
+
+
 def test_solver_agrees_with_naive_oracle_on_dense_random_lists():
     unsat = []
+    nodes = []
     for seed in range(30):
         g = gen_random_graph(7, seed, density=0.5)
         if not g.edges:
             continue
         lists = random_list_assignment(g, 4, 8, seed)
-        got = solve_list_colouring(g, lists).status
-        assert got in (COLOURED, UNSATISFIABLE)
-        assert (got == COLOURED) == naive_satisfiable(g, lists)
-        if got == UNSATISFIABLE:
+        res = solve_list_colouring(g, lists)
+        assert res.status in (COLOURED, UNSATISFIABLE)
+        assert (res.status == COLOURED) == naive_satisfiable(g, lists)
+        if res.status == UNSATISFIABLE:
             unsat.append(seed)
+        nodes.append(res.nodes)
     assert unsat == [4, 19]   # both outcomes exercised
+    assert nodes == DENSE_RANDOM_NODES
 
 
 def test_budget_yields_unknown_never_unsat():

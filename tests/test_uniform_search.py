@@ -1,18 +1,23 @@
-"""The uniform-list fast path of the kernel: value symmetry breaking and
-O(1) slots, set only when every list is equal.
+"""The kernel's uniform flag: value symmetry breaking, set only when
+every list is equal.
 
-The kernel with the flag off is the oracle: with the flag on it must
-reach the same status and the same slots whenever the oracle decides,
-with no more nodes.
+The flag only caps the values the one search loop tries, so the kernel
+with the flag off is the reference: with the flag on it must reach the
+same status and the same slots whenever the reference decides, with no
+more nodes.  Being the same loop, the reference is not independent, so
+the flag-on verdicts are also checked against the naive list oracle.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import naive_satisfiable
 from incolour import kernel
 from incolour.families import gen_basic, gen_cycle_power, gen_grid, gen_random_graph
-from incolour.graphs import Graph, ListAssignment
+from incolour.graphs import Graph, ListAssignment, validate_colouring
 from incolour.solver import (
     ChiUnknown,
     SolverConfig,
@@ -35,16 +40,22 @@ def _search(flat, uniform, node_budget=None):
 @pytest.mark.parametrize("node_budget", [None, 40], ids=["unbudgeted", "budget-40"])
 def test_flag_on_matches_flag_off(node_budget):
     pruned = 0
+    checked = 0
     for seed in range(120):
         # at most 6 vertices keeps the oracle's exhaustive runs small
         g = gen_random_graph(3 + seed % 4, seed, density=0.35 + (seed % 4) * 0.1)
         if not g.edges:
             continue
-        flat = _flatten(g, ListAssignment.uniform(g, g.max_degree + seed % 3))
+        lists = ListAssignment.uniform(g, g.max_degree + seed % 3)
+        flat = _flatten(g, lists)
         assert flat[5]
         off = _search(flat, False, node_budget)
         on = _search(flat, True, node_budget)
         assert on[2] <= off[2]
+        if on[0] != kernel.CUTOFF and len(g.edges) <= 10:
+            # the naive oracle stays fast up to 10 edges
+            assert (on[0] == kernel.FOUND) == naive_satisfiable(g, lists)
+            checked += 1
         pruned += off[2] - on[2]
         if off[0] != kernel.CUTOFF:
             assert on[:2] == off[:2]
@@ -52,6 +63,7 @@ def test_flag_on_matches_flag_off(node_budget):
             # the budget cut the oracle short: compare with its full run
             assert on[1] == _search(flat, False)[1]
     assert pruned > 0
+    assert checked >= 85
 
 
 @pytest.mark.parametrize("p", [3, 4])
@@ -64,11 +76,36 @@ def test_flag_on_matches_flag_off_on_cycles(p):
         assert on[:2] == off[:2] and on[2] <= off[2]
 
 
+# (status, nodes) per seed of the wide mixed lists below, recorded before
+# the kernel's two loops were merged into one
+WIDE_MIXED = [
+    ("coloured", 20), ("coloured", 33), ("coloured", 104), ("coloured", 26),
+    ("coloured", 28), ("coloured", 16), ("coloured", 20), ("unsatisfiable", 857),
+]
+
+
 def test_wide_domains_match_flag_off():
     # 2p + 1 > 255: the availability counts no longer fit in a byte
     g, _ = gen_basic("complete", 4)
     flat = _flatten(g, ListAssignment.uniform(g, 130))
     assert _search(flat, True) == _search(flat, False)
+    # the same list-backed counts under unequal lists: every sixth list has
+    # 128-140 colours from 1..200, the rest 3-4 colours from 1..7
+    got = []
+    for seed in range(len(WIDE_MIXED)):
+        g = gen_random_graph(6, seed, density=0.7)
+        rng = random.Random(seed)
+        lists = ListAssignment([
+            rng.sample(range(1, 201), rng.randint(128, 140)) if i % 6 == 0
+            else rng.sample(range(1, 8), rng.randint(3, 4))
+            for i in range(2 * len(g.edges))
+        ])
+        assert not _flatten(g, lists)[5]
+        res = solve_list_colouring(g, lists)
+        if res.colouring is not None:
+            assert validate_colouring(g, lists, res.colouring).ok
+        got.append((res.status, res.nodes))
+    assert got == WIDE_MIXED
 
 
 @pytest.mark.parametrize("name, g, chi", [
