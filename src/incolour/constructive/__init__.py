@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..families import FamilySpec, generate
-from ..graphs import Graph, IncolourError, InputError, ListAssignment
+from ..graphs import Graph, IncolourError, InputError, ListAssignment, check_lists_cover
 from ..solver import COLOURED, solve_list_colouring
 from .cactus import cactus_bound, colour_cactus
 from .coronae import _colour_corona, corona_bound
@@ -85,12 +85,11 @@ def construct(
 
     ``pre`` maps incidence ids to fixed colours; trees take any set of
     them, coronae exactly the two incidences of the pendant edge v0-v0^1
-    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`). The
-    graph is generated once, here, and handed to the procedure.
+    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`). A spec
+    from :func:`~incolour.families.generate` brings its graph; others are built.
     """
     g, spec = generate(spec)
-    if len(lists) != 2 * len(g.edges):
-        raise InputError("list assignment does not cover the incidences")
+    check_lists_cover(g, lists)
     f = spec.family
     if pre and f not in ("path", "star", "tree", "corona"):
         raise InputError(f"family {f!r} does not take a pre-colouring")

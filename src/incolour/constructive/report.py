@@ -11,8 +11,8 @@ from ..graphs import (
     Graph,
     IncidenceColouring,
     IncolourError,
-    InputError,
     ListAssignment,
+    check_lists_cover,
     incidence_id,
     incidence_neighbour_ids,
 )
@@ -78,8 +78,7 @@ class Painter:
     """
 
     def __init__(self, g: Graph, lists: ListAssignment):
-        if len(lists) != 2 * len(g.edges):
-            raise InputError("list assignment does not cover the incidences")
+        check_lists_cover(g, lists)
         self.graph = g
         self.lists = lists
         self.neigh = incidence_neighbour_ids(g)

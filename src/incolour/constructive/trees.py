@@ -20,6 +20,7 @@ from ..graphs import (
     IncidenceColouring,
     InputError,
     ListAssignment,
+    check_lists_cover,
     incidence_adjacent,
     incidences,
 )
@@ -34,11 +35,10 @@ def colour_tree(
     pre: Optional[PreColouring] = None,
 ) -> ConstructiveReport:
     """Total list incidence colouring of a tree extending ``pre``."""
+    check_lists_cover(g, lists)
     if not is_tree(g):
         raise InputError("input graph is not a tree")
     m = 2 * len(g.edges)
-    if len(lists) != m:
-        raise InputError("list assignment does not cover the incidences")
     pre_items = sorted(dict(pre).items()) if pre is not None else []
     k = len(pre_items)
     required = g.max_degree + max(k, 1)

@@ -413,7 +413,21 @@ def gen_random_degenerate(n: int, d: int, seed: int) -> Graph:
 
 
 def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
-    """Materialize a spec (the inverse of the gen_* constructors)."""
+    """Materialize a spec (the inverse of the gen_* constructors).
+
+    The spec returned carries its graph, which generating it again returns
+    without a build; any other spec, copies included, is built afresh and
+    never marked.  The graph is not a field: ``==``, ``repr`` and the JSON
+    form ignore it.  Do not mutate the ``params`` of a returned spec.
+    """
+    g = getattr(spec, "_graph", None)
+    if g is None:
+        g, spec = _build(spec)
+        object.__setattr__(spec, "_graph", g)   # not (g, spec): that is a cycle
+    return g, spec
+
+
+def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     f, p = spec.family, spec.params
     if f in BASIC_FAMILIES:
         return gen_basic(f, p["n"])

@@ -264,6 +264,12 @@ class ListAssignment:
         return ListAssignment([l - d for l in self.lists])
 
 
+def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
+    """Raise :class:`InputError` unless ``lists`` has one list per incidence."""
+    if len(lists) != 2 * len(g.edges):
+        raise InputError("list assignment does not cover the incidences")
+
+
 class IncidenceColouring:
     """A (possibly partial) map incidence id -> colour."""
 
@@ -359,8 +365,7 @@ def validate_colouring(
 
     list_respecting: Optional[bool] = None
     if lists is not None:
-        if len(lists) != m:
-            raise GraphError("list assignment does not match the graph")
+        check_lists_cover(g, lists)
         members = lists.lists
         list_respecting = all(c in members[i] for i, c in assignment.items())
         if not list_respecting and violation is None:

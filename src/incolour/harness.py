@@ -145,8 +145,7 @@ def _run_trial(task: dict) -> dict:
     """One trial: ``{"ok", "error", "seconds"}``, where ``seconds`` is the
     time this trial took, whichever process ran it."""
     start = time.perf_counter()
-    spec = FamilySpec.from_json(task["spec"])
-    g, spec = generate(spec)
+    g, spec = generate(task["spec"])
     lists = random_list_assignment(g, task["k"], task["universe"], task["seed"])
     pre = None
     if task["pre"]:
@@ -167,23 +166,18 @@ def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
     """Run every trial of the campaign; never aborts on a failed trial."""
     results = []
     tasks = []
-    for idx, spec in enumerate(campaign.instances):
+    for spec in campaign.instances:
         _g, spec = generate(spec)
         k = campaign.k if campaign.k is not None else guaranteed_bound(spec, pre=campaign.pre)
         universe = campaign.universe if campaign.universe is not None else 3 * k
         spec_json = spec.to_json()
         key = json.dumps(spec_json, sort_keys=True) + f"|k={k}|u={universe}|pre={campaign.pre}"
         results.append(InstanceResult(spec=spec_json, k=k, universe=universe))
+        common = {"k": k, "universe": universe, "pre": campaign.pre}
         for trial in range(campaign.trials):
-            tasks.append({
-                "instance": idx,
-                "trial": trial,
-                "spec": spec_json,
-                "k": k,
-                "universe": universe,
-                "pre": campaign.pre,
-                "seed": trial_seed(campaign.master_seed, key, trial),
-            })
+            seed = trial_seed(campaign.master_seed, key, trial)
+            # the generated spec: every trial reuses its graph
+            tasks.append({"spec": spec, "trial": trial, "seed": seed, **common})
 
     if campaign.workers > 1:
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
@@ -191,29 +185,21 @@ def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
     else:
         outcomes = [_run_trial(t) for t in tasks]
 
-    # map keeps task order, so each outcome sits beside its own task
-    for task, out in zip(tasks, outcomes):
-        r = results[task["instance"]]
+    # map keeps task order: each instance's trials are consecutive
+    for n, (task, out) in enumerate(zip(tasks, outcomes)):
+        r = results[n // campaign.trials]
         r.trials += 1
         r.seconds += out["seconds"]
         if out["ok"]:
             r.successes += 1
         else:
-            r.failures.append({
-                "spec": task["spec"],
-                "trial": task["trial"],
-                "seed": task["seed"],
-                "k": task["k"],
-                "universe": task["universe"],
-                "pre": task["pre"],
-                "error": out["error"],
-            })
+            r.failures.append({**task, "spec": r.spec, "error": out["error"]})
     return CampaignReport(results)
 
 
 def replay_failure(bundle: dict) -> dict:
     """Re-run one failure bundle; returns the fresh trial outcome."""
-    return _run_trial(bundle)
+    return _run_trial({**bundle, "spec": FamilySpec.from_json(bundle["spec"])})
 
 
 # ------------------------------------------------------------ regression ---

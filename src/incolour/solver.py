@@ -12,11 +12,11 @@ from typing import Optional, Sequence
 from . import kernel
 from .graphs import (
     Graph,
-    GraphError,
     IncidenceColouring,
     IncolourError,
     InputError,
     ListAssignment,
+    check_lists_cover,
     incidence_neighbour_ids,
     validate_colouring,
 )
@@ -110,9 +110,7 @@ def solve_list_colouring(
     Any returned colouring is re-checked with :func:`validate_colouring`
     before being handed back.
     """
-    m = 2 * len(g.edges)
-    if len(lists) != m:
-        raise GraphError("list assignment does not cover the incidences")
+    check_lists_cover(g, lists)
     nv, dom_off, dom_val, adj_off, adj, uniform = _flatten(g, lists)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     status, slots, nodes = kernel.search(
@@ -336,9 +334,8 @@ def greedy_degenerate(g: Graph, lists: ListAssignment) -> GreedyResult:
     out of colours is a legitimate outcome reported with the stuck
     incidence, not an error.
     """
+    check_lists_cover(g, lists)
     neigh = incidence_neighbour_ids(g)
-    if len(lists) != len(neigh):
-        raise GraphError("list assignment does not cover the incidences")
     order = degeneracy_order(neigh)
     colours: dict[int, int] = {}
     for v in reversed(order.sequence):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from incolour import families
 from incolour.graphs import Graph, incidence_adjacent, incidences, validate_colouring
 
 
@@ -48,3 +51,25 @@ def naive_satisfiable(g, lists):
 @pytest.fixture
 def k2():
     return Graph(2, [(0, 1)])
+
+
+_BUILDERS = ("gen_basic", "gen_grid", "gen_random_tree", "gen_halin", "gen_corona",
+             "gen_ham_cubic", "gen_cycle_power", "gen_cactus")
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """The names of the family builders (``gen_*``) called during the test,
+    in call order, wherever the package imported them."""
+    calls = []
+    for name in _BUILDERS:
+        real = getattr(families, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("incolour") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls

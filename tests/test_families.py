@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,8 +199,54 @@ def test_spec_json_roundtrip():
 def test_generate_materializes_cactus():
     _, spec = gen_cactus(size=15, seed=4)
     g1, spec1 = generate(spec)
-    g2, spec2 = generate(spec1)
+    g2, spec2 = generate(FamilySpec.from_json(spec1.to_json()))
     assert g1 == g2 and spec1.params["cycles"] == spec2.params["cycles"]
+
+
+def test_generate_reuses_the_graph_of_a_generated_spec(builder_calls):
+    g, spec = generate(FamilySpec("grid", {"m": 4, "n": 3}))
+    assert builder_calls == ["gen_grid"]
+    again_g, again_spec = generate(spec)
+    assert again_g is g and again_spec is spec
+    assert builder_calls == ["gen_grid"]
+
+
+def test_generate_builds_for_every_other_spec(builder_calls):
+    source = FamilySpec("corona", {"n": 4, "p": 2})
+    g, spec = generate(source)
+    copies = [
+        source,                                  # the caller's spec stays unmarked
+        FamilySpec("corona", {"n": 4, "p": 2}),
+        FamilySpec.from_json(spec.to_json()),
+        dataclasses.replace(spec),
+    ]
+    for copy in copies:
+        assert copy == spec and repr(copy) == repr(spec)
+        assert copy.to_json() == spec.to_json()
+        copy_g, copy_spec = generate(copy)
+        assert copy_g == g and copy_g is not g and copy_spec == spec
+    assert builder_calls == ["gen_corona"] * 5
+
+
+def test_generated_spec_keeps_its_graph_through_pickle(builder_calls):
+    g, spec = generate(FamilySpec("halin", {
+        "tree_edges": [[0, 5], [1, 5], [2, 6], [3, 6], [4, 6], [5, 6]],
+        "leaf_order": [0, 1, 2, 3, 4]}))
+    back = pickle.loads(pickle.dumps(spec))
+    back_g, back_spec = generate(back)
+    assert back_spec is back and back == spec and back_g == g
+    assert builder_calls == ["gen_halin"]
+
+
+def test_generated_spec_is_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        _g, spec = generate(FamilySpec("grid", {"m": 5, "n": 5}))
+        ref = weakref.ref(spec)
+        del _g, spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incolour.families import gen_basic, gen_cycle_power, gen_grid, gen_random_graph
+from incolour.constructive import Painter, colour_tree, construct
+from incolour.families import FamilySpec, gen_basic, gen_cycle_power, gen_grid, gen_random_graph
 from incolour.graphs import (
     Graph,
     GraphError,
     Incidence,
     IncidenceColouring,
+    InputError,
     ListAssignment,
     Verdict,
     canon_edge,
@@ -21,6 +23,7 @@ from incolour.graphs import (
     incidences,
     validate_colouring,
 )
+from incolour.solver import greedy_degenerate, solve_list_colouring
 
 
 def test_graph_rejects_loops_and_range():
@@ -178,6 +181,26 @@ def test_validate_colouring_structural_error():
     c3, _ = gen_basic("cycle", 3)
     with pytest.raises(GraphError):
         validate_colouring(c3, None, IncidenceColouring({99: 1}))
+
+
+# every entry point that takes a list assignment, called on C6
+_C6_COLOURING = IncidenceColouring({i: i for i in range(12)})
+_COVERAGE_CHECKS = {
+    "solve_list_colouring": solve_list_colouring,
+    "greedy_degenerate": greedy_degenerate,
+    "validate_colouring": lambda g, lists: validate_colouring(g, lists, _C6_COLOURING),
+    "construct": lambda g, lists: construct(FamilySpec("cycle", {"n": 6}), lists),
+    "Painter": Painter,
+    "colour_tree": colour_tree,
+}
+
+
+@pytest.mark.parametrize("entry", _COVERAGE_CHECKS.values(), ids=_COVERAGE_CHECKS.keys())
+def test_lists_that_do_not_cover_the_graph_raise_one_input_error(entry):
+    c6, _ = gen_basic("cycle", 6)
+    lists = ListAssignment([range(1, 13)] * 11)
+    with pytest.raises(InputError, match="^list assignment does not cover the incidences$"):
+        entry(c6, lists)
 
 
 def test_list_assignment_guards(k2):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 
@@ -97,23 +99,46 @@ def test_campaign_below_bound_records_failures_and_replays():
 
 
 def test_campaign_worker_count_invariance():
-    campaign1 = FuzzCampaign(
-        instances=(FamilySpec("corona", {"n": 3, "p": 2}),),
-        trials=12,
-        master_seed=5,
-        workers=1,
-    )
-    campaign2 = FuzzCampaign(
-        instances=(FamilySpec("corona", {"n": 3, "p": 2}),),
-        trials=12,
-        master_seed=5,
-        workers=min(2, os.cpu_count()),
-    )
-    r1 = run_campaign(campaign1).to_json()
-    r2 = run_campaign(campaign2).to_json()
-    for inst in (*r1["instances"], *r2["instances"]):
-        inst.pop("seconds")
-    assert r1 == r2
+    corona = (FamilySpec("corona", {"n": 3, "p": 2}),)
+    # 21 tasks: the 16-task chunks sent to a worker straddle instances
+    grids = tuple(FamilySpec("grid", {"m": m, "n": 3}) for m in (3, 4, 5))
+    for instances, trials in ((corona, 12), (grids, 7)):
+        reports = []
+        for workers in (1, min(2, os.cpu_count())):
+            campaign = FuzzCampaign(instances=instances, trials=trials,
+                                    master_seed=5, workers=workers)
+            reports.append(run_campaign(campaign).to_json())
+        for inst in (*reports[0]["instances"], *reports[1]["instances"]):
+            inst.pop("seconds")
+        assert reports[0] == reports[1]
+
+
+# recorded before generated specs carried their graphs: it pins that fuzz
+# reports, failure bundles included, are unchanged by the graph reuse
+FUZZ_REPORT_DIGEST = "bf782cb27165d462"
+
+
+def test_fuzz_reports_match_golden_digest():
+    from incolour.catalogue import default_fuzz_instances
+
+    campaigns = []
+    for family in ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic"):
+        instances = tuple(default_fuzz_instances(family)[:3])
+        for pre in (False, True) if family == "corona" else (False,):
+            campaigns.append(FuzzCampaign(instances=instances, trials=4,
+                                          master_seed=11, pre=pre))
+    campaigns.append(FuzzCampaign(instances=(FamilySpec("cycle", {"n": 5}),),
+                                  trials=3, k=3, universe=3))
+    reports = []
+    for campaign in campaigns:
+        report = run_campaign(campaign).to_json()
+        for inst in report["instances"]:
+            inst.pop("seconds")
+        reports.append(report)
+    assert sum(r["total_trials"] for r in reports) == 99
+    assert sum(r["total_failures"] for r in reports) == 3
+    data = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest()[:16] == FUZZ_REPORT_DIGEST
 
 
 def test_campaign_times_each_instance_by_its_own_trials():
@@ -182,9 +207,6 @@ def test_construct_rejects_unsupported_families():
         construct(k5, ListAssignment.uniform(g5, 13))
 
 
-_BUILDERS = ("gen_basic", "gen_grid", "gen_corona", "gen_halin", "gen_ham_cubic")
-
-
 @pytest.mark.parametrize("spec", [
     FamilySpec("grid", {"m": 7, "n": 7}),
     FamilySpec("cycle", {"n": 7}),
@@ -193,29 +215,20 @@ _BUILDERS = ("gen_basic", "gen_grid", "gen_corona", "gen_halin", "gen_ham_cubic"
                          "leaf_order": [0, 1, 2, 3, 4]}),
     FamilySpec("ham_cubic", {"n": 8, "seed": 1}),
 ], ids=lambda spec: spec.family)
-def test_construct_generates_its_graph_once(monkeypatch, spec):
-    """``construct`` builds the graph once and hands it on."""
-    import sys
-
-    from incolour import families
+def test_construct_generates_its_graph_once(builder_calls, spec):
+    """``construct`` reuses the graph a generated spec carries, and builds
+    any other spec's graph once."""
     from incolour.constructive import construct, guaranteed_bound
+    from incolour.families import generate
 
-    g, spec = families.generate(spec)
+    g, spec = generate(spec)
     k = guaranteed_bound(spec)
     lists = random_list_assignment(g, k, 3 * k, 7)
-    calls = []
-    for name in _BUILDERS:
-        real = getattr(families, name)
-
-        def counting(*args, _real=real, **kwargs):
-            calls.append(_real.__name__)
-            return _real(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("incolour") and getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counting)
+    builder_calls.clear()
     construct(spec, lists)
-    assert len(calls) == 1, calls
+    assert builder_calls == []
+    construct(FamilySpec.from_json(spec.to_json()), lists)
+    assert len(builder_calls) == 1, builder_calls
 
 
 def test_regression_table():

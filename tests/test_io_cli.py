@@ -107,6 +107,17 @@ def test_cli_construct_with_trace(runner, tmp_path):
     assert "grid-step-1" in tags
 
 
+def test_cli_construct_builds_the_graph_once(runner, tmp_path, builder_calls):
+    out = str(tmp_path)
+    runner.invoke(main, ["generate", "--family", "grid", "--m", "4", "--n", "3",
+                         "--k", "6", "--out", out])
+    builder_calls.clear()
+    r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
+                             "--lists", f"{out}/lists.json", "--out", out])
+    assert r.exit_code == 0, r.output
+    assert builder_calls == ["gen_grid"]
+
+
 def test_cli_construct_corona_with_pre(runner, tmp_path):
     out = str(tmp_path)
     runner.invoke(main, ["generate", "--family", "corona", "--n", "4", "--p", "3",
