@@ -16,13 +16,33 @@ ALL_FAMILIES = BASIC_FAMILIES + (
 )
 
 
+class _FrozenParams(dict):
+    """A spec's ``params``: a dict whose keys cannot be set or removed.
+
+    A generated spec carries its graph, so changing its params in place
+    would leave them describing another graph.  Equality, ``repr`` and JSON
+    are those of a plain dict; nested values (lists) are not copied.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("FamilySpec params are read-only; build a new spec")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # the default dict-subclass pickle refills the dict with __setitem__
+        return _FrozenParams, (dict(self),)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parametric description of a generated graph.
 
     ``params`` holds the family payload: grid dimensions, the Halin tree
     edges plus cyclic leaf order, corona ``(n, p)``, the Hamilton cycle
-    matching, cactus cycles, and so on.  Specs round-trip through JSON.
+    matching, cactus cycles, and so on.  It is copied into a read-only
+    dict on construction.  Specs round-trip through JSON.
     """
 
     family: str
@@ -31,6 +51,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
+        if not isinstance(self.params, _FrozenParams):
+            object.__setattr__(self, "params", _FrozenParams(self.params))
 
     def to_json(self) -> dict:
         return {"family": self.family, **self.params}
@@ -418,7 +440,8 @@ def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     The spec returned carries its graph, which generating it again returns
     without a build; any other spec, copies included, is built afresh and
     never marked.  The graph is not a field: ``==``, ``repr`` and the JSON
-    form ignore it.  Do not mutate the ``params`` of a returned spec.
+    form ignore it.  ``params`` is read-only, so the graph always matches
+    the spec; do not mutate the lists nested inside it.
     """
     g = getattr(spec, "_graph", None)
     if g is None:

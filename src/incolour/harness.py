@@ -211,6 +211,9 @@ def regression_suite() -> list[tuple[str, FamilySpec, int]]:
     for leaves in range(2, 6):
         rows.append((f"S{leaves}", FamilySpec("star", {"n": leaves}), leaves + 1))
     rows.append(("K4", FamilySpec("complete", {"n": 4}), K4_CHROMATIC_NUMBER))
+    # computed by the exact search, each colouring re-validated
+    for n in range(4, 9):
+        rows.append((f"grid{n}x{n}", FamilySpec("grid", {"m": n, "n": n}), 5))
     return rows
 
 

@@ -47,16 +47,21 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
     """Backtracking with forward checking.
 
     Variable order: minimum remaining values (most constrained first),
-    the lowest id breaking ties.  Value order: ascending within each
-    domain (the domains arrive sorted).  Returns ``(status, slots,
+    ties broken by the most uncoloured neighbours (the DSatur rule,
+    Brélaz 1979), then by the lowest id.  Value order: ascending within
+    each domain (the domains arrive sorted).  Returns ``(status, slots,
     nodes)`` where ``slots[v]`` indexes the chosen colour inside v's
     domain.
 
-    ``navail[v]`` counts v's unblocked colours and carries an offset of
-    dmax + 1 (dmax the largest domain) while v is assigned: a count of 0
-    is then always a wipeout of an unassigned variable, and the MRV pick is
-    the first variable holding the smallest count in 1..dmax (a
-    ``bytearray`` search while the counts fit in a byte).
+    Both criteria live in one key per variable, ``key[v] = navail * (D + 1)
+    + (D - unc)``, with ``navail`` v's unblocked colours, ``unc`` its
+    uncoloured neighbours and D the largest neighbour count.  Assigning a
+    variable adds 1 to each neighbour's key (one fewer uncoloured
+    neighbour) and takes D + 1 off it when the colour is newly blocked
+    there; undoing reverses both.  A key below D + 1 is a wipeout.  While v
+    is assigned its ``navail`` carries an offset of dmax + 1 (dmax the
+    largest domain), which lifts its key above every unassigned one, so the
+    pick is the first variable holding the smallest key.
     """
     if nv == 0:
         return FOUND, [], 0
@@ -71,10 +76,11 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
         rows.append(own)
     sizes = [len(own) for own in rows]
     dmax = max(sizes)
-    assigned_off = dmax + 1
-    narrow = 2 * dmax + 1 < 256
-    navail = bytearray(sizes) if narrow else list(sizes)
     nbrs = [adj[adj_off[v]:adj_off[v + 1]] for v in range(nv)]
+    d = max(map(len, nbrs))
+    step = d + 1                       # one available colour in a key
+    assigned_off = (dmax + 1) * step
+    key = [sizes[v] * step + d - len(nbrs[v]) for v in range(nv)]
     pos_of = [0] * nv
     trail: list[int] = []
     tops: list[int] = []     # top before each trail entry
@@ -83,14 +89,7 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
     limit = node_budget if node_budget is not None else 1 << 62
     nodes = 0
     while True:
-        if narrow:
-            k = 1
-            cur = navail.find(1)
-            while cur < 0:
-                k += 1
-                cur = navail.find(k)
-        else:
-            cur = navail.index(min(navail))
+        cur = key.index(min(key))
         own = rows[cur]
         size = sizes[cur]
         pos = 0
@@ -110,13 +109,15 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
                         b = row[w]
                         row[w] = b + 1
                         if b == 0:
-                            b = navail[w] - 1
-                            navail[w] = b
-                            if b == 0:
+                            b = key[w] - d
+                            key[w] = b
+                            if b < step:
                                 wipeout = True
+                        else:
+                            key[w] += 1
                     if not wipeout:
                         break
-                    _unblock(ws, row, navail)
+                    _undo(ws, row, key, d)
                 pos += 1
             if pos < hi:
                 break
@@ -127,11 +128,11 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
             own = rows[cur]
             size = sizes[cur]
             pos = pos_of[cur]
-            navail[cur] -= assigned_off
-            _unblock(nbrs[cur], own[pos], navail)
+            key[cur] -= assigned_off
+            _undo(nbrs[cur], own[pos], key, d)
             pos += 1
         pos_of[cur] = pos
-        navail[cur] += assigned_off
+        key[cur] += assigned_off
         trail.append(cur)
         tops.append(top)
         if pos > top:
@@ -140,10 +141,14 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
             return FOUND, [dom_off[v] + pos_of[v] for v in range(nv)], nodes
 
 
-def _unblock(ws, row, navail):
-    """Undo one colour's blocks (``row``) on the variables ``ws``."""
+def _undo(ws, row, key, d):
+    """Undo one assignment's key updates on its neighbours ``ws``: each
+    regains an uncoloured neighbour, and the colour whose blocks ``row``
+    holds is unblocked where its count returns to 0."""
     for w in ws:
         b = row[w] - 1
         row[w] = b
         if b == 0:
-            navail[w] += 1
+            key[w] += d
+        else:
+            key[w] -= 1

@@ -48,6 +48,13 @@ def naive_satisfiable(g, lists):
     return rec(m)
 
 
+def hypercube(d):
+    """The d-dimensional cube Q_d: vertices 0..2^d-1, adjacent when their
+    ids differ in one bit."""
+    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
+                          if not v >> b & 1])
+
+
 @pytest.fixture
 def k2():
     return Graph(2, [(0, 1)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import pickle
 import weakref
 
@@ -236,6 +237,36 @@ def test_generated_spec_keeps_its_graph_through_pickle(builder_calls):
     back_g, back_spec = generate(back)
     assert back_spec is back and back == spec and back_g == g
     assert builder_calls == ["gen_halin"]
+
+
+def test_spec_params_are_read_only():
+    raw = {"m": 4, "n": 3}
+    g, spec = generate(FamilySpec("grid", raw))
+    raw["m"] = 5                       # the caller's dict is copied, not kept
+    assert spec.params == {"m": 4, "n": 3}
+    for mutate in (
+        lambda p: p.__setitem__("m", 5),
+        lambda p: p.__delitem__("m"),
+        lambda p: p.update(m=5),
+        lambda p: p.setdefault("seed", 1),
+        lambda p: p.pop("m"),
+        lambda p: p.popitem(),
+        lambda p: p.clear(),
+        lambda p: p.__ior__({"m": 5}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(spec.params)
+    assert spec.params == {"m": 4, "n": 3}
+    assert generate(spec)[0] is g and (g.n, len(g.edges)) == (12, 17)
+    # a plain dict in every view, and the frozen type survives copies
+    assert spec == FamilySpec("grid", {"m": 4, "n": 3})
+    assert repr(spec) == "FamilySpec(family='grid', params={'m': 4, 'n': 3})"
+    assert FamilySpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    for copy in (pickle.loads(pickle.dumps(spec)), dataclasses.replace(spec),
+                 FamilySpec.from_json(spec.to_json())):
+        assert copy == spec
+        with pytest.raises(TypeError):
+            copy.params["m"] = 5
 
 
 def test_generated_spec_is_freed_without_cyclic_gc():

@@ -240,6 +240,7 @@ def test_regression_table():
     assert [values[f"C{n}"] for n in range(3, 13)] == [3, 4, 4, 3, 4, 4, 3, 4, 4, 3]
     assert [values[f"S{k}"] for k in range(2, 6)] == [3, 4, 5, 6]
     assert values["K4"] == K4_CHROMATIC_NUMBER == 4
+    assert [values[f"grid{n}x{n}"] for n in range(4, 9)] == [5] * 5
 
 
 def test_regression_budget_marks_unknown():

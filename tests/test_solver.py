@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_satisfiable
+from conftest import hypercube, naive_satisfiable
 from incolour import solver
 from incolour.families import (
     gen_basic,
@@ -54,11 +54,11 @@ def test_k2_forced(k2):
     assert res.colouring.assignment == {0: 1, 1: 2}
 
 
-# per-seed node counts of the search over non-uniform lists (37,093 in
-# all), recorded before the kernel's two loops were merged into one
+# per-seed node counts of the search over non-uniform lists (3,595 in
+# all), recorded when MRV ties were first broken by the DSatur rule
 DENSE_RANDOM_NODES = [
-    16, 24, 18, 18, 527, 16, 18, 80, 128, 4163, 18, 16, 24, 24, 20,
-    18, 26, 16, 97, 25216, 20, 30, 18, 6143, 16, 18, 16, 16, 264, 69,
+    16, 24, 18, 18, 348, 16, 18, 73, 58, 133, 18, 16, 27, 55, 20,
+    18, 28, 16, 91, 886, 20, 20, 18, 1446, 16, 18, 16, 16, 100, 28,
 ]
 
 
@@ -105,9 +105,9 @@ def test_time_budget_yields_unknown():
         lists = ListAssignment([range(1, 9)] * (m - 1) + [range(1, 10)])
         res = solve_list_colouring(g, lists, cfg)
         assert (res.status, res.nodes) == (UNKNOWN, 1024)
-        # Uniform lists: the 8x8 grid at p=5 is undecided after 100,000 nodes.
-        g, _ = gen_grid(8, 8)
-        res = solve_list_colouring(g, ListAssignment.uniform(g, 5), cfg)
+        # Uniform lists: Q5 at p=6 is unsatisfiable in 15,092 nodes.
+        g = hypercube(5)
+        res = solve_list_colouring(g, ListAssignment.uniform(g, 6), cfg)
         assert (res.status, res.nodes) == (UNKNOWN, 1024)
 
 
@@ -365,6 +365,36 @@ def test_greedy_planar_margin():
     g, _ = gen_grid(5, 5)
     res = greedy_degenerate(g, ListAssignment.uniform(g, g.max_degree + 9))
     assert res.found
+
+
+@st.composite
+def small_instances(draw):
+    """A graph with 1-10 edges on at most 7 vertices, with uniform lists
+    {1..p} or with lists drawn independently from a small universe."""
+    n = draw(st.integers(2, 7))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True)))
+    if draw(st.booleans()):
+        return g, ListAssignment.uniform(g, draw(st.integers(1, g.max_degree + 2)))
+    m = 2 * len(g.edges)
+    universe = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.sets(st.integers(1, universe), min_size=1), min_size=m, max_size=m))
+    return g, ListAssignment(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.integers(0, 40))
+def test_search_agrees_with_naive_oracle(instance, node_budget):
+    # the naive oracle stays fast up to 10 edges
+    g, lists = instance
+    want = COLOURED if naive_satisfiable(g, lists) else UNSATISFIABLE
+    res = solve_list_colouring(g, lists)
+    assert res.status == want
+    budgeted = solve_list_colouring(g, lists, SolverConfig(node_budget=node_budget))
+    assert budgeted.status in (want, UNKNOWN)
+    for r in (res, budgeted):
+        if r.status == COLOURED:
+            assert validate_colouring(g, lists, r.colouring).ok
 
 
 @settings(max_examples=40, deadline=None)

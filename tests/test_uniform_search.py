@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import naive_satisfiable
+from conftest import hypercube, naive_satisfiable
 from incolour import kernel
 from incolour.families import gen_basic, gen_cycle_power, gen_grid, gen_random_graph
 from incolour.graphs import Graph, ListAssignment, validate_colouring
@@ -76,21 +76,21 @@ def test_flag_on_matches_flag_off_on_cycles(p):
         assert on[:2] == off[:2] and on[2] <= off[2]
 
 
-# (status, nodes) per seed of the wide mixed lists below, recorded before
-# the kernel's two loops were merged into one
+# (status, nodes) per seed of the wide mixed lists below, recorded when MRV
+# ties were first broken by the DSatur rule
 WIDE_MIXED = [
-    ("coloured", 20), ("coloured", 33), ("coloured", 104), ("coloured", 26),
-    ("coloured", 28), ("coloured", 16), ("coloured", 20), ("unsatisfiable", 857),
+    ("coloured", 20), ("coloured", 23), ("coloured", 20), ("coloured", 24),
+    ("coloured", 47), ("coloured", 16), ("coloured", 18), ("unsatisfiable", 616),
 ]
 
 
 def test_wide_domains_match_flag_off():
-    # 2p + 1 > 255: the availability counts no longer fit in a byte
+    # wide lists: 130 colours each
     g, _ = gen_basic("complete", 4)
     flat = _flatten(g, ListAssignment.uniform(g, 130))
     assert _search(flat, True) == _search(flat, False)
-    # the same list-backed counts under unequal lists: every sixth list has
-    # 128-140 colours from 1..200, the rest 3-4 colours from 1..7
+    # unequal lists of very different sizes: every sixth list has 128-140
+    # colours from 1..200, the rest 3-4 colours from 1..7
     got = []
     for seed in range(len(WIDE_MIXED)):
         g = gen_random_graph(6, seed, density=0.7)
@@ -139,10 +139,22 @@ def test_flag_needs_every_list_equal():
         assert res.nodes > _search(_flatten(g, ListAssignment.uniform(g, 4)), True)[2]
 
 
-def test_grid_chi_bracket_under_budget():
-    # greedy proves 6; p=5 is still undecided after 100,000 nodes
-    g, _ = gen_grid(8, 8)
+def test_hypercube_chi_bracket_under_budget():
+    # greedy proves 9; p=6 is unsatisfiable in 15,092 nodes and p=7 needs
+    # 455,182, so the sweep stops at 7 with the greedy's bound above it
+    g = hypercube(5)
     with pytest.raises(ChiUnknown) as err:
-        incidence_chromatic_number(g, SolverConfig(node_budget=100_000))
-    assert (err.value.lower, err.value.upper) == (5, 6)
+        incidence_chromatic_number(g, SolverConfig(node_budget=20_000))
+    assert (err.value.lower, err.value.upper) == (7, 9)
+
+
+def test_grid_8x8_chi():
+    # decided by the DSatur tie rule: lowest-id ties leave p=5 undecided
+    # after 2,000,000 nodes
+    g, _ = gen_grid(8, 8)
+    lists = ListAssignment.uniform(g, 5)
+    res = solve_list_colouring(g, lists)
+    assert (res.status, res.nodes) == ("coloured", 1402)
+    assert validate_colouring(g, lists, res.colouring).ok
+    assert incidence_chromatic_number(g) == 5
 
