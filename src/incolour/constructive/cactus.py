@@ -16,7 +16,7 @@ from collections import deque
 from typing import Optional
 
 from ..families import cactus_cycles, gen_corona, is_connected
-from ..graphs import Graph, InputError, ListAssignment
+from ..graphs import Graph, InputError, ListAssignment, incidences
 from .coronae import paint_corona_instance
 from .report import ConstructiveReport, Painter
 
@@ -67,10 +67,13 @@ def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
 
     start_unit = ("cyc", _pick_start(g, cycles))
     order, parent_edge = _unit_order(g, unit_of, start_unit)
+    # phantom incidences take private colours above every list colour
+    fresh = max((max(l) for l in lists.lists), default=0) + 1
+    k_block = lists.min_size()
 
     for unit in order:
         if unit[0] == "cyc":
-            _paint_cycle_unit(painter, cycles[unit[1]], parent_edge.get(unit))
+            _paint_cycle_unit(painter, cycles[unit[1]], parent_edge.get(unit), fresh, k_block)
         else:
             _paint_normal_vertex(painter, unit[1])
     return painter.report()
@@ -130,9 +133,13 @@ def _paint_normal_vertex(painter: Painter, v: int) -> None:
             painter.greedy(i, "cactus-normal")
 
 
-def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:
+def _paint_cycle_unit(
+    painter: Painter, cycle: list[int], connector, fresh: int, k_block: int
+) -> None:
     """Colour all incidences touching this cycle through an embedded corona
-    instance (phantom pendants pad every vertex to a common count)."""
+    instance (phantom pendants pad every vertex to a common count; phantom
+    incidence ``kid`` gets the ``k_block`` colours from
+    ``fresh + kid * k_block``)."""
     g = painter.graph
     n = len(cycle)
     in_cycle = set(cycle)
@@ -168,13 +175,9 @@ def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:
         i, j = divmod(kv - n, p)
         return pendants[i][j] if j < len(pendants[i]) else None
 
-    from ..graphs import incidences as _incs
-
     host_ids: list[Optional[int]] = []
-    fresh = max((max(l) for l in painter.lists.lists), default=0) + 1
-    k_block = painter.lists.min_size()
     klists = []
-    for kid, inc in enumerate(_incs(corona)):
+    for kid, inc in enumerate(incidences(corona)):
         hv = host_vertex(inc.vertex)
         other = inc.edge[0] if inc.edge[1] == inc.vertex else inc.edge[1]
         hu = host_vertex(other)

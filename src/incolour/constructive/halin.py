@@ -8,12 +8,16 @@ a star, use a two-block boundary of the outer cycle: five incidences
 around the boundary are fixed by a selector, the tree is completed around
 the path joining the two boundary parents, and the cycle is closed against
 the selector's guarantees.
+
+K4 and the boundary share one guarded-triple rule (:func:`choose_k4_triple`):
+three colours from three lists with at most one of them in a guard list.
+The boundary selector takes its (c, d, e) stage from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..families import FamilySpec, gen_basic, halin_leaf_parents
 from ..graphs import (
@@ -24,7 +28,7 @@ from ..graphs import (
     incidences,
 )
 from ..solver import COLOURED, solve_list_colouring
-from .report import ConstructiveReport, Painter, lists_for_subgraph, relabelled_subgraph
+from .report import ConstructiveReport, Painter, relabelled_subgraph
 from .trees import colour_tree
 
 
@@ -64,6 +68,16 @@ def choose_k4_triple(
     return (a, b, c), "disjoint"
 
 
+# the K4 selector's case names as the (c, d, e) stage of a boundary reports them
+_CDE_CASE = {
+    "common": "cde-common",
+    "pair-ab": "cde-cd",
+    "pair-ac": "cde-ce",
+    "pair-bc": "cde-de",
+    "disjoint": "cde-disjoint",
+}
+
+
 def k4_triple_valid(triple, first, second, third, target) -> bool:
     a, b, c = triple
     return (
@@ -87,34 +101,16 @@ def choose_halin_boundary(
     Constraints: b != c, at most two of {a, b, c} lie in ``guard_last`` and
     in ``guard_first``, and at most one of {c, d, e} lies in
     ``guard_inner``.  All lists need at least max_degree+2 (and at least 6)
-    colours."""
+    colours.  The (c, d, e) stage is the K4 guarded-triple rule,
+    :func:`choose_k4_triple` with ``guard_inner`` as its target."""
     A, B = frozenset(list_a), frozenset(list_b)
     C, D, E = frozenset(list_c), frozenset(list_d), frozenset(list_e)
     guard_last = frozenset(guard_last)
     guard_first = frozenset(guard_first)
     guard_inner = frozenset(guard_inner)
 
-    common = sorted(C & D & E)
-    if common:
-        c = d = e = common[0]
-        case = "cde-common"
-    elif not (C & D) and not (C & E) and not (D & E):
-        c = min(C - guard_inner) if C != guard_inner else min(C)
-        d = min(D - guard_inner) if D != guard_inner else min(D)
-        e = min(E - guard_inner) if E != guard_inner else min(E)
-        case = "cde-disjoint"
-    elif C & D:
-        c = d = min(C & D)
-        e = min(E - guard_inner) if c in guard_inner else min(E)
-        case = "cde-cd"
-    elif C & E:
-        c = e = min(C & E)
-        d = min(D - guard_inner) if c in guard_inner else min(D)
-        case = "cde-ce"
-    else:
-        d = e = min(D & E)
-        c = min(C - guard_inner) if d in guard_inner else min(C)
-        case = "cde-de"
+    (c, d, e), k4_case = choose_k4_triple(C, D, E, guard_inner)
+    case = _CDE_CASE[k4_case]
 
     a: Optional[int] = None
     b: Optional[int] = None
@@ -352,9 +348,10 @@ def _colour_tree_first(painter: Painter, spec: FamilySpec) -> None:
     """Colour the inner tree greedily, then finish the outer cycle by exact
     search on the reduced lists (each cycle incidence keeps at least four
     colours, which always suffices on a cycle)."""
-    g = painter.graph
-    tree = Graph(g.n, spec.params["tree_edges"])
-    sub_lists, parent_ids = lists_for_subgraph(g, painter.lists, tree)
+    # the tree spans every vertex, so its relabelling is the identity
+    tree, sub_lists, parent_ids = relabelled_subgraph(
+        painter.graph, painter.lists, spec.params["tree_edges"]
+    )
     rep = colour_tree(tree, sub_lists)
     for sub_id, col in sorted(rep.colouring.items()):
         painter.paint(parent_ids[sub_id], col, "halin-tree")
@@ -399,7 +396,7 @@ def _tree_path(tree: Graph, s: int, t: int) -> list[int]:
 def _colour_boundary(
     painter: Painter,
     spec: FamilySpec,
-    leaf_order: list[int],
+    leaf_order: Sequence[int],
     parents: list[int],
     start: int,
 ) -> None:

@@ -5,6 +5,8 @@ Order 4 is the complete graph and reuses its bespoke procedure.  Larger
 graphs rotate the cycle so vertex 0 is not matched two steps ahead, fix
 five incidences around the cycle edge v0-v1 with a selector, colour the
 matching, then close the cycle leaving the two guarded incidences last.
+The selector's (c, d, e) stage is the K4 guarded-triple rule of
+:func:`~incolour.constructive.halin.choose_k4_triple`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable
 
 from ..families import FamilySpec
 from ..graphs import Graph, IncolourError, InputError, ListAssignment
-from .halin import _colour_k4
+from .halin import _CDE_CASE, _colour_k4, choose_k4_triple
 from .report import ConstructiveReport, Painter
 
 
@@ -28,33 +30,16 @@ def choose_ham_boundary(
 ) -> tuple[tuple[int, int, int, int, int], str]:
     """Pick (a, b, c, d, e) from 6-colour lists with a != c, a != e,
     b != d, at most one of {a, b} in ``guard_outer`` and at most one of
-    {c, d, e} in ``guard_inner``."""
+    {c, d, e} in ``guard_inner``.  The (c, d, e) stage is the K4
+    guarded-triple rule, :func:`~.halin.choose_k4_triple` with
+    ``guard_inner`` as its target."""
     C, D, E = map(frozenset, (list_c, list_d, list_e))
     A, B = frozenset(list_a), frozenset(list_b)
     guard_outer = frozenset(guard_outer)
     guard_inner = frozenset(guard_inner)
 
-    common = sorted(C & D & E)
-    if common:
-        c = d = e = common[0]
-        case = "cde-common"
-    elif not (C & D) and not (C & E) and not (D & E):
-        c = min(C - guard_inner) if C != guard_inner else min(C)
-        d = min(D - guard_inner) if D != guard_inner else min(D)
-        e = min(E - guard_inner) if E != guard_inner else min(E)
-        case = "cde-disjoint"
-    elif C & D:
-        c = d = min(C & D)
-        e = min(E - guard_inner) if c in guard_inner else min(E)
-        case = "cde-cd"
-    elif C & E:
-        c = e = min(C & E)
-        d = min(D - guard_inner) if c in guard_inner else min(D)
-        case = "cde-ce"
-    else:
-        d = e = min(D & E)
-        c = min(C - guard_inner) if d in guard_inner else min(C)
-        case = "cde-de"
+    (c, d, e), k4_case = choose_k4_triple(C, D, E, guard_inner)
+    case = _CDE_CASE[k4_case]
 
     pool_a = A - {e, c}
     pool_b = B - {d}

@@ -135,18 +135,6 @@ class Painter:
         return ConstructiveReport(IncidenceColouring(self.colour), tuple(self.trace))
 
 
-def lists_for_subgraph(
-    parent: Graph,
-    parent_lists: ListAssignment,
-    sub: Graph,
-) -> tuple[ListAssignment, list[int]]:
-    """Restrict a parent list assignment to a subgraph on the same vertex
-    ids.  Returns the sub lists plus, for each sub incidence id, the parent
-    incidence id it came from."""
-    parent_of = [incidence_id(parent, v, u) for v, u in _endpoints(sub)]
-    return ListAssignment([parent_lists[p] for p in parent_of]), parent_of
-
-
 def relabelled_subgraph(
     parent: Graph,
     parent_lists: ListAssignment,

@@ -20,8 +20,9 @@ class _FrozenParams(dict):
     """A spec's ``params``: a dict whose keys cannot be set or removed.
 
     A generated spec carries its graph, so changing its params in place
-    would leave them describing another graph.  Equality, ``repr`` and JSON
-    are those of a plain dict; nested values (lists) are not copied.
+    would leave them describing another graph.  Nested lists are frozen to
+    tuples (``FamilySpec.to_json`` turns them back into lists); equality
+    and ``repr`` are those of a plain dict holding those tuples.
     """
 
     def _read_only(self, *args, **kwargs):
@@ -35,6 +36,20 @@ class _FrozenParams(dict):
         return _FrozenParams, (dict(self),)
 
 
+def _frozen(value):
+    """``value`` with every nested list or tuple turned into a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(x) for x in value)
+    return value
+
+
+def _thawed(value):
+    """``value`` with every nested tuple turned back into a list."""
+    if isinstance(value, tuple):
+        return [_thawed(x) for x in value]
+    return value
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parametric description of a generated graph.
@@ -42,7 +57,8 @@ class FamilySpec:
     ``params`` holds the family payload: grid dimensions, the Halin tree
     edges plus cyclic leaf order, corona ``(n, p)``, the Hamilton cycle
     matching, cactus cycles, and so on.  It is copied into a read-only
-    dict on construction.  Specs round-trip through JSON.
+    dict on construction, nested lists frozen to tuples.  Specs round-trip
+    through JSON, where the tuples are lists again.
     """
 
     family: str
@@ -52,10 +68,11 @@ class FamilySpec:
         if self.family not in ALL_FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
         if not isinstance(self.params, _FrozenParams):
-            object.__setattr__(self, "params", _FrozenParams(self.params))
+            frozen = {k: _frozen(v) for k, v in self.params.items()}
+            object.__setattr__(self, "params", _FrozenParams(frozen))
 
     def to_json(self) -> dict:
-        return {"family": self.family, **self.params}
+        return {"family": self.family, **{k: _thawed(v) for k, v in self.params.items()}}
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilySpec":
@@ -148,16 +165,13 @@ def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) ->
     k = len(leaf_order)
     cycle_edges = [(leaf_order[i], leaf_order[(i + 1) % k]) for i in range(k)]
     g = Graph(nt, list(tree.edges) + cycle_edges)
-    spec = FamilySpec("halin", {
-        "tree_edges": [list(e) for e in tree.edges],
-        "leaf_order": list(leaf_order),
-    })
+    spec = FamilySpec("halin", {"tree_edges": tree.edges, "leaf_order": tuple(leaf_order)})
     return g, spec
 
 
 def halin_leaf_parents(spec: FamilySpec) -> list[int]:
     """For each leaf v_i of a Halin spec, its unique tree neighbour t_i."""
-    tree_edges = [tuple(e) for e in spec.params["tree_edges"]]
+    tree_edges = spec.params["tree_edges"]
     nt = max(max(e) for e in tree_edges) + 1
     tree = Graph(nt, tree_edges)
     return [tree.adj[v][0] for v in spec.params["leaf_order"]]
@@ -205,7 +219,7 @@ def gen_ham_cubic(
         raise InputError("matching is not perfect on 0..n-1")
     edges = [(i, (i + 1) % n) for i in range(n)] + [tuple(pair) for pair in pairs]
     g = Graph(n, edges)
-    return g, FamilySpec("ham_cubic", {"n": n, "matching": [list(p) for p in pairs]})
+    return g, FamilySpec("ham_cubic", {"n": n, "matching": pairs})
 
 
 def _sample_matching(n: int, seed: int) -> list[tuple[int, int]]:
@@ -265,10 +279,7 @@ def gen_cactus(
     found = cactus_cycles(g)
     if found is None:
         raise InputError("description violates the one-cycle-per-vertex rule")
-    spec_params.update({
-        "cycles": [list(c) for c in found],
-        "edges": [list(e) for e in g.edges],
-    })
+    spec_params.update({"cycles": found, "edges": g.edges})
     return g, FamilySpec("cactus", spec_params)
 
 
@@ -440,8 +451,8 @@ def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     The spec returned carries its graph, which generating it again returns
     without a build; any other spec, copies included, is built afresh and
     never marked.  The graph is not a field: ``==``, ``repr`` and the JSON
-    form ignore it.  ``params`` is read-only, so the graph always matches
-    the spec; do not mutate the lists nested inside it.
+    form ignore it.  ``params`` is read-only and its nested sequences are
+    tuples, so the graph always matches the spec.
     """
     g = getattr(spec, "_graph", None)
     if g is None:

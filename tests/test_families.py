@@ -269,6 +269,32 @@ def test_spec_params_are_read_only():
             copy.params["m"] = 5
 
 
+def _is_frozen(value):
+    return not isinstance(value, (list, dict)) and (
+        not isinstance(value, tuple) or all(_is_frozen(x) for x in value))
+
+
+def test_nested_spec_params_are_frozen():
+    tree_edges = [[0, 5], [1, 5], [2, 6], [3, 6], [4, 6], [5, 6]]
+    raw = {"tree_edges": tree_edges, "leaf_order": [0, 1, 2, 3, 4]}
+    g, spec = generate(FamilySpec("halin", raw))
+    tree_edges.append([4, 7])          # the caller's lists are copied, not kept
+    # appending an eighth vertex used to leave generate() returning the
+    # stale 7-vertex graph; the nested lists are tuples now
+    with pytest.raises(AttributeError):
+        spec.params["tree_edges"].append([4, 7])
+    with pytest.raises(TypeError):
+        spec.params["leaf_order"][0] = 4
+    assert generate(spec)[0] is g and g.n == 7
+    assert spec.params["tree_edges"] == ((0, 5), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6))
+    assert spec.to_json() == {"family": "halin", "tree_edges": tree_edges[:-1],
+                              "leaf_order": [0, 1, 2, 3, 4]}
+    for spec in (generate(FamilySpec("ham_cubic", {"n": 8, "seed": 1}))[1],
+                 generate(FamilySpec("cactus", {"size": 12, "seed": 0}))[1]):
+        assert all(_is_frozen(v) for v in spec.params.values())
+        assert FamilySpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
 def test_generated_spec_is_freed_without_cyclic_gc():
     gc.disable()
     try:

@@ -57,6 +57,20 @@ def test_window_mu_branch():
     assert case.startswith("mu")
 
 
+def test_window_split_pairs_branch():
+    # both outer guards are saturated, beta4 sits in neither a/b pool and
+    # the two least free colours of La and Lb do not meet
+    La = frozenset([1, 2, 9, 10, 11, 12])     # free: 9, 10, ...
+    Lb = frozenset([1, 2, 13, 14, 15, 16])    # free: 13, 14, ...
+    Lc = frozenset([1, 3, 8, 20, 21, 22])     # contains {alpha1, alpha2, beta4}
+    Ld = frozenset([5, 6, 7, 8, 30, 31])      # contains all betas
+    alphas = (1, 2, 3, 4)
+    betas = (5, 6, 7, 8)
+    quad, case = choose_grid_window(La, Lb, Lc, Ld, alphas, betas)
+    assert case == "split-pairs"
+    assert window_choice_valid(quad, La, Lb, Lc, Ld, alphas, betas)
+
+
 def test_window_oracle_random():
     rng = random.Random(42)
     for _ in range(2500):

@@ -1,11 +1,17 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and its tag list matches the code."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+CONSTRUCTIVE = ROOT / "src" / "incolour" / "constructive"
+
+# a trace tag starts with its family's prefix; placeholders read <...>
+TAG = re.compile(r"^(tree|cycle|grid2?|halin|corona|cactus|ham)-[a-z0-9:<>-]+$")
 
 
 def test_readme_quick_start_runs():
@@ -13,3 +19,52 @@ def test_readme_quick_start_runs():
     match = re.search(r"^## Quick start\n+```python\n(.*?)^```", text, re.S | re.M)
     assert match, "README has no python block under 'Quick start'"
     exec(compile(match.group(1), f"{README}:quick-start", "exec"), {})
+
+
+def _template(node: ast.JoinedStr) -> str:
+    """An f-string with each replacement field written ``<>``."""
+    return "".join(
+        part.value if isinstance(part, ast.Constant) else "<>" for part in node.values
+    )
+
+
+def _code_tags_and_window_cases() -> tuple[set[str], set[str]]:
+    """Tag literals and f-string tag templates in the constructive package
+    (a literal that fills a template with a number, like ``grid2-square-1``,
+    counts as that template), and the window cases that
+    ``grid-step-3b:<>`` carries."""
+    tags: set[str] = set()
+    for path in sorted(CONSTRUCTIVE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parts = {id(p) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for p in n.values}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = _template(node)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if id(node) not in parts and TAG.match(text):
+                tags.add(text)
+    templates = [re.compile(re.escape(t).replace("<>", r"\d+")) for t in tags if "<>" in t]
+    tags = {t for t in tags if "<>" in t or not any(p.fullmatch(t) for p in templates)}
+    grids = ast.parse((CONSTRUCTIVE / "grids.py").read_text())
+    cases = {
+        node.value.value
+        for node in ast.walk(grids)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["case"]
+        and isinstance(node.value, ast.Constant)
+    }
+    return tags, cases
+
+
+def test_readme_tag_list_matches_the_code():
+    text = README.read_text()
+    section = re.search(r"^## Trace rule tags\n(.*?)^## ", text, re.S | re.M).group(1)
+    words = {re.sub(r"<[^>]*>", "<>", w) for w in re.findall(r"`([^`]+)`", section)}
+    readme_tags = {w for w in words if TAG.match(w)}
+    readme_cases = {w for w in words - readme_tags if re.fullmatch(r"[a-z0-9]+-[a-z0-9-]+", w)}
+    code_tags, code_cases = _code_tags_and_window_cases()
+    assert readme_tags == code_tags
+    assert readme_cases == code_cases

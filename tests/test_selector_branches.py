@@ -4,16 +4,63 @@ disjoint and pigeonhole paths need deliberate inputs)."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+from collections import Counter
+
 from incolour.constructive import (
     choose_halin_boundary,
     choose_ham_boundary,
+    choose_k4_triple,
     halin_boundary_valid,
     ham_boundary_valid,
+    k4_triple_valid,
 )
 from incolour.constructive.coronae import _choose_cd, _place_pair
 from incolour.constructive.report import Painter
 from incolour.families import gen_corona
 from incolour.graphs import ListAssignment
+
+
+# sha256 prefix of the three guarded-triple selectors' values and case
+# strings on the seeded sample below
+SELECTOR_DIGEST = "1956b19ab6de253c"
+
+
+def _selector_sample(count=600, seed=0):
+    """Seeded 6-colour lists drawn from three disjoint colour blocks, so the
+    (c, d, e) lists share a colour, pair up or stay disjoint in every way;
+    the inner guard is sometimes one of them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lists = []
+        for _ in range(8):
+            off = rng.choice((0, 10, 20))
+            width = rng.choice((6, 7, 9))
+            lists.append(frozenset(rng.sample(range(off + 1, off + width + 1), 6)))
+        A, B, C, D, E, guard_1, guard_2, other = lists
+        guard_inner = rng.choice((C, D, E, other))
+        yield A, B, C, D, E, guard_1, guard_2, guard_inner
+
+
+def test_guarded_triple_selectors_match_golden_digest():
+    h = hashlib.sha256()
+    cases = Counter()
+    for A, B, C, D, E, g1, g2, gi in _selector_sample():
+        triple, k4_case = choose_k4_triple(C, D, E, gi)
+        assert k4_triple_valid(triple, C, D, E, gi)
+        halin, halin_case = choose_halin_boundary(A, B, C, D, E, g1, g2, gi)
+        assert halin_boundary_valid(halin, A, B, C, D, E, g1, g2, gi)
+        ham, ham_case = choose_ham_boundary(C, D, E, A, B, g1, gi)
+        assert ham_boundary_valid(ham, A, B, C, D, E, g1, gi)
+        for values, case in ((triple, k4_case), (halin, halin_case), (ham, ham_case)):
+            h.update(f"{values}|{case}\n".encode())
+            cases[case] += 1
+    assert set(cases) == {
+        "common", "pair-ab", "pair-ac", "pair-bc", "disjoint",
+        "cde-common", "cde-cd", "cde-ce", "cde-de", "cde-disjoint",
+    }
+    assert h.hexdigest()[:16] == SELECTOR_DIGEST
 
 
 def test_ham_pigeonhole_on_the_a_side():

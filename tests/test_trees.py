@@ -25,6 +25,17 @@ def test_path_with_one_precoloured():
     assert_valid_report(t, lists, rep, expect={0: 2})
 
 
+def test_two_precolours_fire_peel_and_anchor():
+    # pre-colours in two colour classes: the class of the higher id is
+    # peeled, the other anchors the base case
+    t, _ = gen_basic("path", 4)
+    lists = ListAssignment.uniform(t, 4)   # degree 2 + two pre-colours
+    rep = colour_tree(t, lists, pre={0: 1, 5: 2})
+    assert_valid_report(t, lists, rep, expect={0: 1, 5: 2})
+    tags = {step.incidence: step.tag for step in rep.trace}
+    assert tags[0] == "tree-anchor" and tags[5] == "tree-peel"
+
+
 def test_star_centre_incidences_distinct():
     s4, _ = gen_basic("star", 4)
     lists = ListAssignment.uniform(s4, 5)
