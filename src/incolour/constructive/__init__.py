@@ -8,7 +8,6 @@ from typing import Optional
 
 from ..families import FamilySpec, generate
 from ..graphs import Graph, IncolourError, InputError, ListAssignment, check_lists_cover
-from ..solver import COLOURED, solve_list_colouring
 from .cactus import cactus_bound, colour_cactus
 from .coronae import _colour_corona, corona_bound
 from .grids import _colour_grid, choose_grid_window, window_choice_valid
@@ -44,11 +43,8 @@ def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport
     required = 3 if n % 3 == 0 else 4
     if lists.min_size() < required:
         raise InputError(f"cycle of order {n} needs lists of size >= {required}")
-    res = solve_list_colouring(g, lists)
-    if res.status != COLOURED:  # pragma: no cover - guaranteed at the bound
-        raise IncolourError("cycle colouring not found at its guaranteed bound")
     painter = Painter(g, lists)
-    painter.adopt(res.colouring.assignment, "cycle-solver")
+    painter.finish_by_search("cycle-solver")
     return painter.report()
 
 
@@ -93,6 +89,15 @@ def construct(
     f = spec.family
     if pre and f not in ("path", "star", "tree", "corona"):
         raise InputError(f"family {f!r} does not take a pre-colouring")
+    report = _dispatch(g, spec, lists, pre)
+    for i, colour in (pre or {}).items():
+        if report.colouring.assignment.get(i) != colour:
+            raise IncolourError(f"colouring changes the pre-colour {colour} of incidence {i}")
+    return report
+
+
+def _dispatch(g: Graph, spec: FamilySpec, lists: ListAssignment, pre) -> ConstructiveReport:
+    f = spec.family
     if f in ("path", "star", "tree"):
         return colour_tree(g, lists, pre=pre)
     if f == "cycle":

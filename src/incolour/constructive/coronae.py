@@ -11,8 +11,9 @@ then completed greedily and the pendant incidences follow.
 The per-vertex pendant blocks additionally carry a local exhaustive
 completion: when the straight greedy order runs dry (possible at the
 stated list sizes only for the pre-coloured vertex with p >= 4), the block
-is redone as a tiny distinct-colour assignment search, and as a last
-resort the instance goes to the exact solver.
+is redone as a tiny distinct-colour assignment search.  As a last resort
+the instance starts over from the pre-coloured pendant edge alone and is
+finished by :meth:`Painter.finish_by_search` (``corona-solver-fallback``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..graphs import (
     ListAssignment,
     incidence_id,
 )
-from ..solver import COLOURED, solve_list_colouring
 from .report import ConstructiveReport, Painter, StuckError
 
 
@@ -74,26 +74,12 @@ def paint_corona_instance(
     painter = Painter(g, lists)
     try:
         _paint(painter, n, p, pre)
-        return painter.report()
     except (StuckError, _GiveUp):
-        return _solver_fallback(g, n, p, lists, pre)
-
-
-def _solver_fallback(g, n, p, lists, pre) -> ConstructiveReport:
-    if pre is not None:
-        a, b = pre
-        fixed = list(lists.lists)
-        down, up = pendant_edge_ids(g, n, p)
-        fixed[down] = frozenset({a})
-        fixed[up] = frozenset({b})
-        solve_lists = ListAssignment(fixed)
-    else:
-        solve_lists = lists
-    res = solve_list_colouring(g, solve_lists)
-    if res.status != COLOURED:
-        raise IncolourError("corona instance admitted no colouring at its stated bound")
-    painter = Painter(g, lists)
-    painter.adopt(res.colouring.assignment, "corona-solver-fallback")
+        # start over from the pre-colours alone and finish by exact search
+        painter = Painter(g, lists)
+        if pre is not None:
+            _paint_pre(painter, n, p, pre)
+        painter.finish_by_search("corona-solver-fallback")
     return painter.report()
 
 
@@ -142,8 +128,7 @@ def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> 
     if seed:
         if pre is not None:
             a, b = pre
-            painter.paint(iid(0, pend(0, 1)), a, "corona-pre")
-            painter.paint(iid(pend(0, 1), 0), b, "corona-pre")
+            _paint_pre(painter, n, p, pre)
         else:
             a = min(lst(0, pend(0, 1)))
             painter.paint(iid(0, pend(0, 1)), a, "corona-seed")
@@ -159,6 +144,12 @@ def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> 
             t = iid(pend(i, j), i)
             if not painter.painted(t):
                 painter.greedy(t, "corona-external")
+
+
+def _paint_pre(painter: Painter, n: int, p: int, pre: tuple[int, int]) -> None:
+    down, up = pendant_edge_ids(painter.graph, n, p)
+    painter.paint(down, pre[0], "corona-pre")
+    painter.paint(up, pre[1], "corona-pre")
 
 
 def _cycle_walk(painter: Painter, n: int, iid, tag: str) -> None:

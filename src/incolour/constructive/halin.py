@@ -2,12 +2,14 @@
 
 Dispatch by shape: K4 has a bespoke 6-list procedure; wheels and every
 graph of maximum degree >= 6 are coloured tree-first (then the outer cycle
-is finished through the exact solver on its reduced lists, which always
-have at least four colours); the remaining graphs, whose inner tree is not
-a star, use a two-block boundary of the outer cycle: five incidences
-around the boundary are fixed by a selector, the tree is completed around
-the path joining the two boundary parents, and the cycle is closed against
-the selector's guarantees.
+is finished by :meth:`Painter.finish_by_search` on its reduced lists,
+which always have at least four colours); the remaining graphs, whose
+inner tree is not a star, use a two-block boundary of the outer cycle:
+five incidences around the boundary are fixed by a selector, the tree is
+completed around the path joining the two boundary parents, and the cycle
+is closed against the selector's guarantees.  Leaf orders with no such
+boundary go whole to the same exact-search step
+(``halin-solver-fallback``).
 
 K4 and the boundary share one guarded-triple rule (:func:`choose_k4_triple`):
 three colours from three lists with at most one of them in a guard list.
@@ -19,15 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from ..families import FamilySpec, gen_basic, halin_leaf_parents
-from ..graphs import (
-    Graph,
-    IncolourError,
-    InputError,
-    ListAssignment,
-    incidences,
-)
-from ..solver import COLOURED, solve_list_colouring
+from ..families import FamilySpec, halin_leaf_parents
+from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .report import ConstructiveReport, Painter, relabelled_subgraph
 from .trees import colour_tree
 
@@ -202,10 +197,7 @@ def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> Construc
         else:
             # leaf orders with no two adjacent parent blocks of length >= 2
             # fall outside the boundary procedure; defer to exact search
-            res = solve_list_colouring(g, lists)
-            if res.status != COLOURED:  # pragma: no cover
-                raise IncolourError("solver fallback failed on a halin instance")
-            painter.adopt(res.colouring.assignment, "halin-solver-fallback")
+            painter.finish_by_search("halin-solver-fallback")
     return painter.report()
 
 
@@ -346,8 +338,9 @@ def _k4_pattern_far(painter, v0, v1, v2, v3, lst) -> None:
 
 def _colour_tree_first(painter: Painter, spec: FamilySpec) -> None:
     """Colour the inner tree greedily, then finish the outer cycle by exact
-    search on the reduced lists (each cycle incidence keeps at least four
-    colours, which always suffices on a cycle)."""
+    search (:meth:`Painter.finish_by_search`) on its reduced lists, in host
+    incidence-id order; each cycle incidence keeps at least four colours,
+    which always suffices on a cycle."""
     # the tree spans every vertex, so its relabelling is the identity
     tree, sub_lists, parent_ids = relabelled_subgraph(
         painter.graph, painter.lists, spec.params["tree_edges"]
@@ -355,23 +348,7 @@ def _colour_tree_first(painter: Painter, spec: FamilySpec) -> None:
     rep = colour_tree(tree, sub_lists)
     for sub_id, col in sorted(rep.colouring.items()):
         painter.paint(parent_ids[sub_id], col, "halin-tree")
-
-    leaves = spec.params["leaf_order"]
-    k = len(leaves)
-    cyc, _ = gen_basic("cycle", k)
-    reduced = []
-    gid_of_cyc = []
-    for inc in incidences(cyc):
-        i = inc.vertex
-        j = inc.edge[0] if inc.edge[1] == i else inc.edge[1]
-        gid = painter.id_of(leaves[i], leaves[j])
-        gid_of_cyc.append(gid)
-        reduced.append(painter.lists[gid] - frozenset(painter.forbidden(gid)))
-    res = solve_list_colouring(cyc, ListAssignment(reduced))
-    if res.status != COLOURED:  # pragma: no cover - guaranteed with >= 4 colours
-        raise IncolourError("outer cycle completion failed")
-    for cyc_id, col in sorted(res.colouring.items()):
-        painter.paint(gid_of_cyc[cyc_id], col, "halin-outer-cycle")
+    painter.finish_by_search("halin-outer-cycle")
 
 
 # --------------------------------------------------------- boundary ---

@@ -5,7 +5,7 @@ replayable report it produces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..graphs import (
     Graph,
@@ -15,7 +15,9 @@ from ..graphs import (
     check_lists_cover,
     incidence_id,
     incidence_neighbour_ids,
+    incidences,
 )
+from ..solver import solve_list_colouring
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,9 @@ class TraceStep:
 
 
 class StuckError(IncolourError):
-    """A constructive step found its colour list exhausted.
+    """A constructive step found its colour list exhausted (for
+    :meth:`Painter.finish_by_search`: a reduced list, or the whole
+    remainder).
 
     The procedures are guaranteed to finish at their stated list sizes,
     so any escape of this exception is a faithful bug report; the
@@ -123,13 +127,35 @@ class Painter:
                 del self.trace[pos]
                 break
 
-    def adopt(self, assignment: dict[int, int], tag: str) -> None:
-        """Apply a whole assignment (e.g. a solver result) step by step."""
-        for i in sorted(assignment):
-            self.paint(i, assignment[i], tag)
+    def finish_by_search(self, tag: str) -> None:
+        """Colour every unpainted incidence by exact search and paint the
+        result in incidence-id order.
 
-    def report(self, require_total: bool = True) -> ConstructiveReport:
-        if require_total and len(self.colour) != len(self.neigh):
+        With nothing painted yet the search runs on the painter's own graph
+        and lists.  Otherwise it runs on the subgraph of the edges that
+        still have an unpainted incidence (relabelled in host id order):
+        painted incidences there keep their colour as a singleton list, the
+        others lose their painted neighbours' colours.  An emptied list or
+        a remainder with no colouring raises :class:`StuckError`."""
+        g, lists, host_of = self.graph, self.lists, range(len(self.neigh))
+        if self.colour:
+            reduced = [{self.colour[h]} if h in self.colour else self.lists[h] - self.forbidden(h)
+                       for h in host_of]
+            for h, left in enumerate(reduced):
+                if not left:
+                    raise StuckError(h, tag, self.trace)
+            incs = incidences(g)
+            edges = {incs[h].edge for h in host_of if h not in self.colour}
+            g, lists, host_of = relabelled_subgraph(g, ListAssignment(reduced), edges)
+        res = solve_list_colouring(g, lists)
+        if not res.found:
+            raise StuckError(next(h for h in host_of if h not in self.colour), tag, self.trace)
+        for sub_id, h in enumerate(host_of):
+            if h not in self.colour:
+                self.paint(h, res.colouring[sub_id], tag)
+
+    def report(self) -> ConstructiveReport:
+        if len(self.colour) != len(self.neigh):
             missing = next(i for i in range(len(self.neigh)) if i not in self.colour)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
         return ConstructiveReport(IncidenceColouring(self.colour), tuple(self.trace))
@@ -138,7 +164,7 @@ class Painter:
 def relabelled_subgraph(
     parent: Graph,
     parent_lists: ListAssignment,
-    edges: Sequence[tuple[int, int]],
+    edges: Collection[tuple[int, int]],
 ) -> tuple[Graph, ListAssignment, list[int]]:
     """Subgraph on the endpoints of ``edges`` with dense relabelled
     vertices.  Returns the subgraph, its restricted lists, and the parent

@@ -7,12 +7,16 @@ import hashlib
 import json
 
 import pytest
+from click.testing import CliRunner
 
-from incolour.catalogue import default_fuzz_instances
+import incolour.constructive as constructive
+from incolour.catalogue import corona_specs, default_fuzz_instances
+from incolour.cli import main
 from incolour.constructive import construct, guaranteed_bound
+from incolour.constructive.coronae import pendant_edge_ids
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment
-from incolour.harness import corona_pre_pair, random_list_assignment
+from incolour.harness import FuzzCampaign, corona_pre_pair, random_list_assignment, run_campaign
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
@@ -65,3 +69,33 @@ def test_construct_rejects_lists_that_do_not_cover_the_graph(spec, extra):
     lists = ListAssignment([range(1, 20)] * (2 * len(g.edges) + extra))
     with pytest.raises(InputError, match="does not cover the incidences"):
         construct(spec, lists)
+
+
+def test_construct_fails_a_colouring_that_drops_the_pre_colours(monkeypatch, tmp_path):
+    """A corona procedure that ignores ``pre`` still returns valid
+    colourings; construct must report the broken pre-colours as a failure
+    to the fuzz trial and to the CLI."""
+    real = constructive._colour_corona
+    monkeypatch.setattr(constructive, "_colour_corona",
+                        lambda g, n, p, lists, pre: real(g, n, p, lists, None))
+    report = run_campaign(FuzzCampaign(instances=tuple(corona_specs()), trials=4, pre=True))
+    failures = [f for r in report.results for f in r.failures]
+    assert failures
+    assert all("changes the pre-colour" in f["error"] for f in failures)
+
+    spec = FamilySpec("corona", {"n": 4, "p": 3})
+    g, spec = generate(spec)
+    lists = ListAssignment.uniform(g, 7)
+    down, up = pendant_edge_ids(g, 4, 3)
+    free = construct(spec, lists).colouring
+    a = min({1, 2, 3} - {free[down]})
+    b = min({4, 5, 6} - {free[up]})
+    (tmp_path / "pre.json").write_text(json.dumps({"pre": [[down, a], [up, b]]}))
+    runner = CliRunner()
+    runner.invoke(main, ["generate", "--family", "corona", "--n", "4", "--p", "3",
+                         "--k", "7", "--universe", "0", "--out", str(tmp_path)])
+    r = runner.invoke(main, ["construct", "--from-spec", f"{tmp_path}/spec.json",
+                             "--lists", f"{tmp_path}/lists.json",
+                             "--pre", f"{tmp_path}/pre.json", "--out", str(tmp_path)])
+    assert r.exit_code == 1, r.output
+    assert "changes the pre-colour" in r.output

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -187,6 +188,27 @@ def test_big_delta_nonwheel_uses_tree_first():
     rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
     assert any(s.tag == "halin-tree" for s in rep.trace)
+
+
+# tree-first runs whose leaf orders are not increasing: the outer cycle's
+# search works in host incidence-id order, which these traces pin (the
+# Halin runs behind TRACE_DIGEST are wheels, whose leaf orders increase)
+TREE_FIRST_DIGEST = "3a104ef6fa16839b"
+
+
+def test_tree_first_traces_match_golden_digest():
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        g, spec = generate(random_halin_spec(150, seed))
+        leaves = list(spec.params["leaf_order"])
+        assert leaves != sorted(leaves)
+        k = required_halin_lists(g, spec)
+        rep = construct(spec, random_list_assignment(g, k, 3 * k, seed))
+        assert {s.tag for s in rep.trace} == {"halin-tree", "halin-outer-cycle"}
+        h.update(f"seed={seed}\n".encode())
+        for step in rep.trace:
+            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+    assert h.hexdigest()[:16] == TREE_FIRST_DIGEST
 
 
 def test_random_halin_structures():

@@ -68,3 +68,22 @@ def test_readme_tag_list_matches_the_code():
     code_tags, code_cases = _code_tags_and_window_cases()
     assert readme_tags == code_tags
     assert readme_cases == code_cases
+
+
+def test_only_the_painter_imports_the_solver():
+    """Exact search inside a constructive procedure goes through
+    ``Painter.finish_by_search``; no other constructive module imports
+    the solver."""
+    importers = set()
+    for path in sorted(CONSTRUCTIVE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (f"{node.module}." if node.module else "")
+                names = [base.rstrip(".")] + [base + a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(re.fullmatch(r"(\.\.|incolour\.)solver(\..*)?", n) for n in names):
+                importers.add(path.name)
+    assert importers == {"report.py"}

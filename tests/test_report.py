@@ -5,7 +5,9 @@ import pytest
 from incolour.constructive import colour_tree
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic
-from incolour.graphs import IncolourError, ListAssignment
+from incolour.graphs import IncolourError, ListAssignment, validate_colouring
+from incolour.harness import random_list_assignment
+from incolour.solver import solve_list_colouring
 
 
 @pytest.fixture
@@ -86,5 +88,52 @@ def test_report_requires_totality():
     painter.paint(0, 1, "t")
     with pytest.raises(IncolourError):
         painter.report()
-    partial = painter.report(require_total=False)
-    assert len(partial.colouring) == 1
+    assert len(painter.colour) == 1
+
+
+def test_finish_by_search_from_scratch_is_the_solver_colouring():
+    g, _ = gen_basic("cycle", 7)
+    lists = random_list_assignment(g, 4, 7, 3)
+    painter = Painter(g, lists)
+    painter.finish_by_search("s")
+    assert painter.colour == solve_list_colouring(g, lists).colouring.assignment
+    assert painter.trace == [TraceStep(i, painter.colour[i], "s") for i in range(len(lists))]
+
+
+def test_finish_by_search_keeps_painted_incidences():
+    g, _ = gen_basic("wheel", 5)
+    lists = random_list_assignment(g, 7, 12, 1)
+    painter = Painter(g, lists)
+    for i in (0, 1, 2, 7, 11):
+        painter.greedy(i, "t")
+    before = list(painter.trace)
+    painter.finish_by_search("s")
+    assert painter.trace[:len(before)] == before
+    rest = painter.trace[len(before):]
+    assert [s.incidence for s in rest] == sorted(set(range(len(lists))) - {0, 1, 2, 7, 11})
+    assert {s.tag for s in rest} == {"s"}
+    rep = painter.report()
+    assert validate_colouring(g, lists, rep.colouring).ok
+    assert rep.replay(g, lists) == rep.colouring
+
+
+def test_finish_by_search_stuck_on_an_emptied_list():
+    g, _ = gen_basic("path", 3)
+    painter = Painter(g, ListAssignment([{1}, {1}, {2}, {3}]))
+    painter.paint(0, 1, "t")
+    with pytest.raises(StuckError) as err:
+        painter.finish_by_search("s")
+    assert (err.value.incidence, err.value.tag) == (1, "s")
+    assert err.value.trace == (TraceStep(0, 1, "t"),)
+
+
+@pytest.mark.parametrize("painted", [False, True])
+def test_finish_by_search_stuck_on_an_uncolourable_remainder(painted):
+    g, _ = gen_basic("cycle", 4)           # chi_i(C4) = 4
+    painter = Painter(g, ListAssignment.uniform(g, 3))
+    if painted:
+        painter.paint(0, 1, "t")
+    with pytest.raises(StuckError) as err:
+        painter.finish_by_search("s")
+    assert err.value.incidence == (1 if painted else 0)
+    assert len(painter.trace) == int(painted)
