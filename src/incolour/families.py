@@ -5,6 +5,7 @@ corona labels, Hamilton cycle plus matching, cactus cycles)."""
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -50,6 +51,14 @@ def _thawed(value):
     return value
 
 
+def _int_tree(value) -> bool:
+    """Whether ``value`` is an integer (not a bool) or a list of such
+    values, nested to any depth."""
+    if isinstance(value, list):
+        return all(map(_int_tree, value))
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parametric description of a generated graph.
@@ -76,8 +85,18 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilySpec":
+        """The spec a JSON object describes.  A missing or non-string
+        family, or a parameter that is not an integer or a nested list of
+        integers, is an :class:`InputError`."""
+        if not isinstance(data, dict) or not isinstance(data.get("family"), str):
+            raise InputError("a family spec must be an object with a string 'family', "
+                             f"got {reprlib.repr(data)}")
         data = dict(data)
         family = data.pop("family")
+        for key, value in data.items():
+            if not _int_tree(value):
+                raise InputError(f"spec parameter {key!r} must be an integer or a list of them, "
+                                 f"got {reprlib.repr(value)}")
         return cls(family, data)
 
 

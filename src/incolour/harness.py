@@ -70,6 +70,11 @@ class FuzzCampaign:
     workers: int = 1
 
     def __post_init__(self):
+        # a campaign that runs no trial would report "0/0 trials ok"
+        if not self.instances:
+            raise InputError("a campaign needs at least one instance")
+        if self.trials < 1:
+            raise InputError(f"trials must be >= 1, got {self.trials}")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise InputError(f"workers must be in [1, {cpus}], got {self.workers}")
@@ -163,13 +168,18 @@ def _run_trial(task: dict) -> dict:
 
 
 def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
-    """Run every trial of the campaign; never aborts on a failed trial."""
+    """Run every trial of the campaign; never aborts on a failed trial.
+
+    A list size below 1 or a universe smaller than it is an
+    :class:`InputError`, raised before any trial runs."""
     results = []
     tasks = []
     for spec in campaign.instances:
         _g, spec = generate(spec)
         k = campaign.k if campaign.k is not None else guaranteed_bound(spec, pre=campaign.pre)
         universe = campaign.universe if campaign.universe is not None else 3 * k
+        if k < 1 or universe < k:
+            raise InputError(f"need universe >= k >= 1, got k={k}, universe={universe}")
         spec_json = spec.to_json()
         key = json.dumps(spec_json, sort_keys=True) + f"|k={k}|u={universe}|pre={campaign.pre}"
         results.append(InstanceResult(spec=spec_json, k=k, universe=universe))

@@ -1,9 +1,15 @@
 """JSON round-trips for graphs, list assignments, colourings and family
 specs.  Formats are plain text and self-describing: list and colouring
-files embed an echo of the incidence enumeration they are keyed by."""
+files embed an echo of the incidence enumeration they are keyed by.
+
+The readers check the shape of what they read: a value of the wrong JSON
+type, a non-integer where an integer belongs, or an incidence id outside
+``0..m-1`` is a :class:`GraphError`, never a ``TypeError`` deep inside the
+library."""
 
 from __future__ import annotations
 
+import reprlib
 from typing import Optional
 
 from .families import FamilySpec
@@ -16,12 +22,50 @@ from .graphs import (
 )
 
 
+def _object(data, what: str) -> dict:
+    """``data`` if it is a JSON object, else a :class:`GraphError`."""
+    if not isinstance(data, dict):
+        raise GraphError(f"{what} must be a JSON object, got {reprlib.repr(data)}")
+    return data
+
+
+def _pairs(data, what: str) -> list[tuple[int, int]]:
+    """``data`` as a list of integer pairs, each written ``[a, b]``
+    (``true`` and ``1.0`` are not integers)."""
+    if not isinstance(data, list):
+        raise GraphError(f"{what} must be a JSON array, got {reprlib.repr(data)}")
+    out = []
+    for item in data:
+        if not (isinstance(item, list) and len(item) == 2
+                and type(item[0]) is int and type(item[1]) is int):
+            raise GraphError(f"{what} must hold [a, b] pairs of integers, "
+                             f"got {reprlib.repr(item)}")
+        out.append(tuple(item))
+    return out
+
+
+def _incidence_ids(data: dict, m: int) -> list[int]:
+    """The incidence ids the keys of ``data`` name, each in ``0..m-1``."""
+    try:
+        ids = list(map(int, data))
+    except ValueError:
+        keys = reprlib.repr(list(data))
+        raise GraphError(f"incidence ids must be integers, got {keys}") from None
+    unknown = set(ids).difference(range(m))
+    if unknown:
+        raise GraphError(f"unknown incidence id {min(unknown)}")
+    return ids
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
 def graph_from_json(data: dict) -> Graph:
-    return Graph(data["n"], [tuple(e) for e in data["edges"]])
+    n = _object(data, "a graph")["n"]
+    if type(n) is not int:
+        raise GraphError(f"'n' must be an integer, got {reprlib.repr(n)}")
+    return Graph(n, _pairs(data["edges"], "'edges'"))
 
 
 def _incidence_echo(g: Graph) -> list:
@@ -42,8 +86,13 @@ def lists_to_json(g: Graph, lists: ListAssignment) -> dict:
 
 
 def lists_from_json(g: Graph, data: dict) -> ListAssignment:
-    _check_echo(g, data)
-    raw = {int(i): v for i, v in data["lists"].items()}
+    _check_echo(g, _object(data, "a list file"))
+    lists = _object(data["lists"], "'lists'")
+    raw = dict(zip(_incidence_ids(lists, 2 * len(g.edges)), lists.values()))
+    bad = next((i for i, colours in raw.items() if not isinstance(colours, list)), None)
+    if bad is not None:
+        raise GraphError(f"the list of incidence {bad} must be a JSON array, "
+                         f"got {reprlib.repr(raw[bad])}")
     return ListAssignment.from_dict(g, raw)
 
 
@@ -55,14 +104,13 @@ def colouring_to_json(g: Graph, colouring: IncidenceColouring) -> dict:
 
 
 def colouring_from_json(g: Graph, data: dict) -> IncidenceColouring:
-    _check_echo(g, data)
-    m = 2 * len(g.edges)
-    out = {}
-    for key, value in data["assignment"].items():
-        i = int(key)
-        if not 0 <= i < m:
-            raise GraphError(f"unknown incidence id {i}")
-        out[i] = int(value)
+    _check_echo(g, _object(data, "a colouring file"))
+    assignment = _object(data["assignment"], "'assignment'")
+    out = dict(zip(_incidence_ids(assignment, 2 * len(g.edges)), assignment.values()))
+    bad = next((i for i, colour in out.items() if type(colour) is not int), None)
+    if bad is not None:
+        raise GraphError(f"the colour of incidence {bad} must be an integer, "
+                         f"got {reprlib.repr(out[bad])}")
     return IncidenceColouring(out)
 
 
@@ -81,4 +129,4 @@ def pre_to_json(pre: dict[int, int]) -> dict:
 def pre_from_json(data: Optional[dict]) -> Optional[dict[int, int]]:
     if data is None:
         return None
-    return {int(i): int(c) for i, c in data["pre"]}
+    return dict(_pairs(_object(data, "a pre-colouring")["pre"], "'pre'"))

@@ -1,21 +1,22 @@
 """The backtracking kernel for list colouring, in pure Python.
 
-Inputs are flat CSR-style arrays:
+Inputs are the structures the library already holds:
 
-* ``dom_off`` / ``dom_val``: per-variable sorted colour domains,
-* ``adj_off`` / ``adj``: per-variable neighbour lists,
+* ``domains``: per-variable sorted colour lists,
+* ``nbrs``: per-variable neighbour ids (the graph's cached
+  ``incidence_neighbour_ids``, which the kernel only reads),
 * ``uniform``: true only when every domain is the same list.
 
-One search serves every list assignment.  The distinct colours of
-``dom_val``, in ascending order, are renumbered to rows ``0..C-1``, and
-block counts are kept per row and variable, ``blocked[row][v]``.  Every
-count starts at 1 except those of v's own colours, which start at 0, so a
-colour outside v's domain never reaches 0: it is never available and never
-tried, and a neighbour's colour is blocked in O(1) with no slot lookup.
-The layout holds C × nv counters, which is small for the library's lists
-(at most 3Δ-2 colours) but grows with the number of distinct colours: a
-20x20 grid (1,520 incidences) with 3-lists drawn from 10,000 colours uses
-3,658 of them, 5.6 million counters, about 45 MB.
+One search serves every list assignment.  The distinct colours of all
+domains, in ascending order, are renumbered to rows ``0..C-1``, and block
+counts are kept per row and variable, ``blocked[row][v]``.  Every count
+starts at 1 except those of v's own colours, which start at 0, so a colour
+outside v's domain never reaches 0: it is never available and never tried,
+and a neighbour's colour is blocked in O(1) with no slot lookup.  The
+layout holds C × nv counters, which is small for the library's lists (at
+most 3Δ-2 colours) but grows with the number of distinct colours: a 20x20
+grid (1,520 incidences) with 3-lists drawn from 10,000 colours uses 3,658
+of them, 5.6 million counters, about 45 MB.
 
 Under uniform domains colour names are interchangeable, so the search
 breaks value symmetry: with ``top`` the largest position within a domain
@@ -43,15 +44,15 @@ def backend_name() -> str:
     return "python"
 
 
-def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
+def search(domains, nbrs, uniform, node_budget, deadline):
     """Backtracking with forward checking.
 
     Variable order: minimum remaining values (most constrained first),
     ties broken by the most uncoloured neighbours (the DSatur rule,
     Brélaz 1979), then by the lowest id.  Value order: ascending within
-    each domain (the domains arrive sorted).  Returns ``(status, slots,
-    nodes)`` where ``slots[v]`` indexes the chosen colour inside v's
-    domain.
+    each domain (the domains arrive sorted).  Returns ``(status, colours,
+    nodes)`` where ``colours[v]`` is the colour chosen for v when the
+    search found a colouring, and ``colours`` is ``None`` otherwise.
 
     Both criteria live in one key per variable, ``key[v] = navail * (D + 1)
     + (D - unc)``, with ``navail`` v's unblocked colours, ``unc`` its
@@ -63,20 +64,20 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
     largest domain), which lifts its key above every unassigned one, so the
     pick is the first variable holding the smallest key.
     """
+    nv = len(domains)
     if nv == 0:
         return FOUND, [], 0
-    row_of = {c: r for r, c in enumerate(sorted(set(dom_val)))}
+    row_of = {c: r for r, c in enumerate(sorted(set().union(*domains)))}
     blocked = [[1] * nv for _ in row_of]
     # rows[v][pos]: the block counts of the colour at position pos of v's domain
     rows = []
-    for v in range(nv):
-        own = [blocked[row_of[dom_val[s]]] for s in range(dom_off[v], dom_off[v + 1])]
+    for v, dom in enumerate(domains):
+        own = [blocked[row_of[c]] for c in dom]
         for row in own:
             row[v] = 0
         rows.append(own)
     sizes = [len(own) for own in rows]
     dmax = max(sizes)
-    nbrs = [adj[adj_off[v]:adj_off[v + 1]] for v in range(nv)]
     d = max(map(len, nbrs))
     step = d + 1                       # one available colour in a key
     assigned_off = (dmax + 1) * step
@@ -138,7 +139,7 @@ def search(nv, dom_off, dom_val, adj_off, adj, uniform, node_budget, deadline):
         if pos > top:
             top = pos
         if len(trail) == nv:
-            return FOUND, [dom_off[v] + pos_of[v] for v in range(nv)], nodes
+            return FOUND, [domains[v][pos_of[v]] for v in range(nv)], nodes
 
 
 def _undo(ws, row, key, d):

@@ -74,31 +74,6 @@ class EnumerationBudgetExceeded(IncolourError):
     """The canonical list enumeration outgrew its budget."""
 
 
-def _flatten(g: Graph, lists: ListAssignment):
-    """The kernel's inputs ``(nv, dom_off, dom_val, adj_off, adj, uniform)``.
-
-    The adjacency arrays are built once per graph and cached on it (the
-    kernel only reads them).  ``uniform`` is true when every list equals
-    the first one; the tuple comparison stops at the first unequal list.
-    """
-    if "kernel_adjacency" not in g._cache:
-        adj_off = [0]
-        adj: list[int] = []
-        for ids in incidence_neighbour_ids(g):
-            adj.extend(ids)
-            adj_off.append(len(adj))
-        g._cache["kernel_adjacency"] = (adj_off, adj)
-    adj_off, adj = g._cache["kernel_adjacency"]
-    nv = len(adj_off) - 1
-    dom_off = [0]
-    dom_val: list[int] = []
-    for i in range(nv):
-        dom_val.extend(sorted(lists[i]))
-        dom_off.append(len(dom_val))
-    uniform = nv > 0 and lists.lists == (lists[0],) * nv
-    return nv, dom_off, dom_val, adj_off, adj, uniform
-
-
 def solve_list_colouring(
     g: Graph,
     lists: ListAssignment,
@@ -111,12 +86,14 @@ def solve_list_colouring(
     before being handed back.
     """
     check_lists_cover(g, lists)
-    nv, dom_off, dom_val, adj_off, adj, uniform = _flatten(g, lists)
+    domains = [sorted(l) for l in lists.lists]
+    # the tuple comparison stops at the first list unequal to the first
+    uniform = bool(domains) and lists.lists == (lists[0],) * len(domains)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
-    status, slots, nodes = kernel.search(
-        nv, dom_off, dom_val, adj_off, adj, uniform, cfg.node_budget, deadline)
+    status, colours, nodes = kernel.search(
+        domains, incidence_neighbour_ids(g), uniform, cfg.node_budget, deadline)
     if status == kernel.FOUND:
-        colouring = IncidenceColouring({i: dom_val[slots[i]] for i in range(nv)})
+        colouring = IncidenceColouring(dict(enumerate(colours)))
         verdict = validate_colouring(g, lists, colouring)
         if not verdict.ok:  # pragma: no cover - kernel soundness guard
             raise IncolourError(f"kernel produced an invalid colouring: {verdict.violation}")

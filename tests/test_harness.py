@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from incolour import harness
 from incolour.families import FamilySpec, gen_basic
 from incolour.graphs import InputError
 from incolour.harness import (
@@ -246,3 +247,24 @@ def test_regression_table():
 def test_regression_budget_marks_unknown():
     report = regression_chi(SolverConfig(node_budget=2))
     assert report.unknowns and not report.ok
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": -3}, {"trials": 0}, {"instances": ()}])
+def test_campaign_rejects_running_no_trial(kwargs):
+    with pytest.raises(InputError):
+        FuzzCampaign(**{"instances": (FamilySpec("cycle", {"n": 5}),), **kwargs})
+
+
+@pytest.mark.parametrize("k, universe", [(0, None), (-2, 5), (4, 3), (None, 4)])
+def test_campaign_rejects_bad_list_size_before_any_trial(monkeypatch, k, universe):
+    # the cycle's guaranteed bound is 3 and the grid's 6, so a universe of
+    # 4 fits the first instance and fails only the second
+    ran = []
+    monkeypatch.setattr(harness, "_run_trial", ran.append)
+    campaign = FuzzCampaign(
+        instances=(FamilySpec("cycle", {"n": 6}), FamilySpec("grid", {"m": 4, "n": 3})),
+        trials=2, k=k, universe=universe,
+    )
+    with pytest.raises(InputError, match="universe >= k >= 1"):
+        run_campaign(campaign)
+    assert ran == []

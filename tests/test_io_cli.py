@@ -220,3 +220,59 @@ def test_cli_config_error_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["fuzz", "--family", "grid", "--pre", "--trials", "1",
                              "--out", out])
     assert r.exit_code == 2 and "corona instances only" in r.output, r.output
+
+
+# (subcommand, the option that reads the malformed file, its content, a
+# phrase the error names); the other files are a valid 4-cycle
+MALFORMED_FILES = [
+    ("construct", "--pre", {"pre": 5}, "'pre' must be a JSON array"),
+    ("solve", "--lists", {"lists": [[1, 2]]}, "'lists' must be a JSON object"),
+    ("solve", "--lists", {"lists": {**{str(i): [1, 2, 3] for i in range(8)}, "99": [1]}},
+     "unknown incidence id 99"),
+    ("solve", "--lists", {"lists": {**{str(i): [1, 2, 3] for i in range(8)}, "-1": [1]}},
+     "unknown incidence id -1"),
+    ("solve", "--lists", {"lists": {"one": [1, 2, 3]}}, "incidence ids must be integers"),
+    ("solve", "--lists", {"lists": {str(i): 3 for i in range(8)}}, "must be a JSON array"),
+    ("chi", "--graph", {"n": "3", "edges": [[0, 1]]}, "'n' must be an integer"),
+    ("chi", "--graph", {"n": 3, "edges": [[0, 1.5]]}, "'edges' must hold [a, b] pairs"),
+    ("chi", "--graph", {"n": 3, "edges": [[0, 1, 2]]}, "'edges' must hold [a, b] pairs"),
+    ("chi", "--graph", [1, 2], "a graph must be a JSON object"),
+    ("construct", "--from-spec", {"family": "cycle", "n": "4"}, "spec parameter 'n'"),
+    ("construct", "--from-spec", [1, 2], "a family spec must be an object"),
+    ("export-dot", "--colouring", {"assignment": [1]}, "'assignment' must be a JSON object"),
+    ("export-dot", "--colouring", {"assignment": {"0": 1.5}}, "the colour of incidence 0"),
+]
+
+
+@pytest.mark.parametrize("command, option, content, phrase", MALFORMED_FILES,
+                         ids=[f"{c[0]}{c[1]}-{i}" for i, c in enumerate(MALFORMED_FILES)])
+def test_cli_malformed_file_is_a_config_error(runner, tmp_path, command, option, content, phrase):
+    out = str(tmp_path)
+    r = runner.invoke(main, ["generate", "--family", "cycle", "--n", "4",
+                             "--k", "3", "--universe", "0", "--out", out])
+    assert r.exit_code == 0, r.output
+    bad = f"{out}/bad.json"
+    (tmp_path / "bad.json").write_text(json.dumps(content))
+    graph, lists, spec = (f"{out}/{name}.json" for name in ("graph", "lists", "spec"))
+    args = {
+        "solve": ["--graph", graph, "--lists", lists, "--out", out],
+        "chi": ["--graph", graph],
+        "construct": ["--from-spec", spec, "--lists", lists, "--out", out],
+        "export-dot": ["--graph", graph, "--out", out],
+    }[command]
+    if option in args:
+        args[args.index(option) + 1] = bad
+    else:
+        args += [option, bad]
+    r = runner.invoke(main, [command, *args])
+    assert r.exit_code == 2 and phrase in r.output, r.output
+    assert "configuration error" in r.output
+
+
+def test_cli_fuzz_rejects_campaigns_that_run_no_trial(runner, tmp_path):
+    out = str(tmp_path)
+    for bad in (["--trials", "-3"], ["--trials", "0"], ["--k", "0"],
+                ["--k", "4", "--universe", "3"], ["--universe", "2"]):
+        r = runner.invoke(main, ["fuzz", "--family", "cycle", *bad, "--out", out])
+        assert r.exit_code == 2 and "configuration error" in r.output, (bad, r.output)
+        assert "trials ok" not in r.output

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +81,42 @@ def test_solver_agrees_with_naive_oracle_on_dense_random_lists():
         nodes.append(res.nodes)
     assert unsat == [4, 19]   # both outcomes exercised
     assert nodes == DENSE_RANDOM_NODES
+
+
+# sha256 prefix of (status, nodes, sorted colouring) over the seeded sample
+# below, recorded while the kernel still read CSR-packed arrays
+SOLVER_DIGEST = "dcbd9e2b617c7b6c"
+
+
+def _solver_sample(count=100):
+    """Seeded random graphs, each solved with uniform and with mixed lists,
+    once without a budget and once with a node budget that cuts some
+    searches short."""
+    for seed in range(count):
+        g = gen_random_graph(5 + seed % 4, seed, density=0.4 + (seed % 3) * 0.1)
+        if not g.edges:
+            continue
+        d = g.max_degree
+        rng = random.Random(seed)
+        uniform = ListAssignment.uniform(g, d + seed % 3)
+        mixed = ListAssignment([rng.sample(range(1, d + 3), rng.randint(max(1, d - 1), d + 1))
+                                for _ in range(2 * len(g.edges))])
+        for lists in (uniform, mixed):
+            yield g, lists, None
+            yield g, lists, 20 + seed % 25
+
+
+def test_solver_matches_golden_digest():
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for g, lists, budget in _solver_sample():
+        res = solve_list_colouring(g, lists, SolverConfig(node_budget=budget))
+        colouring = sorted(res.colouring.items()) if res.colouring else None
+        h.update(f"{res.status}|{res.nodes}|{colouring}\n".encode())
+        outcomes[budget is not None, res.status] += 1
+    assert outcomes[True, UNKNOWN] > 0 and outcomes[False, UNKNOWN] == 0
+    assert outcomes[False, COLOURED] > 0 and outcomes[False, UNSATISFIABLE] > 0
+    assert h.hexdigest()[:16] == SOLVER_DIGEST
 
 
 def test_budget_yields_unknown_never_unsat():

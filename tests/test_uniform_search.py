@@ -3,7 +3,7 @@ every list is equal.
 
 The flag only caps the values the one search loop tries, so the kernel
 with the flag off is the reference: with the flag on it must reach the
-same status and the same slots whenever the reference decides, with no
+same status and the same colours whenever the reference decides, with no
 more nodes.  Being the same loop, the reference is not independent, so
 the flag-on verdicts are also checked against the naive list oracle.
 """
@@ -17,11 +17,10 @@ import pytest
 from conftest import hypercube, naive_satisfiable
 from incolour import kernel
 from incolour.families import gen_basic, gen_cycle_power, gen_grid, gen_random_graph
-from incolour.graphs import Graph, ListAssignment, validate_colouring
+from incolour.graphs import Graph, ListAssignment, incidence_neighbour_ids, validate_colouring
 from incolour.solver import (
     ChiUnknown,
     SolverConfig,
-    _flatten,
     incidence_chromatic_number,
     solve_list_colouring,
 )
@@ -33,8 +32,10 @@ def petersen() -> Graph:
     return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
 
 
-def _search(flat, uniform, node_budget=None):
-    return kernel.search(*flat[:5], uniform, node_budget, None)
+def _search(g, lists, uniform, node_budget=None):
+    """The kernel on ``lists`` with the uniform flag forced on or off."""
+    domains = [sorted(l) for l in lists.lists]
+    return kernel.search(domains, incidence_neighbour_ids(g), uniform, node_budget, None)
 
 
 @pytest.mark.parametrize("node_budget", [None, 40], ids=["unbudgeted", "budget-40"])
@@ -47,11 +48,11 @@ def test_flag_on_matches_flag_off(node_budget):
         if not g.edges:
             continue
         lists = ListAssignment.uniform(g, g.max_degree + seed % 3)
-        flat = _flatten(g, lists)
-        assert flat[5]
-        off = _search(flat, False, node_budget)
-        on = _search(flat, True, node_budget)
+        off = _search(g, lists, False, node_budget)
+        on = _search(g, lists, True, node_budget)
         assert on[2] <= off[2]
+        # the solver sets the flag on uniform lists
+        assert solve_list_colouring(g, lists, SolverConfig(node_budget=node_budget)).nodes == on[2]
         if on[0] != kernel.CUTOFF and len(g.edges) <= 10:
             # the naive oracle stays fast up to 10 edges
             assert (on[0] == kernel.FOUND) == naive_satisfiable(g, lists)
@@ -61,7 +62,7 @@ def test_flag_on_matches_flag_off(node_budget):
             assert on[:2] == off[:2]
         elif on[0] == kernel.FOUND:
             # the budget cut the oracle short: compare with its full run
-            assert on[1] == _search(flat, False)[1]
+            assert on[1] == _search(g, lists, False)[1]
     assert pruned > 0
     assert checked >= 85
 
@@ -70,9 +71,9 @@ def test_flag_on_matches_flag_off(node_budget):
 def test_flag_on_matches_flag_off_on_cycles(p):
     for n in range(3, 11):
         g, _ = gen_basic("cycle", n)
-        flat = _flatten(g, ListAssignment.uniform(g, p))
-        off = _search(flat, False)
-        on = _search(flat, True)
+        lists = ListAssignment.uniform(g, p)
+        off = _search(g, lists, False)
+        on = _search(g, lists, True)
         assert on[:2] == off[:2] and on[2] <= off[2]
 
 
@@ -87,8 +88,8 @@ WIDE_MIXED = [
 def test_wide_domains_match_flag_off():
     # wide lists: 130 colours each
     g, _ = gen_basic("complete", 4)
-    flat = _flatten(g, ListAssignment.uniform(g, 130))
-    assert _search(flat, True) == _search(flat, False)
+    lists = ListAssignment.uniform(g, 130)
+    assert _search(g, lists, True) == _search(g, lists, False)
     # unequal lists of very different sizes: every sixth list has 128-140
     # colours from 1..200, the rest 3-4 colours from 1..7
     got = []
@@ -100,8 +101,9 @@ def test_wide_domains_match_flag_off():
             else rng.sample(range(1, 8), rng.randint(3, 4))
             for i in range(2 * len(g.edges))
         ])
-        assert not _flatten(g, lists)[5]
         res = solve_list_colouring(g, lists)
+        # the solver leaves the flag off on unequal lists
+        assert res.nodes == _search(g, lists, False)[2]
         if res.colouring is not None:
             assert validate_colouring(g, lists, res.colouring).ok
         got.append((res.status, res.nodes))
@@ -115,28 +117,34 @@ def test_wide_domains_match_flag_off():
 ])
 def test_pinned_chi_and_flag_off_unsat_below_it(name, g, chi):
     assert incidence_chromatic_number(g) == chi
-    flat = _flatten(g, ListAssignment.uniform(g, chi - 1))
-    off = _search(flat, False)
-    on = _search(flat, True)
+    lists = ListAssignment.uniform(g, chi - 1)
+    off = _search(g, lists, False)
+    on = _search(g, lists, True)
     assert off[0] == on[0] == kernel.EXHAUSTED
     assert on[2] < off[2]
 
 
 def test_flag_needs_every_list_equal():
+    # Petersen at p=4 is unsatisfiable, and the capped search (flag on)
+    # exhausts it in fewer nodes, so the solver's node count shows the flag
     g = petersen()
     m = 2 * len(g.edges)
-    assert _flatten(g, ListAssignment.uniform(g, 4))[5]
+    uniform = ListAssignment.uniform(g, 4)
+    on = _search(g, uniform, True)
+    off = _search(g, uniform, False)
+    assert on[0] == off[0] == kernel.EXHAUSTED
+    assert on[2] < off[2]
+    assert solve_list_colouring(g, uniform).nodes == on[2]
     # equal lists built separately count as equal
-    assert _flatten(g, ListAssignment([[4, 3, 2, 1] for _ in range(m)]))[5]
+    separate = ListAssignment([[4, 3, 2, 1] for _ in range(m)])
+    assert solve_list_colouring(g, separate).nodes == on[2]
     for odd in (0, 1, m - 1):
         raw = [range(1, 5)] * m
         raw[odd] = [1, 2, 3, 5]
         lists = ListAssignment(raw)
-        flat = _flatten(g, lists)
-        assert not flat[5]
         res = solve_list_colouring(g, lists)
-        assert res.nodes == _search(flat, False)[2]
-        assert res.nodes > _search(_flatten(g, ListAssignment.uniform(g, 4)), True)[2]
+        assert res.nodes == _search(g, lists, False)[2]
+        assert res.nodes > on[2]
 
 
 def test_hypercube_chi_bracket_under_budget():
