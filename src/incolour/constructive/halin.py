@@ -341,13 +341,7 @@ def _colour_tree_first(painter: Painter, spec: FamilySpec) -> None:
     search (:meth:`Painter.finish_by_search`) on its reduced lists, in host
     incidence-id order; each cycle incidence keeps at least four colours,
     which always suffices on a cycle."""
-    # the tree spans every vertex, so its relabelling is the identity
-    tree, sub_lists, parent_ids = relabelled_subgraph(
-        painter.graph, painter.lists, spec.params["tree_edges"]
-    )
-    rep = colour_tree(tree, sub_lists)
-    for sub_id, col in sorted(rep.colouring.items()):
-        painter.paint(parent_ids[sub_id], col, "halin-tree")
+    _colour_tree_part(painter, spec.params["tree_edges"], "halin-tree")
     painter.finish_by_search("halin-outer-cycle")
 
 
@@ -455,31 +449,28 @@ def _colour_boundary(
     painter.greedy(painter.id_of(v[1], v[0]), "halin-boundary-close")
 
 
-def _component_through(tree: Graph, root: int, banned: int) -> list[int]:
-    seen = {root}
-    todo = [root]
-    while todo:
-        x = todo.pop()
-        for y in tree.adj[x]:
-            if y != banned and y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return sorted(seen)
-
-
 def _colour_subtree(painter: Painter, tree: Graph, u: int, w: int) -> None:
     """Extend the two already-painted incidences of the edge u-w over the
     maximal subtree hanging away from u."""
-    comp = set(_component_through(tree, w, u))
-    edges = [(x, y) for x, y in tree.edges if (x in comp and y in comp) or {x, y} == {u, w}]
-    sub, sub_lists, parent_ids = relabelled_subgraph(painter.graph, painter.lists, edges)
-    sub_pre = {}
-    back = {pid: sid for sid, pid in enumerate(parent_ids)}
-    for vert, other in ((u, w), (w, u)):
-        pid = painter.id_of(vert, other)
-        sub_pre[back[pid]] = painter.colour[pid]
-    rep = colour_tree(sub, sub_lists, pre=sub_pre)
-    for sid, col in sorted(rep.colouring.items()):
-        pid = parent_ids[sid]
-        if not painter.painted(pid):
-            painter.paint(pid, col, "halin-boundary-subtree")
+    edges = [(u, w)]
+    todo = [(w, u)]
+    while todo:
+        x, back = todo.pop()
+        for y in tree.adj[x]:
+            if y != back:
+                edges.append((x, y))
+                todo.append((y, x))
+    _colour_tree_part(painter, edges, "halin-boundary-subtree")
+
+
+def _colour_tree_part(painter: Painter, edges: Sequence[tuple[int, int]], tag: str) -> None:
+    """Colour the tree spanned by ``edges`` (host vertices) with
+    :func:`colour_tree`, extending the incidences already painted there, and
+    paint the rest into ``painter`` in host incidence-id order under
+    ``tag``."""
+    sub, sub_lists, host_of = relabelled_subgraph(painter.graph, painter.lists, edges)
+    pre = {s: painter.colour[h] for s, h in enumerate(host_of) if painter.painted(h)}
+    rep = colour_tree(sub, sub_lists, pre=pre)
+    for s, h in enumerate(host_of):
+        if not painter.painted(h):
+            painter.paint(h, rep.colouring[s], tag)

@@ -3,10 +3,13 @@ of pre-coloured incidences.
 
 With k pre-coloured incidences and every list of size at least
 ``max_degree + max(k, 1)``, a total colouring extending the pre-colouring
-always exists: peel pre-colours one colour class at a time (shrinking all
-lists by that colour), and solve the single-anchor base case by splitting
-at the anchor edge and colouring both sides root-to-leaves, where every
-step sees at most ``max_degree`` forbidden colours.
+always exists: peel pre-colours one colour class at a time, and solve the
+single-anchor base case by splitting at the anchor edge and colouring both
+sides root-to-leaves, where every step sees at most ``max_degree``
+forbidden colours.  All of it paints one :class:`Painter`: a peeled colour
+is withheld from every greedy choice below its level, and once the inner
+problem is solved the peeled class is unpainted and repainted in that
+colour.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from typing import Iterable, Mapping, Optional, Union
 from ..families import is_tree
 from ..graphs import (
     Graph,
-    IncidenceColouring,
     InputError,
     ListAssignment,
     check_lists_cover,
     incidence_adjacent,
     incidences,
 )
-from .report import ConstructiveReport, Painter, TraceStep
+from .report import ConstructiveReport, Painter
 
 PreColouring = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
@@ -56,49 +58,45 @@ def colour_tree(
             if ci == cj and incidence_adjacent(incs[i], incs[j]):
                 raise InputError(f"pre-coloured incidences {i}, {j} are adjacent and equal")
 
-    if m == 0:
-        return ConstructiveReport(colouring=IncidenceColouring({}), trace=())
-
-    events = _solve(g, list(lists.lists), pre_items)
     painter = Painter(g, lists)
-    for ev in events:
-        painter.paint(ev.incidence, ev.colour, ev.tag)
+    if m:
+        _solve(painter, pre_items, frozenset())
     return painter.report()
 
 
-def _solve(g: Graph, lists: list[frozenset[int]], pre: list[tuple[int, int]]) -> list[TraceStep]:
+def _solve(painter: Painter, pre: list[tuple[int, int]], drop: frozenset[int]) -> None:
+    """Extend ``pre`` over the tree, never choosing a colour of ``drop``."""
     if not pre:
-        anchor = 0
-        alpha = min(lists[anchor])
-        return _base(g, lists, anchor, alpha, "tree-anchor-free")
-    if len(pre) == 1:
+        alpha = min(painter.lists[0] - drop)
+        _base(painter, 0, alpha, "tree-anchor-free", drop)
+    elif len(pre) == 1:
         anchor, alpha = pre[0]
-        return _base(g, lists, anchor, alpha, "tree-anchor")
-    # peel the colour class of the highest-id pre-coloured incidence
-    alpha = pre[-1][1]
-    peeled = [i for i, c in pre if c == alpha]
-    rest = [(i, c) for i, c in pre if c != alpha]
-    inner = _solve(g, [l - {alpha} for l in lists], rest)
-    events = [ev for ev in inner if ev.incidence not in peeled]
-    events.extend(TraceStep(i, alpha, "tree-peel") for i in peeled)
-    return events
+        _base(painter, anchor, alpha, "tree-anchor", drop)
+    else:
+        # peel the colour class of the highest-id pre-coloured incidence
+        alpha = pre[-1][1]
+        peeled = [i for i, c in pre if c == alpha]
+        _solve(painter, [(i, c) for i, c in pre if c != alpha], drop | {alpha})
+        for i in peeled:
+            painter.unpaint(i)
+            painter.paint(i, alpha, "tree-peel")
 
 
 def _base(
-    g: Graph,
-    lists: list[frozenset[int]],
+    painter: Painter,
     anchor: int,
     alpha: int,
     anchor_tag: str,
-) -> list[TraceStep]:
+    drop: frozenset[int],
+) -> None:
     """Single pre-coloured incidence: fix the anchor edge, then colour all
     remaining incidences root-to-leaves starting from the anchor vertex."""
-    painter = Painter(g, ListAssignment(lists))
+    g = painter.graph
     inc = incidences(g)[anchor]
     x = inc.vertex
     y = inc.edge[0] if inc.edge[1] == x else inc.edge[1]
     painter.paint(anchor, alpha, anchor_tag)
-    painter.greedy(painter.id_of(y, x), "tree-anchor-mate")
+    painter.greedy(painter.id_of(y, x), "tree-anchor-mate", drop)
 
     parent: dict[int, Optional[int]] = {x: None}
     order = [x]
@@ -115,11 +113,10 @@ def _base(
         if p is not None:
             i = painter.id_of(v, p)
             if not painter.painted(i):
-                painter.greedy(i, "tree-topdown")
+                painter.greedy(i, "tree-topdown", drop)
         for w in g.adj[v]:
             if w == p:
                 continue
             i = painter.id_of(v, w)
             if not painter.painted(i):
-                painter.greedy(i, "tree-topdown")
-    return painter.trace
+                painter.greedy(i, "tree-topdown", drop)

@@ -480,8 +480,45 @@ def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     return g, spec
 
 
+def _int(value) -> bool:
+    return type(value) is int
+
+
+def _ints(value) -> bool:
+    return isinstance(value, tuple) and all(map(_int, value))
+
+
+def _int_pairs(value) -> bool:
+    return isinstance(value, tuple) and all(_ints(x) and len(x) == 2 for x in value)
+
+
+def _int_lists(value) -> bool:
+    return isinstance(value, tuple) and all(map(_ints, value))
+
+
+# the shape of each family parameter, checked in one pass per build so that
+# a spec with the wrong nesting fails as an InputError, not in a generator
+_PARAM_SHAPES = {
+    "n": (_int, "an integer"),
+    "m": (_int, "an integer"),
+    "p": (_int, "an integer"),
+    "size": (_int, "an integer"),
+    "seed": (_int, "an integer"),
+    "leaf_order": (_ints, "a list of integers"),
+    "tree_edges": (_int_pairs, "a list of integer pairs"),
+    "matching": (_int_pairs, "a list of integer pairs"),
+    "edges": (_int_pairs, "a list of integer pairs"),
+    "cycles": (_int_lists, "a list of integer lists"),
+}
+
+
 def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     f, p = spec.family, spec.params
+    for key, value in p.items():
+        shape = _PARAM_SHAPES.get(key)
+        if shape is not None and not shape[0](value):
+            raise InputError(f"spec parameter {key!r} must be {shape[1]}, "
+                             f"got {reprlib.repr(_thawed(value))}")
     if f in BASIC_FAMILIES:
         return gen_basic(f, p["n"])
     if f == "grid":
@@ -497,11 +534,16 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     if f == "cycle_power":
         return gen_cycle_power(p["n"], p["p"])
     if f == "cactus":
-        if "cycles" in p:
+        if "cycles" in p and not ("size" in p and "seed" in p):
             cycle_edge_set = set()
             for c in p["cycles"]:
                 cycle_edge_set.update(canon_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
             extra = [e for e in p.get("edges", []) if canon_edge(*e) not in cycle_edge_set]
             return gen_cactus(cycles=p["cycles"], extra_edges=extra)
-        return gen_cactus(size=p["size"], seed=p["seed"])
+        # a random cactus; once generated, its spec also lists the cycles and
+        # edges, which must be the ones its size and seed give
+        g, built = gen_cactus(size=p["size"], seed=p["seed"])
+        if any(p[key] != built.params[key] for key in ("cycles", "edges") if key in p):
+            raise InputError("cactus cycles and edges do not match its size and seed")
+        return g, built
     raise InputError(f"cannot generate family {f!r}")

@@ -45,12 +45,17 @@ def _pairs(data, what: str) -> list[tuple[int, int]]:
 
 
 def _incidence_ids(data: dict, m: int) -> list[int]:
-    """The incidence ids the keys of ``data`` name, each in ``0..m-1``."""
+    """The incidence ids the keys of ``data`` name, each in ``0..m-1`` and
+    written in plain decimal (``"01"`` or ``" 1"`` would name id 1 a second
+    time)."""
     try:
         ids = list(map(int, data))
     except ValueError:
         keys = reprlib.repr(list(data))
         raise GraphError(f"incidence ids must be integers, got {keys}") from None
+    if list(map(str, ids)) != list(data):
+        key = next(k for k, i in zip(data, ids) if k != str(i))
+        raise GraphError(f"incidence id {key!r} must be written {str(int(key))!r}")
     unknown = set(ids).difference(range(m))
     if unknown:
         raise GraphError(f"unknown incidence id {min(unknown)}")

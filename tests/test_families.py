@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incolour.catalogue import default_fuzz_instances, random_halin_spec, random_ham_cubic_specs
 from incolour.families import (
     FamilySpec,
     biconnected_components,
@@ -312,3 +313,22 @@ def test_corona_degrees(n, p):
     g, _ = gen_corona(n, p)
     degs = sorted({g.degree(v) for v in range(g.n)})
     assert degs == [1, p + 2]
+
+
+
+def test_generated_specs_round_trip_through_json():
+    """Every default fuzz instance and random Halin or Hamiltonian cubic
+    spec, once generated, reads back from its JSON as an equal spec with an
+    equal graph, so a replayed fuzz bundle names the instance it reports."""
+    families = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
+    specs = [s for f in families for s in default_fuzz_instances(f)]
+    specs += [random_halin_spec(n, seed) for n in range(1, 9) for seed in range(5)]
+    specs += random_ham_cubic_specs()
+    changed = []
+    for spec in specs:
+        g, spec = generate(spec)
+        data = json.loads(json.dumps(spec.to_json()))
+        g2, spec2 = generate(FamilySpec.from_json(data))
+        if spec2 != spec or g2 != g or spec2.to_json() != data:
+            changed.append(spec)
+    assert changed == []

@@ -73,6 +73,12 @@ def test_neighbourhood_sizes():
     assert len(incidence_neighbourhood(inc, big)) == 10
 
 
+def test_neighbourhood_rejects_a_non_incidence():
+    p3, _ = gen_basic("path", 3)
+    with pytest.raises(GraphError, match="not an incidence"):
+        incidence_neighbourhood(Incidence(0, (0, 2)), p3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_neighbourhood_formula_random(seed, n):

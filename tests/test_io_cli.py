@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -276,3 +277,42 @@ def test_cli_fuzz_rejects_campaigns_that_run_no_trial(runner, tmp_path):
         r = runner.invoke(main, ["fuzz", "--family", "cycle", *bad, "--out", out])
         assert r.exit_code == 2 and "configuration error" in r.output, (bad, r.output)
         assert "trials ok" not in r.output
+
+
+# family specs whose leaves are integers but whose nesting is wrong
+MISNESTED_SPECS = [
+    ({"family": "halin", "tree_edges": [1, 2], "leaf_order": [0]},
+     "'tree_edges' must be a list of integer pairs"),
+    ({"family": "halin", "tree_edges": [[0, 1], [0, 2], [0, 3]], "leaf_order": [[1, 2], 3]},
+     "'leaf_order' must be a list of integers"),
+    ({"family": "cactus", "cycles": [3]}, "'cycles' must be a list of integer lists"),
+    ({"family": "cactus", "cycles": [[0, 1, 2]], "edges": [[0, 1, 3]]},
+     "'edges' must be a list of integer pairs"),
+    ({"family": "ham_cubic", "n": 8, "matching": [5]}, "'matching' must be a list of integer pairs"),
+    ({"family": "grid", "m": [4], "n": 3}, "'m' must be an integer"),
+    ({"family": "cactus", "size": 12, "seed": 0, "cycles": [[0, 1, 2]], "edges": []},
+     "do not match its size and seed"),
+]
+
+
+@pytest.mark.parametrize("content, phrase", MISNESTED_SPECS,
+                         ids=[s["family"] + str(i) for i, (s, _) in enumerate(MISNESTED_SPECS)])
+def test_cli_misnested_spec_is_a_config_error(runner, tmp_path, content, phrase):
+    (tmp_path / "spec.json").write_text(json.dumps(content))
+    r = runner.invoke(main, ["generate", "--from-spec", str(tmp_path / "spec.json"),
+                             "--out", str(tmp_path)])
+    assert r.exit_code == 2 and phrase in r.output, r.output
+    assert "configuration error" in r.output
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1"])
+def test_readers_reject_a_second_key_for_one_incidence(key):
+    c4, _ = gen_basic("cycle", 4)
+    lists = lists_to_json(c4, ListAssignment.uniform(c4, 3))
+    lists["lists"][key] = [9]
+    with pytest.raises(GraphError, match=re.escape(f"incidence id {key!r} must be written '1'")):
+        lists_from_json(c4, lists)
+    colouring = colouring_to_json(c4, IncidenceColouring({i: 1 for i in range(8)}))
+    colouring["assignment"][key] = 9
+    with pytest.raises(GraphError, match=re.escape(f"incidence id {key!r} must be written '1'")):
+        colouring_from_json(c4, colouring)

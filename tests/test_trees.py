@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_valid_report
-from incolour.constructive import colour_tree
-from incolour.families import gen_basic, gen_random_tree
+from incolour.catalogue import halin_specs, random_halin_spec
+from incolour.constructive import colour_tree, construct, required_halin_lists
+from incolour.families import gen_basic, gen_random_tree, generate
 from incolour.graphs import (
     Graph,
     InputError,
@@ -79,6 +83,14 @@ def test_rejects_bad_precolouring():
         colour_tree(t, lists, pre={i: 1, j: 1})    # adjacent, equal colours
 
 
+def test_rejects_precoloured_id_out_of_range():
+    t, _ = gen_basic("path", 3)                    # incidences 0..3
+    lists = ListAssignment.uniform(t, 4)
+    for i in (4, -1):
+        with pytest.raises(InputError, match=f"pre-coloured incidence {i} out of range"):
+            colour_tree(t, lists, pre={i: 1})
+
+
 def test_two_precoloured_same_colour_far_apart():
     t, _ = gen_basic("path", 6)
     lists = ListAssignment.uniform(t, 4)           # degree 2 + k = 2
@@ -119,3 +131,74 @@ def test_random_trees_with_random_lists(n, seed, extra_pre):
         pre[cand] = colour
     rep = colour_tree(t, lists, pre=pre)
     assert_valid_report(t, lists, rep, expect=pre)
+
+
+# sha256 prefix of the tree procedure's traces: colour_tree under nested
+# peels, and the Halin steps that paint sub-trees through it (the whole
+# inner tree, and the sub-trees hanging off a boundary path)
+TREE_PAINT_DIGEST = "269b02468f61b895"
+
+
+def _pre_colouring(t, lists, k, rng):
+    """Up to ``k`` pre-colours on random incidences, reusing a colour
+    already placed whenever it fits, so colour classes repeat."""
+    incs = incidences(t)
+    pre = {}
+    for i in rng.sample(range(len(incs)), min(k, len(incs))):
+        fits = [c for c in sorted(lists[i])
+                if all(pc != c or not incidence_adjacent(incs[i], incs[j])
+                       for j, pc in pre.items())]
+        reused = [c for c in fits if c in pre.values()]
+        if reused and rng.random() < 0.7:
+            pre[i] = rng.choice(reused)
+        elif fits:
+            pre[i] = rng.choice(fits)
+    return pre
+
+
+def _tree_runs():
+    rng = random.Random(0)
+    for run in range(300):
+        t, _ = gen_random_tree(1 + run % 14, run)
+        k = run % 6 if t.edges else 0
+        size = t.max_degree + max(k, 1)
+        lists = random_list_assignment(t, size, size + 2, run) if t.edges else ListAssignment([])
+        pre = _pre_colouring(t, lists, k, rng)
+        yield t, lists, pre, colour_tree(t, lists, pre=pre)
+    # every pre-colour in one class: the peel leaves no anchor, and the
+    # free anchor takes the smallest colour left after the dropped one
+    t, _ = gen_basic("path", 7)
+    lists = ListAssignment.uniform(t, 5)
+    pre = {2: 1, 7: 1, 11: 1}
+    yield t, lists, pre, colour_tree(t, lists, pre=pre)
+
+
+def _halin_runs():
+    specs = list(halin_specs())
+    specs += [random_halin_spec(n, seed) for n in range(2, 9) for seed in range(20)]
+    for spec in specs:
+        g, spec = generate(spec)
+        k = required_halin_lists(g, spec)
+        for seed, universe in ((0, 3 * k), (1, k + 2)):
+            yield spec, seed, construct(spec, random_list_assignment(g, k, universe, seed))
+
+
+def test_tree_painting_matches_golden_digest():
+    h = hashlib.sha256()
+    nested = subtrees = 0
+    for t, lists, pre, rep in _tree_runs():
+        assert_valid_report(t, lists, rep, expect=pre)
+        colours = [c for _, c in sorted(pre.items())]
+        nested += len([c for c in colours if c != colours[-1]]) >= 2
+        h.update(f"tree n={t.n} edges={t.edges} pre={sorted(pre.items())}\n".encode())
+        for step in rep.trace:
+            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+    anchor = next(s for s in rep.trace if s.tag == "tree-anchor-free")
+    assert anchor.colour == 2 and [s.tag for s in rep.trace[-3:]] == ["tree-peel"] * 3
+    for spec, seed, rep in _halin_runs():
+        subtrees += any(s.tag == "halin-boundary-subtree" for s in rep.trace)
+        h.update(f"{spec.params['tree_edges']}|{spec.params['leaf_order']}|seed={seed}\n".encode())
+        for step in rep.trace:
+            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+    assert nested > 0 and subtrees > 0
+    assert h.hexdigest()[:16] == TREE_PAINT_DIGEST
