@@ -3,21 +3,25 @@ most one cycle) that are neither trees nor cycles.
 
 Contracting each cycle gives a tree of units.  Units are processed from a
 chosen first cycle so that every later unit touches exactly one coloured
-unit: each cycle unit, together with all neighbours of its cycle, embeds
-into a generalized corona (padded with phantom pendants) and is coloured
-by the corona procedure, with the single already-coloured connecting edge
-playing the pre-coloured pendant edge; each remaining vertex is finished
-greedily, seeing at most max_degree coloured adjacent incidences.
+unit: each cycle unit, together with all neighbours of its cycle, is a
+generalized corona with rows of up to p pendants, and the corona procedure
+colours it in place on the cactus, with the single already-coloured
+connecting edge playing the pre-coloured pendant edge (a vertex with fewer
+than p pendants simply has nothing to paint in the missing slots); each
+remaining vertex is finished greedily, seeing at most max_degree coloured
+adjacent incidences.  A stuck cycle unit raises: there is no exact-search
+fallback inside a cactus.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Optional
 
-from ..families import cactus_cycles, gen_corona, is_connected
-from ..graphs import Graph, InputError, ListAssignment, incidences
-from .coronae import paint_corona_instance
+from ..families import cactus_cycles, is_connected
+from ..graphs import Graph, InputError, ListAssignment
+from .coronae import paint_cycle_unit
 from .report import ConstructiveReport, Painter
 
 
@@ -67,13 +71,9 @@ def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
 
     start_unit = ("cyc", _pick_start(g, cycles))
     order, parent_edge = _unit_order(g, unit_of, start_unit)
-    # phantom incidences take private colours above every list colour
-    fresh = max((max(l) for l in lists.lists), default=0) + 1
-    k_block = lists.min_size()
-
     for unit in order:
         if unit[0] == "cyc":
-            _paint_cycle_unit(painter, cycles[unit[1]], parent_edge.get(unit), fresh, k_block)
+            _paint_cycle_unit(painter, cycles[unit[1]], parent_edge.get(unit))
         else:
             _paint_normal_vertex(painter, unit[1])
     return painter.report()
@@ -133,65 +133,23 @@ def _paint_normal_vertex(painter: Painter, v: int) -> None:
             painter.greedy(i, "cactus-normal")
 
 
-def _paint_cycle_unit(
-    painter: Painter, cycle: list[int], connector, fresh: int, k_block: int
-) -> None:
-    """Colour all incidences touching this cycle through an embedded corona
-    instance (phantom pendants pad every vertex to a common count; phantom
-    incidence ``kid`` gets the ``k_block`` colours from
-    ``fresh + kid * k_block``)."""
+def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:
+    """Colour all incidences touching this cycle by the corona procedure on
+    the host painter; the connecting edge (x, y), x on the cycle and both
+    its incidences already painted, is the first pendant edge of x."""
     g = painter.graph
-    n = len(cycle)
-    in_cycle = set(cycle)
-
+    ring = cycle
     if connector is not None:
-        x, y = connector  # x on the cycle, (x,xy) and (y,yx) already painted
+        x, y = connector
         pos = cycle.index(x)
-        fwd = cycle[pos:] + cycle[:pos]
-        if fwd[1] > fwd[-1]:
-            fwd = [fwd[0]] + fwd[1:][::-1]
-        ring = fwd
-        pendants = []
-        for u in ring:
-            outs = sorted(w for w in g.adj[u] if w not in in_cycle)
-            if u == x:
-                outs = [y] + [w for w in outs if w != y]
-            pendants.append(outs)
-        pre = (
-            painter.colour[painter.id_of(x, y)],
-            painter.colour[painter.id_of(y, x)],
-        )
-    else:
-        ring = cycle
-        pendants = [sorted(w for w in g.adj[u] if w not in in_cycle) for u in ring]
-        pre = None
-
-    p = max(1, max(len(outs) for outs in pendants))
-    corona, _spec = gen_corona(n, p)
-
-    def host_vertex(kv: int) -> Optional[int]:
-        if kv < n:
-            return ring[kv]
-        i, j = divmod(kv - n, p)
-        return pendants[i][j] if j < len(pendants[i]) else None
-
-    host_ids: list[Optional[int]] = []
-    klists = []
-    for kid, inc in enumerate(incidences(corona)):
-        hv = host_vertex(inc.vertex)
-        other = inc.edge[0] if inc.edge[1] == inc.vertex else inc.edge[1]
-        hu = host_vertex(other)
-        if hv is None or hu is None:
-            host_ids.append(None)
-            klists.append(frozenset(range(fresh + kid * k_block, fresh + (kid + 1) * k_block)))
-        else:
-            hid = painter.id_of(hv, hu)
-            host_ids.append(hid)
-            klists.append(painter.lists[hid])
-
-    rep = paint_corona_instance(corona, n, p, ListAssignment(klists), pre)
-    for step in rep.trace:
-        hid = host_ids[step.incidence]
-        if hid is None or painter.painted(hid):
-            continue
-        painter.paint(hid, step.colour, f"cactus-{step.tag}")
+        ring = cycle[pos:] + cycle[:pos]
+        if ring[1] > ring[-1]:
+            ring = [ring[0]] + ring[1:][::-1]
+    in_cycle = set(cycle)
+    pendants = [sorted(w for w in g.adj[u] if w not in in_cycle) for u in ring]
+    if connector is not None:
+        pendants[0].remove(y)
+        pendants[0].insert(0, y)
+    start = len(painter.trace)
+    paint_cycle_unit(painter, ring, pendants)
+    painter.trace[start:] = [replace(s, tag=f"cactus-{s.tag}") for s in painter.trace[start:]]

@@ -12,13 +12,18 @@ The per-vertex pendant blocks additionally carry a local exhaustive
 completion: when the straight greedy order runs dry (possible at the
 stated list sizes only for the pre-coloured vertex with p >= 4), the block
 is redone as a tiny distinct-colour assignment search.  As a last resort
-the instance starts over from the pre-coloured pendant edge alone and is
-finished by :meth:`Painter.finish_by_search` (``corona-solver-fallback``).
+the procedure's steps are unpainted, leaving the pre-coloured pendant edge
+alone, and :meth:`Painter.finish_by_search` finishes the instance on the
+same painter (``corona-solver-fallback``).
+
+The procedure itself, :func:`paint_cycle_unit`, works on host vertices of
+any graph, so the cactus colouring runs it on each cycle unit in place;
+pendant rows shorter than p are allowed there.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..families import corona_pendant
 from ..graphs import (
@@ -68,17 +73,23 @@ def paint_corona_instance(
     lists: ListAssignment,
     pre: Optional[tuple[int, int]],
 ) -> ConstructiveReport:
-    """Run the corona procedure without re-checking the list bound (the
-    cactus colouring reuses it on embedded sub-coronae whose bounds are
-    governed by the cactus dispatch)."""
+    """Run the corona procedure without re-checking the list bound; if it
+    gets stuck, its steps are undone and exact search finishes the
+    instance from the pre-colours alone."""
     painter = Painter(g, lists)
+    if pre is not None:
+        down, up = pendant_edge_ids(g, n, p)
+        painter.paint(down, pre[0], "corona-pre")
+        painter.paint(up, pre[1], "corona-pre")
+    start = len(painter.trace)
     try:
-        _paint(painter, n, p, pre)
+        paint_cycle_unit(
+            painter, range(n),
+            [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)],
+        )
     except (StuckError, _GiveUp):
-        # start over from the pre-colours alone and finish by exact search
-        painter = Painter(g, lists)
-        if pre is not None:
-            _paint_pre(painter, n, p, pre)
+        for step in reversed(painter.trace[start:]):
+            painter.unpaint(step.incidence)
         painter.finish_by_search("corona-solver-fallback")
     return painter.report()
 
@@ -114,107 +125,113 @@ def _corona_pre(
     return pre[down], pre[up]
 
 
-def _paint(painter: Painter, n: int, p: int, pre: Optional[tuple[int, int]]) -> None:
+def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[int]]) -> None:
+    """Colour every unpainted incidence on the cycle ``ring`` (host vertices
+    in cycle order) and on the edges to ``pendants[i]``, the pendant
+    vertices of ``ring[i]``, with p = the longest pendant row.  When the
+    first pendant edge of ``ring[0]`` is already painted it plays the
+    pre-coloured pendant edge.  A missing pendant slot (a row shorter than
+    p) is never painted, and its list reads as empty where it guards a
+    choice."""
+    n = len(ring)
+    p = max(1, max(map(len, pendants)))
+
     def pend(i, j):
-        return corona_pendant(i, j, n, p)
+        return pendants[i][j - 1] if j <= len(pendants[i]) else None
 
     def iid(x, y):
-        return painter.id_of(x, y)
+        return None if x is None or y is None else painter.id_of(x, y)
 
     def lst(x, y):
-        return painter.lists[iid(x, y)]
+        i = iid(x, y)
+        return frozenset() if i is None else painter.lists[i]
 
-    seed = pre is not None or p <= 2
-    if seed:
-        if pre is not None:
-            a, b = pre
-            _paint_pre(painter, n, p, pre)
-        else:
-            a = min(lst(0, pend(0, 1)))
-            painter.paint(iid(0, pend(0, 1)), a, "corona-seed")
-            b = painter.greedy(iid(pend(0, 1), 0), "corona-seed")
+    down, up = iid(ring[0], pend(0, 1)), iid(pend(0, 1), ring[0])
+    pre = a = b = None
+    if down is not None and painter.painted(down):
+        pre = a, b = painter.colour[down], painter.colour[up]
+    elif p <= 2 and down is not None:
+        a = min(painter.lists[down])
+        painter.paint(down, a, "corona-seed")
+        b = painter.greedy(up, "corona-seed")
     if p <= 2:
-        _small(painter, n, p, a, b, iid, lst, pend)
+        _small(painter, ring, pendants, p, a, b, iid, lst, pend)
     else:
-        _large(painter, n, p, (a, b) if pre is not None else None, iid, lst, pend)
+        _large(painter, ring, pendants, p, pre, iid, lst, pend)
 
     # pendant externals, shared by both branches
     for i in range(n):
-        for j in range(1, p + 1):
-            t = iid(pend(i, j), i)
+        for w in pendants[i]:
+            t = iid(w, ring[i])
             if not painter.painted(t):
                 painter.greedy(t, "corona-external")
 
 
-def _paint_pre(painter: Painter, n: int, p: int, pre: tuple[int, int]) -> None:
-    down, up = pendant_edge_ids(painter.graph, n, p)
-    painter.paint(down, pre[0], "corona-pre")
-    painter.paint(up, pre[1], "corona-pre")
-
-
-def _cycle_walk(painter: Painter, n: int, iid, tag: str) -> None:
+def _cycle_walk(painter: Painter, ring: Sequence[int], iid, tag: str) -> None:
     """Complete the cycle incidences edge pair by edge pair, starting at
     the edge v0-v_{n-1}."""
-    order = [(0, n - 1), (n - 1, 0)]
-    for i in range(n - 1):
+    order = [(0, -1), (-1, 0)]
+    for i in range(len(ring) - 1):
         order.extend([(i, i + 1), (i + 1, i)])
     for x, y in order:
-        t = iid(x, y)
+        t = iid(ring[x], ring[y])
         if not painter.painted(t):
             painter.greedy(t, tag)
 
 
-def _small(painter, n, p, a, b, iid, lst, pend) -> None:
+def _small(painter, v, pendants, p, a, b, iid, lst, pend) -> None:
     if p == 2:
-        guard = lst(0, pend(0, 2))
-        pool = lst(n - 1, 0)
+        guard = lst(v[0], pend(0, 2))
+        pool = lst(v[-1], v[0])
         if not {a, b} <= guard:
             c = _least(pool - {a})
         elif b in pool:
             c = b
         else:
             c = _least(pool - guard)
-        painter.paint(iid(n - 1, 0), c, "corona-cycle-guard")
-    _cycle_walk(painter, n, iid, "corona-cycle")
-    if p == 2:
-        painter.greedy(iid(0, pend(0, 2)), "corona-internal")
-    for i in range(1, n):
-        for j in range(1, p + 1):
-            painter.greedy(iid(i, pend(i, j)), "corona-internal")
+        painter.paint(iid(v[-1], v[0]), c, "corona-cycle-guard")
+    _cycle_walk(painter, v, iid, "corona-cycle")
+    if pend(0, 2) is not None:
+        painter.greedy(iid(v[0], pend(0, 2)), "corona-internal")
+    for i in range(1, len(v)):
+        for w in pendants[i]:
+            painter.greedy(iid(v[i], w), "corona-internal")
 
 
-def _large(painter, n, p, pre_ab, iid, lst, pend) -> None:
+def _large(painter, v, pendants, p, pre_ab, iid, lst, pend) -> None:
+    n = len(v)
+
     def guard_list(i):
-        return lst(i, pend(i, p))
+        return lst(v[i], pend(i, p))
 
     alpha: dict[int, int] = {}
     if pre_ab is not None:
         a, b = pre_ab
-        c, d = _choose_cd(lst(1, 0), lst(n - 1, 0), guard_list(0), a, b)
-        painter.paint(iid(1, 0), c, "corona-cd")
-        painter.paint(iid(n - 1, 0), d, "corona-cd")
+        c, d = _choose_cd(lst(v[1], v[0]), lst(v[-1], v[0]), guard_list(0), a, b)
+        painter.paint(iid(v[1], v[0]), c, "corona-cd")
+        painter.paint(iid(v[-1], v[0]), d, "corona-cd")
 
         # externals of v1
-        left = lst(0, 1) - {a, b, c, d}
-        right = lst(2, 1) - ({c, d} if n == 3 else {c})
-        alpha[1] = _place_pair(painter, iid(0, 1), iid(2, 1), left, right, guard_list(1))
+        left = lst(v[0], v[1]) - {a, b, c, d}
+        right = lst(v[2], v[1]) - ({c, d} if n == 3 else {c})
+        alpha[1] = _place_pair(painter, iid(v[0], v[1]), iid(v[2], v[1]), left, right, guard_list(1))
 
         # externals of v_{n-1}
-        left = lst(0, n - 1) - {a, b, c, d, alpha[1]}
+        left = lst(v[0], v[-1]) - {a, b, c, d, alpha[1]}
         if n == 3:
             sub = {c, d, alpha[1]}
         elif n == 4:
             sub = {d, alpha[1]}
         else:
             sub = {d}
-        right = lst(n - 2, n - 1) - sub
+        right = lst(v[-2], v[-1]) - sub
         if d not in guard_list(n - 1):
             colour = _least(left)
-            painter.paint(iid(0, n - 1), colour, "corona-pass")
+            painter.paint(iid(v[0], v[-1]), colour, "corona-pass")
             alpha[n - 1] = colour
         else:
             alpha[n - 1] = _place_pair(
-                painter, iid(n - 2, n - 1), iid(0, n - 1), right, left, guard_list(n - 1),
+                painter, iid(v[-2], v[-1]), iid(v[0], v[-1]), right, left, guard_list(n - 1),
             )
         sweep = range(2, n - 1)
     else:
@@ -229,18 +246,17 @@ def _large(painter, n, p, pre_ab, iid, lst, pend) -> None:
             right_sub = {d} | {alpha[j] for j in (n - 3, n - 1) if j in alpha}
         else:
             right_sub = {alpha[j % n] for j in (i - 1, i + 1, i + 2) if (j % n) in alpha}
-        left = lst((i - 1) % n, i) - left_sub
-        right = lst((i + 1) % n, i) - right_sub
+        left = lst(v[i - 1], v[i]) - left_sub
+        right = lst(v[(i + 1) % n], v[i]) - right_sub
         alpha[i] = _place_pair(
-            painter, iid((i - 1) % n, i), iid((i + 1) % n, i), left, right, guard_list(i),
+            painter, iid(v[i - 1], v[i]), iid(v[(i + 1) % n], v[i]), left, right, guard_list(i),
         )
 
-    _cycle_walk(painter, n, iid, "corona-cycle")
+    _cycle_walk(painter, v, iid, "corona-cycle")
 
     for i in range(n):
-        start = 2 if (pre_ab is not None and i == 0) else 1
-        block = [iid(i, pend(i, j)) for j in range(start, p + 1)]
-        _paint_block(painter, block)
+        start = 1 if (pre_ab is not None and i == 0) else 0
+        _paint_block(painter, [iid(v[i], w) for w in pendants[i][start:]])
 
 
 def _place_pair(painter, left_id, right_id, left_pool, right_pool, guard) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from ..families import FamilySpec, halin_leaf_parents
+from ..families import FamilySpec
 from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .report import ConstructiveReport, Painter, relabelled_subgraph
 from .trees import colour_tree
@@ -166,7 +166,7 @@ def required_halin_lists(g: Graph, spec: FamilySpec) -> int:
     delta = g.max_degree
     if _is_k4(g):
         return 6
-    if delta == 5 or (_tree_is_star(spec) and delta == 4):
+    if delta == 5 or (_tree_is_star(g, spec) and delta == 4):
         return 7
     if delta in (3, 4):
         return 6
@@ -184,14 +184,15 @@ def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> Construc
     painter = Painter(g, lists)
     if _is_k4(g):
         _colour_k4(painter, (0, 1, 2, 3))
-    elif _tree_is_star(spec) or g.max_degree >= 6:
+    elif _tree_is_star(g, spec) or g.max_degree >= 6:
         _colour_tree_first(painter, spec)
     else:
         leaves = spec.params["leaf_order"]
-        parents = halin_leaf_parents(spec)
+        tree = Graph(g.n, spec.params["tree_edges"])
+        parents = [tree.adj[v][0] for v in leaves]
         start = _two_block_boundary(parents)
         if start is not None:
-            _colour_boundary(painter, spec, leaves, parents, start)
+            _colour_boundary(painter, tree, leaves, parents, start)
         elif lists.min_size() >= max(g.max_degree + 1, 7):
             _colour_tree_first(painter, spec)
         else:
@@ -205,10 +206,8 @@ def _is_k4(g: Graph) -> bool:
     return g.n == 4 and len(g.edges) == 6
 
 
-def _tree_is_star(spec: FamilySpec) -> bool:
-    leaf_count = len(spec.params["leaf_order"])
-    nt = max(max(e) for e in spec.params["tree_edges"]) + 1
-    return nt - leaf_count == 1
+def _tree_is_star(g: Graph, spec: FamilySpec) -> bool:
+    return g.n == len(spec.params["leaf_order"]) + 1
 
 
 def _two_block_boundary(parents: list[int]) -> Optional[int]:
@@ -366,17 +365,15 @@ def _tree_path(tree: Graph, s: int, t: int) -> list[int]:
 
 def _colour_boundary(
     painter: Painter,
-    spec: FamilySpec,
+    tree: Graph,
     leaf_order: Sequence[int],
     parents: list[int],
     start: int,
 ) -> None:
-    g = painter.graph
     k = len(leaf_order)
     v = leaf_order[start - 1:] + leaf_order[:start - 1]
     t = parents[start - 1:] + parents[:start - 1]
     # now t[0] != t[1], t[-1] == t[0], t[2] == t[1]
-    tree = Graph(g.n, spec.params["tree_edges"])
 
     def lst(x, y):
         return painter.lists[painter.id_of(x, y)]

@@ -188,14 +188,6 @@ def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) ->
     return g, spec
 
 
-def halin_leaf_parents(spec: FamilySpec) -> list[int]:
-    """For each leaf v_i of a Halin spec, its unique tree neighbour t_i."""
-    tree_edges = spec.params["tree_edges"]
-    nt = max(max(e) for e in tree_edges) + 1
-    tree = Graph(nt, tree_edges)
-    return [tree.adj[v][0] for v in spec.params["leaf_order"]]
-
-
 def corona_pendant(i: int, j: int, n: int, p: int) -> int:
     """Id of pendant vertex ``v_i^j`` of the corona C_n . pK_1 (1 <= j <= p)."""
     return n + i * p + (j - 1)

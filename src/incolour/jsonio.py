@@ -10,6 +10,7 @@ library."""
 from __future__ import annotations
 
 import reprlib
+from itertools import chain
 from typing import Optional
 
 from .families import FamilySpec
@@ -95,8 +96,11 @@ def lists_from_json(g: Graph, data: dict) -> ListAssignment:
     lists = _object(data["lists"], "'lists'")
     raw = dict(zip(_incidence_ids(lists, 2 * len(g.edges)), lists.values()))
     bad = next((i for i, colours in raw.items() if not isinstance(colours, list)), None)
+    if bad is None and not set(map(type, chain.from_iterable(raw.values()))) <= {int}:
+        # a JSON boolean would pass as the colour 0 or 1
+        bad = next(i for i, colours in raw.items() if any(type(c) is not int for c in colours))
     if bad is not None:
-        raise GraphError(f"the list of incidence {bad} must be a JSON array, "
+        raise GraphError(f"the list of incidence {bad} must be a JSON array of integers, "
                          f"got {reprlib.repr(raw[bad])}")
     return ListAssignment.from_dict(g, raw)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import assert_valid_report
@@ -96,3 +98,26 @@ def test_deterministic():
     r1 = colour_cactus(g, lists)
     r2 = colour_cactus(g, lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
+
+
+# sha256 prefix of colour_cactus traces over the census rows and 40 random
+# cactuses, list seeds 0-2 at universes k+1 and 3k
+CACTUS_TRACE_DIGEST = "c83ad14171fb74ec"
+
+
+def test_cactus_traces_match_golden_digest():
+    h = hashlib.sha256()
+    runs = 0
+    for spec in cactus_row_specs() + random_cactus_specs(count=40, seed=0):
+        g, spec = generate(spec)
+        k = cactus_bound(g)
+        for seed in range(3):
+            for universe in (k + 1, 3 * k):
+                lists = random_list_assignment(g, k, universe, seed)
+                rep = colour_cactus(g, lists)
+                assert_valid_report(g, lists, rep)
+                runs += 1
+                for step in rep.trace:
+                    h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+    assert runs == 270
+    assert h.hexdigest()[:16] == CACTUS_TRACE_DIGEST

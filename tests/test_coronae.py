@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from conftest import assert_valid_report
-from incolour.constructive import construct, corona_bound
+from incolour.constructive import construct, corona_bound, guaranteed_bound
+from incolour.constructive.coronae import paint_corona_instance
 from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
-from incolour.harness import random_list_assignment
+from incolour.harness import corona_pre_pair, random_list_assignment
 
 
 def pendant_edge_ids(n, p):
@@ -150,8 +152,6 @@ def test_pendant_squeeze_at_the_exact_bound():
 def test_solver_fallback_on_adversarial_lists():
     """Below-bound lists that defeat the procedure but stay satisfiable are
     finished by exact search and tagged as such."""
-    from incolour.constructive.coronae import paint_corona_instance
-
     n, p = 3, 1
     g, _ = gen_corona(n, p)
     rich = ListAssignment.uniform(g, 9)
@@ -174,3 +174,36 @@ def test_deterministic():
     r1 = construct(corona(4, 2), lists, pre)
     r2 = construct(corona(4, 2), lists, pre)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
+
+
+# sha256 prefix of paint_corona_instance traces one colour below the bound,
+# where the procedure often gives up and exact search finishes the instance
+CORONA_FALLBACK_DIGEST = "7297157666f9188f"
+
+
+def test_corona_fallback_matches_golden_digest():
+    h = hashlib.sha256()
+    fallbacks = fallbacks_pre = matched = 0
+    for n in (3, 4, 5):
+        for p in (1, 2, 3, 4):
+            spec = corona(n, p)
+            g, down, up = pendant_edge_ids(n, p)
+            for pre in (False, True):
+                bound = guaranteed_bound(spec, pre)
+                for seed in range(6):
+                    lists = random_list_assignment(g, bound - 1, bound + 1, seed)
+                    pair = None
+                    if pre:
+                        chosen = corona_pre_pair(g, spec, lists, seed)
+                        pair = (chosen[down], chosen[up])
+                    rep = paint_corona_instance(g, n, p, lists, pair)
+                    assert_valid_report(g, lists, rep)
+                    tags = {s.tag for s in rep.trace}
+                    fallbacks += "corona-solver-fallback" in tags
+                    fallbacks_pre += pre and "corona-solver-fallback" in tags
+                    matched += "corona-pendant-matched" in tags
+                    h.update(f"n={n} p={p} pre={pair} seed={seed}\n".encode())
+                    for step in rep.trace:
+                        h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+    assert (fallbacks, fallbacks_pre, matched) == (24, 7, 4)
+    assert h.hexdigest()[:16] == CORONA_FALLBACK_DIGEST

@@ -18,7 +18,7 @@ from incolour.constructive import (
 )
 from incolour.constructive import _as_halin
 from incolour.families import FamilySpec, generate
-from incolour.graphs import InputError, ListAssignment, incidence_id
+from incolour.graphs import Graph, InputError, ListAssignment, incidence_id
 from incolour.harness import random_list_assignment
 
 
@@ -62,6 +62,23 @@ def test_k4_triple_oracle_random():
         brute = [t for t in itertools.product(sorted(A), sorted(B), sorted(C))
                  if k4_triple_valid(t, A, B, C, target)]
         assert triple in brute
+
+
+def test_boundary_route_builds_the_inner_tree_once(monkeypatch):
+    spec = halin_specs()[2]  # the caterpillar: two-block boundary route
+    g, spec = generate(spec)
+    lists = ListAssignment.uniform(g, required_halin_lists(g, spec))
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    rep = construct(spec, lists)
+    assert any(s.tag == "halin-boundary-pick" for s in rep.trace)
+    assert built == [g.n]
 
 
 def test_halin_boundary_common_branch():

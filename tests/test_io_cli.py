@@ -242,6 +242,10 @@ MALFORMED_FILES = [
     ("construct", "--from-spec", [1, 2], "a family spec must be an object"),
     ("export-dot", "--colouring", {"assignment": [1]}, "'assignment' must be a JSON object"),
     ("export-dot", "--colouring", {"assignment": {"0": 1.5}}, "the colour of incidence 0"),
+    ("solve", "--lists", {"lists": {str(i): [1, True, 2] for i in range(8)}},
+     "must be a JSON array of integers"),
+    ("solve", "--lists", {"lists": {str(i): [True] if i == 5 else [1, 2, 3] for i in range(8)}},
+     "the list of incidence 5 must be a JSON array of integers"),
 ]
 
 
