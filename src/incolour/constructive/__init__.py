@@ -35,7 +35,7 @@ __all__ = [
 
 
 def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """List incidence colouring of the cycle ``g = C_n`` via exact search.
+    """List incidence colouring of the cycle ``g = C_n`` by ring transfer.
 
     Three colours per list suffice exactly when n is divisible by 3, four
     always do; smaller lists are rejected up front.
@@ -44,7 +44,7 @@ def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport
     if lists.min_size() < required:
         raise InputError(f"cycle of order {n} needs lists of size >= {required}")
     painter = Painter(g, lists)
-    painter.finish_by_search("cycle-solver")
+    painter.paint_ring(range(n), "cycle-dp")
     return painter.report()
 
 

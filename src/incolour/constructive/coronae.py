@@ -11,10 +11,9 @@ then completed greedily and the pendant incidences follow.
 The per-vertex pendant blocks additionally carry a local exhaustive
 completion: when the straight greedy order runs dry (possible at the
 stated list sizes only for the pre-coloured vertex with p >= 4), the block
-is redone as a tiny distinct-colour assignment search.  As a last resort
-the procedure's steps are unpainted, leaving the pre-coloured pendant edge
-alone, and :meth:`Painter.finish_by_search` finishes the instance on the
-same painter (``corona-solver-fallback``).
+is redone as a tiny distinct-colour assignment search.  There is no
+exact-search fallback: a run that still gets stuck raises
+(:class:`StuckError` or ``_GiveUp``), as a stuck cactus unit does.
 
 The procedure itself, :func:`paint_cycle_unit`, works on host vertices of
 any graph, so the cactus colouring runs it on each cycle unit in place;
@@ -37,7 +36,7 @@ from .report import ConstructiveReport, Painter, StuckError
 
 
 class _GiveUp(IncolourError):
-    """Internal: a selector ran dry; the caller retries via exact search."""
+    """Internal: a selector ran dry."""
 
 
 def corona_bound(n: int, p: int, pre: bool) -> int:
@@ -73,24 +72,15 @@ def paint_corona_instance(
     lists: ListAssignment,
     pre: Optional[tuple[int, int]],
 ) -> ConstructiveReport:
-    """Run the corona procedure without re-checking the list bound; if it
-    gets stuck, its steps are undone and exact search finishes the
-    instance from the pre-colours alone."""
+    """Run the corona procedure without re-checking the list bound; a
+    stuck run raises :class:`StuckError` or ``_GiveUp``."""
     painter = Painter(g, lists)
     if pre is not None:
         down, up = pendant_edge_ids(g, n, p)
         painter.paint(down, pre[0], "corona-pre")
         painter.paint(up, pre[1], "corona-pre")
-    start = len(painter.trace)
-    try:
-        paint_cycle_unit(
-            painter, range(n),
-            [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)],
-        )
-    except (StuckError, _GiveUp):
-        for step in reversed(painter.trace[start:]):
-            painter.unpaint(step.incidence)
-        painter.finish_by_search("corona-solver-fallback")
+    rows = [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)]
+    paint_cycle_unit(painter, range(n), rows)
     return painter.report()
 
 

@@ -2,14 +2,14 @@
 
 Dispatch by shape: K4 has a bespoke 6-list procedure; wheels and every
 graph of maximum degree >= 6 are coloured tree-first (then the outer cycle
-is finished by :meth:`Painter.finish_by_search` on its reduced lists,
-which always have at least four colours); the remaining graphs, whose
-inner tree is not a star, use a two-block boundary of the outer cycle:
-five incidences around the boundary are fixed by a selector, the tree is
-completed around the path joining the two boundary parents, and the cycle
-is closed against the selector's guarantees.  Leaf orders with no such
-boundary go whole to the same exact-search step
-(``halin-solver-fallback``).
+is finished in leaf order by the exact ring transfer
+:meth:`Painter.paint_ring`, its lists keeping at least four colours); the
+remaining graphs, whose inner tree is not a star, use a two-block boundary
+of the outer cycle: five incidences around the boundary are fixed by a
+selector, the tree is completed around the path joining the two boundary
+parents, and the cycle is closed against the selector's guarantees.  Leaf
+orders with no such boundary go whole to exact search,
+:meth:`Painter.finish_by_search` (``halin-solver-fallback``).
 
 K4 and the boundary share one guarded-triple rule (:func:`choose_k4_triple`):
 three colours from three lists with at most one of them in a guard list.
@@ -336,12 +336,12 @@ def _k4_pattern_far(painter, v0, v1, v2, v3, lst) -> None:
 # ------------------------------------------------------- tree-first ---
 
 def _colour_tree_first(painter: Painter, spec: FamilySpec) -> None:
-    """Colour the inner tree greedily, then finish the outer cycle by exact
-    search (:meth:`Painter.finish_by_search`) on its reduced lists, in host
-    incidence-id order; each cycle incidence keeps at least four colours,
-    which always suffices on a cycle."""
+    """Colour the inner tree greedily, then the outer cycle by the exact
+    ring transfer (:meth:`Painter.paint_ring`) in leaf order; each cycle
+    incidence keeps at least four colours, which always suffices on a
+    cycle."""
     _colour_tree_part(painter, spec.params["tree_edges"], "halin-tree")
-    painter.finish_by_search("halin-outer-cycle")
+    painter.paint_ring(spec.params["leaf_order"], "halin-outer-cycle")
 
 
 # --------------------------------------------------------- boundary ---

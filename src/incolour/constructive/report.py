@@ -1,11 +1,12 @@
 """Shared machinery for the constructive colouring procedures: a painter
-that applies one colour at a time with full validity checks, and the
-replayable report it produces."""
+that applies one colour at a time with full validity checks (or a whole
+ring at once, exactly), and the replayable report it produces."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from itertools import product
+from typing import Collection, Iterable, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -15,7 +16,6 @@ from ..graphs import (
     check_lists_cover,
     incidence_id,
     incidence_neighbour_ids,
-    incidences,
 )
 from ..solver import solve_list_colouring
 
@@ -28,9 +28,8 @@ class TraceStep:
 
 
 class StuckError(IncolourError):
-    """A constructive step found its colour list exhausted (for
-    :meth:`Painter.finish_by_search`: a reduced list, or the whole
-    remainder).
+    """A constructive step found its colour list exhausted, or a ring or
+    graph coloured whole has no colouring.
 
     The procedures are guaranteed to finish at their stated list sizes,
     so any escape of this exception is a faithful bug report; the
@@ -127,38 +126,60 @@ class Painter:
                 del self.trace[pos]
                 break
 
-    def finish_by_search(self, tag: str) -> None:
-        """Colour every unpainted incidence by exact search and paint the
-        result in incidence-id order.
+    def paint_ring(self, ring: Sequence[int], tag: str) -> None:
+        """Colour the cycle ``ring`` exactly (its edges unpainted, all else
+        they see painted) in the order a_0, b_0, a_1, ..., with a_i =
+        (r_i, r_i r_{i+1}) and b_i = (r_{i+1}, r_{i+1} r_i), each adjacent to
+        the two before and the two after it.  The first start pair, in sorted
+        order, whose transfer sweep closes is painted; else StuckError."""
+        order = [self.id_of(*pair) for r, s in zip(ring, [*ring[1:], ring[0]])
+                 for pair in ((r, s), (s, r))]
+        # exact: only four ring neighbours block an incidence, so a colour
+        # outside its five least can always be swapped for one of them
+        lists = [self.free(i)[:5] for i in order]
+        for first, second in product(lists[0], lists[1]):
+            if first != second and (colours := _ring_sweep(lists, first, second)):
+                for i, c in zip(order, colours):
+                    self.paint(i, c, tag)
+                return
+        raise StuckError(order[0], tag, self.trace)
 
-        With nothing painted yet the search runs on the painter's own graph
-        and lists.  Otherwise it runs on the subgraph of the edges that
-        still have an unpainted incidence (relabelled in host id order):
-        painted incidences there keep their colour as a singleton list, the
-        others lose their painted neighbours' colours.  An emptied list or
-        a remainder with no colouring raises :class:`StuckError`."""
-        g, lists, host_of = self.graph, self.lists, range(len(self.neigh))
-        if self.colour:
-            reduced = [{self.colour[h]} if h in self.colour else self.lists[h] - self.forbidden(h)
-                       for h in host_of]
-            for h, left in enumerate(reduced):
-                if not left:
-                    raise StuckError(h, tag, self.trace)
-            incs = incidences(g)
-            edges = {incs[h].edge for h in host_of if h not in self.colour}
-            g, lists, host_of = relabelled_subgraph(g, ListAssignment(reduced), edges)
-        res = solve_list_colouring(g, lists)
+    def finish_by_search(self, tag: str) -> None:
+        """Colour the whole graph of an unpainted painter by exact search,
+        painting in incidence-id order, or raise :class:`StuckError`."""
+        res = solve_list_colouring(self.graph, self.lists)
         if not res.found:
-            raise StuckError(next(h for h in host_of if h not in self.colour), tag, self.trace)
-        for sub_id, h in enumerate(host_of):
-            if h not in self.colour:
-                self.paint(h, res.colouring[sub_id], tag)
+            raise StuckError(0, tag, self.trace)
+        for i in range(len(self.neigh)):
+            self.paint(i, res.colouring[i], tag)
 
     def report(self) -> ConstructiveReport:
         if len(self.colour) != len(self.neigh):
             missing = next(i for i in range(len(self.neigh)) if i not in self.colour)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
         return ConstructiveReport(IncidenceColouring(self.colour), tuple(self.trace))
+
+
+def _ring_sweep(lists: Sequence[list[int]], first: int, second: int) -> Optional[list[int]]:
+    """Ring colours from ``lists`` that start with ``first, second``, or
+    None.  The sweep runs on through the start pair again, so the ring
+    closes when that pair is reachable.  A layer maps each reachable colour
+    to at most two colours that can come before it: enough to find one
+    that differs from the colour after it."""
+    layers = [{second: (first,)}]
+    for options in [*lists[2:], [first], [second]]:
+        layer = {}
+        for s in options:
+            before = tuple([r for r, qs in layers[-1].items() if r != s and qs != (s,)][:2])
+            if before:
+                layer[s] = before
+        if not layer:
+            return None
+        layers.append(layer)
+    colours = [second, first]
+    for layer in reversed(layers[:-1]):
+        colours.append(next(q for q in layer[colours[-1]] if q != colours[-2]))
+    return colours[::-1][:-2]  # without the start pair swept again
 
 
 def relabelled_subgraph(
@@ -172,10 +193,5 @@ def relabelled_subgraph(
     verts = sorted({x for e in edges for x in e})
     remap = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(remap[x], remap[y]) for x, y in edges])
-    parent_of = [incidence_id(parent, verts[v], verts[u]) for v, u in _endpoints(sub)]
+    parent_of = [incidence_id(parent, verts[v], verts[u]) for v in range(sub.n) for u in sub.adj[v]]
     return sub, ListAssignment([parent_lists[p] for p in parent_of]), parent_of
-
-
-def _endpoints(g: Graph):
-    """``(v, u)`` for each incidence ``(v, vu)`` of ``g``, in id order."""
-    return ((v, u) for v in range(g.n) for u in g.adj[v])

@@ -258,11 +258,6 @@ class ListAssignment:
     def min_size(self) -> int:
         return min((len(l) for l in self.lists), default=0)
 
-    def restricted(self, drop: Iterable[int]) -> "ListAssignment":
-        """A copy with the given colours removed from every list."""
-        d = frozenset(drop)
-        return ListAssignment([l - d for l in self.lists])
-
 
 def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
     """Raise :class:`InputError` unless ``lists`` has one list per incidence."""
@@ -292,9 +287,6 @@ class IncidenceColouring:
 
     def items(self):
         return self.assignment.items()
-
-    def copy(self) -> "IncidenceColouring":
-        return IncidenceColouring(self.assignment)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ from incolour.harness import FuzzCampaign, corona_pre_pair, random_list_assignme
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
-# recorded when the exact search began breaking MRV ties by the DSatur
-# rule, which moves only the steps the search colours (`cycle-solver`,
-# `halin-outer-cycle`); the removal of the public per-family wrappers
-# before that left every trace unchanged
-TRACE_DIGEST = "0e3a9a8307065b6b"
+# recorded when cycles and tree-first Halin rims moved from exact search
+# to the ring transfer, which moves only the ring steps (`cycle-dp`, the
+# former `cycle-solver`, and `halin-outer-cycle`; NON_RING_DIGEST below
+# pins everything else)
+TRACE_DIGEST = "24d678d75534ebcc"
 
 
 def _golden_runs():
@@ -50,6 +50,43 @@ def test_construct_traces_match_golden_digest():
         runs += 1
     assert runs == 54
     assert h.hexdigest()[:16] == TRACE_DIGEST
+
+
+# the tags of the steps that paint a ring: a whole cycle, or a Halin rim
+# after its inner tree
+RING_TAGS = {"cycle-solver", "cycle-dp", "halin-outer-cycle"}
+
+# sha256 prefix of the runs behind TRACE_DIGEST, TREE_FIRST_DIGEST and
+# TREE_PAINT_DIGEST with each run's ring steps reduced to the sorted ids
+# they paint: the colours a ring takes may change, nothing else may
+NON_RING_DIGEST = "55054e3872537917"
+
+
+def test_non_ring_steps_match_golden_digest():
+    from test_halin import _tree_first_runs
+    from test_trees import _halin_runs, _tree_runs
+
+    runs = [(f"{json.dumps(spec.to_json(), sort_keys=True)}|pre={pre}|seed={seed}", rep)
+            for spec, pre, seed, rep in _golden_runs()]
+    runs += [(f"tree-first seed={seed}", rep) for seed, rep in _tree_first_runs()]
+    runs += [(f"tree edges={t.edges} pre={sorted(pre.items())}", rep)
+             for t, _, pre, rep in _tree_runs()]
+    runs += [(f"{spec.params['tree_edges']}|{spec.params['leaf_order']}|seed={seed}", rep)
+             for spec, seed, rep in _halin_runs()]
+    h = hashlib.sha256()
+    ring_runs = 0
+    for label, report in runs:
+        h.update(f"{label}\n".encode())
+        ring = []
+        for step in report.trace:
+            if step.tag in RING_TAGS:
+                ring.append(step.incidence)
+            else:
+                h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+        h.update(f"ring={sorted(ring)}\n".encode())
+        ring_runs += bool(ring)
+    assert ring_runs > 0
+    assert h.hexdigest()[:16] == NON_RING_DIGEST
 
 
 # one spec for every family that construct accepts

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from conftest import assert_valid_report
-from incolour.constructive import construct, corona_bound, guaranteed_bound
-from incolour.constructive.coronae import paint_corona_instance
+from incolour.constructive import StuckError, construct, corona_bound, guaranteed_bound
+from incolour.constructive.coronae import _GiveUp, paint_corona_instance
 from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import corona_pre_pair, random_list_assignment
+from incolour.solver import solve_list_colouring
 
 
 def pendant_edge_ids(n, p):
@@ -146,12 +147,11 @@ def test_pendant_squeeze_at_the_exact_bound():
     assert_valid_report(g, la, rep)
     tags = {s.tag for s in rep.trace}
     assert "corona-pendant-matched" in tags
-    assert "corona-solver-fallback" not in tags
 
 
-def test_solver_fallback_on_adversarial_lists():
-    """Below-bound lists that defeat the procedure but stay satisfiable are
-    finished by exact search and tagged as such."""
+def test_stuck_on_adversarial_lists():
+    """Below-bound lists that defeat the procedure raise, although they
+    stay satisfiable: there is no exact-search fallback."""
     n, p = 3, 1
     g, _ = gen_corona(n, p)
     rich = ListAssignment.uniform(g, 9)
@@ -160,10 +160,9 @@ def test_solver_fallback_on_adversarial_lists():
     crafted = list(rich.lists)
     crafted[incidence_id(g, 1, corona_pendant(1, 1, n, p))] = frozenset({gamma})
     lists = ListAssignment(crafted)
-    rep = paint_corona_instance(g, n, p, lists, None)
-    assert {s.tag for s in rep.trace} == {"corona-solver-fallback"}
-    from incolour.graphs import validate_colouring
-    assert validate_colouring(g, lists, rep.colouring).ok
+    assert solve_list_colouring(g, lists).found
+    with pytest.raises((StuckError, _GiveUp)):
+        paint_corona_instance(g, n, p, lists, None)
 
 
 def test_deterministic():
@@ -177,13 +176,15 @@ def test_deterministic():
 
 
 # sha256 prefix of paint_corona_instance traces one colour below the bound,
-# where the procedure often gives up and exact search finishes the instance
-CORONA_FALLBACK_DIGEST = "7297157666f9188f"
+# where the procedure often gets stuck; a stuck run hashes one marker line
+# (recorded when stuck runs still ended in an exact-search fallback, whose
+# steps the marker replaced; the counts are unchanged)
+CORONA_FALLBACK_DIGEST = "e1bb8f652388abcd"
 
 
 def test_corona_fallback_matches_golden_digest():
     h = hashlib.sha256()
-    fallbacks = fallbacks_pre = matched = 0
+    stuck = stuck_pre = matched = 0
     for n in (3, 4, 5):
         for p in (1, 2, 3, 4):
             spec = corona(n, p)
@@ -196,14 +197,17 @@ def test_corona_fallback_matches_golden_digest():
                     if pre:
                         chosen = corona_pre_pair(g, spec, lists, seed)
                         pair = (chosen[down], chosen[up])
-                    rep = paint_corona_instance(g, n, p, lists, pair)
-                    assert_valid_report(g, lists, rep)
-                    tags = {s.tag for s in rep.trace}
-                    fallbacks += "corona-solver-fallback" in tags
-                    fallbacks_pre += pre and "corona-solver-fallback" in tags
-                    matched += "corona-pendant-matched" in tags
                     h.update(f"n={n} p={p} pre={pair} seed={seed}\n".encode())
+                    try:
+                        rep = paint_corona_instance(g, n, p, lists, pair)
+                    except (StuckError, _GiveUp):
+                        stuck += 1
+                        stuck_pre += pre
+                        h.update(b"stuck\n")
+                        continue
+                    assert_valid_report(g, lists, rep)
+                    matched += "corona-pendant-matched" in {s.tag for s in rep.trace}
                     for step in rep.trace:
                         h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-    assert (fallbacks, fallbacks_pre, matched) == (24, 7, 4)
+    assert (stuck, stuck_pre, matched) == (24, 7, 4)
     assert h.hexdigest()[:16] == CORONA_FALLBACK_DIGEST

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import assert_valid_report
-from incolour.constructive import construct
-from incolour.families import FamilySpec, gen_basic
-from incolour.graphs import InputError, ListAssignment
+import incolour.kernel
+from conftest import assert_valid_report, naive_satisfiable
+from incolour.catalogue import default_fuzz_instances, random_halin_spec
+from incolour.constructive import Painter, StuckError, construct, guaranteed_bound
+from incolour.families import FamilySpec, gen_basic, generate
+from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import random_list_assignment
+from incolour.solver import solve_list_colouring
 
 
 def test_c6_three_colour_lists():
@@ -14,7 +19,7 @@ def test_c6_three_colour_lists():
     lists = ListAssignment.uniform(g, 3)
     rep = construct(FamilySpec("cycle", {"n": 6}), lists)
     assert_valid_report(g, lists, rep)
-    assert all(step.tag == "cycle-solver" for step in rep.trace)
+    assert all(step.tag == "cycle-dp" for step in rep.trace)
 
 
 def test_c5_four_colour_lists():
@@ -36,3 +41,92 @@ def test_random_lists_at_the_bound(n):
     for trial in range(40):
         lists = random_list_assignment(g, k, 3 * k, trial)
         assert_valid_report(g, lists, construct(FamilySpec("cycle", {"n": n}), lists))
+
+
+def _random_lists(g, sizes, rng):
+    """Most lists take s colours of s + 1, for one size s per call; one in
+    four takes any size from ``sizes`` out of eight colours."""
+    s = rng.choice(sizes)
+    return ListAssignment([rng.sample(range(1, s + 2), s) if rng.random() < 0.75
+                           else rng.sample(range(1, 9), rng.choice(sizes))
+                           for _ in range(2 * len(g.edges))])
+
+
+def _paint_ring(painter, ring):
+    """The painter's report after it paints ``ring``, checked, or None when
+    the ring is stuck."""
+    try:
+        painter.paint_ring(ring, "ring")
+    except StuckError:
+        return None
+    rep = painter.report()
+    assert_valid_report(painter.graph, painter.lists, rep)
+    return rep
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 4), (2, 3, 4, 5, 6, 7)], ids=["2-4", "2-7"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_paint_ring_decides_like_the_oracle(n, sizes):
+    g, _ = gen_basic("cycle", n)
+    rng = random.Random(n)
+    stuck = 0
+    for _ in range(100):
+        lists = _random_lists(g, sizes, rng)
+        coloured = _paint_ring(Painter(g, lists), range(n)) is not None
+        assert coloured == naive_satisfiable(g, lists)
+        stuck += not coloured
+    assert stuck > 0
+
+
+def test_paint_ring_reaches_the_fifth_least_colour():
+    """The four ring neighbours of an incidence hold its four least
+    colours, so only its fifth colour fits: the cut at five is exact and
+    no tighter cut is."""
+    g, _ = gen_basic("cycle", 4)
+    order = [incidence_id(g, *pair) for r in range(4)
+             for pair in ((r, (r + 1) % 4), ((r + 1) % 4, r))]
+    wanted = [{1}, {2}, {1, 2, 3, 4, 5}, {3}, {4}, {6, 7, 8}, {6, 7, 8}, {6, 7, 8}]
+    lists = ListAssignment([wanted[order.index(i)] for i in range(8)])
+    rep = _paint_ring(Painter(g, lists), range(4))
+    assert rep.colouring[order[2]] == 5
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_paint_ring_around_a_painted_hub(n):
+    """Wheel rims after every spoke incidence is painted: the ring transfer
+    sees the spoke colours and agrees with exact search on the whole wheel,
+    whose painted incidences keep their colour as a singleton list."""
+    g, _ = gen_basic("wheel", n)
+    spokes = [incidence_id(g, x, y) for i in range(n) for x, y in ((n, i), (i, n))]
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(30):
+        lists = _random_lists(g, (3, 4, 5, 6, 7), rng)
+        lists = ListAssignment([range(1, 3 * n + 4) if i in spokes else lists[i]
+                                for i in range(len(lists))])
+        painter = Painter(g, lists)
+        for i in spokes:
+            painter.greedy(i, "spoke")
+        fixed = ListAssignment([{painter.colour[i]} if i in spokes else lists[i]
+                                for i in range(len(lists))])
+        coloured = _paint_ring(painter, range(n)) is not None
+        assert coloured == solve_list_colouring(g, fixed).found
+        outcomes.add(coloured)
+    assert outcomes == {False, True}
+
+
+def test_rings_run_no_exact_search(monkeypatch):
+    """Cycles and tree-first Halin rims never reach the kernel."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact search in a ring step")
+
+    monkeypatch.setattr(incolour.kernel, "search", no_search)
+    specs = default_fuzz_instances("cycle")
+    specs += [FamilySpec("wheel", {"n": n}) for n in range(3, 9)]
+    specs += [random_halin_spec(150, seed) for seed in range(1, 6)]
+    for spec in specs:
+        g, spec = generate(spec)
+        k = guaranteed_bound(spec)
+        for seed in range(3):
+            lists = random_list_assignment(g, k, 3 * k, seed)
+            assert_valid_report(g, lists, construct(spec, lists))

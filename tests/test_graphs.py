@@ -218,7 +218,6 @@ def test_list_assignment_guards(k2):
         ListAssignment.from_dict(k2, {0: [1]})
     uni = ListAssignment.uniform(k2, 2)
     assert uni.min_size() == 2
-    assert uni.restricted([1]).lists == (frozenset({2}), frozenset({2}))
 
 
 def test_empty_and_edgeless_graphs():

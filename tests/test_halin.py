@@ -207,20 +207,26 @@ def test_big_delta_nonwheel_uses_tree_first():
     assert any(s.tag == "halin-tree" for s in rep.trace)
 
 
-# tree-first runs whose leaf orders are not increasing: the outer cycle's
-# search works in host incidence-id order, which these traces pin (the
-# Halin runs behind TRACE_DIGEST are wheels, whose leaf orders increase)
-TREE_FIRST_DIGEST = "3a104ef6fa16839b"
+# tree-first runs whose leaf orders are not increasing: the outer cycle is
+# painted in leaf order, no longer in host incidence-id order, which these
+# traces pin (the Halin runs behind TRACE_DIGEST are wheels, whose leaf
+# orders increase); re-pinned when the rim moved from exact search to the
+# ring transfer, which moves only the `halin-outer-cycle` steps
+TREE_FIRST_DIGEST = "a4115bd9a382002d"
 
 
-def test_tree_first_traces_match_golden_digest():
-    h = hashlib.sha256()
+def _tree_first_runs():
     for seed in range(1, 6):
         g, spec = generate(random_halin_spec(150, seed))
         leaves = list(spec.params["leaf_order"])
         assert leaves != sorted(leaves)
         k = required_halin_lists(g, spec)
-        rep = construct(spec, random_list_assignment(g, k, 3 * k, seed))
+        yield seed, construct(spec, random_list_assignment(g, k, 3 * k, seed))
+
+
+def test_tree_first_traces_match_golden_digest():
+    h = hashlib.sha256()
+    for seed, rep in _tree_first_runs():
         assert {s.tag for s in rep.trace} == {"halin-tree", "halin-outer-cycle"}
         h.update(f"seed={seed}\n".encode())
         for step in rep.trace:

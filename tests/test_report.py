@@ -5,7 +5,7 @@ import pytest
 from incolour.constructive import colour_tree
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic
-from incolour.graphs import IncolourError, ListAssignment, validate_colouring
+from incolour.graphs import IncidenceColouring, IncolourError, ListAssignment
 from incolour.harness import random_list_assignment
 from incolour.solver import solve_list_colouring
 
@@ -49,12 +49,10 @@ def test_replay_rejects_injected_conflict(coloured_star):
 
 def test_replay_rejects_trace_colouring_mismatch(coloured_star):
     g, lists, rep = coloured_star
-    other = rep.colouring.copy()
-    other.assignment[rep.trace[0].incidence] = 99
-    from incolour.graphs import IncidenceColouring
-
+    other = dict(rep.colouring.assignment)
+    other[rep.trace[0].incidence] = 99
     with pytest.raises(IncolourError):
-        ConstructiveReport(IncidenceColouring(other.assignment), rep.trace[1:]).replay(g, lists)
+        ConstructiveReport(IncidenceColouring(other), rep.trace[1:]).replay(g, lists)
 
 
 def test_painter_guards():
@@ -100,40 +98,13 @@ def test_finish_by_search_from_scratch_is_the_solver_colouring():
     assert painter.trace == [TraceStep(i, painter.colour[i], "s") for i in range(len(lists))]
 
 
-def test_finish_by_search_keeps_painted_incidences():
-    g, _ = gen_basic("wheel", 5)
-    lists = random_list_assignment(g, 7, 12, 1)
-    painter = Painter(g, lists)
-    for i in (0, 1, 2, 7, 11):
-        painter.greedy(i, "t")
-    before = list(painter.trace)
-    painter.finish_by_search("s")
-    assert painter.trace[:len(before)] == before
-    rest = painter.trace[len(before):]
-    assert [s.incidence for s in rest] == sorted(set(range(len(lists))) - {0, 1, 2, 7, 11})
-    assert {s.tag for s in rest} == {"s"}
-    rep = painter.report()
-    assert validate_colouring(g, lists, rep.colouring).ok
-    assert rep.replay(g, lists) == rep.colouring
-
-
-def test_finish_by_search_stuck_on_an_emptied_list():
-    g, _ = gen_basic("path", 3)
-    painter = Painter(g, ListAssignment([{1}, {1}, {2}, {3}]))
-    painter.paint(0, 1, "t")
-    with pytest.raises(StuckError) as err:
-        painter.finish_by_search("s")
-    assert (err.value.incidence, err.value.tag) == (1, "s")
-    assert err.value.trace == (TraceStep(0, 1, "t"),)
-
-
-@pytest.mark.parametrize("painted", [False, True])
-def test_finish_by_search_stuck_on_an_uncolourable_remainder(painted):
+def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     g, _ = gen_basic("cycle", 4)           # chi_i(C4) = 4
     painter = Painter(g, ListAssignment.uniform(g, 3))
-    if painted:
-        painter.paint(0, 1, "t")
     with pytest.raises(StuckError) as err:
-        painter.finish_by_search("s")
-    assert err.value.incidence == (1 if painted else 0)
-    assert len(painter.trace) == int(painted)
+        painter.paint_ring(range(4), "s")
+    assert (err.value.incidence, err.value.tag) == (0, "s")
+    assert painter.trace == []
+    with pytest.raises(StuckError) as err:  # the whole-graph search agrees
+        painter.finish_by_search("t")
+    assert (err.value.incidence, err.value.tag) == (0, "t")

@@ -135,8 +135,10 @@ def test_random_trees_with_random_lists(n, seed, extra_pre):
 
 # sha256 prefix of the tree procedure's traces: colour_tree under nested
 # peels, and the Halin steps that paint sub-trees through it (the whole
-# inner tree, and the sub-trees hanging off a boundary path)
-TREE_PAINT_DIGEST = "269b02468f61b895"
+# inner tree, and the sub-trees hanging off a boundary path); re-pinned
+# when tree-first Halin rims moved from exact search to the ring transfer,
+# which moves only their `halin-outer-cycle` steps
+TREE_PAINT_DIGEST = "3cb279709b54fd47"
 
 
 def _pre_colouring(t, lists, k, rng):
