@@ -89,6 +89,37 @@ def test_non_ring_steps_match_golden_digest():
     assert h.hexdigest()[:16] == NON_RING_DIGEST
 
 
+# sha256 prefix of the runs behind TRACE_DIGEST, NON_RING_DIGEST and
+# TREE_PAINT_DIGEST on graphs that are neither cycles nor Halin graphs
+# (wheels, K4 and the ham_cubic K4 count as Halin graphs): grids, trees,
+# coronae, cactuses and Hamiltonian cubic graphs of order >= 6; recorded
+# before the Halin rim transfer, which must leave all of them unchanged
+OTHER_FAMILIES_DIGEST = "89ebe089ea9a199a"
+
+
+def _cycle_or_halin(spec):
+    return (spec.family in ("cycle", "halin", "wheel", "complete")
+            or (spec.family == "ham_cubic" and spec.params["n"] == 4))
+
+
+def test_other_families_match_golden_digest():
+    from test_trees import _tree_runs
+
+    h = hashlib.sha256()
+    runs = 0
+    labelled = [(f"{json.dumps(spec.to_json(), sort_keys=True)}|pre={pre}|seed={seed}", rep)
+                for spec, pre, seed, rep in _golden_runs() if not _cycle_or_halin(spec)]
+    labelled += [(f"tree edges={t.edges} pre={sorted(pre.items())}", rep)
+                 for t, _, pre, rep in _tree_runs()]
+    for label, report in labelled:
+        h.update(f"{label}\n".encode())
+        for step in report.trace:
+            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+        runs += 1
+    assert runs == 33 + 301
+    assert h.hexdigest()[:16] == OTHER_FAMILIES_DIGEST
+
+
 # one spec for every family that construct accepts
 EVERY_FAMILY = [next(s for s in default_fuzz_instances(f) if s.family == f)
                 for f in FUZZ_FAMILIES] + [

@@ -22,9 +22,10 @@ from incolour.families import gen_corona
 from incolour.graphs import ListAssignment
 
 
-# sha256 prefix of the three guarded-triple selectors' values and case
-# strings on the seeded sample below
-SELECTOR_DIGEST = "1956b19ab6de253c"
+# sha256 prefix of the guarded-triple selectors' values and case strings on
+# the seeded sample below: the K4 triple and the Hamiltonian cubic boundary
+# (re-recorded over these two when the Halin boundary selector was deleted)
+SELECTOR_DIGEST = "66866a69e2aecac5"
 
 
 def _selector_sample(count=600, seed=0):
@@ -46,14 +47,12 @@ def _selector_sample(count=600, seed=0):
 def test_guarded_triple_selectors_match_golden_digest():
     h = hashlib.sha256()
     cases = Counter()
-    for A, B, C, D, E, g1, g2, gi in _selector_sample():
+    for A, B, C, D, E, g1, _, gi in _selector_sample():
         triple, k4_case = choose_k4_triple(C, D, E, gi)
         assert k4_triple_valid(triple, C, D, E, gi)
-        halin, halin_case = choose_halin_boundary(A, B, C, D, E, g1, g2, gi)
-        assert halin_boundary_valid(halin, A, B, C, D, E, g1, g2, gi)
         ham, ham_case = choose_ham_boundary(C, D, E, A, B, g1, gi)
         assert ham_boundary_valid(ham, A, B, C, D, E, g1, gi)
-        for values, case in ((triple, k4_case), (halin, halin_case), (ham, ham_case)):
+        for values, case in ((triple, k4_case), (ham, ham_case)):
             h.update(f"{values}|{case}\n".encode())
             cases[case] += 1
     assert set(cases) == {
