@@ -98,7 +98,8 @@ def random_halin_spec(n_internal: int, seed: int) -> FamilySpec:
 
 def halin_interleaved_spec() -> FamilySpec:
     """A Halin graph whose leaf order has no two adjacent parent runs of
-    length >= 2 (exercises the exact-search fallback path)."""
+    length >= 2, coloured by the same route, with no search, as every
+    other Halin graph."""
     return FamilySpec("halin", {
         "tree_edges": [
             [0, 1], [0, 2], [0, 3], [0, 4],

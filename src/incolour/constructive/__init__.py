@@ -11,24 +11,22 @@ from ..graphs import Graph, IncolourError, InputError, ListAssignment, check_lis
 from .cactus import cactus_bound, colour_cactus
 from .coronae import _colour_corona, corona_bound
 from .grids import _colour_grid, choose_grid_window, window_choice_valid
-from .halin import (
-    _colour_halin,
-    choose_halin_boundary,
+from .halin import K4_HALIN, _colour_halin, required_halin_lists
+from .hamcubic import (
+    _colour_hamiltonian_cubic,
+    choose_ham_boundary,
     choose_k4_triple,
-    halin_boundary_valid,
+    ham_boundary_valid,
     k4_triple_valid,
-    required_halin_lists,
 )
-from .hamcubic import _colour_hamiltonian_cubic, choose_ham_boundary, ham_boundary_valid
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
 from .trees import colour_tree
 
 __all__ = [
     "ConstructiveReport", "Painter", "StuckError", "TraceStep",
     "colour_tree", "colour_cactus",
-    "choose_grid_window", "choose_halin_boundary", "choose_k4_triple",
-    "choose_ham_boundary", "window_choice_valid", "halin_boundary_valid",
-    "k4_triple_valid", "ham_boundary_valid",
+    "choose_grid_window", "choose_k4_triple", "choose_ham_boundary",
+    "window_choice_valid", "k4_triple_valid", "ham_boundary_valid",
     "corona_bound", "cactus_bound", "required_halin_lists",
     "guaranteed_bound", "construct",
 ]
@@ -124,6 +122,5 @@ def _as_halin(spec: FamilySpec) -> FamilySpec:
         tree = [[i, n] for i in range(n)]
         return FamilySpec("halin", {"tree_edges": tree, "leaf_order": list(range(n))})
     if spec.family == "complete" and spec.params["n"] == 4:
-        tree = [[0, 3], [1, 3], [2, 3]]
-        return FamilySpec("halin", {"tree_edges": tree, "leaf_order": [0, 1, 2]})
+        return K4_HALIN
     raise InputError(f"family {spec.family!r} has no halin structure")

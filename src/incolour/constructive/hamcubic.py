@@ -1,12 +1,13 @@
 """Constructive list incidence colouring of Hamiltonian cubic graphs
 (a Hamilton cycle plus a perfect matching) from 6-colour lists.
 
-Order 4 is the complete graph and reuses its bespoke procedure.  Larger
-graphs rotate the cycle so vertex 0 is not matched two steps ahead, fix
-five incidences around the cycle edge v0-v1 with a selector, colour the
-matching, then close the cycle leaving the two guarded incidences last.
-The selector's (c, d, e) stage is the K4 guarded-triple rule of
-:func:`~incolour.constructive.halin.choose_k4_triple`.
+Order 4 is K4, coloured as the Halin graph it is (one route for every
+Halin graph, :mod:`~incolour.constructive.halin`).  Larger graphs rotate
+the cycle so vertex 0 is not matched two steps ahead, fix five incidences
+around the cycle edge v0-v1 with a selector, colour the matching, then
+close the cycle leaving the two guarded incidences last.  The selector's
+(c, d, e) stage is the guarded-triple rule :func:`choose_k4_triple`: three
+colours from three lists with at most one of them in a guard list.
 """
 
 from __future__ import annotations
@@ -15,8 +16,63 @@ from typing import Iterable
 
 from ..families import FamilySpec
 from ..graphs import Graph, IncolourError, InputError, ListAssignment
-from .halin import _CDE_CASE, _colour_k4, choose_k4_triple
+from .halin import K4_HALIN, _colour_halin
 from .report import ConstructiveReport, Painter
+
+
+def choose_k4_triple(
+    first: Iterable[int],
+    second: Iterable[int],
+    third: Iterable[int],
+    target: Iterable[int],
+) -> tuple[tuple[int, int, int], str]:
+    """Pick (a, b, c) from three 6-colour lists so that at most one of the
+    three values lies in ``target``."""
+    A, B, C = map(frozenset, (first, second, third))
+    target = frozenset(target)
+    common = sorted(A & B & C)
+    if common:
+        g = common[0]
+        return (g, g, g), "common"
+    pairs = (("ab", A & B), ("ac", A & C), ("bc", B & C))
+    for name, inter in pairs:
+        if inter:
+            g = min(inter)
+            if name == "ab":
+                other, pick = C, lambda x: (g, g, x)
+            elif name == "ac":
+                other, pick = B, lambda x: (g, x, g)
+            else:
+                other, pick = A, lambda x: (x, g, g)
+            if g in target:
+                x = min(other - target)  # other != target since g sits in target only
+            else:
+                x = min(other)
+            return pick(x), f"pair-{name}"
+    # pairwise disjoint: at most one of the three sets can equal the target
+    a = min(A - target) if A != target else min(A)
+    b = min(B - target) if B != target else min(B)
+    c = min(C - target) if C != target else min(C)
+    return (a, b, c), "disjoint"
+
+
+def k4_triple_valid(triple, first, second, third, target) -> bool:
+    a, b, c = triple
+    return (
+        a in first and b in second and c in third
+        and len(frozenset(target) & {a, b, c}) <= 1
+    )
+
+
+# the guarded-triple rule's case names as the ham boundary's (c, d, e)
+# stage reports them
+_CDE_CASE = {
+    "common": "cde-common",
+    "pair-ab": "cde-cd",
+    "pair-ac": "cde-ce",
+    "pair-bc": "cde-de",
+    "disjoint": "cde-disjoint",
+}
 
 
 def choose_ham_boundary(
@@ -30,9 +86,8 @@ def choose_ham_boundary(
 ) -> tuple[tuple[int, int, int, int, int], str]:
     """Pick (a, b, c, d, e) from 6-colour lists with a != c, a != e,
     b != d, at most one of {a, b} in ``guard_outer`` and at most one of
-    {c, d, e} in ``guard_inner``.  The (c, d, e) stage is the K4
-    guarded-triple rule, :func:`~.halin.choose_k4_triple` with
-    ``guard_inner`` as its target."""
+    {c, d, e} in ``guard_inner``.  The (c, d, e) stage is the guarded-triple
+    rule, :func:`choose_k4_triple` with ``guard_inner`` as its target."""
     C, D, E = map(frozenset, (list_c, list_d, list_e))
     A, B = frozenset(list_a), frozenset(list_b)
     guard_outer = frozenset(guard_outer)
@@ -80,10 +135,9 @@ def _colour_hamiltonian_cubic(
     if lists.min_size() < 6:
         raise InputError("hamiltonian cubic colouring needs lists of size >= 6")
     n = spec.params["n"]
-    painter = Painter(g, lists)
     if n == 4:
-        _colour_k4(painter, (0, 1, 2, 3))
-        return painter.report()
+        return _colour_halin(g, K4_HALIN, lists)
+    painter = Painter(g, lists)
 
     match = {}
     for u, w in spec.params["matching"]:

@@ -1,12 +1,13 @@
 """Shared machinery for the constructive colouring procedures: a painter
 that applies one colour at a time with full validity checks (or a whole
-ring at once, exactly), and the replayable report it produces."""
+ring at once, with the leaf ends of its spokes, by an exact polynomial
+transfer), and the replayable report it produces.  Nothing here searches
+exponentially: the constructive layer never calls the solver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -17,7 +18,6 @@ from ..graphs import (
     incidence_id,
     incidence_neighbour_ids,
 )
-from ..solver import solve_list_colouring
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class TraceStep:
 
 
 class StuckError(IncolourError):
-    """A constructive step found its colour list exhausted, or a ring or
-    graph coloured whole has no colouring.
+    """A constructive step found its colour list exhausted, or a ring
+    coloured whole has no colouring.
 
     The procedures are guaranteed to finish at their stated list sizes,
     so any escape of this exception is a faithful bug report; the
@@ -126,32 +126,37 @@ class Painter:
                 del self.trace[pos]
                 break
 
-    def paint_ring(self, ring: Sequence[int], tag: str) -> None:
-        """Colour the cycle ``ring`` exactly (its edges unpainted, all else
-        they see painted) in the order a_0, b_0, a_1, ..., with a_i =
-        (r_i, r_i r_{i+1}) and b_i = (r_{i+1}, r_{i+1} r_i), each adjacent to
-        the two before and the two after it.  The first start pair, in sorted
-        order, whose transfer sweep closes is painted; else StuckError."""
-        order = [self.id_of(*pair) for r, s in zip(ring, [*ring[1:], ring[0]])
-                 for pair in ((r, s), (s, r))]
-        # exact: only four ring neighbours block an incidence, so a colour
-        # outside its five least can always be swapped for one of them
-        lists = [self.free(i)[:5] for i in order]
-        for first, second in product(lists[0], lists[1]):
-            if first != second and (colours := _ring_sweep(lists, first, second)):
-                for i, c in zip(order, colours):
-                    self.paint(i, c, tag)
-                return
-        raise StuckError(order[0], tag, self.trace)
+    def paint_ring(self, ring: Sequence[int], tag: str,
+                   spokes: Optional[Mapping[int, int]] = None) -> None:
+        """Colour the cycle ``ring`` exactly: its edges unpainted, with
+        ``spokes`` also the incidence x_i = (r_i, r_i s_i) of each rim vertex
+        on its spoke to s_i = ``spokes[r_i]``, and all else they see painted.
 
-    def finish_by_search(self, tag: str) -> None:
-        """Colour the whole graph of an unpainted painter by exact search,
-        painting in incidence-id order, or raise :class:`StuckError`."""
-        res = solve_list_colouring(self.graph, self.lists)
-        if not res.found:
-            raise StuckError(0, tag, self.trace)
-        for i in range(len(self.neigh)):
-            self.paint(i, res.colouring[i], tag)
+        Block i is (x_i, a_i, b_i), with a_i = (r_i, r_i r_{i+1}) and b_i =
+        (r_{i+1}, r_{i+1} r_i), and no x_i without spokes.  A block sees
+        only the blocks before and after it, and only their (a, b): x_i
+        avoids a_{i-1} and b_{i-1}; a_i avoids a_{i-1}, b_{i-1} and x_i; b_i
+        avoids b_{i-1}, a_i and x_i; block 0 follows the last.  The blocks
+        are painted in order, x_i, a_i, b_i, from the first start block, in
+        sorted order, whose search closes the ring (:func:`_strip`); else
+        StuckError."""
+        ids = [(None if spokes is None else self.id_of(r, spokes[r]),
+                self.id_of(r, s), self.id_of(s, r))
+               for r, s in zip(ring, [*ring[1:], ring[0]])]
+        # exact: a spoke or a bare rim incidence has four ring neighbours and
+        # a rim incidence beside spokes six, so a colour outside its five (or
+        # seven) least free colours can always be swapped for one of them
+        cut = 5 if spokes is None else 7
+        lists = [([None] if x is None else self.free(x)[:5], self.free(a)[:cut],
+                  self.free(b)[:cut]) for x, a, b in ids]
+        for start in _blocks(*lists[0]):
+            if blocks := _strip(lists, start):
+                for block_ids, block in zip(ids, blocks):
+                    for i, c in zip(block_ids, block):
+                        if i is not None:
+                            self.paint(i, c, tag)
+                return
+        raise StuckError(ids[0][1], tag, self.trace)
 
     def report(self) -> ConstructiveReport:
         if len(self.colour) != len(self.neigh):
@@ -160,38 +165,32 @@ class Painter:
         return ConstructiveReport(IncidenceColouring(self.colour), tuple(self.trace))
 
 
-def _ring_sweep(lists: Sequence[list[int]], first: int, second: int) -> Optional[list[int]]:
-    """Ring colours from ``lists`` that start with ``first, second``, or
-    None.  The sweep runs on through the start pair again, so the ring
-    closes when that pair is reachable.  A layer maps each reachable colour
-    to at most two colours that can come before it: enough to find one
-    that differs from the colour after it."""
-    layers = [{second: (first,)}]
-    for options in [*lists[2:], [first], [second]]:
-        layer = {}
-        for s in options:
-            before = tuple([r for r, qs in layers[-1].items() if r != s and qs != (s,)][:2])
-            if before:
-                layer[s] = before
-        if not layer:
-            return None
-        layers.append(layer)
-    colours = [second, first]
-    for layer in reversed(layers[:-1]):
-        colours.append(next(q for q in layer[colours[-1]] if q != colours[-2]))
-    return colours[::-1][:-2]  # without the start pair swept again
+def _blocks(x_list, a_list, b_list, before=()):
+    """The blocks (x, a, b) from these lists that may follow a block ending
+    in ``before`` = (a, b), or start the ring when it is empty."""
+    return ((x, a, b) for x in x_list if x not in before
+            for a in a_list if a != x and a not in before
+            for b in b_list if b != x and b != a and b not in before[1:])
 
 
-def relabelled_subgraph(
-    parent: Graph,
-    parent_lists: ListAssignment,
-    edges: Collection[tuple[int, int]],
-) -> tuple[Graph, ListAssignment, list[int]]:
-    """Subgraph on the endpoints of ``edges`` with dense relabelled
-    vertices.  Returns the subgraph, its restricted lists, and the parent
-    incidence id of each sub incidence."""
-    verts = sorted({x for e in edges for x in e})
-    remap = {v: i for i, v in enumerate(verts)}
-    sub = Graph(len(verts), [(remap[x], remap[y]) for x, y in edges])
-    parent_of = [incidence_id(parent, verts[v], verts[u]) for v in range(sub.n) for u in sub.adj[v]]
-    return sub, ListAssignment([parent_lists[p] for p in parent_of]), parent_of
+def _strip(lists: Sequence[tuple], start: tuple) -> Optional[list[tuple]]:
+    """Blocks 0, 1, ... from ``lists`` that begin with ``start`` and close
+    the ring, or None.  A depth-first search appends a copy of ``start`` as
+    the block after the last, so reaching it closes the ring.  The future of
+    block i depends only on (a_i, b_i), so a state (i, a_i, b_i) found dead
+    is never entered again: at most 49 states per block, polynomial."""
+    steps = [*lists[1:], [[c] for c in start]]
+    path, dead = [start], set()
+    todo = [_blocks(*steps[0], start[1:])]
+    while todo:
+        for block in todo[-1]:
+            if (len(path), *block[1:]) not in dead:
+                path.append(block)
+                if len(path) > len(steps):
+                    return path[:-1]
+                todo.append(_blocks(*steps[len(path) - 1], block[1:]))
+                break
+        else:
+            todo.pop()
+            dead.add((len(path) - 1, *path.pop()[1:]))
+    return None

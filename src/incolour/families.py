@@ -170,7 +170,7 @@ def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) ->
     caller's responsibility and is not verified; the colouring algorithms
     only use the cyclic order and the leaf parents.
     """
-    nt = max(max(e) for e in tree_edges) + 1
+    nt = max((max(e) for e in tree_edges), default=0) + 1
     tree = Graph(nt, tree_edges)
     if len(tree.edges) != nt - 1 or not is_connected(tree):
         raise InputError("tree_edges do not describe a tree")
@@ -504,6 +504,19 @@ _PARAM_SHAPES = {
 }
 
 
+# the parameters each family needs; a cactus given its cycles needs no others
+_REQUIRED = {
+    **dict.fromkeys(BASIC_FAMILIES, ("n",)),
+    "grid": ("m", "n"),
+    "tree": ("n",),
+    "halin": ("tree_edges", "leaf_order"),
+    "corona": ("n", "p"),
+    "ham_cubic": ("n",),
+    "cycle_power": ("n", "p"),
+    "cactus": ("size", "seed"),
+}
+
+
 def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     f, p = spec.family, spec.params
     for key, value in p.items():
@@ -511,6 +524,10 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
         if shape is not None and not shape[0](value):
             raise InputError(f"spec parameter {key!r} must be {shape[1]}, "
                              f"got {reprlib.repr(_thawed(value))}")
+    if not (f == "cactus" and "cycles" in p):
+        for key in _REQUIRED[f]:
+            if key not in p:
+                raise InputError(f"a {f} spec needs the parameter {key!r}")
     if f in BASIC_FAMILIES:
         return gen_basic(f, p["n"])
     if f == "grid":

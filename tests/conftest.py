@@ -21,15 +21,20 @@ def assert_valid_report(g, lists, report, expect=None):
 
 def naive_satisfiable(g, lists):
     """Independent oracle: plain backtracking over per-incidence lists,
-    with adjacency from the pairwise ``incidence_adjacent`` and no forward
-    checking or availability counts.  The next incidence is the uncoloured
-    one with the most coloured neighbours (lowest id on ties); its colours
-    are tried in ascending order."""
+    with adjacency from the pairwise ``incidence_adjacent``, no
+    availability counts and a forward check: a colour stays only while
+    every uncoloured neighbour keeps a colour of its list that no coloured
+    neighbour of it holds.  The next incidence is the uncoloured one with
+    the most coloured neighbours (lowest id on ties); its colours are tried
+    in ascending order."""
     incs = incidences(g)
     m = len(incs)
     nbrs = [[j for j in range(m) if j != i and incidence_adjacent(incs[i], incs[j])]
             for i in range(m)]
     colour = [None] * m
+
+    def open_colour(w):
+        return any(c not in {colour[u] for u in nbrs[w]} for c in lists[w])
 
     def rec(left):
         if not left:
@@ -40,7 +45,7 @@ def naive_satisfiable(g, lists):
         for c in sorted(lists[i]):
             if c not in taken:
                 colour[i] = c
-                if rec(left - 1):
+                if all(open_colour(w) for w in nbrs[i] if colour[w] is None) and rec(left - 1):
                     return True
         colour[i] = None
         return False

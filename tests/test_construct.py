@@ -20,11 +20,13 @@ from incolour.harness import FuzzCampaign, corona_pre_pair, random_list_assignme
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
-# recorded when cycles and tree-first Halin rims moved from exact search
-# to the ring transfer, which moves only the ring steps (`cycle-dp`, the
-# former `cycle-solver`, and `halin-outer-cycle`; NON_RING_DIGEST below
-# pins everything else)
-TRACE_DIGEST = "24d678d75534ebcc"
+# re-pinned when every Halin graph (wheels and K4, also as ham_cubic n=4,
+# included) moved to one route, the inner tree and then the rim with its
+# spokes by the strip search of `Painter.paint_ring`: that moves the Halin
+# runs, and the cycles' colours, which the depth-first strip search picks
+# least first where the former sweep traced them back from the closing
+# pair; OTHER_FAMILIES_DIGEST below pins the other runs unchanged
+TRACE_DIGEST = "7e301c1b12b95c18"
 
 
 def _golden_runs():
@@ -58,8 +60,11 @@ RING_TAGS = {"cycle-solver", "cycle-dp", "halin-outer-cycle"}
 
 # sha256 prefix of the runs behind TRACE_DIGEST, TREE_FIRST_DIGEST and
 # TREE_PAINT_DIGEST with each run's ring steps reduced to the sorted ids
-# they paint: the colours a ring takes may change, nothing else may
-NON_RING_DIGEST = "55054e3872537917"
+# they paint: the colours a ring takes may change, nothing else may;
+# re-pinned when every Halin graph moved to one route, whose tree steps
+# paint only the internal incidences and whose ring steps now also paint
+# the leaf ends of the spokes
+NON_RING_DIGEST = "e6eba7f34bee290d"
 
 
 def test_non_ring_steps_match_golden_digest():

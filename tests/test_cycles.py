@@ -6,12 +6,18 @@ import pytest
 
 import incolour.kernel
 from conftest import assert_valid_report, naive_satisfiable
-from incolour.catalogue import default_fuzz_instances, random_halin_spec
+from incolour.catalogue import (
+    default_fuzz_instances,
+    halin_interleaved_spec,
+    ham_cubic_named,
+    random_halin_spec,
+)
 from incolour.constructive import Painter, StuckError, construct, guaranteed_bound
 from incolour.families import FamilySpec, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment, incidence_id
-from incolour.harness import random_list_assignment
+from incolour.harness import corona_pre_pair, random_list_assignment
 from incolour.solver import solve_list_colouring
+from test_construct import FUZZ_FAMILIES
 
 
 def test_c6_three_colour_lists():
@@ -115,18 +121,46 @@ def test_paint_ring_around_a_painted_hub(n):
     assert outcomes == {False, True}
 
 
+def interleaved_caterpillar(spine):
+    """A Halin graph of maximum degree 4 on a caterpillar: a path of
+    ``spine`` vertices, each inner one with a leaf above and a leaf below,
+    each end with three leaves; in the leaf order around the plane no two
+    adjacent parent runs both have length >= 2."""
+    edges = [[v, v + 1] for v in range(spine - 1)]
+    leaf = iter(range(spine, 4 * spine))
+    ends = {v: [next(leaf) for _ in range(3)] for v in (0, spine - 1)}
+    above = {v: next(leaf) for v in range(1, spine - 1)}
+    below = {v: next(leaf) for v in range(1, spine - 1)}
+    for v, leaves in [*ends.items(), *((v, [above[v], below[v]]) for v in above)]:
+        edges += [[v, w] for w in leaves]
+    order = ends[0] + [above[v] for v in range(1, spine - 1)] + ends[spine - 1]
+    order += [below[v] for v in range(spine - 2, 0, -1)]
+    return FamilySpec("halin", {"tree_edges": edges, "leaf_order": order})
+
+
 def test_rings_run_no_exact_search(monkeypatch):
-    """Cycles and tree-first Halin rims never reach the kernel."""
+    """No constructive run reaches the kernel: every family's default fuzz
+    instances (coronae also with the pendant edge pre-coloured), wheels,
+    K4 as a complete graph and as ham_cubic n=4, random Halin graphs, the
+    interleaved Halin graph at universes 6 to 18, and an interleaved
+    caterpillar with 400 spine vertices and 802 leaves."""
     def no_search(*args, **kwargs):
-        raise AssertionError("exact search in a ring step")
+        raise AssertionError("exact search in a constructive run")
 
     monkeypatch.setattr(incolour.kernel, "search", no_search)
-    specs = default_fuzz_instances("cycle")
-    specs += [FamilySpec("wheel", {"n": n}) for n in range(3, 9)]
+    runs = [(spec, pre, 3 * guaranteed_bound(spec, pre=pre), range(3))
+            for family in FUZZ_FAMILIES for spec in default_fuzz_instances(family)
+            for pre in ((False, True) if family == "corona" else (False,))]
+    specs = [FamilySpec("wheel", {"n": n}) for n in range(3, 9)]
+    specs += [FamilySpec("complete", {"n": 4}), ham_cubic_named()[0]]
     specs += [random_halin_spec(150, seed) for seed in range(1, 6)]
-    for spec in specs:
+    runs += [(spec, False, 3 * guaranteed_bound(spec), range(3)) for spec in specs]
+    runs += [(halin_interleaved_spec(), False, u, range(3)) for u in range(6, 19)]
+    runs += [(interleaved_caterpillar(400), False, 18, range(1))]
+    for spec, pre, universe, seeds in runs:
         g, spec = generate(spec)
-        k = guaranteed_bound(spec)
-        for seed in range(3):
-            lists = random_list_assignment(g, k, 3 * k, seed)
-            assert_valid_report(g, lists, construct(spec, lists))
+        k = guaranteed_bound(spec, pre=pre)
+        for seed in seeds:
+            lists = random_list_assignment(g, k, universe, seed)
+            pairs = corona_pre_pair(g, spec, lists, seed) if pre else None
+            assert_valid_report(g, lists, construct(spec, lists, pre=pairs), expect=pairs)

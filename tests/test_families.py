@@ -92,6 +92,31 @@ def test_halin_guards():
         gen_halin([[0, 1], [1, 2]], [0, 2])          # degree-2 vertex
     with pytest.raises(InputError):
         gen_halin([[0, 1], [0, 2], [0, 3]], [1, 2])  # not a leaf permutation
+    with pytest.raises(InputError, match="order >= 4"):
+        generate(FamilySpec("halin", {"tree_edges": [], "leaf_order": []}))
+
+
+# (family, the parameters given, the one missing)
+MISSING_PARAMETERS = [
+    *((f, {}, "n") for f in ("path", "cycle", "star", "wheel", "complete", "tree")),
+    ("grid", {"m": 4}, "n"),
+    ("grid", {"n": 4}, "m"),
+    ("halin", {"leaf_order": [1, 2, 3]}, "tree_edges"),
+    ("halin", {"tree_edges": [[0, 1], [0, 2], [0, 3]]}, "leaf_order"),
+    ("corona", {"n": 4}, "p"),
+    ("corona", {"p": 2}, "n"),
+    ("ham_cubic", {"seed": 1}, "n"),
+    ("cycle_power", {"n": 7}, "p"),
+    ("cactus", {"seed": 1}, "size"),
+    ("cactus", {"size": 12}, "seed"),
+]
+
+
+@pytest.mark.parametrize("family, params, missing", MISSING_PARAMETERS,
+                         ids=[f"{f}-{m}" for f, _, m in MISSING_PARAMETERS])
+def test_generate_names_a_missing_parameter(family, params, missing):
+    with pytest.raises(InputError, match=f"a {family} spec needs the parameter '{missing}'"):
+        generate(FamilySpec(family, params))
 
 
 def test_corona_labels():

@@ -6,13 +6,12 @@ import random
 
 import pytest
 
+import incolour.kernel
 from conftest import assert_valid_report
 from incolour.catalogue import halin_interleaved_spec, halin_specs, random_halin_spec
 from incolour.constructive import (
-    choose_halin_boundary,
     choose_k4_triple,
     construct,
-    halin_boundary_valid,
     k4_triple_valid,
     required_halin_lists,
 )
@@ -20,6 +19,10 @@ from incolour.constructive import _as_halin
 from incolour.families import FamilySpec, generate
 from incolour.graphs import Graph, InputError, ListAssignment, incidence_id
 from incolour.harness import random_list_assignment
+
+
+# the tags of every Halin run: the inner tree, then the rim with its spokes
+HALIN_TAGS = {"halin-tree", "halin-outer-cycle"}
 
 
 def wheel_as_halin(n):
@@ -64,8 +67,8 @@ def test_k4_triple_oracle_random():
         assert triple in brute
 
 
-def test_boundary_route_builds_the_inner_tree_once(monkeypatch):
-    spec = halin_specs()[2]  # the caterpillar: two-block boundary route
+def test_halin_route_builds_no_second_graph(monkeypatch):
+    spec = halin_specs()[2]  # the caterpillar
     g, spec = generate(spec)
     lists = ListAssignment.uniform(g, required_halin_lists(g, spec))
     built = []
@@ -77,32 +80,8 @@ def test_boundary_route_builds_the_inner_tree_once(monkeypatch):
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
     rep = construct(spec, lists)
-    assert any(s.tag == "halin-boundary-pick" for s in rep.trace)
-    assert built == [g.n]
-
-
-def test_halin_boundary_common_branch():
-    shared = frozenset(range(1, 7))
-    other = frozenset(range(1, 7))
-    vals, case = choose_halin_boundary(
-        other, other, shared, shared, shared, other, other, frozenset(range(20, 26)))
-    a, b, c, d, e = vals
-    assert c == d == e and case == "cde-common"
-
-
-def test_halin_boundary_oracle_random():
-    rng = random.Random(3)
-    for _ in range(1200):
-        pool = range(1, 13)
-        A, B, C, D, E, gl, gf, gi = [frozenset(rng.sample(pool, 6)) for _ in range(8)]
-        vals, case = choose_halin_boundary(A, B, C, D, E, gl, gf, gi)
-        assert halin_boundary_valid(vals, A, B, C, D, E, gl, gf, gi), (case, vals)
-        brute_found = False
-        for t in itertools.product(sorted(A), sorted(B), sorted(C), sorted(D), sorted(E)):
-            if halin_boundary_valid(t, A, B, C, D, E, gl, gf, gi):
-                brute_found = True
-                break
-        assert brute_found
+    assert {s.tag for s in rep.trace} == HALIN_TAGS
+    assert built == []
 
 
 # ------------------------------------------------------------ colouring ---
@@ -115,10 +94,11 @@ def test_k4_thousand_random_lists():
         assert_valid_report(g, lists, rep)
 
 
-def test_k4_every_branch_reachable():
-    """Crafted list assignments driving each schedule of the K4 procedure
-    (random lists over a 3k universe practically always share a colour
-    across the three source lists, so only the first case runs there)."""
+def test_k4_crafted_lists():
+    """The crafted list assignments that drove each schedule of the former
+    K4 case analysis (random lists over a 3k universe practically always
+    share a colour across the three lists at vertex 0's neighbours), as
+    inputs to the one Halin route."""
     g, spec = k4_spec()
     m = 12
 
@@ -144,11 +124,32 @@ def test_k4_every_branch_reachable():
             (1, 0): range(1, 7), (2, 0): range(7, 13), (3, 0): range(7, 13),
             (0, 1): range(20, 26)},
     }
-    for expected_tag, named in cases.items():
+    for named in cases.values():
         lists = build(named)
         rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
-        assert expected_tag in {s.tag for s in rep.trace}
+        assert {s.tag for s in rep.trace} == HALIN_TAGS
+
+
+def construct_with_boundary_lists(named):
+    """Colour the caterpillar with ``named`` placed on the eight incidences
+    around its two-block boundary, where the former boundary selector read
+    its lists A, B, C, D, E and its last, first and inner guards, and 6-lists
+    elsewhere; check the report and its tags."""
+    g, spec = generate(halin_specs()[2])
+    # leaves 4, 5 and 6 around the boundary, parents 0 and 1, leaf 3 before
+    places = [(3, 0), (4, 0), (4, 5), (1, 5), (6, 5), (3, 4), (4, 3), (5, 4)]
+    by_id = {incidence_id(g, *pair): colours for pair, colours in zip(places, named)}
+    lists = ListAssignment([by_id.get(i, range(1, 7)) for i in range(2 * len(g.edges))])
+    rep = construct(spec, lists)
+    assert_valid_report(g, lists, rep)
+    assert {s.tag for s in rep.trace} == HALIN_TAGS
+
+
+def test_halin_boundary_common_branch():
+    """The boundary lists share one colour across C, D and E: the crafted
+    input of the former selector's common branch, on the one route."""
+    construct_with_boundary_lists([range(1, 7)] * 7 + [range(20, 26)])
 
 
 def test_wheel_bounds():
@@ -176,16 +177,23 @@ def test_nonwheel_halins_six_lists():
             lists = random_list_assignment(g, 6, 18, trial)
             rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
-            assert not any("fallback" in s.tag for s in rep.trace)
+            assert {s.tag for s in rep.trace} == HALIN_TAGS
 
 
-def test_interleaved_leaf_order_falls_back_to_search():
-    spec = halin_interleaved_spec()
-    g, spec = generate(spec)
-    lists = random_list_assignment(g, 6, 18, 5)
-    rep = construct(spec, lists)
-    assert_valid_report(g, lists, rep)
-    assert any(s.tag == "halin-solver-fallback" for s in rep.trace)
+def test_interleaved_leaf_order_needs_no_search(monkeypatch):
+    """No two adjacent parent runs of length >= 2 here: the same route
+    colours it, at every universe from 6 to 18, and never searches."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact search in a Halin run")
+
+    monkeypatch.setattr(incolour.kernel, "search", no_search)
+    g, spec = generate(halin_interleaved_spec())
+    for universe in range(6, 19):
+        for seed in range(5):
+            lists = random_list_assignment(g, 6, universe, seed)
+            rep = construct(spec, lists)
+            assert_valid_report(g, lists, rep)
+            assert {s.tag for s in rep.trace} == HALIN_TAGS
 
 
 def test_big_delta_nonwheel_uses_tree_first():
@@ -204,15 +212,16 @@ def test_big_delta_nonwheel_uses_tree_first():
     lists = random_list_assignment(g, k, 3 * k, 1)
     rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
-    assert any(s.tag == "halin-tree" for s in rep.trace)
+    assert {s.tag for s in rep.trace} == HALIN_TAGS
 
 
-# tree-first runs whose leaf orders are not increasing: the outer cycle is
-# painted in leaf order, no longer in host incidence-id order, which these
-# traces pin (the Halin runs behind TRACE_DIGEST are wheels, whose leaf
-# orders increase); re-pinned when the rim moved from exact search to the
-# ring transfer, which moves only the `halin-outer-cycle` steps
-TREE_FIRST_DIGEST = "a4115bd9a382002d"
+# Halin runs whose leaf orders are not increasing: the outer cycle is
+# painted in leaf order, not in host incidence-id order, which these traces
+# pin (the Halin runs behind TRACE_DIGEST are wheels, whose leaf orders
+# increase); re-pinned when every Halin graph moved to one route: the
+# internal incidences root to leaves, then the rim with the leaf ends of
+# its spokes by the strip search
+TREE_FIRST_DIGEST = "a3e69b54b9f1c9cc"
 
 
 def _tree_first_runs():
@@ -227,7 +236,7 @@ def _tree_first_runs():
 def test_tree_first_traces_match_golden_digest():
     h = hashlib.sha256()
     for seed, rep in _tree_first_runs():
-        assert {s.tag for s in rep.trace} == {"halin-tree", "halin-outer-cycle"}
+        assert {s.tag for s in rep.trace} == HALIN_TAGS
         h.update(f"seed={seed}\n".encode())
         for step in rep.trace:
             h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
@@ -235,11 +244,9 @@ def test_tree_first_traces_match_golden_digest():
 
 
 def test_random_halin_structures():
-    """Seeded random Halin graphs across all dispatch routes."""
+    """Seeded random Halin graphs, all on the one route."""
     from incolour.families import is_tree
-    from incolour.graphs import Graph
 
-    routes = set()
     for i in range(24):
         spec = random_halin_spec(1 + i % 6, 100 + i)
         g, spec = generate(spec)
@@ -251,14 +258,7 @@ def test_random_halin_structures():
             lists = random_list_assignment(g, k, 3 * k, 7000 + 97 * i + trial)
             rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
-        tags = {s.tag.split(":")[0] for s in rep.trace}
-        if "halin-tree" in tags:
-            routes.add("tree-first")
-        elif "halin-boundary-pick" in tags:
-            routes.add("boundary")
-        elif "halin-k4-pick" in tags:
-            routes.add("k4")
-    assert {"tree-first", "boundary"} <= routes
+            assert {s.tag for s in rep.trace} == HALIN_TAGS
 
 
 def test_rejects_small_lists():

@@ -296,6 +296,8 @@ MISNESTED_SPECS = [
     ({"family": "grid", "m": [4], "n": 3}, "'m' must be an integer"),
     ({"family": "cactus", "size": 12, "seed": 0, "cycles": [[0, 1, 2]], "edges": []},
      "do not match its size and seed"),
+    ({"family": "grid", "m": 4}, "a grid spec needs the parameter 'n'"),
+    ({"family": "halin", "tree_edges": [], "leaf_order": []}, "Halin tree needs order >= 4"),
 ]
 
 

@@ -70,10 +70,9 @@ def test_readme_tag_list_matches_the_code():
     assert readme_cases == code_cases
 
 
-def test_only_the_painter_imports_the_solver():
-    """Exact search inside a constructive procedure goes through
-    ``Painter.finish_by_search``; no other constructive module imports
-    the solver."""
+def test_no_constructive_module_imports_the_search():
+    """The constructive procedures never search: no constructive module
+    imports the solver or the kernel."""
     importers = set()
     for path in sorted(CONSTRUCTIVE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -84,6 +83,6 @@ def test_only_the_painter_imports_the_solver():
                 names = [a.name for a in node.names]
             else:
                 continue
-            if any(re.fullmatch(r"(\.\.|incolour\.)solver(\..*)?", n) for n in names):
+            if any(re.fullmatch(r"(\.\.|incolour\.)(solver|kernel)(\..*)?", n) for n in names):
                 importers.add(path.name)
-    assert importers == {"report.py"}
+    assert importers == set()

@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import naive_satisfiable
 from incolour.constructive import colour_tree
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic
 from incolour.graphs import IncidenceColouring, IncolourError, ListAssignment
-from incolour.harness import random_list_assignment
-from incolour.solver import solve_list_colouring
 
 
 @pytest.fixture
@@ -89,15 +88,6 @@ def test_report_requires_totality():
     assert len(painter.colour) == 1
 
 
-def test_finish_by_search_from_scratch_is_the_solver_colouring():
-    g, _ = gen_basic("cycle", 7)
-    lists = random_list_assignment(g, 4, 7, 3)
-    painter = Painter(g, lists)
-    painter.finish_by_search("s")
-    assert painter.colour == solve_list_colouring(g, lists).colouring.assignment
-    assert painter.trace == [TraceStep(i, painter.colour[i], "s") for i in range(len(lists))]
-
-
 def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     g, _ = gen_basic("cycle", 4)           # chi_i(C4) = 4
     painter = Painter(g, ListAssignment.uniform(g, 3))
@@ -105,6 +95,4 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
         painter.paint_ring(range(4), "s")
     assert (err.value.incidence, err.value.tag) == (0, "s")
     assert painter.trace == []
-    with pytest.raises(StuckError) as err:  # the whole-graph search agrees
-        painter.finish_by_search("t")
-    assert (err.value.incidence, err.value.tag) == (0, "t")
+    assert not naive_satisfiable(g, painter.lists)

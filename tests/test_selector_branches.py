@@ -1,6 +1,7 @@
 """Crafted instances steering the colour selectors into their rarely-hit
 branches (random pools with a 3k universe almost always intersect, so the
-disjoint and pigeonhole paths need deliberate inputs)."""
+disjoint and pigeonhole paths need deliberate inputs), and the crafted
+inputs of the former Halin boundary selector, kept as Halin lists."""
 
 from __future__ import annotations
 
@@ -9,10 +10,8 @@ import random
 from collections import Counter
 
 from incolour.constructive import (
-    choose_halin_boundary,
     choose_ham_boundary,
     choose_k4_triple,
-    halin_boundary_valid,
     ham_boundary_valid,
     k4_triple_valid,
 )
@@ -20,6 +19,7 @@ from incolour.constructive.coronae import _choose_cd, _place_pair
 from incolour.constructive.report import Painter
 from incolour.families import gen_corona
 from incolour.graphs import ListAssignment
+from test_halin import construct_with_boundary_lists
 
 
 # sha256 prefix of the guarded-triple selectors' values and case strings on
@@ -91,35 +91,21 @@ def test_ham_spare_b_side():
 
 
 def test_halin_boundary_stage_rechecks():
-    # c forced into both outer guards with disjoint a/b pools: the second
-    # stage reuses or re-picks a and b against the far guard
-    C = frozenset({5, 60, 61, 62, 63, 64})
-    D = frozenset({5, 70, 71, 72, 73, 74})   # c = d = 5
-    E = frozenset(range(80, 86))
-    guard_inner = frozenset(range(90, 96))
-    guard_first = frozenset({5} | set(range(1, 6)))     # contains c
-    guard_last = frozenset({5} | set(range(10, 15)))    # contains c too
-    A = frozenset(range(1, 7))     # nearly equals guard_first
-    B = frozenset(range(10, 16))
-    vals, _case = choose_halin_boundary(A, B, C, D, E, guard_last, guard_first, guard_inner)
-    assert halin_boundary_valid(vals, A, B, C, D, E, guard_last, guard_first, guard_inner)
+    """c in both outer guards with disjoint a and b pools: the crafted input
+    of the former Halin boundary selector's second stage, as lists around
+    the caterpillar's boundary for the one Halin route (the first guard,
+    five colours there, padded to six with 200)."""
+    construct_with_boundary_lists([
+        range(1, 7), range(10, 16), {5, 60, 61, 62, 63, 64}, {5, 70, 71, 72, 73, 74},
+        range(80, 86), {5, *range(10, 15)}, {*range(1, 6), 200}, range(90, 96)])
 
 
 def test_halin_boundary_shared_pair():
-    # a large A-B intersection: one shared colour serves both
-    shared = set(range(30, 36))
-    A = frozenset(shared)
-    B = frozenset(shared)
-    C = frozenset({1, 40, 41, 42, 43, 44})
-    D = frozenset(range(50, 56))
-    E = frozenset(range(60, 66))
-    guard_inner = frozenset(range(70, 76))
-    guard_first = frozenset({1} | set(range(90, 95)))   # contains c = 1
-    guard_last = frozenset(range(100, 106))
-    vals, _case = choose_halin_boundary(A, B, C, D, E, guard_last, guard_first, guard_inner)
-    assert halin_boundary_valid(vals, A, B, C, D, E, guard_last, guard_first, guard_inner)
-    a, b, *_ = vals
-    assert a == b
+    """A large A-B intersection at the boundary: the crafted input of the
+    former Halin boundary selector's shared pair, for the one Halin route."""
+    construct_with_boundary_lists([
+        range(30, 36), range(30, 36), {1, 40, 41, 42, 43, 44}, range(50, 56),
+        range(60, 66), range(100, 106), {1, *range(90, 95)}, range(70, 76)])
 
 
 def test_corona_cd_selector_branches():
