@@ -201,8 +201,7 @@ def construct_cmd(spec_path, lists_path, pre_path, trace_path, out):
 
 
 @main.command()
-@click.option("--family", required=True,
-              help="grid|tree|cycle|halin|corona|cactus|ham_cubic")
+@click.option("--family", help="grid|tree|cycle|halin|corona|cactus|ham_cubic")
 @click.option("--trials", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--k", type=int, default=None,
@@ -221,6 +220,8 @@ def fuzz(family, trials, seed, k, universe, workers, pre, spec_path, out):
     if spec_path:
         instances = [spec_from_json(_read_json(spec_path))]
     else:
+        if not family:
+            raise InputError("need --family or --from-spec")
         instances = default_fuzz_instances(family.replace("-", "_"))
     campaign = FuzzCampaign(
         instances=tuple(instances),

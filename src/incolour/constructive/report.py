@@ -20,7 +20,7 @@ from ..graphs import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     incidence: int
     colour: int
@@ -100,24 +100,32 @@ class Painter:
     def free(self, i: int, extra: Iterable[int] = ()) -> list[int]:
         bad = self.forbidden(i)
         bad.update(extra)
-        return sorted(c for c in self.lists[i] if c not in bad)
+        return sorted(self.lists[i] - bad)
 
     def paint(self, i: int, colour: int, tag: str) -> None:
+        self._set(i, colour, tag, self.forbidden(i))
+
+    def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
+        bad = self.forbidden(i)
+        bad.update(extra)
+        choices = self.lists[i] - bad
+        if not choices:
+            raise StuckError(i, tag, self.trace)
+        colour = min(choices)
+        self._set(i, colour, tag, bad)
+        return colour
+
+    def _set(self, i: int, colour: int, tag: str, bad: set[int]) -> None:
+        """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``
+        holds every colour that a painted neighbour of ``i`` holds."""
         if i in self.colour:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        if colour in self.forbidden(i):
+        if colour in bad:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
         self.colour[i] = colour
         self.trace.append(TraceStep(i, colour, tag))
-
-    def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
-        choices = self.free(i, extra)
-        if not choices:
-            raise StuckError(i, tag, self.trace)
-        self.paint(i, choices[0], tag)
-        return choices[0]
 
     def unpaint(self, i: int) -> None:
         del self.colour[i]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import time
@@ -41,14 +42,39 @@ K4_CHROMATIC_NUMBER = 4
 
 def random_list_assignment(g: Graph, k: int, universe_size: int, seed: int) -> ListAssignment:
     """Uniform random k-subset of {1..universe_size} for every incidence,
-    deterministic per seed."""
+    deterministic per seed.
+
+    The lists are exactly those that ``rng = random.Random(seed)`` draws as
+    ``frozenset(rng.sample(range(1, universe_size + 1), k))``, one incidence
+    after another.  When the universe is at most CPython's ``setsize`` (always
+    so at the default universe 3k), ``sample`` runs its pool branch, and
+    that branch is inlined here on ``getrandbits``: each draw takes the
+    rejection loop of ``Random._randbelow`` over the same span and bit
+    length, and the drawn slot is refilled from the end of the pool.
+    """
     if k < 1 or universe_size < k:
         raise InputError("need universe_size >= k >= 1")
     rng = random.Random(seed)
     m = 2 * len(g.edges)
-    return ListAssignment(
-        [frozenset(rng.sample(range(1, universe_size + 1), k)) for _ in range(m)]
-    )
+    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    if universe_size > setsize:
+        population = range(1, universe_size + 1)
+        return ListAssignment([frozenset(rng.sample(population, k)) for _ in range(m)])
+    getrandbits = rng.getrandbits
+    draws = [(span, span.bit_length()) for span in range(universe_size, universe_size - k, -1)]
+    base = list(range(1, universe_size + 1))
+    lists = []
+    for _ in range(m):
+        pool = base.copy()
+        picked = []
+        for span, bits in draws:
+            j = getrandbits(bits)
+            while j >= span:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[span - 1]
+        lists.append(frozenset(picked))
+    return ListAssignment(lists)
 
 
 def trial_seed(master_seed: int, instance_key: str, trial: int) -> int:

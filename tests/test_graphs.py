@@ -220,6 +220,35 @@ def test_list_assignment_guards(k2):
     assert uni.min_size() == 2
 
 
+_EMPTY = "^empty colour list for incidence {}$"
+_BAD = r"^colours must be non-negative ints \(incidence {}\)$"
+
+
+@pytest.mark.parametrize("lists, message, incidence", [
+    ([{1}, set(), {2}], _EMPTY, 1),
+    ([{1, 2}, {3}, {4, -1}], _BAD, 2),
+    ([{1.5}, {1}], _BAD, 0),
+    ([{2}, {"1", 2}], _BAD, 1),
+    # a float equal to a colour of an earlier list is still not an int
+    ([{1, 2}, {1.0}], _BAD, 1),
+    ([{1}, {2}, {-3}, {0.5}, set()], _BAD, 2),
+    ([{1}, {"1"}, {-1}], _BAD, 1),
+    ([{1}, set(), {-1}, {"1"}], _EMPTY, 1),
+    ([{1}, set(), [[1]]], _EMPTY, 1),
+], ids=["empty", "negative", "float", "str", "float-equal-to-int", "first-bad-wins",
+        "str-before-negative", "empty-before-bad", "empty-before-unhashable"])
+def test_list_assignment_names_the_first_bad_incidence(lists, message, incidence):
+    with pytest.raises(GraphError, match=message.format(incidence)):
+        ListAssignment(lists)
+
+
+def test_list_assignment_accepts_what_it_always_accepted():
+    lists = ListAssignment([range(3), [0], {True, 5}, frozenset({7, 7.0})])
+    assert lists.lists == (frozenset({0, 1, 2}), frozenset({0}), frozenset({1, 5}),
+                           frozenset({7}))
+    assert ListAssignment([]).lists == ()
+
+
 def test_empty_and_edgeless_graphs():
     empty = Graph(0, [])
     assert incidences(empty) == ()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -37,6 +38,22 @@ def test_forced_uniform_when_universe_equals_k():
     g, _ = gen_basic("cycle", 4)
     lists = random_list_assignment(g, 4, 4, 123)
     assert all(l == frozenset({1, 2, 3, 4}) for l in lists.lists)
+
+
+@pytest.mark.parametrize("k, universe", [
+    (1, 1), (2, 3), (3, 9), (4, 4), (5, 15), (6, 18), (7, 21),
+    (6, 100),  # above random.sample's pool-branch size: sample itself draws
+])
+def test_random_lists_are_those_random_sample_draws(k, universe):
+    """The sampler must draw what this interpreter's ``random.sample`` draws,
+    so that campaign seeds keep naming the same lists."""
+    g, _ = gen_basic("cycle", 4)
+    m = 2 * len(g.edges)
+    population = range(1, universe + 1)
+    for seed in range(1000):
+        rng = random.Random(seed)
+        expect = [frozenset(rng.sample(population, k)) for _ in range(m)]
+        assert list(random_list_assignment(g, k, universe, seed).lists) == expect, seed
 
 
 def test_random_lists_guards(k2):

@@ -169,6 +169,25 @@ def test_cli_fuzz_single_spec(runner, tmp_path):
     assert r.exit_code == 0, r.output
 
 
+def test_cli_fuzz_takes_a_spec_file_without_a_family(runner, tmp_path):
+    out = str(tmp_path)
+    spec = FamilySpec("cycle", {"n": 5})
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json()))
+    r = runner.invoke(main, ["fuzz", "--from-spec", f"{out}/spec.json", "--trials", "3",
+                             "--out", out])
+    assert r.exit_code == 0, r.output
+    report = json.loads((tmp_path / "fuzz-report.json").read_text())
+    assert [inst["spec"] for inst in report["instances"]] == [spec.to_json()]
+    assert report["total_trials"] == 3
+
+
+def test_cli_fuzz_needs_a_family_or_a_spec_file(runner, tmp_path):
+    r = runner.invoke(main, ["fuzz", "--trials", "3", "--out", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "configuration error: need --family or --from-spec" in r.output
+    assert not (tmp_path / "fuzz-report.json").exists()
+
+
 def test_cli_regress(runner):
     r = runner.invoke(main, ["regress"])
     assert r.exit_code == 0, r.output

@@ -58,12 +58,17 @@ def test_painter_guards():
     g, _ = gen_basic("path", 3)
     painter = Painter(g, ListAssignment.uniform(g, 3))
     painter.paint(0, 1, "t")
-    with pytest.raises(IncolourError):
-        painter.paint(0, 2, "t")          # double paint
-    with pytest.raises(IncolourError):
-        painter.paint(1, 9, "t")          # outside the list
-    with pytest.raises(IncolourError):
-        painter.paint(1, 1, "t")          # conflicts with incidence 0
+    with pytest.raises(IncolourError, match="^incidence 0 painted twice"):
+        painter.paint(0, 2, "t")
+    with pytest.raises(IncolourError, match="^incidence 0 painted twice"):
+        painter.greedy(0, "t")
+    with pytest.raises(IncolourError, match="^colour 9 outside list of incidence 1"):
+        painter.paint(1, 9, "t")
+    with pytest.raises(IncolourError, match="^colour 1 conflicts at incidence 1"):
+        painter.paint(1, 1, "t")
+    assert painter.free(1) == [2, 3] and painter.free(1, extra=[2]) == [3]
+    assert painter.greedy(1, "t", extra=[2]) == 3
+    painter.unpaint(1)
     painter.unpaint(0)
     assert not painter.painted(0)
     painter.paint(1, 1, "t")              # fine once the conflict is gone
