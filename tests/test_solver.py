@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hypercube, naive_satisfiable
-from incolour import solver
+from incolour import kernel, solver
 from incolour.families import (
     gen_basic,
     gen_grid,
@@ -318,9 +318,10 @@ def test_choosability_sweep_matches_reference_without_reuse(name, k, universe):
 
 def test_choosability_witnesses_are_sound(monkeypatch):
     c3, _ = gen_basic("cycle", 3)
-    hits = solves = 0
+    hits = solves = nodes = 0
     fitting_witness = solver._fitting_witness
     solve = solver.solve_list_colouring
+    search = kernel.search
 
     def checked_witness(witnesses, lists):
         nonlocal hits
@@ -337,12 +338,55 @@ def test_choosability_witnesses_are_sound(monkeypatch):
         solves += 1
         return solve(*args, **kwargs)
 
+    def counted_search(*args):
+        nonlocal nodes
+        out = search(*args)
+        nodes += out[2]
+        return out
+
     monkeypatch.setattr(solver, "_fitting_witness", checked_witness)
     monkeypatch.setattr(solver, "solve_list_colouring", counted_solve)
+    monkeypatch.setattr(kernel, "search", counted_search)
     res = check_choosability_exhaustive(c3, 3, 5)
     assert (res.choosable, res.assignments_checked) == (True, 66_667)
-    assert solves < 2_000
+    assert solves == 1_797
     assert hits + solves == 66_667
+    assert nodes == 13_093
+
+
+def test_choosability_assignment_budget_is_exact():
+    c3, _ = gen_basic("cycle", 3)
+    res = check_choosability_exhaustive(c3, 3, 5, assignment_budget=66_667)
+    assert (res.choosable, res.assignments_checked) == (True, 66_667)
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_choosability_exhaustive(c3, 3, 5, assignment_budget=66_666)
+
+
+# sha256 prefix of the lists of every assignment the sweep solves, in order,
+# recorded while the sweep still tested every cached colouring in full
+SWEEP_SOLVES = {
+    ("cycle", 3, 3, 5): (1_797, "84bffc26f00eff7d"),
+    ("path", 4, 3, 4): (32, "c21d7699c2009845"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_SOLVES))
+def test_choosability_solves_match_golden_digest(monkeypatch, case):
+    family, n, k, universe = case
+    g, _ = gen_basic(family, n)
+    h = hashlib.sha256()
+    solves = 0
+    solve = solver.solve_list_colouring
+
+    def hashed_solve(g, lists, *args, **kwargs):
+        nonlocal solves
+        solves += 1
+        h.update(repr([sorted(l) for l in lists.lists]).encode() + b"\n")
+        return solve(g, lists, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_list_colouring", hashed_solve)
+    assert check_choosability_exhaustive(g, k, universe).choosable
+    assert (solves, h.hexdigest()[:16]) == SWEEP_SOLVES[case]
 
 
 def test_choosability_budget_never_gives_a_wrong_answer():
