@@ -6,16 +6,18 @@ exponentially: the constructive layer never calls the solver."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..graphs import (
     Graph,
+    GraphError,
     IncidenceColouring,
     IncolourError,
     ListAssignment,
+    _vertex_index,
     check_lists_cover,
-    incidence_id,
     incidence_neighbour_ids,
 )
 
@@ -85,11 +87,19 @@ class Painter:
         self.graph = g
         self.lists = lists
         self.neigh = incidence_neighbour_ids(g)
+        self._adj = g.adj
+        self._off = _vertex_index(g)[0]
         self.colour: dict[int, int] = {}
         self.trace: list[TraceStep] = []
 
     def id_of(self, vertex: int, other: int) -> int:
-        return incidence_id(self.graph, vertex, other)
+        """:func:`graphs.incidence_id` on the painter's graph."""
+        if 0 <= vertex < len(self._adj):
+            nbrs = self._adj[vertex]
+            pos = bisect_left(nbrs, other)
+            if pos < len(nbrs) and nbrs[pos] == other:
+                return self._off[vertex] + pos
+        raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence")
 
     def painted(self, i: int) -> bool:
         return i in self.colour

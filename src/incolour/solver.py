@@ -141,6 +141,7 @@ class ChoosabilityResult:
     choosable: bool
     counterexample: Optional[ListAssignment]
     assignments_checked: int
+    solves: int     # assignments solved; a counterexample's re-check is not counted
 
 
 def check_choosability_exhaustive(
@@ -158,19 +159,28 @@ def check_choosability_exhaustive(
     increasing order without gaps.  Universes above ``k * #incidences``
     add nothing (the union of all lists can never use more colours) and
     are rejected.  Any counterexample is re-checked by a fresh solver run
-    before being returned.
+    before being returned; ``solves`` counts the assignments solved, not
+    that re-check.
+
+    A later list's candidates depend only on how many colours the lists
+    before it use, so each count's candidate lists are built once per
+    call: fewer new colours first, then the old colours in combination
+    order.  The positions before the last are walked by recursion, and the
+    last position is one loop over its candidates.
 
     Consecutive assignments differ only in their last lists, so a proper
     colouring found for one usually fits the next.  The sweep keeps the
     last ``WITNESS_CACHE_SIZE`` validated colourings, most recently used
-    first.  An assignment that one of them fits (every colour lies in its
-    incidence's list) is colourable and is counted without a solve.  No
-    colouring fits an unsatisfiable assignment, so the counterexample and
-    ``assignments_checked`` are those of solving every assignment.  A
-    witness can settle an assignment whose solve would have hit the
-    node or time budget of ``cfg``; that turns a raise of
-    :class:`EnumerationBudgetExceeded` into the correct answer and never
-    into ``choosable=False``.
+    first.  Each cached colouring is tested once per prefix against every
+    list but the last; in the loop over the last list, a colouring fits
+    when it fits the prefix and its last colour lies in that list.  An
+    assignment that a cached colouring fits is colourable and is counted
+    without a solve.  No colouring fits an unsatisfiable assignment, so
+    the counterexample and ``assignments_checked`` are those of solving
+    every assignment.  A witness can settle an assignment whose solve
+    would have hit the node or time budget of ``cfg``; that turns a raise
+    of :class:`EnumerationBudgetExceeded` into the correct answer and
+    never into ``choosable=False``.
     """
     m = 2 * len(g.edges)
     if k < 1 or universe_size < k:
@@ -178,58 +188,84 @@ def check_choosability_exhaustive(
     if m and universe_size > k * m:
         raise InputError("universe larger than k * #incidences is pointless")
     if m == 0:
-        return ChoosabilityResult(True, None, 0)
+        return ChoosabilityResult(True, None, 0, 0)
 
-    checked = 0
-    lists_so_far: list[frozenset[int]] = [frozenset(range(1, k + 1))]
+    # (list, colours used after it) for each count of colours used before it
+    options = {
+        used: [(frozenset(olds + tuple(range(used + 1, used + fresh + 1))), used + fresh)
+               for fresh in range(min(k, universe_size - used) + 1)
+               for olds in itertools.combinations(range(1, used + 1), k - fresh)]
+        for used in range(k, universe_size + 1)
+    }
+    last = m - 1
+    lists = [frozenset(range(1, k + 1))] * m   # the walk sets every later list
+    witnesses: list[tuple[int, ...]] = []
+    checked = solves = 0
 
-    def extend(pos: int, used: int):
-        nonlocal checked
-        if pos == m:
+    def sweep_last(used: int) -> Optional[ListAssignment]:
+        """Every last list after the current prefix; the counterexample
+        if one is unsatisfiable."""
+        nonlocal checked, solves
+        head = lists[:last]
+        fit = [w for w in witnesses if all(map(frozenset.__contains__, head, w))]
+        for final, _ in options[used]:
             checked += 1
             if checked > assignment_budget:
                 raise EnumerationBudgetExceeded(
                     f"more than {assignment_budget} canonical assignments")
-            yield lists_so_far
-            return
-        for fresh in range(0, k + 1):
-            if used + fresh > universe_size:
-                break
-            new_part = tuple(range(used + 1, used + fresh + 1))
-            for olds in itertools.combinations(range(1, used + 1), k - fresh):
-                lists_so_far.append(frozenset(olds + new_part))
-                yield from extend(pos + 1, used + fresh)
-                lists_so_far.pop()
+            lists[last] = final
+            if _fitting_witness(witnesses, fit, lists) is not None:
+                continue
+            assignment = ListAssignment(lists)
+            res = solve_list_colouring(g, assignment, cfg)
+            solves += 1
+            if res.status == COLOURED:
+                witness = tuple(res.colouring[i] for i in range(m))
+                witnesses.insert(0, witness)
+                fit.insert(0, witness)
+                if len(witnesses) > WITNESS_CACHE_SIZE and witnesses.pop() is fit[-1]:
+                    fit.pop()
+            elif res.status == UNKNOWN:
+                raise EnumerationBudgetExceeded("solver budget hit inside the sweep")
+            else:
+                recheck = solve_list_colouring(g, assignment, DEFAULT_CONFIG)
+                if recheck.status != UNSATISFIABLE:  # pragma: no cover
+                    raise IncolourError("counterexample failed its re-check")
+                return assignment
+        return None
 
-    witnesses: list[tuple[int, ...]] = []
-    for raw in extend(1, k):
-        if _fitting_witness(witnesses, raw) is not None:
-            continue
-        assignment = ListAssignment(raw)
-        res = solve_list_colouring(g, assignment, cfg)
-        if res.status == COLOURED:
-            witnesses.insert(0, tuple(res.colouring[i] for i in range(m)))
-            del witnesses[WITNESS_CACHE_SIZE:]
-        elif res.status == UNKNOWN:
-            raise EnumerationBudgetExceeded("solver budget hit inside the sweep")
-        else:
-            recheck = solve_list_colouring(g, assignment, DEFAULT_CONFIG)
-            if recheck.status != UNSATISFIABLE:  # pragma: no cover
-                raise IncolourError("counterexample failed its re-check")
-            return ChoosabilityResult(False, assignment, checked)
-    return ChoosabilityResult(True, None, checked)
+    def walk(pos: int, used: int) -> Optional[ListAssignment]:
+        if pos == last:
+            return sweep_last(used)
+        for option, after in options[used]:
+            lists[pos] = option
+            found = walk(pos + 1, after)
+            if found is not None:
+                return found
+        return None
+
+    counterexample = walk(1, k)
+    return ChoosabilityResult(counterexample is None, counterexample, checked, solves)
 
 
 def _fitting_witness(
-    witnesses: list[tuple[int, ...]], lists: Sequence[frozenset[int]],
+    witnesses: list[tuple[int, ...]],
+    fit: list[tuple[int, ...]],
+    lists: Sequence[frozenset[int]],
 ) -> Optional[tuple[int, ...]]:
-    """The first of ``witnesses`` (colours by incidence id) whose every
-    colour lies in its incidence's list, moved to the front; ``None`` when
-    none fits."""
-    for i, witness in enumerate(witnesses):
-        if all(map(frozenset.__contains__, lists, witness)):
+    """The first colouring of ``fit`` whose last colour lies in the last
+    of ``lists``, moved to the front of ``fit`` and of ``witnesses``;
+    ``None`` when none fits.  ``fit`` holds, in ``witnesses``' order, the
+    cached colourings (colours by incidence id) whose other colours lie
+    in their incidences' lists."""
+    final = lists[-1]
+    for i, witness in enumerate(fit):
+        if witness[-1] in final:
             if i:
-                del witnesses[i]
+                del fit[i]
+                fit.insert(0, witness)
+            if witnesses[0] is not witness:
+                witnesses.remove(witness)
                 witnesses.insert(0, witness)
             return witness
     return None

@@ -1,10 +1,14 @@
-"""The README's examples run as written, and its tag list matches the code."""
+"""The README's examples run as written, and its tag list and sweep counts
+match the code."""
 
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+
+from incolour.families import gen_basic
+from incolour.solver import check_choosability_exhaustive
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -86,3 +90,13 @@ def test_no_constructive_module_imports_the_search():
             if any(re.fullmatch(r"(\.\.|incolour\.)(solver|kernel)(\..*)?", n) for n in names):
                 importers.add(path.name)
     assert importers == set()
+
+
+def test_readme_sweep_solves_match_the_library():
+    text = " ".join(README.read_text().split())
+    match = re.search(r"C3 with k=3 over `\{1\.\.5\}` needs ([\d,]+) solves "
+                      r"for its ([\d,]+) assignments", text)
+    assert match, "README does not state the C3 sweep's solves"
+    stated = tuple(int(n.replace(",", "")) for n in match.groups())
+    res = check_choosability_exhaustive(gen_basic("cycle", 3)[0], 3, 5)
+    assert (res.solves, res.assignments_checked) == stated

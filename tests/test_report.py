@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import naive_satisfiable
 from incolour.constructive import colour_tree
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic
-from incolour.graphs import IncidenceColouring, IncolourError, ListAssignment
+from incolour.graphs import (
+    GraphError,
+    IncidenceColouring,
+    IncolourError,
+    ListAssignment,
+    incidence_id,
+)
 
 
 @pytest.fixture
@@ -72,6 +80,20 @@ def test_painter_guards():
     painter.unpaint(0)
     assert not painter.painted(0)
     painter.paint(1, 1, "t")              # fine once the conflict is gone
+
+
+def test_painter_id_of_matches_incidence_id():
+    g = gen_basic("wheel", 5)[0]
+    painter = Painter(g, ListAssignment.uniform(g, 3))
+    for v in range(-1, g.n + 1):
+        for u in range(-1, g.n + 1):
+            try:
+                want = incidence_id(g, v, u)
+            except GraphError as exc:
+                with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+                    painter.id_of(v, u)
+            else:
+                assert painter.id_of(v, u) == want
 
 
 def test_painter_greedy_stuck_reports_incidence():

@@ -232,6 +232,7 @@ def test_choosability_examples(k2):
     res = check_choosability_exhaustive(c3, 2, 4)
     assert not res.choosable
     assert res.counterexample is not None
+    assert (res.assignments_checked, res.solves) == (1, 1)   # the re-check is not counted
     assert solve_list_colouring(c3, res.counterexample).status == UNSATISFIABLE
     p3, _ = gen_basic("path", 3)
     assert check_choosability_exhaustive(p3, 3, 6).choosable
@@ -323,9 +324,9 @@ def test_choosability_witnesses_are_sound(monkeypatch):
     solve = solver.solve_list_colouring
     search = kernel.search
 
-    def checked_witness(witnesses, lists):
+    def checked_witness(witnesses, fit, lists):
         nonlocal hits
-        witness = fitting_witness(witnesses, lists)
+        witness = fitting_witness(witnesses, fit, lists)
         if witness is not None:
             hits += 1
             colouring = IncidenceColouring(dict(enumerate(witness)))
@@ -349,7 +350,7 @@ def test_choosability_witnesses_are_sound(monkeypatch):
     monkeypatch.setattr(kernel, "search", counted_search)
     res = check_choosability_exhaustive(c3, 3, 5)
     assert (res.choosable, res.assignments_checked) == (True, 66_667)
-    assert solves == 1_797
+    assert solves == res.solves == 1_797
     assert hits + solves == 66_667
     assert nodes == 13_093
 
