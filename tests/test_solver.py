@@ -371,7 +371,7 @@ SWEEP_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_SOLVES))
+@pytest.mark.parametrize("case", sorted(SWEEP_SOLVES), ids="{0[0]}{0[1]}-{0[2]}-{0[3]}".format)
 def test_choosability_solves_match_golden_digest(monkeypatch, case):
     family, n, k, universe = case
     g, _ = gen_basic(family, n)
