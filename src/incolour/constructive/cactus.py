@@ -16,7 +16,6 @@ fallback inside a cactus.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Optional
 
 from ..families import cactus_cycles, is_connected
@@ -150,6 +149,4 @@ def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:
     if connector is not None:
         pendants[0].remove(y)
         pendants[0].insert(0, y)
-    start = len(painter.trace)
-    paint_cycle_unit(painter, ring, pendants)
-    painter.trace[start:] = [replace(s, tag=f"cactus-{s.tag}") for s in painter.trace[start:]]
+    paint_cycle_unit(painter, ring, pendants, prefix="cactus-")

@@ -115,14 +115,15 @@ def _corona_pre(
     return pre[down], pre[up]
 
 
-def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[int]]) -> None:
+def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[int]],
+                     prefix: str = "") -> None:
     """Colour every unpainted incidence on the cycle ``ring`` (host vertices
     in cycle order) and on the edges to ``pendants[i]``, the pendant
     vertices of ``ring[i]``, with p = the longest pendant row.  When the
     first pendant edge of ``ring[0]`` is already painted it plays the
     pre-coloured pendant edge.  A missing pendant slot (a row shorter than
     p) is never painted, and its list reads as empty where it guards a
-    choice."""
+    choice.  Every step's tag is ``prefix`` followed by its corona tag."""
     n = len(ring)
     p = max(1, max(map(len, pendants)))
 
@@ -142,19 +143,19 @@ def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[
         pre = a, b = painter.colour[down], painter.colour[up]
     elif p <= 2 and down is not None:
         a = min(painter.lists[down])
-        painter.paint(down, a, "corona-seed")
-        b = painter.greedy(up, "corona-seed")
+        painter.paint(down, a, prefix + "corona-seed")
+        b = painter.greedy(up, prefix + "corona-seed")
     if p <= 2:
-        _small(painter, ring, pendants, p, a, b, iid, lst, pend)
+        _small(painter, ring, pendants, p, a, b, iid, lst, pend, prefix)
     else:
-        _large(painter, ring, pendants, p, pre, iid, lst, pend)
+        _large(painter, ring, pendants, p, pre, iid, lst, pend, prefix)
 
     # pendant externals, shared by both branches
     for i in range(n):
         for w in pendants[i]:
             t = iid(w, ring[i])
             if not painter.painted(t):
-                painter.greedy(t, "corona-external")
+                painter.greedy(t, prefix + "corona-external")
 
 
 def _cycle_walk(painter: Painter, ring: Sequence[int], iid, tag: str) -> None:
@@ -169,7 +170,7 @@ def _cycle_walk(painter: Painter, ring: Sequence[int], iid, tag: str) -> None:
             painter.greedy(t, tag)
 
 
-def _small(painter, v, pendants, p, a, b, iid, lst, pend) -> None:
+def _small(painter, v, pendants, p, a, b, iid, lst, pend, prefix) -> None:
     if p == 2:
         guard = lst(v[0], pend(0, 2))
         pool = lst(v[-1], v[0])
@@ -179,17 +180,18 @@ def _small(painter, v, pendants, p, a, b, iid, lst, pend) -> None:
             c = b
         else:
             c = _least(pool - guard)
-        painter.paint(iid(v[-1], v[0]), c, "corona-cycle-guard")
-    _cycle_walk(painter, v, iid, "corona-cycle")
+        painter.paint(iid(v[-1], v[0]), c, prefix + "corona-cycle-guard")
+    _cycle_walk(painter, v, iid, prefix + "corona-cycle")
     if pend(0, 2) is not None:
-        painter.greedy(iid(v[0], pend(0, 2)), "corona-internal")
+        painter.greedy(iid(v[0], pend(0, 2)), prefix + "corona-internal")
     for i in range(1, len(v)):
         for w in pendants[i]:
-            painter.greedy(iid(v[i], w), "corona-internal")
+            painter.greedy(iid(v[i], w), prefix + "corona-internal")
 
 
-def _large(painter, v, pendants, p, pre_ab, iid, lst, pend) -> None:
+def _large(painter, v, pendants, p, pre_ab, iid, lst, pend, prefix) -> None:
     n = len(v)
+    pass_tag = prefix + "corona-pass"
 
     def guard_list(i):
         return lst(v[i], pend(i, p))
@@ -198,13 +200,14 @@ def _large(painter, v, pendants, p, pre_ab, iid, lst, pend) -> None:
     if pre_ab is not None:
         a, b = pre_ab
         c, d = _choose_cd(lst(v[1], v[0]), lst(v[-1], v[0]), guard_list(0), a, b)
-        painter.paint(iid(v[1], v[0]), c, "corona-cd")
-        painter.paint(iid(v[-1], v[0]), d, "corona-cd")
+        painter.paint(iid(v[1], v[0]), c, prefix + "corona-cd")
+        painter.paint(iid(v[-1], v[0]), d, prefix + "corona-cd")
 
         # externals of v1
         left = lst(v[0], v[1]) - {a, b, c, d}
         right = lst(v[2], v[1]) - ({c, d} if n == 3 else {c})
-        alpha[1] = _place_pair(painter, iid(v[0], v[1]), iid(v[2], v[1]), left, right, guard_list(1))
+        alpha[1] = _place_pair(painter, iid(v[0], v[1]), iid(v[2], v[1]), left, right,
+                               guard_list(1), pass_tag)
 
         # externals of v_{n-1}
         left = lst(v[0], v[-1]) - {a, b, c, d, alpha[1]}
@@ -217,11 +220,12 @@ def _large(painter, v, pendants, p, pre_ab, iid, lst, pend) -> None:
         right = lst(v[-2], v[-1]) - sub
         if d not in guard_list(n - 1):
             colour = _least(left)
-            painter.paint(iid(v[0], v[-1]), colour, "corona-pass")
+            painter.paint(iid(v[0], v[-1]), colour, pass_tag)
             alpha[n - 1] = colour
         else:
             alpha[n - 1] = _place_pair(
                 painter, iid(v[-2], v[-1]), iid(v[0], v[-1]), right, left, guard_list(n - 1),
+                pass_tag,
             )
         sweep = range(2, n - 1)
     else:
@@ -240,33 +244,35 @@ def _large(painter, v, pendants, p, pre_ab, iid, lst, pend) -> None:
         right = lst(v[(i + 1) % n], v[i]) - right_sub
         alpha[i] = _place_pair(
             painter, iid(v[i - 1], v[i]), iid(v[(i + 1) % n], v[i]), left, right, guard_list(i),
+            pass_tag,
         )
 
-    _cycle_walk(painter, v, iid, "corona-cycle")
+    _cycle_walk(painter, v, iid, prefix + "corona-cycle")
 
     for i in range(n):
         start = 1 if (pre_ab is not None and i == 0) else 0
-        _paint_block(painter, [iid(v[i], w) for w in pendants[i][start:]])
+        _paint_block(painter, [iid(v[i], w) for w in pendants[i][start:]], prefix)
 
 
-def _place_pair(painter, left_id, right_id, left_pool, right_pool, guard) -> int:
+def _place_pair(painter, left_id, right_id, left_pool, right_pool, guard,
+                tag="corona-pass") -> int:
     """Colour one or both of a vertex's two incoming cycle incidences:
     either both with a shared colour, or a single one with a colour missing
     from the vertex's last-pendant list."""
     both = left_pool & right_pool
     if both:
         colour = min(both)
-        painter.paint(left_id, colour, "corona-pass")
-        painter.paint(right_id, colour, "corona-pass")
+        painter.paint(left_id, colour, tag)
+        painter.paint(right_id, colour, tag)
         return colour
     pick = sorted(left_pool - guard)
     if pick:
-        painter.paint(left_id, pick[0], "corona-pass")
+        painter.paint(left_id, pick[0], tag)
         return pick[0]
     pick = sorted(right_pool - guard)
     if not pick:
         raise _GiveUp("no pass colour available")
-    painter.paint(right_id, pick[0], "corona-pass")
+    painter.paint(right_id, pick[0], tag)
     return pick[0]
 
 
@@ -291,12 +297,12 @@ def _choose_cd(pool_c, pool_d, guard, a, b) -> tuple[int, int]:
     return c, d
 
 
-def _paint_block(painter: Painter, block: list[int]) -> None:
+def _paint_block(painter: Painter, block: list[int], prefix: str = "") -> None:
     """Pendant internals of one cycle vertex, in pendant order; on a dead
     end, redo the block as an exhaustive distinct-colour assignment."""
     try:
         for t in block:
-            painter.greedy(t, "corona-pendant")
+            painter.greedy(t, prefix + "corona-pendant")
         return
     except StuckError:
         for t in block:
@@ -319,7 +325,7 @@ def _paint_block(painter: Painter, block: list[int]) -> None:
     if not rec(0):
         raise _GiveUp("pendant block admits no distinct assignment")
     for t, colour in zip(block, chosen):
-        painter.paint(t, colour, "corona-pendant-matched")
+        painter.paint(t, colour, prefix + "corona-pendant-matched")
 
 
 def _least(pool) -> int:

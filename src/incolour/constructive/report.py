@@ -80,16 +80,27 @@ class Painter:
     ``paint`` checks list membership and adjacency on every application;
     ``greedy`` picks the smallest colour that survives the incidence's
     already-coloured neighbourhood plus any extra forbidden set.
+
+    The painter reads adjacency from the graph's per-vertex index
+    (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
+    :func:`graphs.incidence_neighbour_ids`, which only the exact search,
+    :meth:`ConstructiveReport.replay` and the DOT export build.
+    ``colour[i]`` is the colour of incidence ``i`` (None while unpainted)
+    and ``_mate_colour[mate[i]]`` repeats it, so the colours that
+    ``i = (v, vu)`` must avoid are three slices: ``colour`` and
+    ``_mate_colour`` over ``off[v]:off[v+1]`` (the incidences at ``v`` and
+    their mates) and ``colour`` over ``off[u]:off[u+1]`` (the incidences at
+    ``u``), less ``i``'s own colour.
     """
 
     def __init__(self, g: Graph, lists: ListAssignment):
         check_lists_cover(g, lists)
         self.graph = g
         self.lists = lists
-        self.neigh = incidence_neighbour_ids(g)
         self._adj = g.adj
-        self._off = _vertex_index(g)[0]
-        self.colour: dict[int, int] = {}
+        self._off, self._head, self._mate = _vertex_index(g)
+        self.colour: list[Optional[int]] = [None] * len(self._head)
+        self._mate_colour: list[Optional[int]] = [None] * len(self._head)
         self.trace: list[TraceStep] = []
 
     def id_of(self, vertex: int, other: int) -> int:
@@ -102,10 +113,18 @@ class Painter:
         raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence")
 
     def painted(self, i: int) -> bool:
-        return i in self.colour
+        return self.colour[i] is not None
 
     def forbidden(self, i: int) -> set[int]:
-        return {self.colour[w] for w in self.neigh[i] if w in self.colour}
+        col, off, head = self.colour, self._off, self._head
+        v, u = head[self._mate[i]], head[i]
+        lo, hi = off[v], off[v + 1]
+        bad = set(col[lo:hi])
+        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]])
+        bad.discard(None)
+        # a painted i holds a colour that no neighbour holds
+        bad.discard(col[i])
+        return bad
 
     def free(self, i: int, extra: Iterable[int] = ()) -> list[int]:
         bad = self.forbidden(i)
@@ -116,8 +135,15 @@ class Painter:
         self._set(i, colour, tag, self.forbidden(i))
 
     def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
-        bad = self.forbidden(i)
-        bad.update(extra)
+        # forbidden(i), inlined: greedy paints nearly every incidence
+        col = self.colour
+        if col[i] is not None:
+            raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
+        off, head = self._off, self._head
+        v, u = head[self._mate[i]], head[i]
+        lo, hi = off[v], off[v + 1]
+        bad = set(col[lo:hi])
+        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]], extra)
         choices = self.lists[i] - bad
         if not choices:
             raise StuckError(i, tag, self.trace)
@@ -125,20 +151,24 @@ class Painter:
         self._set(i, colour, tag, bad)
         return colour
 
-    def _set(self, i: int, colour: int, tag: str, bad: set[int]) -> None:
+    def _set(self, i: int, colour: int, tag: str, bad: set) -> None:
         """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``
         holds every colour that a painted neighbour of ``i`` holds."""
-        if i in self.colour:
+        if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
         if colour in bad:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
         self.colour[i] = colour
+        self._mate_colour[self._mate[i]] = colour
         self.trace.append(TraceStep(i, colour, tag))
 
     def unpaint(self, i: int) -> None:
-        del self.colour[i]
+        if self.colour[i] is None:
+            raise IncolourError(f"incidence {i} is not painted")
+        self.colour[i] = None
+        self._mate_colour[self._mate[i]] = None
         for pos in range(len(self.trace) - 1, -1, -1):
             if self.trace[pos].incidence == i:
                 del self.trace[pos]
@@ -177,10 +207,11 @@ class Painter:
         raise StuckError(ids[0][1], tag, self.trace)
 
     def report(self) -> ConstructiveReport:
-        if len(self.colour) != len(self.neigh):
-            missing = next(i for i in range(len(self.neigh)) if i not in self.colour)
+        if None in self.colour:
+            missing = self.colour.index(None)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
-        return ConstructiveReport(IncidenceColouring(self.colour), tuple(self.trace))
+        return ConstructiveReport(IncidenceColouring(dict(enumerate(self.colour))),
+                                  tuple(self.trace))
 
 
 def _blocks(x_list, a_list, b_list, before=()):

@@ -19,7 +19,6 @@ from .graphs import (
     GraphError,
     IncidenceColouring,
     ListAssignment,
-    incidences,
 )
 
 
@@ -75,7 +74,9 @@ def graph_from_json(data: dict) -> Graph:
 
 
 def _incidence_echo(g: Graph) -> list:
-    return [[inc.vertex, list(inc.edge)] for inc in incidences(g)]
+    """``[vertex, [a, b]]`` per incidence in id order, edge ``a < b``: the
+    enumeration of :func:`graphs.incidences`, read off ``g.adj``."""
+    return [[v, [v, u] if v < u else [u, v]] for v, nbrs in enumerate(g.adj) for u in nbrs]
 
 
 def _check_echo(g: Graph, data: dict) -> None:

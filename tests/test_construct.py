@@ -15,7 +15,7 @@ from incolour.cli import main
 from incolour.constructive import construct, guaranteed_bound
 from incolour.constructive.coronae import pendant_edge_ids
 from incolour.families import FamilySpec, generate
-from incolour.graphs import InputError, ListAssignment
+from incolour.graphs import InputError, ListAssignment, validate_colouring
 from incolour.harness import FuzzCampaign, corona_pre_pair, random_list_assignment, run_campaign
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
@@ -142,6 +142,22 @@ def test_construct_rejects_lists_that_do_not_cover_the_graph(spec, extra):
     lists = ListAssignment([range(1, 20)] * (2 * len(g.edges) + extra))
     with pytest.raises(InputError, match="does not cover the incidences"):
         construct(spec, lists)
+
+
+@pytest.mark.parametrize("spec, pre", [(s, False) for s in EVERY_FAMILY] + [
+    (next(s for s in EVERY_FAMILY if s.family == "corona"), True),
+], ids=lambda v: v.family if isinstance(v, FamilySpec) else ("pre" if v else "plain"))
+def test_construct_builds_no_neighbour_table(spec, pre):
+    """The constructive procedures read the graph's per-vertex index only:
+    the incidence neighbour table belongs to the exact search."""
+    g, spec = generate(FamilySpec.from_json(spec.to_json()))
+    assert g._cache == {}
+    k = guaranteed_bound(spec, pre=pre)
+    lists = random_list_assignment(g, k, 3 * k, 7)
+    pre_colours = corona_pre_pair(g, spec, lists, 7) if pre else None
+    report = construct(spec, lists, pre=pre_colours)
+    assert validate_colouring(g, lists, report.colouring).ok
+    assert "incidence_neighbour_ids" not in g._cache
 
 
 def test_construct_fails_a_colouring_that_drops_the_pre_colours(monkeypatch, tmp_path):

@@ -103,7 +103,7 @@ def test_pendant_block_retry_path():
     lists = ListAssignment([{1, 2}, {1}, {5, 6}, {7, 8}])
     painter = Painter(s2, lists)
     _paint_block(painter, [0, 1])
-    assert painter.colour == {0: 2, 1: 1}
+    assert painter.colour == [2, 1, None, None]
     assert all(s.tag == "corona-pendant-matched" for s in painter.trace)
 
 

@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from incolour.cli import main
-from incolour.families import FamilySpec, gen_basic, gen_grid
-from incolour.graphs import GraphError, IncidenceColouring, ListAssignment
+from incolour.families import FamilySpec, gen_basic, gen_grid, gen_random_graph
+from incolour.graphs import Graph, GraphError, IncidenceColouring, ListAssignment, incidences
 from incolour.harness import random_list_assignment
 from incolour.jsonio import (
     colouring_from_json,
@@ -19,6 +19,7 @@ from incolour.jsonio import (
     lists_to_json,
     pre_from_json,
     pre_to_json,
+    _incidence_echo,
 )
 from incolour.dot import incidence_graph_dot
 
@@ -26,6 +27,17 @@ from incolour.dot import incidence_graph_dot
 def test_graph_json_roundtrip():
     g, _ = gen_grid(3, 2)
     assert graph_from_json(graph_to_json(g)) == g
+
+
+@pytest.mark.parametrize("g", [
+    gen_grid(3, 2)[0],
+    gen_random_graph(12, 5, 0.15),              # vertices 3 and 10 are isolated
+    Graph(6, [(5, 0), (3, 1), (3, 5)]),         # so are 2 and 4
+    Graph(4, []),
+    Graph(0, []),
+], ids=["grid", "random", "isolated", "edgeless", "empty"])
+def test_incidence_echo_follows_the_enumeration(g):
+    assert _incidence_echo(g) == [[inc.vertex, list(inc.edge)] for inc in incidences(g)]
 
 
 def test_lists_json_roundtrip_and_echo_guard():

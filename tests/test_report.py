@@ -1,20 +1,29 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
 from conftest import naive_satisfiable
+from incolour.catalogue import default_fuzz_instances
 from incolour.constructive import colour_tree
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
-from incolour.families import gen_basic
+from incolour.families import gen_basic, gen_random_graph, generate
 from incolour.graphs import (
     GraphError,
     IncidenceColouring,
     IncolourError,
     ListAssignment,
     incidence_id,
+    incidence_neighbour_ids,
 )
+
+# three graphs of each constructive family's catalogue, plus a random graph
+# with isolated vertices, which no family has
+SCAN_GRAPHS = [generate(spec)[0]
+               for family in ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
+               for spec in default_fuzz_instances(family)[-3:]] + [gen_random_graph(12, 5, 0.15)]
 
 
 @pytest.fixture
@@ -112,7 +121,7 @@ def test_report_requires_totality():
     painter.paint(0, 1, "t")
     with pytest.raises(IncolourError):
         painter.report()
-    assert len(painter.colour) == 1
+    assert painter.colour == [1, None, None, None]
 
 
 def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
@@ -123,3 +132,47 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     assert (err.value.incidence, err.value.tag) == (0, "s")
     assert painter.trace == []
     assert not naive_satisfiable(g, painter.lists)
+
+
+@pytest.mark.parametrize("g", SCAN_GRAPHS, ids=range(len(SCAN_GRAPHS)))
+def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g):
+    """Random partial colourings, painted, repainted and unpainted at
+    random: at every step ``forbidden`` and ``free`` agree with a scan of
+    ``incidence_neighbour_ids`` over an independent record of the colours,
+    and ``paint`` and ``greedy`` with that scan."""
+    neigh = incidence_neighbour_ids(g)
+    m = len(neigh)
+    rng = random.Random(m)
+    lists = ListAssignment([rng.sample(range(1, 9), 5) for _ in range(m)])
+    painter = Painter(g, lists)
+    held: dict[int, int] = {}
+    for _ in range(6 * m):
+        i = rng.randrange(m)
+        want = {held[j] for j in neigh[i] if j in held}
+        extra = rng.sample(range(1, 9), rng.randrange(3))
+        assert painter.forbidden(i) == want
+        assert painter.free(i, extra) == sorted(lists[i] - want - set(extra))
+        assert painter.painted(i) == (i in held)
+        if i in held:
+            if rng.random() < 0.7:
+                painter.unpaint(i)
+                del held[i]
+        elif rng.random() < 0.5:
+            if lists[i] - want - set(extra):
+                held[i] = painter.greedy(i, "t", extra)
+                assert held[i] == min(lists[i] - want - set(extra))
+            else:
+                with pytest.raises(StuckError):
+                    painter.greedy(i, "t", extra)
+        else:
+            colour = rng.choice(sorted(lists[i]))
+            if colour in want:
+                with pytest.raises(IncolourError, match="conflicts"):
+                    painter.paint(i, colour, "t")
+            else:
+                painter.paint(i, colour, "t")
+                held[i] = colour
+    assert held, "the walk painted nothing"
+    assert {s.incidence: s.colour for s in painter.trace} == held
+    for i in range(m):
+        assert painter.forbidden(i) == {held[j] for j in neigh[i] if j in held}

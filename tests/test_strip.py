@@ -68,7 +68,7 @@ def _paint_strip(painter, spec, spokes):
     for i, inc in enumerate(incidences(g)):
         if inc.vertex not in spokes:
             painter.greedy(i, "tree")
-    fixed = ListAssignment([{painter.colour[i]} if i in painter.colour else lists[i]
+    fixed = ListAssignment([{painter.colour[i]} if painter.painted(i) else lists[i]
                             for i in range(len(lists))])
     try:
         painter.paint_ring(spec.params["leaf_order"], "ring", spokes=spokes)
