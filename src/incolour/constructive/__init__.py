@@ -10,9 +10,10 @@ from ..families import FamilySpec, generate
 from ..graphs import Graph, IncolourError, InputError, ListAssignment, check_lists_cover
 from .cactus import cactus_bound, colour_cactus
 from .coronae import _colour_corona, corona_bound
-from .grids import _colour_grid, choose_grid_window, window_choice_valid
+from .grids import _colour_grid, choose_grid_window, grid_bound, window_choice_valid
 from .halin import K4_HALIN, _colour_halin, required_halin_lists
 from .hamcubic import (
+    HAM_CUBIC_BOUND,
     _colour_hamiltonian_cubic,
     choose_ham_boundary,
     choose_k4_triple,
@@ -28,17 +29,22 @@ __all__ = [
     "choose_grid_window", "choose_k4_triple", "choose_ham_boundary",
     "window_choice_valid", "k4_triple_valid", "ham_boundary_valid",
     "corona_bound", "cactus_bound", "required_halin_lists",
+    "cycle_bound", "grid_bound", "HAM_CUBIC_BOUND",
     "guaranteed_bound", "construct",
 ]
 
 
-def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """List incidence colouring of the cycle ``g = C_n`` by ring transfer.
+def cycle_bound(n: int) -> int:
+    """List size at which the cycle C_n is coloured: three colours suffice
+    exactly when n is divisible by 3, four always do."""
+    return 3 if n % 3 == 0 else 4
 
-    Three colours per list suffice exactly when n is divisible by 3, four
-    always do; smaller lists are rejected up front.
-    """
-    required = 3 if n % 3 == 0 else 4
+
+def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
+    """List incidence colouring of the cycle ``g = C_n`` by ring transfer,
+    from lists of :func:`cycle_bound` colours; smaller lists are rejected
+    up front."""
+    required = cycle_bound(n)
     if lists.min_size() < required:
         raise InputError(f"cycle of order {n} needs lists of size >= {required}")
     painter = Painter(g, lists)
@@ -48,15 +54,16 @@ def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport
 
 def guaranteed_bound(spec: FamilySpec, pre: bool = False) -> int:
     """List size at which the constructive procedure for this family is
-    guaranteed to succeed."""
+    guaranteed to succeed; with ``pre``, for a pre-coloured run: a corona's
+    pendant edge v0-v0^1, or two incidences of a tree (max degree + 2)."""
     g, spec = generate(spec)
     f = spec.family
     if f in ("path", "star", "tree"):
         return g.max_degree + (2 if pre else 1)
     if f == "cycle":
-        return 3 if spec.params["n"] % 3 == 0 else 4
+        return cycle_bound(spec.params["n"])
     if f == "grid":
-        return 5 if spec.params["n"] == 2 else 6
+        return grid_bound(spec.params["n"])
     if f in ("halin", "wheel", "complete"):
         hspec = _as_halin(spec)
         return required_halin_lists(g, hspec)
@@ -65,7 +72,7 @@ def guaranteed_bound(spec: FamilySpec, pre: bool = False) -> int:
     if f == "cactus":
         return cactus_bound(g)
     if f == "ham_cubic":
-        return 6
+        return HAM_CUBIC_BOUND
     raise InputError(f"no constructive bound for family {f!r}")
 
 

@@ -121,15 +121,9 @@ def _unit_order(g: Graph, unit_of, start):
 
 
 def _paint_normal_vertex(painter: Painter, v: int) -> None:
-    g = painter.graph
-    for w in g.adj[v]:
-        i = painter.id_of(v, w)
-        if not painter.painted(i):
-            painter.greedy(i, "cactus-normal")
-    for w in g.adj[v]:
-        i = painter.id_of(w, v)
-        if not painter.painted(i):
-            painter.greedy(i, "cactus-normal")
+    nbrs = painter.graph.adj[v]
+    painter.fill([painter.id_of(v, w) for w in nbrs], "cactus-normal")
+    painter.fill([painter.id_of(w, v) for w in nbrs], "cactus-normal")
 
 
 def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:

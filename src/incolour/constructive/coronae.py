@@ -13,7 +13,8 @@ completion: when the straight greedy order runs dry (possible at the
 stated list sizes only for the pre-coloured vertex with p >= 4), the block
 is redone as a tiny distinct-colour assignment search.  There is no
 exact-search fallback: a run that still gets stuck raises
-(:class:`StuckError` or ``_GiveUp``), as a stuck cactus unit does.
+:class:`StuckError`, as a stuck cactus unit does; a selector that runs
+dry names the unit's first unpainted incidence, under the tag ``corona``.
 
 The procedure itself, :func:`paint_cycle_unit`, works on host vertices of
 any graph, so the cactus colouring runs it on each cycle unit in place;
@@ -36,7 +37,8 @@ from .report import ConstructiveReport, Painter, StuckError
 
 
 class _GiveUp(IncolourError):
-    """Internal: a selector ran dry."""
+    """Internal: a selector ran dry.  :func:`paint_cycle_unit` reports it as
+    a :class:`StuckError`, so it never leaves this module."""
 
 
 def corona_bound(n: int, p: int, pre: bool) -> int:
@@ -73,7 +75,7 @@ def paint_corona_instance(
     pre: Optional[tuple[int, int]],
 ) -> ConstructiveReport:
     """Run the corona procedure without re-checking the list bound; a
-    stuck run raises :class:`StuckError` or ``_GiveUp``."""
+    stuck run raises :class:`StuckError`."""
     painter = Painter(g, lists)
     if pre is not None:
         down, up = pendant_edge_ids(g, n, p)
@@ -145,17 +147,22 @@ def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[
         a = min(painter.lists[down])
         painter.paint(down, a, prefix + "corona-seed")
         b = painter.greedy(up, prefix + "corona-seed")
-    if p <= 2:
-        _small(painter, ring, pendants, p, a, b, iid, lst, pend, prefix)
-    else:
-        _large(painter, ring, pendants, p, pre, iid, lst, pend, prefix)
+    try:
+        if p <= 2:
+            _small(painter, ring, pendants, p, a, b, iid, lst, pend, prefix)
+        else:
+            _large(painter, ring, pendants, p, pre, iid, lst, pend, prefix)
+    except _GiveUp:
+        # a selector ran dry: report the first incidence of the unit left
+        # unpainted, as a stuck greedy step would
+        edges = [(x, y) for i, x in enumerate(ring) for y in (ring[i - 1], *pendants[i])]
+        stuck = next(t for x, y in edges for t in (iid(x, y), iid(y, x))
+                     if not painter.painted(t))
+        raise StuckError(stuck, prefix + "corona", painter.trace) from None
 
     # pendant externals, shared by both branches
-    for i in range(n):
-        for w in pendants[i]:
-            t = iid(w, ring[i])
-            if not painter.painted(t):
-                painter.greedy(t, prefix + "corona-external")
+    painter.fill((iid(w, ring[i]) for i in range(n) for w in pendants[i]),
+                 prefix + "corona-external")
 
 
 def _cycle_walk(painter: Painter, ring: Sequence[int], iid, tag: str) -> None:
@@ -164,10 +171,7 @@ def _cycle_walk(painter: Painter, ring: Sequence[int], iid, tag: str) -> None:
     order = [(0, -1), (-1, 0)]
     for i in range(len(ring) - 1):
         order.extend([(i, i + 1), (i + 1, i)])
-    for x, y in order:
-        t = iid(ring[x], ring[y])
-        if not painter.painted(t):
-            painter.greedy(t, tag)
+    painter.fill((iid(ring[x], ring[y]) for x, y in order), tag)
 
 
 def _small(painter, v, pendants, p, a, b, iid, lst, pend, prefix) -> None:

@@ -138,13 +138,16 @@ def _pick(pool: Iterable[int], avoid: set[int]) -> int:
     raise IncolourError("window selector ran out of colours")  # pragma: no cover
 
 
+def grid_bound(n: int) -> int:
+    """List size at which the m-by-n grid, m >= n >= 2, is coloured: 5
+    colours when the short side is 2, 6 otherwise."""
+    return 5 if n == 2 else 6
+
+
 def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
     """Total list incidence colouring of the m-by-n grid ``g = gen_grid(m, n)``,
-    m >= n >= 2.
-
-    Lists need 5 colours when the short side is 2 and 6 otherwise.
-    """
-    required = 5 if n == 2 else 6
+    m >= n >= 2, from lists of :func:`grid_bound` colours."""
+    required = grid_bound(n)
     if lists.min_size() < required:
         raise InputError(f"grid with n={n} needs lists of size >= {required}")
     painter = Painter(g, lists)
@@ -205,10 +208,7 @@ def _five_passes(painter: Painter, m: int, n: int, iid) -> None:
     # pass 3: interior rows (row 2 is already complete and skipped)
     if m >= 4:
         for i in range(2, m):
-            for pair in [(i, 2, i - 1, 2), (i, 2, i, 1)]:
-                t = iid(*pair)
-                if not painter.painted(t):
-                    painter.greedy(t, "grid-step-3a")
+            painter.fill([iid(i, 2, i - 1, 2), iid(i, 2, i, 1)], "grid-step-3a")
             for j in range(2, n - 1):
                 targets = [
                     iid(i, j, i, j + 1),          # a
@@ -238,10 +238,7 @@ def _five_passes(painter: Painter, m: int, n: int, iid) -> None:
                 )
                 for t, colour in zip(targets, quad):
                     painter.paint(t, colour, f"grid-step-3b:{case}")
-            for pair in [(i, n - 1, i, n), (i, n - 1, i + 1, n - 1)]:
-                t = iid(*pair)
-                if not painter.painted(t):
-                    painter.greedy(t, "grid-step-3c")
+            painter.fill([iid(i, n - 1, i, n), iid(i, n - 1, i + 1, n - 1)], "grid-step-3c")
 
     # pass 4: last column
     if m >= 4:

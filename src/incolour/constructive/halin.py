@@ -2,18 +2,20 @@
 
 One route for every Halin graph, K4 and the wheels included.  First the
 incidences at the internal vertices are painted greedily, root to leaves
-over the inner tree (``halin-tree``): each step sees at most the maximum
-degree's number of colours.  Then the rim and the leaf ends of the spokes
-are painted together by the exact rim transfer :meth:`Painter.paint_ring`
-with ``spokes`` (``halin-outer-cycle``).  Once the tree is painted, each rim
-incidence sees one painted incidence and each spoke incidence at most the
-maximum degree's number, so at 6 colours and maximum degree 3 or 4 the rim
-lists keep at least 5 colours and the spoke lists at least 2.  That such a
-strip is always colourable (the strip lemma) is checked, not proven: by
-exhaustive and random strips and hill climbing, and in the tests.  With 7
-or more colours each rim incidence keeps 4 whatever the spokes take, which
-suffices on the cycle (C_2k squared is 4-choosable).  A failure raises
-:class:`~.report.StuckError`; nothing searches.
+over the inner tree (``halin-tree``), by the walk that colours trees,
+:meth:`Painter.greedy_tree` with the rim as ``outside``: each step sees at
+most the maximum degree's number of colours.  Then the rim and the leaf
+ends of the spokes are painted together by the exact rim transfer
+:meth:`Painter.paint_ring` with ``spokes`` (``halin-outer-cycle``).  Once
+the tree is painted, each rim incidence sees one painted incidence and
+each spoke incidence at most the maximum degree's number, so at 6 colours
+and maximum degree 3 or 4 the rim lists keep at least 5 colours and the
+spoke lists at least 2.  That such a strip is always colourable (the strip
+lemma) is checked, not proven: by exhaustive and random strips and hill
+climbing, and in the tests.  With 7 or more colours each rim incidence
+keeps 4 whatever the spokes take, which suffices on the cycle (C_2k
+squared is 4-choosable).  A failure raises :class:`~.report.StuckError`;
+nothing searches.
 """
 
 from __future__ import annotations
@@ -48,22 +50,9 @@ def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> Construc
     leaves = spec.params["leaf_order"]
     rim = set(leaves)
     painter = Painter(g, lists)
-    # internal vertices in breadth-first order from the least one; their
-    # edges are the tree's, and each incidence goes after its parent's
-    order = [min(v for v in range(g.n) if v not in rim)]
-    parent = {order[0]: None}
-    for v in order:
-        for w in g.adj[v]:
-            if w not in parent and w not in rim:
-                parent[w] = v
-                order.append(w)
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            painter.greedy(painter.id_of(v, p), "halin-tree")
-        for w in g.adj[v]:
-            if w != p:
-                painter.greedy(painter.id_of(v, w), "halin-tree")
+    # the inner tree: the vertices off the rim, from the least of them
+    root = min(v for v in range(g.n) if v not in rim)
+    painter.greedy_tree(root, "halin-tree", outside=rim)
     spokes = {r: next(w for w in g.adj[r] if w not in rim) for r in leaves}
     painter.paint_ring(leaves, "halin-outer-cycle", spokes=spokes)
     return painter.report()

@@ -19,6 +19,9 @@ from ..graphs import Graph, IncolourError, InputError, ListAssignment
 from .halin import K4_HALIN, _colour_halin
 from .report import ConstructiveReport, Painter
 
+# the list size at which every Hamiltonian cubic graph is coloured
+HAM_CUBIC_BOUND = 6
+
 
 def choose_k4_triple(
     first: Iterable[int],
@@ -131,9 +134,9 @@ def _colour_hamiltonian_cubic(
     lists: ListAssignment,
 ) -> ConstructiveReport:
     """Total list incidence colouring of the Hamiltonian cubic graph ``g``
-    of the ham_cubic ``spec`` from 6-colour lists."""
-    if lists.min_size() < 6:
-        raise InputError("hamiltonian cubic colouring needs lists of size >= 6")
+    of the ham_cubic ``spec`` from lists of :data:`HAM_CUBIC_BOUND` colours."""
+    if lists.min_size() < HAM_CUBIC_BOUND:
+        raise InputError(f"hamiltonian cubic colouring needs lists of size >= {HAM_CUBIC_BOUND}")
     n = spec.params["n"]
     if n == 4:
         return _colour_halin(g, K4_HALIN, lists)
@@ -169,11 +172,8 @@ def _colour_hamiltonian_cubic(
     painter.paint(iid(0, v_s), d, "ham-pick")
     painter.paint(iid(v_t, 1), e, "ham-pick")
 
-    for u, w in spec.params["matching"]:
-        for x, y in ((u, w), (w, u)):
-            t = painter.id_of(x, y)
-            if not painter.painted(t):
-                painter.greedy(t, "ham-matching")
+    painter.fill((painter.id_of(x, y) for u, w in spec.params["matching"]
+                  for x, y in ((u, w), (w, u))), "ham-matching")
 
     painter.greedy(iid(1, 2), "ham-cycle")
     for i in range(2, n):

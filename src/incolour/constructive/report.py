@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -79,7 +79,11 @@ class Painter:
 
     ``paint`` checks list membership and adjacency on every application;
     ``greedy`` picks the smallest colour that survives the incidence's
-    already-coloured neighbourhood plus any extra forbidden set.
+    already-coloured neighbourhood plus any extra forbidden set.  The
+    painting rules the procedures share are written once here: ``fill``
+    (greedy on whatever is still unpainted), ``greedy_tree`` (root to
+    leaves, for trees and the inner tree of a Halin graph) and
+    ``paint_ring`` (a cycle, exactly).
 
     The painter reads adjacency from the graph's per-vertex index
     (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
@@ -150,6 +154,32 @@ class Painter:
         colour = min(choices)
         self._set(i, colour, tag, bad)
         return colour
+
+    def fill(self, ids: Iterable[int], tag: str, extra: Iterable[int] = ()) -> None:
+        """:meth:`greedy` on each of ``ids`` still unpainted, in order."""
+        for i in ids:
+            if self.colour[i] is None:
+                self.greedy(i, tag, extra)
+
+    def greedy_tree(self, root: int, tag: str, extra: Iterable[int] = (),
+                    outside: Container[int] = ()) -> None:
+        """Paint root to leaves: breadth first from ``root`` over the
+        vertices not in ``outside``, at each vertex its incidence towards its
+        parent first, then the others in id order (those towards ``outside``
+        included), by :meth:`fill`.  On a tree each step then sees at most
+        the maximum degree's number of painted colours."""
+        off, head, mate = self._off, self._head, self._mate
+        up: dict[int, Optional[int]] = {root: None}
+        order = [root]
+        for v in order:
+            ids = range(off[v], off[v + 1])
+            for i in ids:
+                if head[i] not in up and head[i] not in outside:
+                    up[head[i]] = mate[i]
+                    order.append(head[i])
+            if up[v] is not None:
+                self.fill((up[v],), tag, extra)
+            self.fill(ids, tag, extra)
 
     def _set(self, i: int, colour: int, tag: str, bad: set) -> None:
         """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``

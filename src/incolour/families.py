@@ -544,11 +544,8 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
         return gen_cycle_power(p["n"], p["p"])
     if f == "cactus":
         if "cycles" in p and not ("size" in p and "seed" in p):
-            cycle_edge_set = set()
-            for c in p["cycles"]:
-                cycle_edge_set.update(canon_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
-            extra = [e for e in p.get("edges", []) if canon_edge(*e) not in cycle_edge_set]
-            return gen_cactus(cycles=p["cycles"], extra_edges=extra)
+            # the stored edges repeat the cycles' edges; Graph keeps one copy
+            return gen_cactus(cycles=p["cycles"], extra_edges=p.get("edges", []))
         # a random cactus; once generated, its spec also lists the cycles and
         # edges, which must be the ones its size and seed give
         g, built = gen_cactus(size=p["size"], seed=p["seed"])

@@ -16,7 +16,8 @@ settings.load_profile("deterministic")
 
 def assert_valid_report(g, lists, report, expect=None):
     """Full check of a constructive result: total/proper/list-respecting via
-    the independent pairwise validator, plus trace replay."""
+    ``validate_colouring``, the linear per-vertex check, plus trace replay,
+    which reads the incidence neighbour table."""
     verdict = validate_colouring(g, lists, report.colouring)
     assert verdict.ok, verdict.violation
     assert report.replay(g, lists) == report.colouring

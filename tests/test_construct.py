@@ -149,7 +149,8 @@ def test_construct_rejects_lists_that_do_not_cover_the_graph(spec, extra):
 ], ids=lambda v: v.family if isinstance(v, FamilySpec) else ("pre" if v else "plain"))
 def test_construct_builds_no_neighbour_table(spec, pre):
     """The constructive procedures read the graph's per-vertex index only:
-    the incidence neighbour table belongs to the exact search."""
+    the incidence neighbour table belongs to the exact search, and the
+    enumeration of ``Incidence`` tuples to the DOT export."""
     g, spec = generate(FamilySpec.from_json(spec.to_json()))
     assert g._cache == {}
     k = guaranteed_bound(spec, pre=pre)
@@ -158,6 +159,7 @@ def test_construct_builds_no_neighbour_table(spec, pre):
     report = construct(spec, lists, pre=pre_colours)
     assert validate_colouring(g, lists, report.colouring).ok
     assert "incidence_neighbour_ids" not in g._cache
+    assert "incidences" not in g._cache
 
 
 def test_construct_fails_a_colouring_that_drops_the_pre_colours(monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import assert_valid_report
 from incolour.constructive import StuckError, construct, corona_bound, guaranteed_bound
-from incolour.constructive.coronae import _GiveUp, paint_corona_instance
+from incolour.constructive.coronae import paint_corona_instance
 from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import corona_pre_pair, random_list_assignment
@@ -161,8 +161,21 @@ def test_stuck_on_adversarial_lists():
     crafted[incidence_id(g, 1, corona_pendant(1, 1, n, p))] = frozenset({gamma})
     lists = ListAssignment(crafted)
     assert solve_list_colouring(g, lists).found
-    with pytest.raises((StuckError, _GiveUp)):
+    with pytest.raises(StuckError):
         paint_corona_instance(g, n, p, lists, None)
+
+
+def test_selector_that_runs_dry_raises_stuck_error():
+    """Lists two below the bound leave a corona selector without a colour:
+    the run stops with a StuckError tagged ``corona`` that names an
+    incidence of the unit still unpainted."""
+    n, p = 3, 4
+    g, _ = gen_corona(n, p)
+    lists = random_list_assignment(g, 5, 6, 0)
+    with pytest.raises(StuckError) as err:
+        paint_corona_instance(g, n, p, lists, None)
+    assert err.value.tag == "corona"
+    assert err.value.incidence not in {s.incidence for s in err.value.trace}
 
 
 def test_deterministic():
@@ -200,7 +213,7 @@ def test_corona_fallback_matches_golden_digest():
                     h.update(f"n={n} p={p} pre={pair} seed={seed}\n".encode())
                     try:
                         rep = paint_corona_instance(g, n, p, lists, pair)
-                    except (StuckError, _GiveUp):
+                    except StuckError:
                         stuck += 1
                         stuck_pre += pre
                         h.update(b"stuck\n")

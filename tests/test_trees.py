@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_valid_report
 from incolour.catalogue import halin_specs, random_halin_spec
-from incolour.constructive import colour_tree, construct, required_halin_lists
-from incolour.families import gen_basic, gen_random_tree, generate
+from incolour.constructive import colour_tree, construct, guaranteed_bound, required_halin_lists
+from incolour.families import FamilySpec, gen_basic, gen_random_tree, generate
 from incolour.graphs import (
     Graph,
     InputError,
@@ -72,15 +72,38 @@ def test_rejects_small_lists():
         colour_tree(t, ListAssignment.uniform(t, 3))   # needs degree+1 = 4
 
 
-def test_rejects_bad_precolouring():
+# on the path 0-1-2 the incidences are 0 = (0, 01), 1 = (1, 10),
+# 2 = (1, 12) and 3 = (2, 21)
+@pytest.mark.parametrize("pre, pair", [
+    ({0: 9}, None),                 # a colour outside its list
+    ({1: 1, 2: 1}, (1, 2)),         # same vertex
+    ({0: 1, 1: 1}, (0, 1)),         # same edge
+    ({0: 1, 2: 1}, (0, 2)),         # (v, e) and (w, f) with vw = e
+], ids=["outside-list", "same-vertex", "same-edge", "vw-is-e"])
+def test_rejects_bad_precolouring(pre, pair):
     t, _ = gen_basic("path", 3)
     lists = ListAssignment.uniform(t, 4)
+    if pair is not None:
+        incs = incidences(t)
+        assert incidence_adjacent(incs[pair[0]], incs[pair[1]])
     with pytest.raises(InputError):
-        colour_tree(t, lists, pre={0: 9})          # colour outside list
-    i: int = incidence_id(t, 1, 0)
-    j: int = incidence_id(t, 1, 2)
-    with pytest.raises(InputError):
-        colour_tree(t, lists, pre={i: 1, j: 1})    # adjacent, equal colours
+        colour_tree(t, lists, pre=pre)
+
+
+def test_guaranteed_bound_with_one_precoloured_edge():
+    """``guaranteed_bound(tree, pre=True)`` is the bound for two pre-coloured
+    incidences, max degree + 2, and it suffices for both incidences of one
+    edge."""
+    g, spec = generate(FamilySpec("tree", {"n": 12, "seed": 3}))
+    k = guaranteed_bound(spec, pre=True)
+    assert k == g.max_degree + 2
+    u, v = g.edges[len(g.edges) // 2]
+    down, up = incidence_id(g, u, v), incidence_id(g, v, u)
+    for seed in range(5):
+        lists = random_list_assignment(g, k, k + 2, seed)
+        a = min(lists[down])
+        pre = {down: a, up: min(lists[up] - {a})}
+        assert_valid_report(g, lists, construct(spec, lists, pre=pre), expect=pre)
 
 
 def test_rejects_precoloured_id_out_of_range():
