@@ -1,37 +1,49 @@
 """Constructive colouring procedures: deterministic polynomial algorithms
 that, given a list assignment at the family's proven size, always return a
-valid colouring."""
+valid colouring.
+
+:func:`construct` does the steps every family shares, once: it builds the
+graph and a :class:`Painter` (which checks that the lists cover the
+incidences), checks the lists against the family's list size, runs the
+family's painting rule on the painter and reports.  Each painting rule is
+a public ``paint_*`` function of its family's module, so that a tracer
+that wraps public functions sees it; a cycle is one
+:meth:`Painter.paint_ring`.  A rule checks only what is particular to it,
+such as a pre-colouring.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..families import FamilySpec, generate
-from ..graphs import Graph, IncolourError, InputError, ListAssignment, check_lists_cover
-from .cactus import cactus_bound, colour_cactus
-from .coronae import _colour_corona, corona_bound
-from .grids import _colour_grid, choose_grid_window, grid_bound, window_choice_valid
-from .halin import K4_HALIN, _colour_halin, required_halin_lists
+from ..graphs import Graph, IncolourError, InputError, ListAssignment
+from .cactus import cactus_bound, colour_cactus, paint_cactus
+from .coronae import corona_bound, paint_corona
+from .grids import choose_grid_window, grid_bound, paint_grid, window_choice_valid
+from .halin import K4_HALIN, paint_halin, required_halin_lists
 from .hamcubic import (
     HAM_CUBIC_BOUND,
-    _colour_hamiltonian_cubic,
     choose_ham_boundary,
     choose_k4_triple,
     ham_boundary_valid,
     k4_triple_valid,
+    paint_ham_cubic,
 )
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
-from .trees import colour_tree
+from .trees import colour_tree, paint_tree, tree_bound
 
 __all__ = [
     "ConstructiveReport", "Painter", "StuckError", "TraceStep",
     "colour_tree", "colour_cactus",
     "choose_grid_window", "choose_k4_triple", "choose_ham_boundary",
     "window_choice_valid", "k4_triple_valid", "ham_boundary_valid",
-    "corona_bound", "cactus_bound", "required_halin_lists",
+    "corona_bound", "cactus_bound", "required_halin_lists", "tree_bound",
     "cycle_bound", "grid_bound", "HAM_CUBIC_BOUND",
     "guaranteed_bound", "construct",
 ]
+
+Rule = Callable[[Painter, Optional[dict[int, int]]], None]
 
 
 def cycle_bound(n: int) -> int:
@@ -40,40 +52,12 @@ def cycle_bound(n: int) -> int:
     return 3 if n % 3 == 0 else 4
 
 
-def _colour_cycle(g: Graph, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """List incidence colouring of the cycle ``g = C_n`` by ring transfer,
-    from lists of :func:`cycle_bound` colours; smaller lists are rejected
-    up front."""
-    required = cycle_bound(n)
-    if lists.min_size() < required:
-        raise InputError(f"cycle of order {n} needs lists of size >= {required}")
-    painter = Painter(g, lists)
-    painter.paint_ring(range(n), "cycle-dp")
-    return painter.report()
-
-
 def guaranteed_bound(spec: FamilySpec, pre: bool = False) -> int:
-    """List size at which the constructive procedure for this family is
-    guaranteed to succeed; with ``pre``, for a pre-coloured run: a corona's
-    pendant edge v0-v0^1, or two incidences of a tree (max degree + 2)."""
+    """List size at which :func:`construct` is guaranteed to succeed on this
+    family; with ``pre``, for a run with two pre-coloured incidences: a
+    corona's pendant edge v0-v0^1, or a tree edge (max degree + 2)."""
     g, spec = generate(spec)
-    f = spec.family
-    if f in ("path", "star", "tree"):
-        return g.max_degree + (2 if pre else 1)
-    if f == "cycle":
-        return cycle_bound(spec.params["n"])
-    if f == "grid":
-        return grid_bound(spec.params["n"])
-    if f in ("halin", "wheel", "complete"):
-        hspec = _as_halin(spec)
-        return required_halin_lists(g, hspec)
-    if f == "corona":
-        return corona_bound(spec.params["n"], spec.params["p"], pre)
-    if f == "cactus":
-        return cactus_bound(g)
-    if f == "ham_cubic":
-        return HAM_CUBIC_BOUND
-    raise InputError(f"no constructive bound for family {f!r}")
+    return _procedure(g, spec, 2 if pre else 0)[0]
 
 
 def construct(
@@ -86,38 +70,71 @@ def construct(
 
     ``pre`` maps incidence ids to fixed colours; trees take any set of
     them, coronae exactly the two incidences of the pendant edge v0-v0^1
-    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`). A spec
-    from :func:`~incolour.families.generate` brings its graph; others are built.
+    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`).  The
+    list size is the family's for k = ``len(pre)`` pre-coloured
+    incidences, checked once here, unless the graph has no edges.  A spec
+    from :func:`~incolour.families.generate` brings its graph; others are
+    built.
     """
     g, spec = generate(spec)
-    check_lists_cover(g, lists)
-    f = spec.family
-    if pre and f not in ("path", "star", "tree", "corona"):
-        raise InputError(f"family {f!r} does not take a pre-colouring")
-    report = _dispatch(g, spec, lists, pre)
+    painter = Painter(g, lists)
+    if pre and spec.family not in ("path", "star", "tree", "corona"):
+        raise InputError(f"family {spec.family!r} does not take a pre-colouring")
+    size, short, rule = _procedure(g, spec, len(pre or ()))
+    if g.edges and lists.min_size() < size:
+        raise InputError(short)
+    rule(painter, pre)
+    report = painter.report()
     for i, colour in (pre or {}).items():
         if report.colouring.assignment.get(i) != colour:
             raise IncolourError(f"colouring changes the pre-colour {colour} of incidence {i}")
     return report
 
 
-def _dispatch(g: Graph, spec: FamilySpec, lists: ListAssignment, pre) -> ConstructiveReport:
-    f = spec.family
+def _procedure(g: Graph, spec: FamilySpec, k: int) -> tuple[int, str, Rule]:
+    """The list size of the family of ``spec`` with k pre-coloured
+    incidences, the error message for shorter lists, and the family's
+    painting rule, called as ``rule(painter, pre)``.  A rule names its
+    ``paint_*`` function only when it runs, so a tracer that swaps the
+    module attribute sees the call."""
+    f, p = spec.family, spec.params
     if f in ("path", "star", "tree"):
-        return colour_tree(g, lists, pre=pre)
-    if f == "cycle":
-        return _colour_cycle(g, spec.params["n"], lists)
-    if f == "grid":
-        return _colour_grid(g, spec.params["m"], spec.params["n"], lists)
-    if f in ("halin", "wheel", "complete"):
-        return _colour_halin(g, _as_halin(spec), lists)
-    if f == "corona":
-        return _colour_corona(g, spec.params["n"], spec.params["p"], lists, pre)
-    if f == "cactus":
-        return colour_cactus(g, lists)
-    if f == "ham_cubic":
-        return _colour_hamiltonian_cubic(g, spec, lists)
-    raise InputError(f"no constructive procedure for family {f!r}")
+        size = tree_bound(g, k)
+        short = f"every list needs at least {size} colours"
+        rule = lambda painter, pre: paint_tree(painter, pre)
+    elif f == "cycle":
+        n = p["n"]
+        size = cycle_bound(n)
+        short = f"cycle of order {n} needs lists of size >= {size}"
+        rule = lambda painter, pre: painter.paint_ring(range(n), "cycle-dp")
+    elif f == "grid":
+        size = grid_bound(p["n"])
+        short = f"grid with n={p['n']} needs lists of size >= {size}"
+        rule = lambda painter, pre: paint_grid(painter, p["m"], p["n"])
+    elif f in ("halin", "wheel", "complete"):
+        hspec = _as_halin(spec)
+        size = required_halin_lists(g, hspec)
+        short = f"halin colouring needs lists of size >= {size}"
+        rule = lambda painter, pre: paint_halin(painter, hspec)
+    elif f == "corona":
+        n, q = p["n"], p["p"]
+        size = corona_bound(n, q, k > 0)
+        short = f"corona (n={n}, p={q}{', pre' if k else ''}) needs lists of size >= {size}"
+        rule = lambda painter, pre: paint_corona(painter, n, q, pre)
+    elif f == "cactus":
+        size = cactus_bound(g, p["cycles"])
+        short = f"this cactus needs lists of size >= {size}"
+        rule = lambda painter, pre: paint_cactus(painter, p["cycles"])
+    elif f == "ham_cubic":
+        size = HAM_CUBIC_BOUND
+        short = f"hamiltonian cubic colouring needs lists of size >= {size}"
+        if p["n"] == 4:   # K4, coloured as the Halin graph it is
+            rule = lambda painter, pre: paint_halin(painter, K4_HALIN)
+        else:
+            rule = lambda painter, pre: paint_ham_cubic(painter, spec)
+    else:
+        raise InputError(f"no constructive procedure for family {f!r}")
+    return size, short, rule
 
 
 def _as_halin(spec: FamilySpec) -> FamilySpec:

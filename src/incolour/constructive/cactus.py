@@ -16,15 +16,15 @@ fallback inside a cactus.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..families import cactus_cycles, is_connected
-from ..graphs import Graph, InputError, ListAssignment
+from ..graphs import Graph, InputError, ListAssignment, _vertex_index
 from .coronae import paint_cycle_unit
 from .report import ConstructiveReport, Painter
 
 
-def cactus_bound(g: Graph, cycles: Optional[list[list[int]]] = None) -> int:
+def cactus_bound(g: Graph, cycles: Optional[Sequence[Sequence[int]]] = None) -> int:
     """List size guaranteed to suffice, by maximum degree and the census of
     maximal cycles (cycles containing a maximum-degree vertex)."""
     if cycles is None:
@@ -46,20 +46,28 @@ def cactus_bound(g: Graph, cycles: Optional[list[list[int]]] = None) -> int:
 def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
     """Total list incidence colouring of a connected cactus at the census
     bound of :func:`cactus_bound`."""
+    painter = Painter(g, lists)
     cycles = cactus_cycles(g)
     if cycles is None:
         raise InputError("input graph is not a cactus")
+    required = cactus_bound(g, cycles)
+    if g.edges and lists.min_size() < required:
+        raise InputError(f"this cactus needs lists of size >= {required}")
+    paint_cactus(painter, cycles)
+    return painter.report()
+
+
+def paint_cactus(painter: Painter, cycles: Sequence[Sequence[int]]) -> None:
+    """Paint the cactus of ``painter``, whose cycles are ``cycles``
+    (:func:`~incolour.families.cactus_cycles`), unit by unit from a first
+    cycle; it must be connected and neither a tree nor a cycle."""
+    g = painter.graph
     if not is_connected(g):
         raise InputError("cactus colouring expects a connected graph")
     if not cycles:
         raise InputError("input is a tree: use the tree colouring")
     if len(cycles) == 1 and len(cycles[0]) == g.n and len(g.edges) == g.n:
         raise InputError("input is a cycle: use the cycle colouring")
-    required = cactus_bound(g, cycles)
-    if lists.min_size() < required:
-        raise InputError(f"this cactus needs lists of size >= {required}")
-
-    painter = Painter(g, lists)
     on_cycle: dict[int, int] = {}
     for ci, cyc in enumerate(cycles):
         for v in cyc:
@@ -70,15 +78,17 @@ def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
 
     start_unit = ("cyc", _pick_start(g, cycles))
     order, parent_edge = _unit_order(g, unit_of, start_unit)
+    off, _, mate = _vertex_index(g)
     for unit in order:
         if unit[0] == "cyc":
-            _paint_cycle_unit(painter, cycles[unit[1]], parent_edge.get(unit))
+            _paint_cycle_unit(painter, list(cycles[unit[1]]), parent_edge.get(unit))
         else:
-            _paint_normal_vertex(painter, unit[1])
-    return painter.report()
+            v = unit[1]
+            painter.fill(range(off[v], off[v + 1]), "cactus-normal")
+            painter.fill(mate[off[v]:off[v + 1]], "cactus-normal")
 
 
-def _pick_start(g: Graph, cycles: list[list[int]]) -> int:
+def _pick_start(g: Graph, cycles: Sequence[Sequence[int]]) -> int:
     delta = g.max_degree
     maximal_triangles = [
         i for i, c in enumerate(cycles)
@@ -118,12 +128,6 @@ def _unit_order(g: Graph, unit_of, start):
                 order.append(nxt)
                 queue.append(nxt)
     return order, parent_edge
-
-
-def _paint_normal_vertex(painter: Painter, v: int) -> None:
-    nbrs = painter.graph.adj[v]
-    painter.fill([painter.id_of(v, w) for w in nbrs], "cactus-normal")
-    painter.fill([painter.id_of(w, v) for w in nbrs], "cactus-normal")
 
 
 def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:

@@ -16,8 +16,9 @@ exact-search fallback: a run that still gets stuck raises
 :class:`StuckError`, as a stuck cactus unit does; a selector that runs
 dry names the unit's first unpainted incidence, under the tag ``corona``.
 
-The procedure itself, :func:`paint_cycle_unit`, works on host vertices of
-any graph, so the cactus colouring runs it on each cycle unit in place;
+The painting rule :func:`paint_corona` paints the pre-coloured edge and
+hands the rest to :func:`paint_cycle_unit`, which works on host vertices
+of any graph, so the cactus colouring runs it on each cycle unit in place;
 pendant rows shorter than p are allowed there.
 """
 
@@ -26,14 +27,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..families import corona_pendant
-from ..graphs import (
-    Graph,
-    IncolourError,
-    InputError,
-    ListAssignment,
-    incidence_id,
-)
-from .report import ConstructiveReport, Painter, StuckError
+from ..graphs import Graph, IncolourError, InputError, incidence_id
+from .report import Painter, StuckError
 
 
 class _GiveUp(IncolourError):
@@ -50,40 +45,26 @@ def corona_bound(n: int, p: int, pre: bool) -> int:
     return max(p + 3, 7)
 
 
-def _colour_corona(
-    g: Graph,
-    n: int,
-    p: int,
-    lists: ListAssignment,
-    pre: Optional[dict[int, int]],
-) -> ConstructiveReport:
-    """Total list incidence colouring of the corona ``g = gen_corona(n, p)``,
-    the cycle C_n with p pendants per vertex; ``pre`` fixes the two
-    incidences of the pendant edge v0-v0^1 beforehand."""
-    pair = _corona_pre(g, n, p, lists, pre)
-    required = corona_bound(n, p, pair is not None)
-    if lists.min_size() < required:
-        raise InputError(f"corona (n={n}, p={p}{', pre' if pair else ''}) needs lists of size >= {required}")
-    return paint_corona_instance(g, n, p, lists, pair)
-
-
-def paint_corona_instance(
-    g: Graph,
-    n: int,
-    p: int,
-    lists: ListAssignment,
-    pre: Optional[tuple[int, int]],
-) -> ConstructiveReport:
-    """Run the corona procedure without re-checking the list bound; a
-    stuck run raises :class:`StuckError`."""
-    painter = Painter(g, lists)
-    if pre is not None:
-        down, up = pendant_edge_ids(g, n, p)
-        painter.paint(down, pre[0], "corona-pre")
-        painter.paint(up, pre[1], "corona-pre")
+def paint_corona(painter: Painter, n: int, p: int, pre: Optional[dict[int, int]]) -> None:
+    """Paint the corona ``gen_corona(n, p)`` of ``painter``, the cycle C_n
+    with p pendants per vertex.  ``pre``, when given, must cover exactly
+    the two incidences of the pendant edge v0-v0^1 with two different
+    colours from their lists, and fixes them beforehand; a stuck run
+    raises :class:`StuckError`."""
+    if pre:
+        down, up = pendant_edge_ids(painter.graph, n, p)
+        if sorted(pre) != sorted((down, up)):
+            raise InputError(
+                f"corona pre-colouring must cover incidences {down} and {up} only")
+        for i in (down, up):
+            if pre[i] not in painter.lists[i]:
+                raise InputError(f"pre-colour {pre[i]} outside the list of incidence {i}")
+        if pre[down] == pre[up]:
+            raise InputError("the two pre-colours must differ")
+        painter.paint(down, pre[down], "corona-pre")
+        painter.paint(up, pre[up], "corona-pre")
     rows = [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)]
     paint_cycle_unit(painter, range(n), rows)
-    return painter.report()
 
 
 def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
@@ -91,30 +72,6 @@ def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
     ``g``: ``(v0, v0·v0^1)`` first, then ``(v0^1, v0^1·v0)``."""
     leaf = corona_pendant(0, 1, n, p)
     return incidence_id(g, 0, leaf), incidence_id(g, leaf, 0)
-
-
-def _corona_pre(
-    g: Graph,
-    n: int,
-    p: int,
-    lists: ListAssignment,
-    pre: Optional[dict[int, int]],
-) -> Optional[tuple[int, int]]:
-    """The pre-colours ``(a, b)`` of the pendant edge v0-v0^1, cycle side
-    first, from ``pre``, which must cover exactly its two incidences with
-    two different colours from their lists."""
-    if not pre:
-        return None
-    down, up = pendant_edge_ids(g, n, p)
-    if sorted(pre) != sorted((down, up)):
-        raise InputError(
-            f"corona pre-colouring must cover incidences {down} and {up} only")
-    for i in (down, up):
-        if pre[i] not in lists[i]:
-            raise InputError(f"pre-colour {pre[i]} outside the list of incidence {i}")
-    if pre[down] == pre[up]:
-        raise InputError("the two pre-colours must differ")
-    return pre[down], pre[up]
 
 
 def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: list[list[int]],

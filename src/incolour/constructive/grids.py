@@ -3,7 +3,8 @@
 Two-row grids are coloured square by square with 5-colour lists.  Wider
 grids use 6-colour lists and five passes: the top border and left column,
 the second row, the interior rows (through a four-incidence window
-selector), the last column, and the bottom row.
+selector), the last column, and the bottom row.  The painting rule is
+:func:`paint_grid`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..families import grid_vertex
-from ..graphs import Graph, IncolourError, InputError, ListAssignment
-from .report import ConstructiveReport, Painter
+from ..graphs import IncolourError, InputError, _vertex_index
+from .report import Painter
 
 
 def choose_grid_window(
@@ -144,14 +145,9 @@ def grid_bound(n: int) -> int:
     return 5 if n == 2 else 6
 
 
-def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> ConstructiveReport:
-    """Total list incidence colouring of the m-by-n grid ``g = gen_grid(m, n)``,
-    m >= n >= 2, from lists of :func:`grid_bound` colours."""
-    required = grid_bound(n)
-    if lists.min_size() < required:
-        raise InputError(f"grid with n={n} needs lists of size >= {required}")
-    painter = Painter(g, lists)
-
+def paint_grid(painter: Painter, m: int, n: int) -> None:
+    """Paint the m-by-n grid ``gen_grid(m, n)`` of ``painter``, m >= n >= 2,
+    from lists of :func:`grid_bound` colours."""
     def iid(i1: int, j1: int, i2: int, j2: int) -> int:
         return painter.id_of(grid_vertex(i1, j1, n), grid_vertex(i2, j2, n))
 
@@ -159,7 +155,6 @@ def _colour_grid(g: Graph, m: int, n: int, lists: ListAssignment) -> Constructiv
         _two_rows(painter, m, iid)
     else:
         _five_passes(painter, m, n, iid)
-    return painter.report()
 
 
 def _two_rows(painter: Painter, m: int, iid) -> None:
@@ -183,11 +178,11 @@ def _two_rows(painter: Painter, m: int, iid) -> None:
 
 
 def _five_passes(painter: Painter, m: int, n: int, iid) -> None:
-    g = painter.graph
+    off = _vertex_index(painter.graph)[0]
 
-    def internals(i: int, j: int):
+    def internals(i: int, j: int) -> range:
         v = grid_vertex(i, j, n)
-        return [painter.id_of(v, u) for u in g.adj[v]]
+        return range(off[v], off[v + 1])
 
     # pass 1: top row then left column, internal incidences only
     for j in range(1, n + 1):

@@ -1,12 +1,13 @@
 """Constructive list incidence colouring of Halin graphs.
 
-One route for every Halin graph, K4 and the wheels included.  First the
-incidences at the internal vertices are painted greedily, root to leaves
-over the inner tree (``halin-tree``), by the walk that colours trees,
-:meth:`Painter.greedy_tree` with the rim as ``outside``: each step sees at
-most the maximum degree's number of colours.  Then the rim and the leaf
-ends of the spokes are painted together by the exact rim transfer
-:meth:`Painter.paint_ring` with ``spokes`` (``halin-outer-cycle``).  Once
+One route for every Halin graph, K4 and the wheels included: the painting
+rule :func:`paint_halin`.  First the incidences at the internal vertices
+are painted greedily, root to leaves over the inner tree (``halin-tree``),
+by the walk that colours trees, :meth:`Painter.greedy_tree` with the rim
+as ``outside``: each step sees at most the maximum degree's number of
+colours.  Then the rim and the leaf ends of the spokes are painted
+together by the exact rim transfer :meth:`Painter.paint_ring` with
+``spokes`` (``halin-outer-cycle``).  Once
 the tree is painted, each rim incidence sees one painted incidence and
 each spoke incidence at most the maximum degree's number, so at 6 colours
 and maximum degree 3 or 4 the rim lists keep at least 5 colours and the
@@ -21,8 +22,8 @@ nothing searches.
 from __future__ import annotations
 
 from ..families import FamilySpec
-from ..graphs import Graph, InputError, ListAssignment
-from .report import ConstructiveReport, Painter
+from ..graphs import Graph
+from .report import Painter
 
 # K4 as a Halin graph: a star on three leaves plus the rim
 K4_HALIN = FamilySpec("halin", {"tree_edges": [[0, 3], [1, 3], [2, 3]], "leaf_order": [0, 1, 2]})
@@ -38,24 +39,20 @@ def required_halin_lists(g: Graph, spec: FamilySpec) -> int:
     return delta + 1
 
 
-def _colour_halin(g: Graph, spec: FamilySpec, lists: ListAssignment) -> ConstructiveReport:
-    """Total list incidence colouring of the Halin graph ``g`` of the halin
-    ``spec`` at its guaranteed list size (6 for maximum degree 3 or 4
-    except the 4-wheel, 7 for maximum degree 5 and the 4-wheel, max degree
-    + 1 beyond): the inner tree root to leaves, then the rim with its
+def paint_halin(painter: Painter, spec: FamilySpec) -> None:
+    """Paint the Halin graph of ``painter`` described by the halin ``spec``
+    at its guaranteed list size (6 for maximum degree 3 or 4 except the
+    4-wheel, 7 for maximum degree 5 and the 4-wheel, max degree + 1
+    beyond): the inner tree root to leaves, then the rim with its
     spokes."""
-    required = required_halin_lists(g, spec)
-    if lists.min_size() < required:
-        raise InputError(f"halin colouring needs lists of size >= {required}")
+    g = painter.graph
     leaves = spec.params["leaf_order"]
     rim = set(leaves)
-    painter = Painter(g, lists)
     # the inner tree: the vertices off the rim, from the least of them
     root = min(v for v in range(g.n) if v not in rim)
     painter.greedy_tree(root, "halin-tree", outside=rim)
     spokes = {r: next(w for w in g.adj[r] if w not in rim) for r in leaves}
     painter.paint_ring(leaves, "halin-outer-cycle", spokes=spokes)
-    return painter.report()
 
 
 def _tree_is_star(g: Graph, spec: FamilySpec) -> bool:

@@ -2,10 +2,11 @@
 (a Hamilton cycle plus a perfect matching) from 6-colour lists.
 
 Order 4 is K4, coloured as the Halin graph it is (one route for every
-Halin graph, :mod:`~incolour.constructive.halin`).  Larger graphs rotate
-the cycle so vertex 0 is not matched two steps ahead, fix five incidences
-around the cycle edge v0-v1 with a selector, colour the matching, then
-close the cycle leaving the two guarded incidences last.  The selector's
+Halin graph, :func:`~incolour.constructive.halin.paint_halin`).  Larger
+graphs, by the painting rule :func:`paint_ham_cubic`, rotate the cycle so
+vertex 0 is not matched two steps ahead, fix five incidences around the
+cycle edge v0-v1 with a selector, colour the matching, then close the
+cycle leaving the two guarded incidences last.  The selector's
 (c, d, e) stage is the guarded-triple rule :func:`choose_k4_triple`: three
 colours from three lists with at most one of them in a guard list.
 """
@@ -15,9 +16,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..families import FamilySpec
-from ..graphs import Graph, IncolourError, InputError, ListAssignment
-from .halin import K4_HALIN, _colour_halin
-from .report import ConstructiveReport, Painter
+from ..graphs import IncolourError
+from .halin import K4_HALIN, paint_halin
+from .report import Painter
 
 # the list size at which every Hamiltonian cubic graph is coloured
 HAM_CUBIC_BOUND = 6
@@ -128,20 +129,14 @@ def ham_boundary_valid(values, A, B, C, D, E, guard_outer, guard_inner) -> bool:
     )
 
 
-def _colour_hamiltonian_cubic(
-    g: Graph,
-    spec: FamilySpec,
-    lists: ListAssignment,
-) -> ConstructiveReport:
-    """Total list incidence colouring of the Hamiltonian cubic graph ``g``
-    of the ham_cubic ``spec`` from lists of :data:`HAM_CUBIC_BOUND` colours."""
-    if lists.min_size() < HAM_CUBIC_BOUND:
-        raise InputError(f"hamiltonian cubic colouring needs lists of size >= {HAM_CUBIC_BOUND}")
+def paint_ham_cubic(painter: Painter, spec: FamilySpec) -> None:
+    """Paint the Hamiltonian cubic graph of ``painter``, of the ham_cubic
+    ``spec``, from lists of :data:`HAM_CUBIC_BOUND` colours; K4, of order
+    4, is painted as the Halin graph it is."""
     n = spec.params["n"]
     if n == 4:
-        return _colour_halin(g, K4_HALIN, lists)
-    painter = Painter(g, lists)
-
+        paint_halin(painter, K4_HALIN)
+        return
     match = {}
     for u, w in spec.params["matching"]:
         match[u] = w
@@ -181,4 +176,3 @@ def _colour_hamiltonian_cubic(
         painter.greedy(iid((i + 1) % n, i), "ham-cycle")
     painter.greedy(iid(0, 1), "ham-close")
     painter.greedy(iid(1, 0), "ham-close")
-    return painter.report()

@@ -6,10 +6,11 @@ With k pre-coloured incidences and every list of size at least
 always exists: peel pre-colours one colour class at a time, and solve the
 single-anchor base case by fixing the anchor edge and colouring the rest
 root to leaves from the anchor's vertex (:meth:`Painter.greedy_tree`),
-where every step sees at most ``max_degree`` forbidden colours.  All of it
-paints one :class:`Painter`: a peeled colour is withheld from every greedy
-choice below its level, and once the inner problem is solved the peeled
-class is unpainted and repainted in that colour.  The anchor's ends and
+where every step sees at most ``max_degree`` forbidden colours.  All of
+it, the painting rule :func:`paint_tree`, paints one :class:`Painter`: a
+peeled colour is withheld from every greedy choice below its level, and
+once the inner problem is solved the peeled class is unpainted and
+repainted in that colour.  The anchor's ends and
 mate come from the graph's per-vertex incidence index.
 """
 
@@ -24,7 +25,6 @@ from ..graphs import (
     InputError,
     ListAssignment,
     _vertex_index,
-    check_lists_cover,
     validate_colouring,
 )
 from .report import ConstructiveReport, Painter
@@ -32,32 +32,44 @@ from .report import ConstructiveReport, Painter
 PreColouring = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def tree_bound(g: Graph, k: int) -> int:
+    """List size at which the tree ``g`` is coloured extending k
+    pre-coloured incidences: max degree + max(k, 1)."""
+    return g.max_degree + max(k, 1)
+
+
 def colour_tree(
     g: Graph,
     lists: ListAssignment,
     pre: Optional[PreColouring] = None,
 ) -> ConstructiveReport:
-    """Total list incidence colouring of a tree extending ``pre``."""
-    check_lists_cover(g, lists)
+    """Total list incidence colouring of a tree extending ``pre``, from
+    lists of :func:`tree_bound` colours."""
+    painter = Painter(g, lists)
     if not is_tree(g):
         raise InputError("input graph is not a tree")
-    m = 2 * len(g.edges)
-    pre_items = sorted(dict(pre).items()) if pre is not None else []
-    required = g.max_degree + max(len(pre_items), 1)
-    if m and lists.min_size() < required:
+    pre = dict(pre or ())
+    required = tree_bound(g, len(pre))
+    if g.edges and lists.min_size() < required:
         raise InputError(f"every list needs at least {required} colours")
+    paint_tree(painter, pre)
+    return painter.report()
+
+
+def paint_tree(painter: Painter, pre: Optional[PreColouring]) -> None:
+    """Paint the tree of ``painter`` extending ``pre``, which must lie on
+    its incidences and be a proper colouring from the lists."""
+    pre_items = sorted(dict(pre or ()).items())
+    m = len(painter.colour)
     for i, _ in pre_items:
         if not 0 <= i < m:
             raise InputError(f"pre-coloured incidence {i} out of range")
     if pre_items:
-        verdict = validate_colouring(g, lists, IncidenceColouring(dict(pre_items)))
+        verdict = validate_colouring(painter.graph, painter.lists, IncidenceColouring(dict(pre_items)))
         if not (verdict.proper and verdict.list_respecting):
             raise InputError(f"bad pre-colouring: {verdict.violation}")
-
-    painter = Painter(g, lists)
     if m:
         _solve(painter, pre_items, frozenset())
-    return painter.report()
 
 
 def _solve(painter: Painter, pre: list[tuple[int, int]], drop: frozenset[int]) -> None:

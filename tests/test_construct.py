@@ -162,13 +162,95 @@ def test_construct_builds_no_neighbour_table(spec, pre):
     assert "incidences" not in g._cache
 
 
+# one colour below guaranteed_bound, each family's own message
+_CORONA_33 = FamilySpec("corona", {"n": 3, "p": 3})
+BOUND_MESSAGES = [
+    (FamilySpec("grid", {"m": 3, "n": 2}), False, "grid with n=2 needs lists of size >= 5"),
+    (FamilySpec("path", {"n": 4}), False, "every list needs at least 3 colours"),
+    (FamilySpec("star", {"n": 3}), False, "every list needs at least 4 colours"),
+    (FamilySpec("tree", {"n": 7, "seed": 2}), False, "every list needs at least 4 colours"),
+    (FamilySpec("tree", {"n": 7, "seed": 2}), True, "every list needs at least 5 colours"),
+    (FamilySpec("cycle", {"n": 3}), False, "cycle of order 3 needs lists of size >= 3"),
+    (FamilySpec("wheel", {"n": 4}), False, "halin colouring needs lists of size >= 7"),
+    (FamilySpec("wheel", {"n": 5}), False, "halin colouring needs lists of size >= 7"),
+    (FamilySpec("complete", {"n": 4}), False, "halin colouring needs lists of size >= 6"),
+    (FamilySpec("corona", {"n": 3, "p": 1}), False, "corona (n=3, p=1) needs lists of size >= 5"),
+    (_CORONA_33, True, "corona (n=3, p=3, pre) needs lists of size >= 8"),
+    (FamilySpec("cactus", {"cycles": [[0, 1, 2]], "edges": [[0, 3], [1, 4]]}), False,
+     "this cactus needs lists of size >= 5"),
+    (FamilySpec("ham_cubic", {"n": 8, "seed": 1}), False,
+     "hamiltonian cubic colouring needs lists of size >= 6"),
+]
+
+
+@pytest.mark.parametrize("spec, pre, message", BOUND_MESSAGES,
+                         ids=lambda v: v.family if isinstance(v, FamilySpec) else None)
+def test_lists_below_the_bound_raise_the_family_message(spec, pre, message):
+    g, spec = generate(spec)
+    k = guaranteed_bound(spec, pre=pre)
+    lists = ListAssignment.uniform(g, k - 1)
+    pre_colours = None
+    if pre and spec.family == "corona":
+        down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
+        pre_colours = {down: 1, up: 2}
+    elif pre:
+        pre_colours = {0: 1, 1: 2}     # two pre-coloured incidences: max degree + 2
+    with pytest.raises(InputError) as err:
+        construct(spec, lists, pre=pre_colours)
+    assert str(err.value) == message
+
+
+def test_construct_colours_an_edgeless_graph_from_no_lists():
+    report = construct(FamilySpec("path", {"n": 1}), ListAssignment([]))
+    assert report.colouring.assignment == {} and report.trace == ()
+
+
+# the painting rule each family reaches, by its name in incolour.constructive
+# (a tracer swaps that attribute, so construct must look it up per call)
+_HALIN = FamilySpec("halin", {"tree_edges": [[0, 5], [1, 5], [2, 6], [3, 6], [4, 6], [5, 6]],
+                              "leaf_order": [0, 1, 2, 3, 4]})
+RULES = [
+    (FamilySpec("grid", {"m": 4, "n": 3}), "paint_grid"),
+    (FamilySpec("tree", {"n": 7, "seed": 2}), "paint_tree"),
+    (FamilySpec("path", {"n": 4}), "paint_tree"),
+    (FamilySpec("star", {"n": 3}), "paint_tree"),
+    (FamilySpec("cycle", {"n": 7}), None),
+    (_HALIN, "paint_halin"),
+    (FamilySpec("wheel", {"n": 5}), "paint_halin"),
+    (FamilySpec("complete", {"n": 4}), "paint_halin"),
+    (FamilySpec("ham_cubic", {"n": 4, "seed": 0}), "paint_halin"),
+    (FamilySpec("corona", {"n": 4, "p": 3}), "paint_corona"),
+    (FamilySpec("cactus", {"cycles": [[0, 1, 2]], "edges": [[0, 3], [1, 4]]}), "paint_cactus"),
+    (FamilySpec("ham_cubic", {"n": 8, "seed": 1}), "paint_ham_cubic"),
+]
+
+
+@pytest.mark.parametrize("spec, rule", RULES,
+                         ids=[f"{s.family}{s.params.get('n', '')}" for s, _ in RULES])
+def test_construct_reaches_each_rule_by_name(monkeypatch, spec, rule):
+    """``construct`` calls the family's painting rule once, through the
+    ``incolour.constructive`` attribute; a cycle is one ``paint_ring``."""
+    calls = []
+    owner, name = (constructive.Painter, "paint_ring") if rule is None else (constructive, rule)
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    g, spec = generate(spec)
+    construct(spec, ListAssignment.uniform(g, guaranteed_bound(spec)))
+    assert calls == [name]
+
+
 def test_construct_fails_a_colouring_that_drops_the_pre_colours(monkeypatch, tmp_path):
     """A corona procedure that ignores ``pre`` still returns valid
     colourings; construct must report the broken pre-colours as a failure
     to the fuzz trial and to the CLI."""
-    real = constructive._colour_corona
-    monkeypatch.setattr(constructive, "_colour_corona",
-                        lambda g, n, p, lists, pre: real(g, n, p, lists, None))
+    real = constructive.paint_corona
+    monkeypatch.setattr(constructive, "paint_corona",
+                        lambda painter, n, p, pre: real(painter, n, p, None))
     report = run_campaign(FuzzCampaign(instances=tuple(corona_specs()), trials=4, pre=True))
     failures = [f for r in report.results for f in r.failures]
     assert failures

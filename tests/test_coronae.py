@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import assert_valid_report
-from incolour.constructive import StuckError, construct, corona_bound, guaranteed_bound
-from incolour.constructive.coronae import paint_corona_instance
+from incolour.constructive import Painter, StuckError, construct, corona_bound, guaranteed_bound
+from incolour.constructive.coronae import paint_corona
 from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import corona_pre_pair, random_list_assignment
@@ -23,6 +23,14 @@ def pendant_edge_ids(n, p):
 
 def corona(n, p):
     return FamilySpec("corona", {"n": n, "p": p})
+
+
+def paint_corona_report(g, n, p, lists, pre):
+    """The corona painting rule on its own, with no list-size check; a
+    stuck run raises StuckError."""
+    painter = Painter(g, lists)
+    paint_corona(painter, n, p, pre)
+    return painter.report()
 
 
 def test_bounds_table():
@@ -155,14 +163,14 @@ def test_stuck_on_adversarial_lists():
     n, p = 3, 1
     g, _ = gen_corona(n, p)
     rich = ListAssignment.uniform(g, 9)
-    first = paint_corona_instance(g, n, p, rich, None)
+    first = paint_corona_report(g, n, p, rich, None)
     gamma = first.colouring[incidence_id(g, 1, 0)]
     crafted = list(rich.lists)
     crafted[incidence_id(g, 1, corona_pendant(1, 1, n, p))] = frozenset({gamma})
     lists = ListAssignment(crafted)
     assert solve_list_colouring(g, lists).found
     with pytest.raises(StuckError):
-        paint_corona_instance(g, n, p, lists, None)
+        paint_corona_report(g, n, p, lists, None)
 
 
 def test_selector_that_runs_dry_raises_stuck_error():
@@ -173,7 +181,7 @@ def test_selector_that_runs_dry_raises_stuck_error():
     g, _ = gen_corona(n, p)
     lists = random_list_assignment(g, 5, 6, 0)
     with pytest.raises(StuckError) as err:
-        paint_corona_instance(g, n, p, lists, None)
+        paint_corona_report(g, n, p, lists, None)
     assert err.value.tag == "corona"
     assert err.value.incidence not in {s.incidence for s in err.value.trace}
 
@@ -188,7 +196,7 @@ def test_deterministic():
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
 
 
-# sha256 prefix of paint_corona_instance traces one colour below the bound,
+# sha256 prefix of paint_corona traces one colour below the bound,
 # where the procedure often gets stuck; a stuck run hashes one marker line
 # (recorded when stuck runs still ended in an exact-search fallback, whose
 # steps the marker replaced; the counts are unchanged)
@@ -206,13 +214,13 @@ def test_corona_fallback_matches_golden_digest():
                 bound = guaranteed_bound(spec, pre)
                 for seed in range(6):
                     lists = random_list_assignment(g, bound - 1, bound + 1, seed)
-                    pair = None
+                    chosen = pair = None
                     if pre:
                         chosen = corona_pre_pair(g, spec, lists, seed)
                         pair = (chosen[down], chosen[up])
                     h.update(f"n={n} p={p} pre={pair} seed={seed}\n".encode())
                     try:
-                        rep = paint_corona_instance(g, n, p, lists, pair)
+                        rep = paint_corona_report(g, n, p, lists, chosen)
                     except StuckError:
                         stuck += 1
                         stuck_pre += pre

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import assert_valid_report
 from incolour.catalogue import ham_cubic_named
-from incolour.constructive import choose_ham_boundary, construct, ham_boundary_valid
+from incolour.constructive import Painter, choose_ham_boundary, construct, ham_boundary_valid
+from incolour.constructive.hamcubic import paint_ham_cubic
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment
 from incolour.harness import random_list_assignment
@@ -107,3 +108,13 @@ def test_deterministic():
     r1 = construct(spec, lists)
     r2 = construct(spec, lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
+
+
+def test_painting_rule_paints_k4_as_construct_does():
+    """``paint_ham_cubic`` on order 4 paints K4 by its Halin rule, as
+    ``construct`` does."""
+    g, spec = generate(FamilySpec("ham_cubic", {"n": 4, "seed": 0}))
+    lists = random_list_assignment(g, 6, 18, 3)
+    painter = Painter(g, lists)
+    paint_ham_cubic(painter, spec)
+    assert painter.report() == construct(spec, lists)
