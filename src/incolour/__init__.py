@@ -34,6 +34,7 @@ from .families import (
     gen_halin,
     gen_ham_cubic,
     gen_random_tree,
+    gen_tree,
     generate,
 )
 from .solver import (
@@ -52,8 +53,6 @@ from .solver import (
 )
 from .constructive import (
     ConstructiveReport,
-    colour_cactus,
-    colour_tree,
     construct,
     guaranteed_bound,
 )

@@ -34,7 +34,6 @@ from .jsonio import (
     lists_to_json,
     pre_from_json,
     spec_from_json,
-    spec_to_json,
 )
 from .solver import (
     COLOURED,
@@ -116,7 +115,7 @@ def generate(family, n, m, p, size, seed, spec_path, list_size, universe, lists_
     g, spec = build_family(spec)
     directory = _out_dir(out)
     _write_json(directory / "graph.json", graph_to_json(g))
-    _write_json(directory / "spec.json", spec_to_json(spec))
+    _write_json(directory / "spec.json", spec.to_json())
     written = f"{directory / 'graph.json'} and {directory / 'spec.json'}"
     if list_size is not None:
         from .graphs import ListAssignment
@@ -209,7 +208,8 @@ def construct_cmd(spec_path, lists_path, pre_path, trace_path, out):
 @click.option("--universe", type=int, default=None, help="Colour universe size; default 3k.")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--pre", is_flag=True, default=False,
-              help="Corona: pre-colour one pendant edge per trial.")
+              help="Pre-colour both incidences of one edge per trial: a corona's "
+                   "pendant edge v0-v0^1, or the first edge of a path, star or tree.")
 @click.option("--from-spec", "spec_path", type=click.Path(exists=True), default=None,
               help="Fuzz a single instance from a spec file instead of the default sweep.")
 @click.option("--out", default=None)

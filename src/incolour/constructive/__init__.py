@@ -9,7 +9,13 @@ family's painting rule on the painter and reports.  Each painting rule is
 a public ``paint_*`` function of its family's module, so that a tracer
 that wraps public functions sees it; a cycle is one
 :meth:`Painter.paint_ring`.  A rule checks only what is particular to it,
-such as a pre-colouring.
+such as where a corona's pre-colouring lies.
+
+:func:`construct` and :func:`guaranteed_bound` are the two entry points.
+Every instance is named by a spec: an arbitrary tree or cactus by its
+edges (``{"family": "tree", "edges": ...}``).  A pre-colouring, allowed on
+the families of :data:`PRE_FAMILIES`, is checked once, in
+:func:`construct`, before the list size.
 """
 
 from __future__ import annotations
@@ -17,8 +23,15 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..families import FamilySpec, generate
-from ..graphs import Graph, IncolourError, InputError, ListAssignment
-from .cactus import cactus_bound, colour_cactus, paint_cactus
+from ..graphs import (
+    Graph,
+    IncidenceColouring,
+    IncolourError,
+    InputError,
+    ListAssignment,
+    validate_colouring,
+)
+from .cactus import cactus_bound, paint_cactus
 from .coronae import corona_bound, paint_corona
 from .grids import choose_grid_window, grid_bound, paint_grid, window_choice_valid
 from .halin import K4_HALIN, paint_halin, required_halin_lists
@@ -31,11 +44,10 @@ from .hamcubic import (
     paint_ham_cubic,
 )
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
-from .trees import colour_tree, paint_tree, tree_bound
+from .trees import paint_tree, tree_bound
 
 __all__ = [
-    "ConstructiveReport", "Painter", "StuckError", "TraceStep",
-    "colour_tree", "colour_cactus",
+    "ConstructiveReport", "Painter", "StuckError", "TraceStep", "PRE_FAMILIES",
     "choose_grid_window", "choose_k4_triple", "choose_ham_boundary",
     "window_choice_valid", "k4_triple_valid", "ham_boundary_valid",
     "corona_bound", "cactus_bound", "required_halin_lists", "tree_bound",
@@ -43,7 +55,10 @@ __all__ = [
     "guaranteed_bound", "construct",
 ]
 
-Rule = Callable[[Painter, Optional[dict[int, int]]], None]
+Rule = Callable[[Painter, dict[int, int]], None]
+
+# the families whose construct takes a pre-colouring
+PRE_FAMILIES = ("path", "star", "tree", "corona")
 
 
 def cycle_bound(n: int) -> int:
@@ -70,22 +85,32 @@ def construct(
 
     ``pre`` maps incidence ids to fixed colours; trees take any set of
     them, coronae exactly the two incidences of the pendant edge v0-v0^1
-    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`).  The
-    list size is the family's for k = ``len(pre)`` pre-coloured
-    incidences, checked once here, unless the graph has no edges.  A spec
-    from :func:`~incolour.families.generate` brings its graph; others are
-    built.
+    (see :func:`~incolour.constructive.coronae.pendant_edge_ids`).  It must
+    be a proper colouring from the lists, on a family of
+    :data:`PRE_FAMILIES`.  The list size is the family's for k =
+    ``len(pre)`` pre-coloured incidences, checked once here, unless the
+    graph has no edges.  A spec from :func:`~incolour.families.generate`
+    brings its graph; others are built.
     """
     g, spec = generate(spec)
     painter = Painter(g, lists)
-    if pre and spec.family not in ("path", "star", "tree", "corona"):
-        raise InputError(f"family {spec.family!r} does not take a pre-colouring")
-    size, short, rule = _procedure(g, spec, len(pre or ()))
+    pre = pre or {}
+    if pre:
+        if spec.family not in PRE_FAMILIES:
+            raise InputError(f"family {spec.family!r} does not take a pre-colouring")
+        m = len(painter.colour)
+        bad = next((i for i in pre if not 0 <= i < m), None)
+        if bad is not None:
+            raise InputError(f"pre-coloured incidence {bad} out of range")
+        verdict = validate_colouring(g, lists, IncidenceColouring(pre))
+        if not (verdict.proper and verdict.list_respecting):
+            raise InputError(f"bad pre-colouring: {verdict.violation}")
+    size, short, rule = _procedure(g, spec, len(pre))
     if g.edges and lists.min_size() < size:
         raise InputError(short)
     rule(painter, pre)
     report = painter.report()
-    for i, colour in (pre or {}).items():
+    for i, colour in pre.items():
         if report.colouring.assignment.get(i) != colour:
             raise IncolourError(f"colouring changes the pre-colour {colour} of incidence {i}")
     return report

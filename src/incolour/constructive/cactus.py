@@ -11,26 +11,28 @@ than p pendants simply has nothing to paint in the missing slots); each
 remaining vertex is finished greedily, seeing at most max_degree coloured
 adjacent incidences.  A stuck cycle unit raises: there is no exact-search
 fallback inside a cactus.
+
+A cactus is coloured by :func:`~incolour.constructive.construct` from a
+``cactus`` spec: ``{"size", "seed"}`` for a random one, or its ``edges``
+(and optionally its ``cycles``) for any cactus; the generated spec carries
+the cycles that :func:`cactus_bound` and :func:`paint_cactus` read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..families import cactus_cycles, is_connected
-from ..graphs import Graph, InputError, ListAssignment, _vertex_index
+from ..families import is_connected
+from ..graphs import Graph, InputError, _vertex_index
 from .coronae import paint_cycle_unit
-from .report import ConstructiveReport, Painter
+from .report import Painter
 
 
-def cactus_bound(g: Graph, cycles: Optional[Sequence[Sequence[int]]] = None) -> int:
-    """List size guaranteed to suffice, by maximum degree and the census of
-    maximal cycles (cycles containing a maximum-degree vertex)."""
-    if cycles is None:
-        cycles = cactus_cycles(g)
-        if cycles is None:
-            raise InputError("not a cactus")
+def cactus_bound(g: Graph, cycles: Sequence[Sequence[int]]) -> int:
+    """List size guaranteed to suffice for the cactus ``g`` with cycles
+    ``cycles``, by maximum degree and the census of maximal cycles (cycles
+    containing a maximum-degree vertex)."""
     delta = g.max_degree
     maximal = [c for c in cycles if any(g.degree(v) == delta for v in c)]
     if delta == 3:
@@ -41,20 +43,6 @@ def cactus_bound(g: Graph, cycles: Optional[Sequence[Sequence[int]]] = None) -> 
     if len(maximal_triangles) <= 1:
         return max(delta + 1, 7)
     return max(delta + 1, 8)
-
-
-def colour_cactus(g: Graph, lists: ListAssignment) -> ConstructiveReport:
-    """Total list incidence colouring of a connected cactus at the census
-    bound of :func:`cactus_bound`."""
-    painter = Painter(g, lists)
-    cycles = cactus_cycles(g)
-    if cycles is None:
-        raise InputError("input graph is not a cactus")
-    required = cactus_bound(g, cycles)
-    if g.edges and lists.min_size() < required:
-        raise InputError(f"this cactus needs lists of size >= {required}")
-    paint_cactus(painter, cycles)
-    return painter.report()
 
 
 def paint_cactus(painter: Painter, cycles: Sequence[Sequence[int]]) -> None:

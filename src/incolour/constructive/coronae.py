@@ -48,19 +48,13 @@ def corona_bound(n: int, p: int, pre: bool) -> int:
 def paint_corona(painter: Painter, n: int, p: int, pre: Optional[dict[int, int]]) -> None:
     """Paint the corona ``gen_corona(n, p)`` of ``painter``, the cycle C_n
     with p pendants per vertex.  ``pre``, when given, must cover exactly
-    the two incidences of the pendant edge v0-v0^1 with two different
-    colours from their lists, and fixes them beforehand; a stuck run
-    raises :class:`StuckError`."""
+    the two incidences of the pendant edge v0-v0^1, and fixes them
+    beforehand; a stuck run raises :class:`StuckError`."""
     if pre:
         down, up = pendant_edge_ids(painter.graph, n, p)
         if sorted(pre) != sorted((down, up)):
             raise InputError(
                 f"corona pre-colouring must cover incidences {down} and {up} only")
-        for i in (down, up):
-            if pre[i] not in painter.lists[i]:
-                raise InputError(f"pre-colour {pre[i]} outside the list of incidence {i}")
-        if pre[down] == pre[up]:
-            raise InputError("the two pre-colours must differ")
         painter.paint(down, pre[down], "corona-pre")
         painter.paint(up, pre[up], "corona-pre")
     rows = [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)]

@@ -12,24 +12,16 @@ peeled colour is withheld from every greedy choice below its level, and
 once the inner problem is solved the peeled class is unpainted and
 repainted in that colour.  The anchor's ends and
 mate come from the graph's per-vertex incidence index.
+
+A tree is coloured by :func:`~incolour.constructive.construct` from a
+``tree`` spec: ``{"n", "seed"}`` for a random tree, or ``{"edges"}`` for
+any tree; ``construct`` checks the pre-colouring before the rule runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
-
-from ..families import is_tree
-from ..graphs import (
-    Graph,
-    IncidenceColouring,
-    InputError,
-    ListAssignment,
-    _vertex_index,
-    validate_colouring,
-)
-from .report import ConstructiveReport, Painter
-
-PreColouring = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+from ..graphs import Graph, _vertex_index
+from .report import Painter
 
 
 def tree_bound(g: Graph, k: int) -> int:
@@ -38,38 +30,11 @@ def tree_bound(g: Graph, k: int) -> int:
     return g.max_degree + max(k, 1)
 
 
-def colour_tree(
-    g: Graph,
-    lists: ListAssignment,
-    pre: Optional[PreColouring] = None,
-) -> ConstructiveReport:
-    """Total list incidence colouring of a tree extending ``pre``, from
-    lists of :func:`tree_bound` colours."""
-    painter = Painter(g, lists)
-    if not is_tree(g):
-        raise InputError("input graph is not a tree")
-    pre = dict(pre or ())
-    required = tree_bound(g, len(pre))
-    if g.edges and lists.min_size() < required:
-        raise InputError(f"every list needs at least {required} colours")
-    paint_tree(painter, pre)
-    return painter.report()
-
-
-def paint_tree(painter: Painter, pre: Optional[PreColouring]) -> None:
-    """Paint the tree of ``painter`` extending ``pre``, which must lie on
-    its incidences and be a proper colouring from the lists."""
-    pre_items = sorted(dict(pre or ()).items())
-    m = len(painter.colour)
-    for i, _ in pre_items:
-        if not 0 <= i < m:
-            raise InputError(f"pre-coloured incidence {i} out of range")
-    if pre_items:
-        verdict = validate_colouring(painter.graph, painter.lists, IncidenceColouring(dict(pre_items)))
-        if not (verdict.proper and verdict.list_respecting):
-            raise InputError(f"bad pre-colouring: {verdict.violation}")
-    if m:
-        _solve(painter, pre_items, frozenset())
+def paint_tree(painter: Painter, pre: dict[int, int]) -> None:
+    """Paint the tree of ``painter`` extending ``pre``, a proper colouring
+    of some of its incidences from their lists."""
+    if painter.colour:
+        _solve(painter, sorted(pre.items()), frozenset())
 
 
 def _solve(painter: Painter, pre: list[tuple[int, int]], drop: frozenset[int]) -> None:

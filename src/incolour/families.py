@@ -162,6 +162,17 @@ def gen_random_tree(n: int, seed: int) -> tuple[Graph, FamilySpec]:
     return Graph(n, edges), FamilySpec("tree", {"n": n, "seed": seed})
 
 
+def gen_tree(edges: Sequence[Sequence[int]]) -> tuple[Graph, FamilySpec]:
+    """The tree with the given edges on vertices ``0..max``; no edges give
+    the single vertex.  Edges that do not form a tree are an
+    :class:`InputError`."""
+    n = max((max(e) for e in edges), default=0) + 1
+    g = Graph(n, edges)
+    if not is_tree(g):
+        raise InputError("edges do not describe a tree")
+    return g, FamilySpec("tree", {"edges": g.edges})
+
+
 def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) -> tuple[Graph, FamilySpec]:
     """A Halin graph: the given tree plus a cycle through its leaves.
 
@@ -170,10 +181,8 @@ def gen_halin(tree_edges: Sequence[Sequence[int]], leaf_order: Sequence[int]) ->
     caller's responsibility and is not verified; the colouring algorithms
     only use the cyclic order and the leaf parents.
     """
-    nt = max((max(e) for e in tree_edges), default=0) + 1
-    tree = Graph(nt, tree_edges)
-    if len(tree.edges) != nt - 1 or not is_connected(tree):
-        raise InputError("tree_edges do not describe a tree")
+    tree, _ = gen_tree(tree_edges)
+    nt = tree.n
     if nt < 4:
         raise InputError("Halin tree needs order >= 4")
     if any(tree.degree(v) == 2 for v in range(nt)):
@@ -504,7 +513,8 @@ _PARAM_SHAPES = {
 }
 
 
-# the parameters each family needs; a cactus given its cycles needs no others
+# the parameters each family needs, unless it is given by its edges (a tree)
+# or by its cycles or edges (a cactus)
 _REQUIRED = {
     **dict.fromkeys(BASIC_FAMILIES, ("n",)),
     "grid": ("m", "n"),
@@ -524,7 +534,11 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
         if shape is not None and not shape[0](value):
             raise InputError(f"spec parameter {key!r} must be {shape[1]}, "
                              f"got {reprlib.repr(_thawed(value))}")
-    if not (f == "cactus" and "cycles" in p):
+    if f == "tree" and "edges" in p:
+        if "n" in p or "seed" in p:
+            raise InputError("a tree spec gives either its edges or n and seed, not both")
+        return gen_tree(p["edges"])
+    if not (f == "cactus" and ("cycles" in p or "edges" in p)):
         for key in _REQUIRED[f]:
             if key not in p:
                 raise InputError(f"a {f} spec needs the parameter {key!r}")
@@ -543,9 +557,9 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     if f == "cycle_power":
         return gen_cycle_power(p["n"], p["p"])
     if f == "cactus":
-        if "cycles" in p and not ("size" in p and "seed" in p):
+        if not ("size" in p and "seed" in p):
             # the stored edges repeat the cycles' edges; Graph keeps one copy
-            return gen_cactus(cycles=p["cycles"], extra_edges=p.get("edges", []))
+            return gen_cactus(cycles=p.get("cycles", ()), extra_edges=p.get("edges", []))
         # a random cactus; once generated, its spec also lists the cycles and
         # edges, which must be the ones its size and seed give
         g, built = gen_cactus(size=p["size"], seed=p["seed"])

@@ -71,9 +71,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canon_edge(u, v) in self.edge_set
-
     @property
     def edge_set(self) -> frozenset[Edge]:
         if "edge_set" not in self._cache:

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .constructive import construct, guaranteed_bound
+from .constructive import PRE_FAMILIES, construct, guaranteed_bound
 from .constructive.coronae import pendant_edge_ids
 from .families import FamilySpec, generate
 from .graphs import (
@@ -27,6 +27,7 @@ from .graphs import (
     IncolourError,
     InputError,
     ListAssignment,
+    incidence_id,
     validate_colouring,
 )
 from .solver import (
@@ -92,7 +93,7 @@ class FuzzCampaign:
     master_seed: int = 0
     k: Optional[int] = None          # None: the guaranteed bound per instance
     universe: Optional[int] = None   # None: 3 * k
-    pre: bool = False                # corona only: pre-colour one pendant edge
+    pre: bool = False                # pre-colour one edge (see pre_pair)
     workers: int = 1
 
     def __post_init__(self):
@@ -104,8 +105,8 @@ class FuzzCampaign:
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise InputError(f"workers must be in [1, {cpus}], got {self.workers}")
-        if self.pre and any(spec.family != "corona" for spec in self.instances):
-            raise InputError("pre applies to corona instances only")
+        if self.pre and any(spec.family not in PRE_FAMILIES for spec in self.instances):
+            raise InputError(f"pre applies to {', '.join(PRE_FAMILIES)} instances only")
 
 
 @dataclass
@@ -163,9 +164,14 @@ class CampaignReport:
         return lines
 
 
-def corona_pre_pair(g: Graph, spec: FamilySpec, lists: ListAssignment, seed: int):
-    """Deterministic pre-colours (a, b) for the pendant edge v0-v0^1."""
-    down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
+def pre_pair(g: Graph, spec: FamilySpec, lists: ListAssignment, seed: int):
+    """Deterministic pre-colours (a, b) for both incidences of one edge: a
+    corona's pendant edge v0-v0^1, else the first edge of ``g``."""
+    if spec.family == "corona":
+        down, up = pendant_edge_ids(g, spec.params["n"], spec.params["p"])
+    else:
+        u, v = g.edges[0]
+        down, up = incidence_id(g, u, v), incidence_id(g, v, u)
     rng = random.Random(seed ^ 0x5EED)
     a = rng.choice(sorted(lists[down]))
     b = rng.choice(sorted(lists[up] - {a}) or sorted(lists[up]))
@@ -180,7 +186,7 @@ def _run_trial(task: dict) -> dict:
     lists = random_list_assignment(g, task["k"], task["universe"], task["seed"])
     pre = None
     if task["pre"]:
-        pre = corona_pre_pair(g, spec, lists, task["seed"])
+        pre = pre_pair(g, spec, lists, task["seed"])
     out = {"ok": True, "error": None}
     try:
         report = construct(spec, lists, pre=pre)
@@ -196,12 +202,15 @@ def _run_trial(task: dict) -> dict:
 def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
     """Run every trial of the campaign; never aborts on a failed trial.
 
-    A list size below 1 or a universe smaller than it is an
-    :class:`InputError`, raised before any trial runs."""
+    A list size below 1, a universe smaller than it, or a pre-coloured
+    campaign on an instance with no edge is an :class:`InputError`, raised
+    before any trial runs."""
     results = []
     tasks = []
     for spec in campaign.instances:
-        _g, spec = generate(spec)
+        g, spec = generate(spec)
+        if campaign.pre and not g.edges:
+            raise InputError(f"pre needs an instance with an edge, got {spec.to_json()}")
         k = campaign.k if campaign.k is not None else guaranteed_bound(spec, pre=campaign.pre)
         universe = campaign.universe if campaign.universe is not None else 3 * k
         if k < 1 or universe < k:

@@ -124,10 +124,6 @@ def colouring_from_json(g: Graph, data: dict) -> IncidenceColouring:
     return IncidenceColouring(out)
 
 
-def spec_to_json(spec: FamilySpec) -> dict:
-    return spec.to_json()
-
-
 def spec_from_json(data: dict) -> FamilySpec:
     return FamilySpec.from_json(data)
 

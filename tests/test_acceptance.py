@@ -23,7 +23,6 @@ from incolour.catalogue import (
 )
 from incolour.constructive import (
     choose_grid_window,
-    colour_tree,
     construct,
     window_choice_valid,
 )
@@ -82,13 +81,13 @@ def test_criterion_02_tree_exactness():
     failures = 0
     for tree_idx in range(50):
         n = rng.randint(2, 13)           # at most 12 edges
-        t, _ = gen_random_tree(n, tree_idx)
+        t, spec = gen_random_tree(n, tree_idx)
         delta = t.max_degree
         assert incidence_chromatic_number(t) == delta + 1
         k = delta + 1
         for trial in range(100):
             lists = random_list_assignment(t, k, 3 * k, 1_000 * tree_idx + trial)
-            rep = colour_tree(t, lists)
+            rep = construct(spec, lists)
             if not validate_colouring(t, lists, rep.colouring).ok:
                 failures += 1
     elapsed = time.monotonic() - start

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import assert_valid_report
 from incolour.catalogue import cactus_row_specs, random_cactus_specs
-from incolour.constructive import cactus_bound, colour_cactus
+from incolour.constructive import cactus_bound, construct
 from incolour.families import FamilySpec, cactus_cycles, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment
 from incolour.harness import random_list_assignment
@@ -19,14 +19,14 @@ def test_bound_rows():
     for spec, k, delta in zip(rows, expected, deltas):
         g, spec = generate(spec)
         assert g.max_degree == delta
-        assert cactus_bound(g) == k
+        assert cactus_bound(g, spec.params["cycles"]) == k
 
 
 def test_two_triangles_with_bridge():
     spec = cactus_row_specs()[0]
     g, spec = generate(spec)
     lists = ListAssignment.uniform(g, 5)
-    rep = colour_cactus(g, lists)
+    rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
 
 
@@ -34,47 +34,47 @@ def test_two_triangles_with_bridge():
 def test_handcrafted_rows_random_lists(row):
     spec = cactus_row_specs()[row]
     g, spec = generate(spec)
-    k = cactus_bound(g)
+    k = cactus_bound(g, spec.params["cycles"])
     for trial in range(50):
         lists = random_list_assignment(g, k, 3 * k, trial)
-        rep = colour_cactus(g, lists)
+        rep = construct(spec, lists)
         assert_valid_report(g, lists, rep)
 
 
 def test_random_cactuses():
     for spec in random_cactus_specs(count=8, seed=100):
         g, spec = generate(spec)
-        k = cactus_bound(g)
+        k = cactus_bound(g, spec.params["cycles"])
         for trial in range(20):
             lists = random_list_assignment(g, k, 3 * k, trial)
-            rep = colour_cactus(g, lists)
+            rep = construct(spec, lists)
             assert_valid_report(g, lists, rep)
 
 
 def test_rejects_tree_and_cycle_inputs():
     t, _ = generate(FamilySpec("tree", {"n": 6, "seed": 0}))
-    with pytest.raises(InputError):
-        colour_cactus(t, ListAssignment.uniform(t, 9))
+    with pytest.raises(InputError, match="use the tree colouring"):
+        construct(FamilySpec("cactus", {"edges": t.edges}), ListAssignment.uniform(t, 9))
     c, _ = gen_basic("cycle", 5)
-    with pytest.raises(InputError):
-        colour_cactus(c, ListAssignment.uniform(c, 9))
+    with pytest.raises(InputError, match="use the cycle colouring"):
+        construct(FamilySpec("cactus", {"edges": c.edges}), ListAssignment.uniform(c, 9))
     k4, _ = gen_basic("complete", 4)
-    with pytest.raises(InputError):
-        colour_cactus(k4, ListAssignment.uniform(k4, 9))
+    with pytest.raises(InputError, match="one-cycle-per-vertex"):
+        construct(FamilySpec("cactus", {"edges": k4.edges}), ListAssignment.uniform(k4, 9))
 
 
 def test_rejects_small_lists():
     spec = cactus_row_specs()[4]
     g, spec = generate(spec)
     with pytest.raises(InputError):
-        colour_cactus(g, ListAssignment.uniform(g, cactus_bound(g) - 1))
+        construct(spec, ListAssignment.uniform(g, cactus_bound(g, spec.params["cycles"]) - 1))
 
 
 def test_rejects_lists_that_do_not_cover_the_graph():
-    g, _ = generate(cactus_row_specs()[4])
+    g, spec = generate(cactus_row_specs()[4])
     short = ListAssignment([range(1, 20)] * (2 * len(g.edges) - 1))
     with pytest.raises(InputError, match="does not cover the incidences"):
-        colour_cactus(g, short)
+        construct(spec, short)
 
 
 def test_cycle_with_tree_branches_off_one_vertex():
@@ -85,22 +85,22 @@ def test_cycle_with_tree_branches_off_one_vertex():
     })
     g, spec = generate(spec)
     assert cactus_cycles(g) == [[0, 1, 2, 3]]
-    k = cactus_bound(g)
+    k = cactus_bound(g, spec.params["cycles"])
     lists = random_list_assignment(g, k, 3 * k, 2)
-    rep = colour_cactus(g, lists)
+    rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
 
 
 def test_deterministic():
     spec = cactus_row_specs()[3]
     g, spec = generate(spec)
-    lists = random_list_assignment(g, cactus_bound(g), 21, 8)
-    r1 = colour_cactus(g, lists)
-    r2 = colour_cactus(g, lists)
+    lists = random_list_assignment(g, cactus_bound(g, spec.params["cycles"]), 21, 8)
+    r1 = construct(spec, lists)
+    r2 = construct(FamilySpec("cactus", {"edges": g.edges}), lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
 
 
-# sha256 prefix of colour_cactus traces over the census rows and 40 random
+# sha256 prefix of the cactus traces over the census rows and 40 random
 # cactuses, list seeds 0-2 at universes k+1 and 3k
 CACTUS_TRACE_DIGEST = "c83ad14171fb74ec"
 
@@ -110,14 +110,15 @@ def test_cactus_traces_match_golden_digest():
     runs = 0
     for spec in cactus_row_specs() + random_cactus_specs(count=40, seed=0):
         g, spec = generate(spec)
-        k = cactus_bound(g)
+        k = cactus_bound(g, spec.params["cycles"])
         for seed in range(3):
             for universe in (k + 1, 3 * k):
                 lists = random_list_assignment(g, k, universe, seed)
-                rep = colour_cactus(g, lists)
+                rep = construct(spec, lists)
                 assert_valid_report(g, lists, rep)
                 runs += 1
                 for step in rep.trace:
                     h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
     assert runs == 270
     assert h.hexdigest()[:16] == CACTUS_TRACE_DIGEST
+

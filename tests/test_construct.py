@@ -16,7 +16,7 @@ from incolour.constructive import construct, guaranteed_bound
 from incolour.constructive.coronae import pendant_edge_ids
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment, validate_colouring
-from incolour.harness import FuzzCampaign, corona_pre_pair, random_list_assignment, run_campaign
+from incolour.harness import FuzzCampaign, pre_pair, random_list_assignment, run_campaign
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
@@ -38,7 +38,7 @@ def _golden_runs():
             k = guaranteed_bound(spec, pre=pre)
             for seed in range(3):
                 lists = random_list_assignment(g, k, 3 * k, seed)
-                pairs = corona_pre_pair(g, spec, lists, seed) if pre else None
+                pairs = pre_pair(g, spec, lists, seed) if pre else None
                 yield spec, pre, seed, construct(spec, lists, pre=pairs)
 
 
@@ -155,7 +155,7 @@ def test_construct_builds_no_neighbour_table(spec, pre):
     assert g._cache == {}
     k = guaranteed_bound(spec, pre=pre)
     lists = random_list_assignment(g, k, 3 * k, 7)
-    pre_colours = corona_pre_pair(g, spec, lists, 7) if pre else None
+    pre_colours = pre_pair(g, spec, lists, 7) if pre else None
     report = construct(spec, lists, pre=pre_colours)
     assert validate_colouring(g, lists, report.colouring).ok
     assert "incidence_neighbour_ids" not in g._cache

@@ -10,7 +10,7 @@ from incolour.constructive import Painter, StuckError, construct, corona_bound, 
 from incolour.constructive.coronae import paint_corona
 from incolour.families import FamilySpec, corona_pendant, gen_corona
 from incolour.graphs import InputError, ListAssignment, incidence_id
-from incolour.harness import corona_pre_pair, random_list_assignment
+from incolour.harness import pre_pair, random_list_assignment
 from incolour.solver import solve_list_colouring
 
 
@@ -68,9 +68,9 @@ def test_precoloured_triangle_needs_eight():
 def test_rejects_equal_precolours_and_foreign_colours():
     g, down, up = pendant_edge_ids(4, 3)
     lists = ListAssignment.uniform(g, 7)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^bad pre-colouring: .* are adjacent and share colour 2$"):
         construct(corona(4, 3), lists, {down: 2, up: 2})
-    with pytest.raises(InputError, match="outside the list"):
+    with pytest.raises(InputError, match="outside its list"):
         construct(corona(4, 3), lists, {down: 99, up: 2})
 
 
@@ -216,7 +216,7 @@ def test_corona_fallback_matches_golden_digest():
                     lists = random_list_assignment(g, bound - 1, bound + 1, seed)
                     chosen = pair = None
                     if pre:
-                        chosen = corona_pre_pair(g, spec, lists, seed)
+                        chosen = pre_pair(g, spec, lists, seed)
                         pair = (chosen[down], chosen[up])
                     h.update(f"n={n} p={p} pre={pair} seed={seed}\n".encode())
                     try:

@@ -15,7 +15,7 @@ from incolour.catalogue import (
 from incolour.constructive import Painter, StuckError, construct, guaranteed_bound
 from incolour.families import FamilySpec, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment, incidence_id
-from incolour.harness import corona_pre_pair, random_list_assignment
+from incolour.harness import pre_pair, random_list_assignment
 from incolour.solver import solve_list_colouring
 from test_construct import FUZZ_FAMILIES
 
@@ -162,5 +162,5 @@ def test_rings_run_no_exact_search(monkeypatch):
         k = guaranteed_bound(spec, pre=pre)
         for seed in seeds:
             lists = random_list_assignment(g, k, universe, seed)
-            pairs = corona_pre_pair(g, spec, lists, seed) if pre else None
+            pairs = pre_pair(g, spec, lists, seed) if pre else None
             assert_valid_report(g, lists, construct(spec, lists, pre=pairs), expect=pairs)

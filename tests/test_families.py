@@ -24,6 +24,7 @@ from incolour.families import (
     gen_ham_cubic,
     gen_random_degenerate,
     gen_random_tree,
+    gen_tree,
     generate,
     is_tree,
 )
@@ -219,6 +220,35 @@ def test_spec_json_roundtrip():
         g1, _ = generate(spec)
         g2, _ = generate(again)
         assert g1 == g2
+
+
+def test_edges_specs_round_trip_through_json():
+    """A tree named by its edges, and a cactus named by its edges alone,
+    read back from the JSON of their generated specs as equal specs with
+    equal graphs; the generated cactus spec carries its cycles."""
+    tree, _ = gen_random_tree(11, 3)
+    cactus, _ = gen_cactus(size=15, seed=4)
+    for family, g in (("tree", tree), ("cactus", cactus)):
+        data = {"family": family, "edges": [list(e) for e in g.edges]}
+        g1, spec1 = generate(FamilySpec.from_json(data))
+        g2, spec2 = generate(FamilySpec.from_json(json.loads(json.dumps(spec1.to_json()))))
+        assert g1 == g2 == g and spec1 == spec2
+    assert spec1.params["cycles"] == tuple(map(tuple, cactus_cycles(g1)))
+    assert spec1.to_json() == {"family": "cactus", "cycles": cactus_cycles(g1),
+                               "edges": [list(e) for e in g1.edges]}
+    assert gen_tree([]) == (Graph(1, []), FamilySpec("tree", {"edges": []}))
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"edges": [[0, 1], [1, 2], [0, 2]]}, "edges do not describe a tree"),
+    ({"edges": [[0, 1], [2, 3]]}, "edges do not describe a tree"),
+    ({"edges": [[0, 2]]}, "edges do not describe a tree"),
+    ({"edges": [[0, 1]], "n": 2}, "either its edges or n and seed"),
+    ({"edges": [[0, 1]], "seed": 0}, "either its edges or n and seed"),
+], ids=["cycle", "forest", "isolated-vertex", "edges-and-n", "edges-and-seed"])
+def test_tree_edges_spec_rejects(params, message):
+    with pytest.raises(InputError, match=message):
+        generate(FamilySpec("tree", params))
 
 
 def test_generate_materializes_cactus():

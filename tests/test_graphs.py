@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incolour.constructive import Painter, colour_tree, construct
+from incolour.constructive import Painter, construct
 from incolour.families import FamilySpec, gen_basic, gen_cycle_power, gen_grid, gen_random_graph
 from incolour.graphs import (
     Graph,
@@ -197,7 +197,6 @@ _COVERAGE_CHECKS = {
     "validate_colouring": lambda g, lists: validate_colouring(g, lists, _C6_COLOURING),
     "construct": lambda g, lists: construct(FamilySpec("cycle", {"n": 6}), lists),
     "Painter": Painter,
-    "colour_tree": colour_tree,
 }
 
 

@@ -9,11 +9,14 @@ import random
 import pytest
 
 from incolour import harness
-from incolour.families import FamilySpec, gen_basic
+from incolour.catalogue import halin_specs, tree_specs
+from incolour.constructive import construct, guaranteed_bound
+from incolour.families import FamilySpec, gen_basic, generate
 from incolour.graphs import InputError
 from incolour.harness import (
     FuzzCampaign,
     K4_CHROMATIC_NUMBER,
+    pre_pair,
     random_list_assignment,
     regression_chi,
     replay_failure,
@@ -186,11 +189,37 @@ def test_campaign_precoloured_corona():
 
 
 def test_campaign_rejects_pre_on_non_corona_instances():
+    # pre-colours go on coronae and trees (paths and stars included) only
     corona = FamilySpec("corona", {"n": 3, "p": 2})
+    tree = FamilySpec("tree", {"edges": [[0, 1], [1, 2]]})
     grid = FamilySpec("grid", {"m": 3, "n": 2})
-    with pytest.raises(InputError, match="corona instances only"):
-        FuzzCampaign(instances=(corona, grid), pre=True)
-    FuzzCampaign(instances=(corona, grid))
+    for other in (grid, halin_specs()[0]):
+        with pytest.raises(InputError, match="corona instances only"):
+            FuzzCampaign(instances=(corona, tree, other), pre=True)
+        FuzzCampaign(instances=(corona, tree, other))
+    FuzzCampaign(instances=(corona, tree, FamilySpec("path", {"n": 2}),
+                            FamilySpec("star", {"n": 3})), pre=True)
+
+
+def test_pre_campaign_rejects_an_instance_with_no_edge():
+    campaign = FuzzCampaign(instances=(FamilySpec("path", {"n": 1}),), pre=True)
+    with pytest.raises(InputError, match="needs an instance with an edge"):
+        run_campaign(campaign)
+
+
+def test_campaign_precoloured_trees():
+    specs = tuple(tree_specs(count=12))
+    report = run_campaign(FuzzCampaign(instances=specs, trials=20, pre=True))
+    assert report.total_failures == 0 and report.total_trials == 240
+    for r, spec in zip(report.results, specs):
+        assert r.k == guaranteed_bound(spec, pre=True)
+    # one trial's pair, painted: the peel of one class and the anchor of the other
+    g, spec = generate(specs[0])
+    lists = random_list_assignment(g, report.results[0].k, report.results[0].universe, 5)
+    pre = pre_pair(g, spec, lists, 5)
+    rep = construct(spec, lists, pre=pre)
+    assert rep.colouring.assignment.items() >= pre.items()
+    assert {"tree-anchor", "tree-peel"} <= {step.tag for step in rep.trace}
 
 
 def test_campaign_multiworker_cactus_and_halin():

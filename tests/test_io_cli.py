@@ -151,6 +151,24 @@ def test_cli_construct_corona_with_pre(runner, tmp_path):
     assert colouring["assignment"][str(up)] == 2
 
 
+def test_cli_colours_a_tree_and_a_cactus_named_by_their_edges(runner, tmp_path):
+    out = str(tmp_path)
+    tree = {"family": "tree", "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]}
+    cactus = {"family": "cactus", "edges": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [3, 5], [4, 5]]}
+    for spec, k in ((tree, 4), (cactus, 5)):
+        (tmp_path / "named.json").write_text(json.dumps(spec))
+        r = runner.invoke(main, ["generate", "--from-spec", f"{out}/named.json",
+                                 "--k", str(k), "--out", out])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
+                                 "--lists", f"{out}/lists.json", "--out", out])
+        assert r.exit_code == 0, r.output
+    assert sorted(json.loads((tmp_path / "spec.json").read_text())["cycles"]) == [[0, 1, 2], [3, 4, 5]]
+    (tmp_path / "named.json").write_text(json.dumps({"family": "tree", "edges": [[0, 1], [1, 2], [0, 2]]}))
+    r = runner.invoke(main, ["generate", "--from-spec", f"{out}/named.json", "--out", out])
+    assert r.exit_code == 2 and "edges do not describe a tree" in r.output, r.output
+
+
 def test_cli_construct_rejects_small_lists(runner, tmp_path):
     out = str(tmp_path)
     runner.invoke(main, ["generate", "--family", "grid", "--m", "4", "--n", "3",
@@ -166,6 +184,8 @@ def test_cli_fuzz_and_report(runner, tmp_path):
     assert r.exit_code == 0, r.output
     report = json.loads((tmp_path / "fuzz-report.json").read_text())
     assert report["total_failures"] == 0
+    r = runner.invoke(main, ["fuzz", "--family", "tree", "--trials", "3", "--pre", "--out", out])
+    assert r.exit_code == 0, r.output
     # below the guaranteed bound failures are recorded, exit code 1
     r = runner.invoke(main, ["fuzz", "--family", "cycle", "--trials", "2",
                              "--k", "2", "--out", out])
@@ -248,7 +268,8 @@ def test_cli_config_error_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
                              "--lists", f"{out}/lists.json", "--pre", f"{out}/pre.json",
                              "--out", out])
-    assert r.exit_code == 2 and "outside the list of incidence 2" in r.output, r.output
+    assert r.exit_code == 2, r.output
+    assert "bad pre-colouring: incidence 2 uses colour 99 outside its list" in r.output, r.output
     r = runner.invoke(main, ["fuzz", "--family", "grid", "--pre", "--trials", "1",
                              "--out", out])
     assert r.exit_code == 2 and "corona instances only" in r.output, r.output

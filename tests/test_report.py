@@ -7,7 +7,7 @@ import pytest
 
 from conftest import naive_satisfiable
 from incolour.catalogue import default_fuzz_instances
-from incolour.constructive import colour_tree
+from incolour.constructive import construct
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic, gen_random_graph, generate
 from incolour.graphs import (
@@ -28,9 +28,9 @@ SCAN_GRAPHS = [generate(spec)[0]
 
 @pytest.fixture
 def coloured_star():
-    g, _ = gen_basic("star", 3)
+    g, spec = gen_basic("star", 3)
     lists = ListAssignment.uniform(g, 4)
-    return g, lists, colour_tree(g, lists)
+    return g, lists, construct(spec, lists)
 
 
 def test_replay_round_trip(coloured_star):

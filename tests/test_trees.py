@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import assert_valid_report
 from incolour.catalogue import halin_specs, random_halin_spec
-from incolour.constructive import colour_tree, construct, guaranteed_bound, required_halin_lists
+from incolour.constructive import construct, guaranteed_bound, required_halin_lists
 from incolour.families import FamilySpec, gen_basic, gen_random_tree, generate
 from incolour.graphs import (
-    Graph,
     InputError,
     ListAssignment,
     incidence_adjacent,
@@ -23,53 +22,54 @@ from incolour.harness import random_list_assignment
 
 
 def test_path_with_one_precoloured():
-    t, _ = gen_basic("path", 4)
+    t, spec = gen_basic("path", 4)
     lists = ListAssignment.uniform(t, 3)   # degree 2, one pre-colour
-    rep = colour_tree(t, lists, pre={0: 2})
+    rep = construct(spec, lists, pre={0: 2})
     assert_valid_report(t, lists, rep, expect={0: 2})
 
 
 def test_two_precolours_fire_peel_and_anchor():
     # pre-colours in two colour classes: the class of the higher id is
     # peeled, the other anchors the base case
-    t, _ = gen_basic("path", 4)
+    t, spec = gen_basic("path", 4)
     lists = ListAssignment.uniform(t, 4)   # degree 2 + two pre-colours
-    rep = colour_tree(t, lists, pre={0: 1, 5: 2})
+    rep = construct(spec, lists, pre={0: 1, 5: 2})
     assert_valid_report(t, lists, rep, expect={0: 1, 5: 2})
     tags = {step.incidence: step.tag for step in rep.trace}
     assert tags[0] == "tree-anchor" and tags[5] == "tree-peel"
 
 
 def test_star_centre_incidences_distinct():
-    s4, _ = gen_basic("star", 4)
+    s4, spec = gen_basic("star", 4)
     lists = ListAssignment.uniform(s4, 5)
-    rep = colour_tree(s4, lists)
+    rep = construct(spec, lists)
     assert_valid_report(s4, lists, rep)
     centre = [rep.colouring[incidence_id(s4, 0, leaf)] for leaf in range(1, 5)]
     assert len(set(centre)) == 4
 
 
-def test_k2_forced_mate(k2):
+def test_k2_forced_mate():
     lists = ListAssignment([{1, 2}, {1, 2}])
-    rep = colour_tree(k2, lists, pre={0: 1})
+    rep = construct(FamilySpec("path", {"n": 2}), lists, pre={0: 1})
     assert rep.colouring.assignment == {0: 1, 1: 2}
 
 
 def test_empty_and_single_vertex():
-    rep = colour_tree(Graph(1, []), ListAssignment([]))
-    assert len(rep.colouring) == 0
+    for spec in (FamilySpec("path", {"n": 1}), FamilySpec("tree", {"edges": []})):
+        rep = construct(spec, ListAssignment([]))
+        assert len(rep.colouring) == 0
 
 
 def test_rejects_non_tree():
     c3, _ = gen_basic("cycle", 3)
-    with pytest.raises(InputError):
-        colour_tree(c3, ListAssignment.uniform(c3, 5))
+    with pytest.raises(InputError, match="edges do not describe a tree"):
+        construct(FamilySpec("tree", {"edges": c3.edges}), ListAssignment.uniform(c3, 5))
 
 
 def test_rejects_small_lists():
-    t, _ = gen_basic("star", 3)
+    t, spec = gen_basic("star", 3)
     with pytest.raises(InputError):
-        colour_tree(t, ListAssignment.uniform(t, 3))   # needs degree+1 = 4
+        construct(spec, ListAssignment.uniform(t, 3))   # needs degree+1 = 4
 
 
 # on the path 0-1-2 the incidences are 0 = (0, 01), 1 = (1, 10),
@@ -81,13 +81,13 @@ def test_rejects_small_lists():
     ({0: 1, 2: 1}, (0, 2)),         # (v, e) and (w, f) with vw = e
 ], ids=["outside-list", "same-vertex", "same-edge", "vw-is-e"])
 def test_rejects_bad_precolouring(pre, pair):
-    t, _ = gen_basic("path", 3)
+    t, spec = gen_basic("path", 3)
     lists = ListAssignment.uniform(t, 4)
     if pair is not None:
         incs = incidences(t)
         assert incidence_adjacent(incs[pair[0]], incs[pair[1]])
-    with pytest.raises(InputError):
-        colour_tree(t, lists, pre=pre)
+    with pytest.raises(InputError, match="^bad pre-colouring: "):
+        construct(spec, lists, pre=pre)
 
 
 def test_guaranteed_bound_with_one_precoloured_edge():
@@ -107,35 +107,35 @@ def test_guaranteed_bound_with_one_precoloured_edge():
 
 
 def test_rejects_precoloured_id_out_of_range():
-    t, _ = gen_basic("path", 3)                    # incidences 0..3
+    t, spec = gen_basic("path", 3)                 # incidences 0..3
     lists = ListAssignment.uniform(t, 4)
     for i in (4, -1):
         with pytest.raises(InputError, match=f"pre-coloured incidence {i} out of range"):
-            colour_tree(t, lists, pre={i: 1})
+            construct(spec, lists, pre={i: 1})
 
 
 def test_two_precoloured_same_colour_far_apart():
-    t, _ = gen_basic("path", 6)
+    t, spec = gen_basic("path", 6)
     lists = ListAssignment.uniform(t, 4)           # degree 2 + k = 2
     incs = incidences(t)
     i, j = 0, len(incs) - 1
     assert not incidence_adjacent(incs[i], incs[j])
-    rep = colour_tree(t, lists, pre={i: 3, j: 3})
+    rep = construct(spec, lists, pre={i: 3, j: 3})
     assert_valid_report(t, lists, rep, expect={i: 3, j: 3})
 
 
 def test_deterministic():
-    t, _ = gen_random_tree(9, 4)
+    t, spec = gen_random_tree(9, 4)
     lists = random_list_assignment(t, t.max_degree + 1, 12, 5)
-    r1 = colour_tree(t, lists)
-    r2 = colour_tree(t, lists)
+    r1 = construct(spec, lists)
+    r2 = construct(FamilySpec("tree", {"edges": t.edges}), lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 13), st.integers(0, 10_000), st.integers(0, 2))
 def test_random_trees_with_random_lists(n, seed, extra_pre):
-    t, _ = gen_random_tree(n, seed)
+    t, spec = gen_random_tree(n, seed)
     k = extra_pre if t.edges else 0
     size = t.max_degree + max(k, 1)
     lists = random_list_assignment(t, size, 3 * size, seed)
@@ -152,11 +152,11 @@ def test_random_trees_with_random_lists(n, seed, extra_pre):
         if cand in pre or colour is None:
             continue
         pre[cand] = colour
-    rep = colour_tree(t, lists, pre=pre)
+    rep = construct(spec, lists, pre=pre)
     assert_valid_report(t, lists, rep, expect=pre)
 
 
-# sha256 prefix of the tree procedure's traces: colour_tree under nested
+# sha256 prefix of the tree procedure's traces: trees under nested
 # peels, and the Halin runs whose inner tree it used to paint; re-pinned
 # when every Halin graph moved to one route, the internal incidences root
 # to leaves on the host painter and then the rim with its spokes, which
@@ -185,18 +185,18 @@ def _pre_colouring(t, lists, k, rng):
 def _tree_runs():
     rng = random.Random(0)
     for run in range(300):
-        t, _ = gen_random_tree(1 + run % 14, run)
+        t, spec = gen_random_tree(1 + run % 14, run)
         k = run % 6 if t.edges else 0
         size = t.max_degree + max(k, 1)
         lists = random_list_assignment(t, size, size + 2, run) if t.edges else ListAssignment([])
         pre = _pre_colouring(t, lists, k, rng)
-        yield t, lists, pre, colour_tree(t, lists, pre=pre)
+        yield t, lists, pre, construct(spec, lists, pre=pre)
     # every pre-colour in one class: the peel leaves no anchor, and the
     # free anchor takes the smallest colour left after the dropped one
-    t, _ = gen_basic("path", 7)
+    t, spec = gen_basic("path", 7)
     lists = ListAssignment.uniform(t, 5)
     pre = {2: 1, 7: 1, 11: 1}
-    yield t, lists, pre, colour_tree(t, lists, pre=pre)
+    yield t, lists, pre, construct(spec, lists, pre=pre)
 
 
 def _halin_runs():
