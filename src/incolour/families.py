@@ -51,14 +51,6 @@ def _thawed(value):
     return value
 
 
-def _int_tree(value) -> bool:
-    """Whether ``value`` is an integer (not a bool) or a list of such
-    values, nested to any depth."""
-    if isinstance(value, list):
-        return all(map(_int_tree, value))
-    return type(value) is int
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parametric description of a generated graph.
@@ -85,19 +77,14 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilySpec":
-        """The spec a JSON object describes.  A missing or non-string
-        family, or a parameter that is not an integer or a nested list of
-        integers, is an :class:`InputError`."""
+        """The spec a JSON object describes.  A missing, non-string or
+        unknown family is an :class:`InputError`; the shape of each
+        parameter and the family's form are checked by :func:`generate`."""
         if not isinstance(data, dict) or not isinstance(data.get("family"), str):
             raise InputError("a family spec must be an object with a string 'family', "
                              f"got {reprlib.repr(data)}")
         data = dict(data)
-        family = data.pop("family")
-        for key, value in data.items():
-            if not _int_tree(value):
-                raise InputError(f"spec parameter {key!r} must be an integer or a list of them, "
-                                 f"got {reprlib.repr(value)}")
-        return cls(family, data)
+        return cls(data.pop("family"), data)
 
 
 def gen_basic(variant: str, n: int) -> tuple[Graph, FamilySpec]:
@@ -225,9 +212,9 @@ def gen_ham_cubic(
     sampled by rejection."""
     if n % 2 != 0 or n < 4:
         raise InputError("ham_cubic needs even n >= 4")
+    if (matching is None) == (seed is None):
+        raise InputError("ham_cubic needs exactly one of a matching and a seed")
     if matching is None:
-        if seed is None:
-            raise InputError("ham_cubic needs a matching or a seed")
         matching = _sample_matching(n, seed)
     pairs = sorted(tuple(sorted(pair)) for pair in matching)
     seen: set[int] = set()
@@ -279,14 +266,16 @@ def gen_cactus(
     nodes into vertex-disjoint cycles of bounded length, so both the
     maximal-cycle and the no-maximal-cycle regimes occur.
     """
-    if cycles is None:
+    if cycles is None and extra_edges is None:
         if size is None or seed is None:
             raise InputError("random cactus needs size and seed")
         cycles, extra_edges = _random_cactus_parts(size, seed)
         spec_params: dict[str, Any] = {"size": size, "seed": seed}
-    else:
+    elif size is None and seed is None:
         spec_params = {}
-    cycles = [list(c) for c in cycles]
+    else:
+        raise InputError("a cactus is given by its cycles and edges or by size and seed, not both")
+    cycles = [list(c) for c in cycles or ()]
     extra_edges = [tuple(e) for e in (extra_edges or [])]
     edges: list[tuple[int, int]] = list(extra_edges)
     for c in cycles:
@@ -468,6 +457,11 @@ def gen_random_degenerate(n: int, d: int, seed: int) -> Graph:
 def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     """Materialize a spec (the inverse of the gen_* constructors).
 
+    Each parameter must have its shape in ``_PARAM_SHAPES``, and the spec
+    is built by the first of its family's forms in ``_FORMS`` that its
+    parameters fit; any other spec is an :class:`InputError` naming the
+    missing parameter or the family's forms and the parameters given.
+
     The spec returned carries its graph, which generating it again returns
     without a build; any other spec, copies included, is built afresh and
     never marked.  The graph is not a field: ``==``, ``repr`` and the JSON
@@ -513,17 +507,35 @@ _PARAM_SHAPES = {
 }
 
 
-# the parameters each family needs, unless it is given by its edges (a tree)
-# or by its cycles or edges (a cactus)
-_REQUIRED = {
-    **dict.fromkeys(BASIC_FAMILIES, ("n",)),
-    "grid": ("m", "n"),
-    "tree": ("n",),
-    "halin": ("tree_edges", "leaf_order"),
-    "corona": ("n", "p"),
-    "ham_cubic": ("n",),
-    "cycle_power": ("n", "p"),
-    "cactus": ("size", "seed"),
+def _random_cactus(p) -> tuple[Graph, FamilySpec]:
+    # once generated, a random cactus spec also lists its cycles and edges,
+    # which must be the ones its size and seed give
+    g, built = gen_cactus(size=p["size"], seed=p["seed"])
+    if any(p[key] != built.params[key] for key in ("cycles", "edges") if key in p):
+        raise InputError("cactus cycles and edges do not match its size and seed")
+    return g, built
+
+
+def _given_cactus(p) -> tuple[Graph, FamilySpec]:
+    # the stored edges repeat the cycles' edges; Graph keeps one copy
+    return gen_cactus(p.get("cycles", ()), p.get("edges", ()))
+
+
+# each family's forms: the parameters a form needs, the ones it may add, and
+# its builder, which takes the params; a spec is built by the first form its
+# parameters fit
+_FORMS = {
+    **{f: [(("n",), (), lambda p, f=f: gen_basic(f, **p))] for f in BASIC_FAMILIES},
+    "grid": [(("m", "n"), (), lambda p: gen_grid(**p))],
+    "tree": [(("n",), ("seed",), lambda p: gen_random_tree(p["n"], p.get("seed", 0))),
+             (("edges",), (), lambda p: gen_tree(**p))],
+    "halin": [(("tree_edges", "leaf_order"), (), lambda p: gen_halin(**p))],
+    "corona": [(("n", "p"), (), lambda p: gen_corona(**p))],
+    "ham_cubic": [(("n", "seed"), (), lambda p: gen_ham_cubic(**p)),
+                  (("n", "matching"), (), lambda p: gen_ham_cubic(**p))],
+    "cycle_power": [(("n", "p"), (), lambda p: gen_cycle_power(**p))],
+    "cactus": [(("size", "seed"), ("cycles", "edges"), _random_cactus),
+               (("edges",), ("cycles",), _given_cactus), (("cycles",), (), _given_cactus)],
 }
 
 
@@ -534,36 +546,15 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
         if shape is not None and not shape[0](value):
             raise InputError(f"spec parameter {key!r} must be {shape[1]}, "
                              f"got {reprlib.repr(_thawed(value))}")
-    if f == "tree" and "edges" in p:
-        if "n" in p or "seed" in p:
-            raise InputError("a tree spec gives either its edges or n and seed, not both")
-        return gen_tree(p["edges"])
-    if not (f == "cactus" and ("cycles" in p or "edges" in p)):
-        for key in _REQUIRED[f]:
-            if key not in p:
-                raise InputError(f"a {f} spec needs the parameter {key!r}")
-    if f in BASIC_FAMILIES:
-        return gen_basic(f, p["n"])
-    if f == "grid":
-        return gen_grid(p["m"], p["n"])
-    if f == "tree":
-        return gen_random_tree(p["n"], p.get("seed", 0))
-    if f == "halin":
-        return gen_halin(p["tree_edges"], p["leaf_order"])
-    if f == "corona":
-        return gen_corona(p["n"], p["p"])
-    if f == "ham_cubic":
-        return gen_ham_cubic(p["n"], matching=p.get("matching"), seed=p.get("seed"))
-    if f == "cycle_power":
-        return gen_cycle_power(p["n"], p["p"])
-    if f == "cactus":
-        if not ("size" in p and "seed" in p):
-            # the stored edges repeat the cycles' edges; Graph keeps one copy
-            return gen_cactus(cycles=p.get("cycles", ()), extra_edges=p.get("edges", []))
-        # a random cactus; once generated, its spec also lists the cycles and
-        # edges, which must be the ones its size and seed give
-        g, built = gen_cactus(size=p["size"], seed=p["seed"])
-        if any(p[key] != built.params[key] for key in ("cycles", "edges") if key in p):
-            raise InputError("cactus cycles and edges do not match its size and seed")
-        return g, built
-    raise InputError(f"cannot generate family {f!r}")
+    forms = _FORMS[f]
+    for needs, may, build in forms:
+        if set(needs) <= p.keys() <= {*needs, *may}:
+            return build(p)
+    for needs, _, _ in forms:
+        if p.keys() <= set(needs):
+            missing = next(key for key in needs if key not in p)
+            raise InputError(f"a {f} spec needs the parameter {missing!r}")
+    texts = [f"({', '.join(needs)}{'[, ' + ', '.join(may) + ']' if may else ''})"
+             for needs, may, _ in forms]
+    given = ", ".join(map(repr, sorted(p)))
+    raise InputError(f"a {f} spec takes {' or '.join(texts)}; got {given}")

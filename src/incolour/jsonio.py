@@ -135,4 +135,9 @@ def pre_to_json(pre: dict[int, int]) -> dict:
 def pre_from_json(data: Optional[dict]) -> Optional[dict[int, int]]:
     if data is None:
         return None
-    return dict(_pairs(_object(data, "a pre-colouring")["pre"], "'pre'"))
+    pre: dict[int, int] = {}
+    for i, colour in _pairs(_object(data, "a pre-colouring")["pre"], "'pre'"):
+        if i in pre:
+            raise GraphError(f"'pre' names incidence {i} twice")
+        pre[i] = colour
+    return pre

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import pickle
+import re
 import weakref
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from incolour.catalogue import default_fuzz_instances, random_halin_spec, random_ham_cubic_specs
 from incolour.families import (
+    ALL_FAMILIES,
     FamilySpec,
     biconnected_components,
     cactus_cycles,
@@ -120,6 +122,35 @@ def test_generate_names_a_missing_parameter(family, params, missing):
         generate(FamilySpec(family, params))
 
 
+# (family, a spec's parameters, the one outside every form of the family)
+FOREIGN_PARAMETERS = [
+    ("path", {"n": 4, "seed": 1}, "seed"),
+    ("cycle", {"n": 5, "p": 2}, "p"),
+    ("star", {"n": 3, "m": 2}, "m"),
+    ("wheel", {"n": 5, "edges": [[0, 1]]}, "edges"),
+    ("complete", {"n": 4, "size": 4}, "size"),
+    ("grid", {"m": 5, "n": 4, "family": "cycle"}, "family"),
+    ("grid", {"m": 5, "n": 4, "seed": 3}, "seed"),
+    ("tree", {"n": 5, "p": 2}, "p"),
+    ("halin", {"tree_edges": [[0, 1], [0, 2], [0, 3]], "leaf_order": [1, 2, 3], "n": 4}, "n"),
+    ("corona", {"n": 4, "p": 2, "seed": 1}, "seed"),
+    ("ham_cubic", {"n": 6, "seed": 7, "matching": [[0, 3], [1, 4], [2, 5]]}, "seed"),
+    ("cycle_power", {"n": 7, "p": 2, "m": 3}, "m"),
+    ("cactus", {"size": 99, "edges": [[0, 1], [1, 2], [0, 2]]}, "size"),
+]
+
+
+@pytest.mark.parametrize("family, params, foreign", FOREIGN_PARAMETERS,
+                         ids=[f"{f}-{k}" for f, _, k in FOREIGN_PARAMETERS])
+def test_generate_rejects_a_parameter_outside_the_forms(family, params, foreign):
+    with pytest.raises(InputError, match=f"^a {family} spec takes .*; got .*'{foreign}'"):
+        generate(FamilySpec(family, params))
+
+
+def test_foreign_parameter_rows_cover_every_family():
+    assert {f for f, _, _ in FOREIGN_PARAMETERS} == set(ALL_FAMILIES)
+
+
 def test_corona_labels():
     g, spec = gen_corona(3, 1)
     assert g.n == 6 and g.max_degree == 3
@@ -151,6 +182,11 @@ def test_ham_cubic_guards():
         gen_ham_cubic(4, [[0, 1], [2, 3]])   # cycle edge in the matching
     with pytest.raises(InputError):
         gen_ham_cubic(6, [[0, 3], [1, 4]])   # not perfect
+
+
+def test_ham_cubic_rejects_a_matching_and_a_seed():
+    with pytest.raises(InputError, match="exactly one of a matching and a seed"):
+        gen_ham_cubic(6, matching=[[0, 3], [1, 4], [2, 5]], seed=7)
 
 
 def test_ham_cubic_seeded_matchings_regular_and_deterministic():
@@ -189,6 +225,11 @@ def test_cactus_random_deterministic_and_valid():
         g2, s2 = gen_cactus(size=20, seed=seed)
         assert g1 == g2
         assert cactus_cycles(g1) is not None
+
+
+def test_cactus_rejects_cycles_with_size_and_seed():
+    with pytest.raises(InputError, match="cycles and edges or by size and seed, not both"):
+        gen_cactus(cycles=[[0, 1, 2]], size=50, seed=3)
 
 
 def test_biconnected_components_bridge_and_cycle():
@@ -243,8 +284,10 @@ def test_edges_specs_round_trip_through_json():
     ({"edges": [[0, 1], [1, 2], [0, 2]]}, "edges do not describe a tree"),
     ({"edges": [[0, 1], [2, 3]]}, "edges do not describe a tree"),
     ({"edges": [[0, 2]]}, "edges do not describe a tree"),
-    ({"edges": [[0, 1]], "n": 2}, "either its edges or n and seed"),
-    ({"edges": [[0, 1]], "seed": 0}, "either its edges or n and seed"),
+    ({"edges": [[0, 1]], "n": 2},
+     re.escape("a tree spec takes (n[, seed]) or (edges); got 'edges', 'n'")),
+    ({"edges": [[0, 1]], "seed": 0},
+     re.escape("a tree spec takes (n[, seed]) or (edges); got 'edges', 'seed'")),
 ], ids=["cycle", "forest", "isolated-vertex", "edges-and-n", "edges-and-seed"])
 def test_tree_edges_spec_rejects(params, message):
     with pytest.raises(InputError, match=message):

@@ -64,6 +64,8 @@ def test_pre_json_roundtrip():
     pre = {3: 1, 7: 2}
     assert pre_from_json(pre_to_json(pre)) == pre
     assert pre_from_json(None) is None
+    with pytest.raises(GraphError, match="'pre' names incidence 1 twice"):
+        pre_from_json({"pre": [[1, 1], [1, 2]]})
 
 
 def test_dot_export_mentions_colours():
@@ -298,6 +300,7 @@ MALFORMED_FILES = [
      "must be a JSON array of integers"),
     ("solve", "--lists", {"lists": {str(i): [True] if i == 5 else [1, 2, 3] for i in range(8)}},
      "the list of incidence 5 must be a JSON array of integers"),
+    ("construct", "--pre", {"pre": [[1, 1], [1, 2]]}, "'pre' names incidence 1 twice"),
 ]
 
 
@@ -335,7 +338,7 @@ def test_cli_fuzz_rejects_campaigns_that_run_no_trial(runner, tmp_path):
         assert "trials ok" not in r.output
 
 
-# family specs whose leaves are integers but whose nesting is wrong
+# family specs whose leaves are integers but whose nesting or form is wrong
 MISNESTED_SPECS = [
     ({"family": "halin", "tree_edges": [1, 2], "leaf_order": [0]},
      "'tree_edges' must be a list of integer pairs"),
@@ -350,6 +353,7 @@ MISNESTED_SPECS = [
      "do not match its size and seed"),
     ({"family": "grid", "m": 4}, "a grid spec needs the parameter 'n'"),
     ({"family": "halin", "tree_edges": [], "leaf_order": []}, "Halin tree needs order >= 4"),
+    ({"family": "cycle", "n": 5, "p": 2}, "a cycle spec takes (n); got 'n', 'p'"),
 ]
 
 
@@ -361,6 +365,13 @@ def test_cli_misnested_spec_is_a_config_error(runner, tmp_path, content, phrase)
                              "--out", str(tmp_path)])
     assert r.exit_code == 2 and phrase in r.output, r.output
     assert "configuration error" in r.output
+
+
+def test_cli_generate_rejects_a_parameter_the_family_does_not_take(runner, tmp_path):
+    r = runner.invoke(main, ["generate", "--family", "grid", "--m", "5", "--n", "4",
+                             "--seed", "3", "--out", str(tmp_path)])
+    assert r.exit_code == 2 and "a grid spec takes (m, n); got 'm', 'n', 'seed'" in r.output, \
+        r.output
 
 
 @pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1"])
