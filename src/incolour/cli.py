@@ -62,6 +62,19 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _read_spec(spec_path: str, family: Optional[str], flags=()) -> FamilySpec:
+    """The spec of a ``--from-spec`` file.  A ``--family`` beside it must
+    name the file's family, and the family parameter flags in ``flags``
+    must be absent: either is an :class:`InputError`, never dropped."""
+    if flags:
+        given = ", ".join(f"--{name}" for name in flags)
+        raise InputError(f"--from-spec takes the family parameters from the file, not {given}")
+    spec = spec_from_json(_read_json(spec_path))
+    if family and family.replace("-", "_") != spec.family:
+        raise InputError(f"--family {family} does not match the spec file's family {spec.family!r}")
+    return spec
+
+
 def _config_guard(fn):
     def wrapped(*args, **kwargs):
         try:
@@ -92,7 +105,9 @@ def main():
 @click.option("--size", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--from-spec", "spec_path", type=click.Path(exists=True), default=None,
-              help="Read the family spec from a JSON file instead of flags.")
+              help="Read the family spec from a JSON file instead of flags; "
+                   "--family may only repeat its family, and --n, --m, --p, "
+                   "--size and --seed are rejected.")
 @click.option("--k", "list_size", type=int, default=None,
               help="Also write lists.json with lists of this size.")
 @click.option("--universe", type=int, default=None,
@@ -103,14 +118,14 @@ def main():
 def generate(family, n, m, p, size, seed, spec_path, list_size, universe, lists_seed, out):
     """Build a graph family instance; writes graph.json and spec.json
     (plus lists.json when --k is given)."""
+    params = {k: v for k, v in
+              (("n", n), ("m", m), ("p", p), ("size", size), ("seed", seed))
+              if v is not None}
     if spec_path:
-        spec = spec_from_json(_read_json(spec_path))
+        spec = _read_spec(spec_path, family, params)
     else:
         if not family:
             raise InputError("need --family or --from-spec")
-        params = {k: v for k, v in
-                  (("n", n), ("m", m), ("p", p), ("size", size), ("seed", seed))
-                  if v is not None}
         spec = FamilySpec(family.replace("-", "_"), params)
     g, spec = build_family(spec)
     directory = _out_dir(out)
@@ -211,14 +226,15 @@ def construct_cmd(spec_path, lists_path, pre_path, trace_path, out):
               help="Pre-colour both incidences of one edge per trial: a corona's "
                    "pendant edge v0-v0^1, or the first edge of a path, star or tree.")
 @click.option("--from-spec", "spec_path", type=click.Path(exists=True), default=None,
-              help="Fuzz a single instance from a spec file instead of the default sweep.")
+              help="Fuzz a single instance from a spec file instead of the default "
+                   "sweep; --family may only repeat its family.")
 @click.option("--out", default=None)
 @_config_guard
 def fuzz(family, trials, seed, k, universe, workers, pre, spec_path, out):
     """Randomized list-assignment campaign against a family's constructive
     procedure; exit 1 when any trial fails."""
     if spec_path:
-        instances = [spec_from_json(_read_json(spec_path))]
+        instances = [_read_spec(spec_path, family)]
     else:
         if not family:
             raise InputError("need --family or --from-spec")

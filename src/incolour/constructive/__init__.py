@@ -153,10 +153,7 @@ def _procedure(g: Graph, spec: FamilySpec, k: int) -> tuple[int, str, Rule]:
     elif f == "ham_cubic":
         size = HAM_CUBIC_BOUND
         short = f"hamiltonian cubic colouring needs lists of size >= {size}"
-        if p["n"] == 4:   # K4, coloured as the Halin graph it is
-            rule = lambda painter, pre: paint_halin(painter, K4_HALIN)
-        else:
-            rule = lambda painter, pre: paint_ham_cubic(painter, spec)
+        rule = lambda painter, pre: paint_ham_cubic(painter, spec)
     else:
         raise InputError(f"no constructive procedure for family {f!r}")
     return size, short, rule

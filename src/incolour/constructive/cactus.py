@@ -109,7 +109,7 @@ def _unit_order(g: Graph, unit_of, start):
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt, (x, y) in sorted(adj.get(cur, []), key=lambda t: (t[0], t[1])):
+        for nxt, (x, y) in sorted(adj.get(cur, [])):
             if nxt not in seen:
                 seen.add(nxt)
                 parent_edge[nxt] = (x, y)  # x inside nxt, y inside cur

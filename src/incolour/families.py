@@ -9,7 +9,7 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from .graphs import Graph, InputError, canon_edge
+from .graphs import Graph, InputError
 
 BASIC_FAMILIES = ("path", "cycle", "star", "wheel", "complete")
 ALL_FAMILIES = BASIC_FAMILIES + (
@@ -327,94 +327,53 @@ def _random_cactus_parts(size: int, seed: int):
 def cactus_cycles(g: Graph) -> Optional[list[list[int]]]:
     """The cycles of ``g`` if it is a cactus, else None.
 
-    Uses biconnected components: each component is either a bridge or, in
-    a cactus, a single cycle.  A component that is 2-connected but not a
-    plain cycle (some vertex of degree > 2 inside it) disqualifies the
-    graph, as does a vertex lying on two cycle components.
+    One depth-first search: roots in id order, neighbours in ``g.adj``
+    order.  Each back edge (v, w), w an ancestor of v, closes the tree path
+    w...v into a cycle.  ``g`` is a cactus exactly when these cycles share
+    no vertex: every edge of a block that is not a bridge lies on the cycle
+    of one of that block's back edges, so a block that is not a single
+    cycle makes two of them meet.  The search returns None at the first
+    shared vertex, so it stays linear.
+
+    A cycle is listed when the search leaves the child of w on it, the
+    moment a Hopcroft-Tarjan block decomposition pops that block, so the
+    cycles come in that decomposition's order.  Each starts at its least
+    vertex and goes on towards the lesser of that vertex's two neighbours.
     """
-    comps = biconnected_components(g)
-    cycles = []
+    parent = [-1] * g.n
+    depth = [-1] * g.n
     on_cycle: set[int] = set()
-    for comp in comps:
-        if len(comp) == 1:
-            continue
-        verts: dict[int, int] = {}
-        for u, v in comp:
-            verts[u] = verts.get(u, 0) + 1
-            verts[v] = verts.get(v, 0) + 1
-        if len(comp) != len(verts) or any(d != 2 for d in verts.values()):
-            return None
-        if any(v in on_cycle for v in verts):
-            return None
-        on_cycle.update(verts)
-        cycles.append(_walk_cycle(comp))
-    return cycles
-
-
-def _walk_cycle(comp_edges: Sequence[tuple[int, int]]) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for u, v in comp_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    order = [start, min(adj[start])]
-    while len(order) < len(adj):
-        prev, cur = order[-2], order[-1]
-        order.append(adj[cur][0] if adj[cur][0] != prev else adj[cur][1])
-    return order
-
-
-def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Biconnected components as edge lists (iterative Hopcroft-Tarjan).
-
-    The graph is simple, so each parent appears exactly once in its child's
-    adjacency list and can be skipped directly.
-    """
-    idx: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comps: list[list[tuple[int, int]]] = []
-    stack: list[tuple[int, int]] = []
-    counter = 0
+    closes_at: list[Optional[list[int]]] = [None] * g.n   # child of w -> v...w
+    cycles = []
     for root in range(g.n):
-        if root in idx:
+        if depth[root] >= 0:
             continue
-        idx[root] = low[root] = counter
-        counter += 1
-        dfs = [(root, -1, iter(g.adj[root]))]
+        depth[root] = 0
+        dfs = [(root, iter(g.adj[root]))]
         while dfs:
-            v, parent, it = dfs[-1]
-            advanced = False
+            v, it = dfs[-1]
             for w in it:
-                if w == parent:
-                    continue
-                if w not in idx:
-                    stack.append(canon_edge(v, w))
-                    idx[w] = low[w] = counter
-                    counter += 1
-                    dfs.append((w, v, iter(g.adj[w])))
-                    advanced = True
+                if depth[w] < 0:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    dfs.append((w, iter(g.adj[w])))
                     break
-                if idx[w] < idx[v]:
-                    stack.append(canon_edge(v, w))
-                    if idx[w] < low[v]:
-                        low[v] = idx[w]
-            if advanced:
-                continue
-            dfs.pop()
-            if dfs:
-                u = dfs[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= idx[u]:
-                    comp = []
-                    e = canon_edge(u, v)
-                    while stack:
-                        f = stack.pop()
-                        comp.append(f)
-                        if f == e:
-                            break
-                    if comp:
-                        comps.append(comp)
-    return comps
+                if w == parent[v] or depth[w] > depth[v]:
+                    continue
+                cycle = [v]
+                while cycle[-1] != w:
+                    cycle.append(parent[cycle[-1]])
+                if not on_cycle.isdisjoint(cycle):
+                    return None
+                on_cycle.update(cycle)
+                closes_at[cycle[-2]] = cycle
+            else:
+                dfs.pop()
+                cycle = closes_at[v]
+                if cycle:
+                    i = cycle.index(min(cycle))
+                    cycle = cycle[i:] + cycle[:i]
+                    cycles.append(cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1])
+    return cycles
 
 
 def is_connected(g: Graph) -> bool:

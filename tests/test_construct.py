@@ -218,7 +218,7 @@ RULES = [
     (_HALIN, "paint_halin"),
     (FamilySpec("wheel", {"n": 5}), "paint_halin"),
     (FamilySpec("complete", {"n": 4}), "paint_halin"),
-    (FamilySpec("ham_cubic", {"n": 4, "seed": 0}), "paint_halin"),
+    (FamilySpec("ham_cubic", {"n": 4, "seed": 0}), "paint_ham_cubic"),
     (FamilySpec("corona", {"n": 4, "p": 3}), "paint_corona"),
     (FamilySpec("cactus", {"cycles": [[0, 1, 2]], "edges": [[0, 3], [1, 4]]}), "paint_cactus"),
     (FamilySpec("ham_cubic", {"n": 8, "seed": 1}), "paint_ham_cubic"),

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import itertools
 import json
 import pickle
+import random
 import re
 import weakref
 
@@ -15,7 +18,6 @@ from incolour.catalogue import default_fuzz_instances, random_halin_spec, random
 from incolour.families import (
     ALL_FAMILIES,
     FamilySpec,
-    biconnected_components,
     cactus_cycles,
     gen_basic,
     gen_cactus,
@@ -25,6 +27,7 @@ from incolour.families import (
     gen_halin,
     gen_ham_cubic,
     gen_random_degenerate,
+    gen_random_graph,
     gen_random_tree,
     gen_tree,
     generate,
@@ -232,11 +235,91 @@ def test_cactus_rejects_cycles_with_size_and_seed():
         gen_cactus(cycles=[[0, 1, 2]], size=50, seed=3)
 
 
-def test_biconnected_components_bridge_and_cycle():
+def test_cactus_cycles_bridge_and_cycle():
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-    comps = biconnected_components(g)
-    sizes = sorted(len(c) for c in comps)
-    assert sizes == [1, 1, 3]
+    assert cactus_cycles(g) == [[0, 1, 2]]
+
+
+def _simple_cycles(g):
+    """Every simple cycle of ``g`` by brute force: paths from each start s
+    through vertices above s that close back at s, each cycle once, from s
+    towards its lesser neighbour."""
+    found = []
+
+    def extend(path, seen):
+        for w in g.adj[path[-1]]:
+            if w == path[0] and len(path) >= 3 and path[1] < path[-1]:
+                found.append(list(path))
+            elif w > path[0] and w not in seen:
+                seen.add(w)
+                path.append(w)
+                extend(path, seen)
+                path.pop()
+                seen.discard(w)
+
+    for s in range(g.n):
+        extend([s], {s})
+    return found
+
+
+def _oracle_graphs():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+    rng = random.Random(11)
+    for _ in range(300):
+        yield gen_random_graph(rng.randint(6, 9), rng.randrange(10**6), rng.choice((0.2, 0.3, 0.4)))
+
+
+def test_cactus_cycles_match_a_brute_force_oracle():
+    """None exactly when two simple cycles share a vertex, otherwise every
+    simple cycle once, from its least vertex towards its lesser neighbour."""
+    graphs = cactuses = 0
+    for g in _oracle_graphs():
+        cycles = _simple_cycles(g)
+        vertices = [v for c in cycles for v in c]
+        got = cactus_cycles(g)
+        graphs += 1
+        if len(set(vertices)) < len(vertices):
+            assert got is None, g.edges
+        else:
+            cactuses += 1
+            assert got is not None and sorted(got) == sorted(cycles), g.edges
+    assert graphs == 1400 and 0 < cactuses < graphs
+
+
+def _relabelled_union(parts, rng):
+    n = sum(p.n for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for p in parts:
+        edges += [(label[u + offset], label[v + offset]) for u, v in p.edges]
+        offset += p.n
+    return n, edges
+
+
+# sha256 prefix of cactus_cycles (order, orientation and None) on 60 seeded
+# random cactuses and 60 relabelled unions of two or three, each union with
+# and without one extra edge
+CACTUS_CYCLES_DIGEST = "0281dec54c03502f"
+
+
+def test_cactus_cycles_match_golden_digest():
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    graphs = [gen_cactus(size=rng.randint(5, 150), seed=seed)[0] for seed in range(60)]
+    for i in range(60):
+        parts = [gen_cactus(size=rng.randint(3, 40), seed=100 + 3 * i + j)[0]
+                 for j in range(rng.randint(2, 3))]
+        n, edges = _relabelled_union(parts, rng)
+        graphs += [Graph(n, edges), Graph(n, edges + [tuple(rng.sample(range(n), 2))])]
+    results = [cactus_cycles(g) for g in graphs]
+    for cycles in results:
+        h.update(f"{cycles}\n".encode())
+    assert sum(r is None for r in results) > 0
+    assert h.hexdigest()[:16] == CACTUS_CYCLES_DIGEST
 
 
 def test_random_tree_and_degenerate():

@@ -215,6 +215,44 @@ def test_cli_fuzz_takes_a_spec_file_without_a_family(runner, tmp_path):
     assert report["total_trials"] == 3
 
 
+@pytest.mark.parametrize("args, phrase", [
+    (["generate", "--family", "grid", "--m", "9", "--n", "7"],
+     "--from-spec takes the family parameters from the file, not --n, --m"),
+    (["generate", "--p", "2"], "--from-spec takes the family parameters from the file, not --p"),
+    (["generate", "--size", "40"], "--from-spec takes the family parameters from the file, not --size"),
+    (["generate", "--seed", "3"], "--from-spec takes the family parameters from the file, not --seed"),
+    (["generate", "--family", "grid"],
+     "--family grid does not match the spec file's family 'cycle'"),
+    (["fuzz", "--family", "grid", "--trials", "3"],
+     "--family grid does not match the spec file's family 'cycle'"),
+    (["fuzz", "--family", "ham-cubic", "--trials", "3"],
+     "--family ham-cubic does not match the spec file's family 'cycle'"),
+], ids=["n-m", "p", "size", "seed", "generate-family", "fuzz-family", "fuzz-family-dashed"])
+def test_cli_spec_file_rejects_other_family_flags(runner, tmp_path, args, phrase):
+    """Beside --from-spec, a --family that is not the file's, or a family
+    parameter flag to generate, is a configuration error, not dropped."""
+    (tmp_path / "c5.json").write_text(json.dumps({"family": "cycle", "n": 5}))
+    r = runner.invoke(main, [args[0], "--from-spec", str(tmp_path / "c5.json"), *args[1:],
+                             "--out", str(tmp_path)])
+    assert r.exit_code == 2 and "configuration error: " + phrase in r.output, r.output
+    assert [f.name for f in tmp_path.iterdir()] == ["c5.json"]
+
+
+def test_cli_spec_file_takes_its_own_family_and_a_fuzz_seed(runner, tmp_path):
+    out = str(tmp_path)
+    spec = FamilySpec("ham_cubic", {"n": 6, "matching": [[0, 3], [1, 4], [2, 5]]})
+    (tmp_path / "hc.json").write_text(json.dumps(spec.to_json()))
+    r = runner.invoke(main, ["generate", "--from-spec", f"{out}/hc.json", "--family", "ham-cubic",
+                             "--out", out])
+    assert r.exit_code == 0, r.output
+    assert json.loads((tmp_path / "spec.json").read_text()) == spec.to_json()
+    r = runner.invoke(main, ["fuzz", "--from-spec", f"{out}/hc.json", "--family", "ham_cubic",
+                             "--seed", "7", "--trials", "2", "--out", out])
+    assert r.exit_code == 0, r.output
+    report = json.loads((tmp_path / "fuzz-report.json").read_text())
+    assert [inst["spec"] for inst in report["instances"]] == [spec.to_json()]
+
+
 def test_cli_fuzz_needs_a_family_or_a_spec_file(runner, tmp_path):
     r = runner.invoke(main, ["fuzz", "--trials", "3", "--out", str(tmp_path)])
     assert r.exit_code == 2
