@@ -8,8 +8,10 @@ incidences), checks the lists against the family's list size, runs the
 family's painting rule on the painter and reports.  Each painting rule is
 a public ``paint_*`` function of its family's module, so that a tracer
 that wraps public functions sees it; a cycle is one
-:meth:`Painter.paint_ring`.  A rule checks only what is particular to it,
-such as where a corona's pre-colouring lies.
+:meth:`Painter.paint_ring`, and so is each corona or cactus cycle unit
+with its pendant internals, before its externals are filled.  A rule
+checks only what is particular to it, such as where a corona's
+pre-colouring lies.
 
 :func:`construct` and :func:`guaranteed_bound` are the two entry points.
 Every instance is named by a spec: an arbitrary tree or cactus by its

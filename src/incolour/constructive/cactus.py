@@ -4,13 +4,14 @@ most one cycle) that are neither trees nor cycles.
 Contracting each cycle gives a tree of units.  Units are processed from a
 chosen first cycle so that every later unit touches exactly one coloured
 unit: each cycle unit, together with all neighbours of its cycle, is a
-generalized corona with rows of up to p pendants, and the corona procedure
-colours it in place on the cactus, with the single already-coloured
-connecting edge playing the pre-coloured pendant edge (a vertex with fewer
-than p pendants simply has nothing to paint in the missing slots); each
-remaining vertex is finished greedily, seeing at most max_degree coloured
-adjacent incidences.  A stuck cycle unit raises: there is no exact-search
-fallback inside a cactus.
+generalized corona with rows of pendants of any length, and
+:func:`~incolour.constructive.coronae.paint_cycle_unit` colours it in
+place on the cactus, starting the ring at the end of the single
+already-coloured connecting edge, which plays the pre-coloured pendant
+edge.  Its exact ring transfer colours the unit whenever the connecting
+edge's colours allow it.  Each remaining vertex is finished greedily,
+seeing at most max_degree coloured adjacent incidences.  A stuck cycle
+unit raises :class:`~.report.StuckError`; nothing searches.
 
 A cactus is coloured by :func:`~incolour.constructive.construct` from a
 ``cactus`` spec: ``{"size", "seed"}`` for a random one, or its ``edges``
@@ -65,11 +66,11 @@ def paint_cactus(painter: Painter, cycles: Sequence[Sequence[int]]) -> None:
         return ("cyc", on_cycle[v]) if v in on_cycle else ("v", v)
 
     start_unit = ("cyc", _pick_start(g, cycles))
-    order, parent_edge = _unit_order(g, unit_of, start_unit)
+    order, entry = _unit_order(g, unit_of, start_unit)
     off, _, mate = _vertex_index(g)
     for unit in order:
         if unit[0] == "cyc":
-            _paint_cycle_unit(painter, list(cycles[unit[1]]), parent_edge.get(unit))
+            _paint_cycle_unit(painter, list(cycles[unit[1]]), entry.get(unit))
         else:
             v = unit[1]
             painter.fill(range(off[v], off[v + 1]), "cactus-normal")
@@ -95,44 +96,40 @@ def _pick_start(g: Graph, cycles: Sequence[Sequence[int]]) -> int:
 
 def _unit_order(g: Graph, unit_of, start):
     """BFS order over the contracted unit tree; for each non-start unit the
-    connecting edge (x inside the unit, y in its already-ordered parent)."""
+    entry, its end of the edge that connects it to its parent."""
     adj: dict = {}
     for u, v in g.edges:
         a, b = unit_of(u), unit_of(v)
         if a == b:
             continue
-        adj.setdefault(a, []).append((b, (v, u)))
-        adj.setdefault(b, []).append((a, (u, v)))
+        adj.setdefault(a, []).append((b, v))
+        adj.setdefault(b, []).append((a, u))
     order = [start]
-    parent_edge = {}
+    entry = {}
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt, (x, y) in sorted(adj.get(cur, [])):
+        for nxt, x in sorted(adj.get(cur, [])):
             if nxt not in seen:
                 seen.add(nxt)
-                parent_edge[nxt] = (x, y)  # x inside nxt, y inside cur
+                entry[nxt] = x
                 order.append(nxt)
                 queue.append(nxt)
-    return order, parent_edge
+    return order, entry
 
 
-def _paint_cycle_unit(painter: Painter, cycle: list[int], connector) -> None:
-    """Colour all incidences touching this cycle by the corona procedure on
-    the host painter; the connecting edge (x, y), x on the cycle and both
-    its incidences already painted, is the first pendant edge of x."""
-    g = painter.graph
+def _paint_cycle_unit(painter: Painter, cycle: list[int], entry) -> None:
+    """Colour all incidences touching this cycle as a corona unit on the
+    host painter.  The cycle starts at ``entry``, the end on this cycle of
+    the unit's connecting edge, whose incidences are both painted; a first
+    unit has no ``entry``."""
     ring = cycle
-    if connector is not None:
-        x, y = connector
-        pos = cycle.index(x)
+    if entry is not None:
+        pos = cycle.index(entry)
         ring = cycle[pos:] + cycle[:pos]
         if ring[1] > ring[-1]:
             ring = [ring[0]] + ring[1:][::-1]
     in_cycle = set(cycle)
-    pendants = [sorted(w for w in g.adj[u] if w not in in_cycle) for u in ring]
-    if connector is not None:
-        pendants[0].remove(y)
-        pendants[0].insert(0, y)
+    pendants = [[w for w in painter.graph.adj[u] if w not in in_cycle] for u in ring]
     paint_cycle_unit(painter, ring, pendants, prefix="cactus-")

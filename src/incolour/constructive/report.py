@@ -1,14 +1,15 @@
 """Shared machinery for the constructive colouring procedures: a painter
 that applies one colour at a time with full validity checks (or a whole
-ring at once, with the leaf ends of its spokes, by an exact polynomial
-transfer), and the replayable report it produces.  Nothing here searches
-exponentially: the constructive layer never calls the solver."""
+ring at once, with the leaf ends of a Halin rim's spokes or the pendant
+internals of a corona unit, by an exact polynomial transfer), and the
+replayable report it produces.  Nothing here searches exponentially: the
+constructive layer never calls the solver."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -205,34 +206,76 @@ class Painter:
                 break
 
     def paint_ring(self, ring: Sequence[int], tag: str,
-                   spokes: Optional[Mapping[int, int]] = None) -> None:
+                   spokes: Optional[Mapping[int, int]] = None,
+                   inner: Optional[Mapping[int, Sequence[int]]] = None) -> None:
         """Colour the cycle ``ring`` exactly: its edges unpainted, with
         ``spokes`` also the incidence x_i = (r_i, r_i s_i) of each rim vertex
-        on its spoke to s_i = ``spokes[r_i]``, and all else they see painted.
+        on its spoke to s_i = ``spokes[r_i]``, or with ``inner`` instead the
+        unpainted internals (r_i, r_i w) of a cycle unit, one for each w in
+        ``inner[r_i]``.  Whatever else they see is painted already, or is
+        ignored here and painted later around these colours: an unpainted
+        neighbour is allowed only where that later step cannot get stuck,
+        like a unit's externals (w, w r_i), which go last with d(r_i) + 1
+        colours and see only the d(r_i) incidences at r_i.
 
         Block i is (x_i, a_i, b_i), with a_i = (r_i, r_i r_{i+1}) and b_i =
         (r_{i+1}, r_{i+1} r_i), and no x_i without spokes.  A block sees
         only the blocks before and after it, and only their (a, b): x_i
         avoids a_{i-1} and b_{i-1}; a_i avoids a_{i-1}, b_{i-1} and x_i; b_i
-        avoids b_{i-1}, a_i and x_i; block 0 follows the last.  The blocks
-        are painted in order, x_i, a_i, b_i, from the first start block, in
-        sorted order, whose search closes the ring (:func:`_strip`); else
-        StuckError."""
+        avoids b_{i-1}, a_i and x_i; block 0 follows the last.  An internal
+        at r_i sees, of the ring, a_{i-1}, b_{i-1}, a_i and b_i, so the
+        internals at r_i must keep distinct colours once those four are
+        removed (Hall), a check on each pair of consecutive blocks.  The
+        blocks are painted in order, x_i, a_i, b_i, from the first start
+        block, in sorted order, whose search closes the ring
+        (:func:`_strip`), then the internals vertex by vertex; else
+        StuckError, with nothing painted.
+
+        With ``inner`` the unit touches painted incidences only at
+        ``ring[0]`` (a pre-coloured pendant edge, or a cactus unit's
+        connector), so the free colours are looked up only at the
+        incidences at ``ring[0]`` and their mates, and elsewhere are the
+        whole list; :meth:`paint` still checks every colour."""
+        n = len(ring)
         ids = [(None if spokes is None else self.id_of(r, spokes[r]),
                 self.id_of(r, s), self.id_of(s, r))
                for r, s in zip(ring, [*ring[1:], ring[0]])]
-        # exact: a spoke or a bare rim incidence has four ring neighbours and
-        # a rim incidence beside spokes six, so a colour outside its five (or
-        # seven) least free colours can always be swapped for one of them
-        cut = 5 if spokes is None else 7
-        lists = [([None] if x is None else self.free(x)[:5], self.free(a)[:cut],
-                  self.free(b)[:cut]) for x, a, b in ids]
+        look = self.free
+        rows: list[list[int]] = [[] for _ in ring]
+        if inner is not None:
+            head, mate, r0 = self._head, self._mate, ring[0]
+            look = lambda i: (self.free(i) if r0 in (head[i], head[mate[i]])
+                              else sorted(self.lists[i]))
+            rows = [[t for t in (self.id_of(r, w) for w in inner.get(r, ()))
+                     if self.colour[t] is None] for r in ring]
+        pend = [[look(t) for t in row] for row in rows]
+        # exact: a colour outside an incidence's least free colours, one
+        # more than its unpainted neighbours here (four on the ring, the
+        # spokes and internals beside it), can always be swapped for one of
+        # them; a spoke has four such neighbours
+        near = [4 + 2 * (spokes is not None) + len(rows[i]) + len(rows[(i + 1) % n])
+                for i in range(n)]
+        lists = [([None] if x is None else look(x)[:5], look(a)[:k + 1], look(b)[:k + 1])
+                 for (x, a, b), k in zip(ids, near)]
+        # the internals' colours for (r_j, a_{j-1}, b_{j-1}, a_j, b_j), or None
+        fits: dict[tuple, Optional[list[int]]] = {}
+
+        def pair(j: int, before: tuple, block: tuple) -> bool:
+            key = (j % n, *before[1:], *block[1:])
+            if key not in fits:
+                fits[key] = _distinct(pend[key[0]], key[1:])
+            return fits[key] is not None
+
         for start in _blocks(*lists[0]):
-            if blocks := _strip(lists, start):
+            if blocks := _strip(lists, start, None if inner is None else pair):
                 for block_ids, block in zip(ids, blocks):
                     for i, c in zip(block_ids, block):
                         if i is not None:
                             self.paint(i, c, tag)
+                if inner is not None:
+                    for j, row in enumerate(rows):
+                        for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
+                            self.paint(t, c, tag)
                 return
         raise StuckError(ids[0][1], tag, self.trace)
 
@@ -252,18 +295,22 @@ def _blocks(x_list, a_list, b_list, before=()):
             for b in b_list if b != x and b != a and b not in before[1:])
 
 
-def _strip(lists: Sequence[tuple], start: tuple) -> Optional[list[tuple]]:
+def _strip(lists: Sequence[tuple], start: tuple,
+           pair: Optional[Callable[[int, tuple, tuple], bool]] = None) -> Optional[list[tuple]]:
     """Blocks 0, 1, ... from ``lists`` that begin with ``start`` and close
-    the ring, or None.  A depth-first search appends a copy of ``start`` as
-    the block after the last, so reaching it closes the ring.  The future of
-    block i depends only on (a_i, b_i), so a state (i, a_i, b_i) found dead
-    is never entered again: at most 49 states per block, polynomial."""
+    the ring, or None; with ``pair``, block j may follow block j - 1 only
+    when ``pair(j, block_before, block)`` holds.  A depth-first search
+    appends a copy of ``start`` as the block after the last, so reaching it
+    closes the ring.  The future of block i depends only on (a_i, b_i), so a
+    state (i, a_i, b_i) found dead is never entered again: at most |a_i|
+    times |b_i| states per block, polynomial."""
     steps = [*lists[1:], [[c] for c in start]]
     path, dead = [start], set()
     todo = [_blocks(*steps[0], start[1:])]
     while todo:
         for block in todo[-1]:
-            if (len(path), *block[1:]) not in dead:
+            if (len(path), *block[1:]) not in dead and (
+                    pair is None or pair(len(path), path[-1], block)):
                 path.append(block)
                 if len(path) > len(steps):
                     return path[:-1]
@@ -273,3 +320,32 @@ def _strip(lists: Sequence[tuple], start: tuple) -> Optional[list[tuple]]:
             todo.pop()
             dead.add((len(path) - 1, *path.pop()[1:]))
     return None
+
+
+def _distinct(lists: Sequence[Sequence[int]], used: Container[int]) -> Optional[list[int]]:
+    """One colour from each of ``lists``, all distinct and none in ``used``,
+    or None when there is no such choice (Hall): each list's least free
+    colour in turn, and an augmenting path only where that sticks."""
+    owner: dict[int, int] = {}
+
+    def augment(t: int, seen: set) -> bool:
+        for c in lists[t]:
+            if c not in used and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = t
+                    return True
+        return False
+
+    for t, options in enumerate(lists):
+        for c in options:
+            if c not in used and c not in owner:
+                owner[c] = t
+                break
+        else:
+            if not augment(t, set()):
+                return None
+    chosen = [0] * len(lists)
+    for c, t in owner.items():
+        chosen[t] = c
+    return chosen

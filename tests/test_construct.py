@@ -25,8 +25,10 @@ FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubi
 # spokes by the strip search of `Painter.paint_ring`: that moves the Halin
 # runs, and the cycles' colours, which the depth-first strip search picks
 # least first where the former sweep traced them back from the closing
-# pair; OTHER_FAMILIES_DIGEST below pins the other runs unchanged
-TRACE_DIGEST = "7e301c1b12b95c18"
+# pair; OTHER_FAMILIES_DIGEST below pins the other runs unchanged.
+# Re-pinned again when one exact ring transfer replaced the corona
+# selectors: the corona and cactus runs moved, the others hash as before
+TRACE_DIGEST = "382818e09ed95077"
 
 
 def _golden_runs():
@@ -63,8 +65,9 @@ RING_TAGS = {"cycle-solver", "cycle-dp", "halin-outer-cycle"}
 # they paint: the colours a ring takes may change, nothing else may;
 # re-pinned when every Halin graph moved to one route, whose tree steps
 # paint only the internal incidences and whose ring steps now also paint
-# the leaf ends of the spokes
-NON_RING_DIGEST = "e6eba7f34bee290d"
+# the leaf ends of the spokes; and again when one exact ring transfer
+# replaced the corona selectors, which moves the corona and cactus runs
+NON_RING_DIGEST = "dc29e8436b01d2be"
 
 
 def test_non_ring_steps_match_golden_digest():
@@ -98,8 +101,10 @@ def test_non_ring_steps_match_golden_digest():
 # TREE_PAINT_DIGEST on graphs that are neither cycles nor Halin graphs
 # (wheels, K4 and the ham_cubic K4 count as Halin graphs): grids, trees,
 # coronae, cactuses and Hamiltonian cubic graphs of order >= 6; recorded
-# before the Halin rim transfer, which must leave all of them unchanged
-OTHER_FAMILIES_DIGEST = "89ebe089ea9a199a"
+# before the Halin rim transfer, which must leave all of them unchanged.
+# Re-pinned when one exact ring transfer replaced the corona selectors,
+# which moves the corona and cactus runs only
+OTHER_FAMILIES_DIGEST = "079ed4a966760971"
 
 
 def _cycle_or_halin(spec):

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import assert_valid_report
 from incolour.constructive import Painter, StuckError, construct, corona_bound, guaranteed_bound
-from incolour.constructive.coronae import paint_corona
+from incolour.constructive.coronae import paint_corona, paint_cycle_unit
 from incolour.families import FamilySpec, corona_pendant, gen_corona
-from incolour.graphs import InputError, ListAssignment, incidence_id
+from incolour.graphs import Graph, InputError, ListAssignment, incidence_id
 from incolour.harness import pre_pair, random_list_assignment
 from incolour.solver import solve_list_colouring
 
@@ -101,25 +101,10 @@ def test_primary_path_avoids_solver_fallback():
         assert not any("fallback" in s.tag for s in rep.trace)
 
 
-def test_pendant_block_retry_path():
-    """Greedy order dead-ends yet a permuted block assignment exists."""
-    from incolour.constructive.coronae import _paint_block
-    from incolour.constructive.report import Painter
-    from incolour.graphs import Graph
-
-    s2 = Graph(3, [(0, 1), (0, 2)])
-    lists = ListAssignment([{1, 2}, {1}, {5, 6}, {7, 8}])
-    painter = Painter(s2, lists)
-    _paint_block(painter, [0, 1])
-    assert painter.colour == [2, 1, None, None]
-    assert all(s.tag == "corona-pendant-matched" for s in painter.trace)
-
-
 def test_pendant_squeeze_at_the_exact_bound():
-    """A crafted pre-coloured instance with lists of exactly p+3 colours
-    where the straight pendant order dies at the second-to-last pendant of
-    v0 (all seven of its colours are forbidden) and the block permutation
-    succeeds."""
+    """A crafted pre-coloured instance with lists of exactly p+3 colours,
+    where painting the pendants of v0 one by one in order dies at the
+    second-to-last of them (all seven of its colours are forbidden)."""
     n, p = 4, 4
     g, _ = gen_corona(n, p)
     m = 2 * len(g.edges)
@@ -153,37 +138,126 @@ def test_pendant_squeeze_at_the_exact_bound():
 
     rep = construct(corona(n, p), la, {iid(0, pend(0, 1)): 1, iid(pend(0, 1), 0): 2})
     assert_valid_report(g, la, rep)
-    tags = {s.tag for s in rep.trace}
-    assert "corona-pendant-matched" in tags
 
 
 def test_stuck_on_adversarial_lists():
-    """Below-bound lists that defeat the procedure raise, although they
-    stay satisfiable: there is no exact-search fallback."""
+    """Below-bound lists that a greedy cycle walk gets stuck on, although
+    they are colourable: a singleton list {2} on the pendant internal at v1,
+    2 being the colour that walk gives (v1, v1v0) from 9-colour lists.  The
+    exact ring transfer colours them."""
     n, p = 3, 1
     g, _ = gen_corona(n, p)
-    rich = ListAssignment.uniform(g, 9)
-    first = paint_corona_report(g, n, p, rich, None)
-    gamma = first.colouring[incidence_id(g, 1, 0)]
-    crafted = list(rich.lists)
-    crafted[incidence_id(g, 1, corona_pendant(1, 1, n, p))] = frozenset({gamma})
+    crafted = list(ListAssignment.uniform(g, 9).lists)
+    crafted[incidence_id(g, 1, corona_pendant(1, 1, n, p))] = frozenset({2})
     lists = ListAssignment(crafted)
     assert solve_list_colouring(g, lists).found
-    with pytest.raises(StuckError):
-        paint_corona_report(g, n, p, lists, None)
+    assert_valid_report(g, lists, paint_corona_report(g, n, p, lists, None))
 
 
 def test_selector_that_runs_dry_raises_stuck_error():
-    """Lists two below the bound leave a corona selector without a colour:
-    the run stops with a StuckError tagged ``corona`` that names an
-    incidence of the unit still unpainted."""
+    """Lists two below the bound with no colouring: at each cycle vertex
+    the four pendant internals and at least three ring colours need seven
+    colours of six.  The unit raises a StuckError tagged ``corona-ring``
+    that names an unpainted incidence, with nothing of the unit painted."""
     n, p = 3, 4
     g, _ = gen_corona(n, p)
     lists = random_list_assignment(g, 5, 6, 0)
+    painter = Painter(g, lists)
     with pytest.raises(StuckError) as err:
-        paint_corona_report(g, n, p, lists, None)
-    assert err.value.tag == "corona"
-    assert err.value.incidence not in {s.incidence for s in err.value.trace}
+        paint_corona(painter, n, p, None)
+    assert err.value.tag == "corona-ring"
+    assert painter.colour[err.value.incidence] is None
+    assert painter.colour == [None] * len(painter.colour) and painter.trace == []
+
+
+def _coloured(painter, paint):
+    """The report of ``paint(painter)``, or None when it is stuck."""
+    try:
+        paint(painter)
+    except StuckError:
+        return None
+    return painter.report()
+
+
+def _short_lists(g, external, rng, low, high, universe):
+    """Lists from {1..universe}: ``external(v, w)`` colours at (v, vw) when
+    it names a number, else ``low`` to ``high`` colours."""
+    out = []
+    for v, row in enumerate(g.adj):
+        for w in row:
+            size = external(v, w) or rng.randint(low, high)
+            out.append(frozenset(rng.sample(range(1, universe + 1), size)))
+    return ListAssignment(out)
+
+
+def test_ring_transfer_is_exact_on_small_coronae():
+    """The unit is coloured exactly when the exact search finds a
+    colouring, on coronae whose externals have d + 1 = p + 3 colours and
+    whose other lists are short."""
+    runs = unsat = 0
+    for n in (3, 4, 5):
+        for p in (1, 2, 3):
+            g, _ = gen_corona(n, p)
+            for seed in range(12):
+                rng = random.Random(seed)
+                lists = _short_lists(g, lambda v, w: p + 3 if v >= n else 0, rng, 2, p + 3, p + 4)
+                rep = _coloured(Painter(g, lists), lambda pa: paint_corona(pa, n, p, None))
+                found = solve_list_colouring(g, lists).found
+                assert (rep is not None) == found, (n, p, seed)
+                if rep is not None:
+                    assert_valid_report(g, lists, rep)
+                runs += 1
+                unsat += not found
+    assert (runs, unsat) == (108, 16)
+
+
+def test_ring_transfer_is_exact_on_a_cactus_unit():
+    """A cactus-like unit: the 5-cycle 0..4 with uneven pendant rows, and a
+    connector 0-5 to a painted parent edge 5-6.  Its painted incidences get
+    singleton lists for the exact search."""
+    rows = [[7, 8], [], [9, 10], [11], [12, 13, 14]]
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6)]
+    edges += [(i, w) for i, row in enumerate(rows) for w in row]
+    g = Graph(15, edges)
+    runs = unsat = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        external = lambda v, w: g.degree(w) + 1 if w < 5 and v > 4 else 0
+        lists = _short_lists(g, external, rng, 4, 6, 6)
+        painter = Painter(g, lists)
+        painter.fill([painter.id_of(5, 6), painter.id_of(6, 5), painter.id_of(5, 0),
+                      painter.id_of(0, 5)], "parent")
+        fixed = [frozenset({c}) if c is not None else lst
+                 for c, lst in zip(painter.colour, lists.lists)]
+        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(5), [[5, *rows[0]], *rows[1:]]))
+        found = solve_list_colouring(g, ListAssignment(fixed)).found
+        assert (rep is not None) == found, seed
+        if rep is not None:
+            assert_valid_report(g, lists, rep)
+        runs += 1
+        unsat += not found
+    assert (runs, unsat) == (150, 40)
+
+
+def test_coronae_at_delta_plus_one():
+    """Lists of Δ + 1 = p + 3 colours, below the bound: every corona the
+    transfer leaves stuck has no colouring."""
+    stuck = {}
+    for p in (1, 2):
+        k = p + 3
+        stuck[p] = 0
+        for n in range(3, 7):
+            g, _ = gen_corona(n, p)
+            for seed in range(25):
+                for universe in (k, k + 1, 3 * k):
+                    lists = random_list_assignment(g, k, universe, seed)
+                    rep = _coloured(Painter(g, lists), lambda pa: paint_corona(pa, n, p, None))
+                    if rep is None:
+                        stuck[p] += 1
+                        assert not solve_list_colouring(g, lists).found
+                    else:
+                        assert_valid_report(g, lists, rep)
+    assert stuck == {1: 25, 2: 0}
 
 
 def test_deterministic():
@@ -196,16 +270,16 @@ def test_deterministic():
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
 
 
-# sha256 prefix of paint_corona traces one colour below the bound,
-# where the procedure often gets stuck; a stuck run hashes one marker line
-# (recorded when stuck runs still ended in an exact-search fallback, whose
-# steps the marker replaced; the counts are unchanged)
-CORONA_FALLBACK_DIGEST = "e1bb8f652388abcd"
+# sha256 prefix of paint_corona traces one colour below the bound; a stuck
+# run hashes one marker line.  Re-pinned when one exact ring transfer
+# replaced the hand-written selectors: the colourings changed, and the
+# stuck runs fell from 24 (7 with pre) to 14 (6 with pre)
+CORONA_FALLBACK_DIGEST = "1e090509ba84371e"
 
 
 def test_corona_fallback_matches_golden_digest():
     h = hashlib.sha256()
-    stuck = stuck_pre = matched = 0
+    stuck = stuck_pre = 0
     for n in (3, 4, 5):
         for p in (1, 2, 3, 4):
             spec = corona(n, p)
@@ -227,8 +301,7 @@ def test_corona_fallback_matches_golden_digest():
                         h.update(b"stuck\n")
                         continue
                     assert_valid_report(g, lists, rep)
-                    matched += "corona-pendant-matched" in {s.tag for s in rep.trace}
                     for step in rep.trace:
                         h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-    assert (stuck, stuck_pre, matched) == (24, 7, 4)
+    assert (stuck, stuck_pre) == (14, 6)
     assert h.hexdigest()[:16] == CORONA_FALLBACK_DIGEST

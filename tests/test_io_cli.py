@@ -48,6 +48,13 @@ def test_lists_json_roundtrip_and_echo_guard():
     other, _ = gen_basic("cycle", 5)
     with pytest.raises(GraphError):
         lists_from_json(other, data)
+    # the right length with one wrong entry, and an echo that is no list
+    data["incidences"][3] = [2, [1, 2]]
+    with pytest.raises(GraphError, match="does not match the graph"):
+        lists_from_json(g, data)
+    data["incidences"] = 8
+    with pytest.raises(GraphError, match="does not match the graph"):
+        lists_from_json(g, data)
 
 
 def test_colouring_json_roundtrip():

@@ -1,7 +1,8 @@
-"""Crafted instances steering the colour selectors into their rarely-hit
-branches (random pools with a 3k universe almost always intersect, so the
-disjoint and pigeonhole paths need deliberate inputs), and the crafted
-inputs of the former Halin boundary selector, kept as Halin lists."""
+"""Crafted instances steering the K4 and Hamiltonian cubic colour
+selectors into their rarely-hit branches (random pools with a 3k universe
+almost always intersect, so the disjoint and pigeonhole paths need
+deliberate inputs), and the crafted inputs of the former Halin boundary
+selector, kept as Halin lists."""
 
 from __future__ import annotations
 
@@ -15,10 +16,6 @@ from incolour.constructive import (
     ham_boundary_valid,
     k4_triple_valid,
 )
-from incolour.constructive.coronae import _choose_cd, _place_pair
-from incolour.constructive.report import Painter
-from incolour.families import gen_corona
-from incolour.graphs import ListAssignment
 from test_halin import construct_with_boundary_lists
 
 
@@ -106,33 +103,3 @@ def test_halin_boundary_shared_pair():
     construct_with_boundary_lists([
         range(30, 36), range(30, 36), {1, 40, 41, 42, 43, 44}, range(50, 56),
         range(60, 66), range(100, 106), {1, *range(90, 95)}, range(70, 76)])
-
-
-def test_corona_cd_selector_branches():
-    # shared colour across both cycle externals
-    c, d = _choose_cd(frozenset({3, 9}), frozenset({3, 8}), frozenset({5, 6}), 1, 2)
-    assert c == d == 3
-    # b reused wherever it appears when both pre-colours sit in the guard
-    c, d = _choose_cd(frozenset({2, 9, 30}), frozenset({8, 31, 40}),
-                      frozenset({1, 2, 8, 9}), 1, 2)
-    assert c == 2 and d == 31            # d from pool minus the guard
-    # split choice: one side dodges the guard, the other is free
-    c, d = _choose_cd(frozenset({30, 31}), frozenset({5, 6, 32}),
-                      frozenset({5, 6, 7}), 1, 2)
-    assert c == 30
-    assert d in {5, 6, 32}
-
-
-def test_place_pair_one_sided_modes():
-    g, _ = gen_corona(3, 1)
-    m = 2 * len(g.edges)
-    painter = Painter(g, ListAssignment([range(1, 10)] * m))
-    # ids 0 and 7 are non-adjacent, as are the pendant externals 10 and 11
-    # disjoint pools, left side misses the guard: paint left only
-    colour = _place_pair(painter, 0, 7, frozenset({4, 5}), frozenset({6, 7}),
-                         frozenset({6, 7, 8}))
-    assert colour in {4, 5} and painter.painted(0) and not painter.painted(7)
-    # disjoint pools, only the right side can dodge the guard
-    colour = _place_pair(painter, 10, 11, frozenset({6, 7}), frozenset({4, 5}),
-                         frozenset({6, 7, 8}))
-    assert colour in {4, 5} and painter.painted(11) and not painter.painted(10)
