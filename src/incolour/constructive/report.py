@@ -305,6 +305,12 @@ def _strip(lists: Sequence[tuple], start: tuple,
     state (i, a_i, b_i) found dead is never entered again: at most |a_i|
     times |b_i| states per block, polynomial."""
     steps = [*lists[1:], [[c] for c in start]]
+    # the pair check at the start's own vertex comes last: a start that no
+    # last block passes is refuted here, not by searching every state
+    if pair is not None and not any(
+            pair(len(steps), last, start) for last in _blocks(*steps[-2])
+            if start in _blocks(*steps[-1], last[1:])):
+        return None
     path, dead = [start], set()
     todo = [_blocks(*steps[0], start[1:])]
     while todo:
