@@ -137,7 +137,12 @@ class Painter:
         return sorted(self.lists[i] - bad)
 
     def paint(self, i: int, colour: int, tag: str) -> None:
-        self._set(i, colour, tag, self.forbidden(i))
+        # forbidden(i), as a membership test on its three slices
+        col, off = self.colour, self._off
+        v, u = self._head[self._mate[i]], self._head[i]
+        lo, hi = off[v], off[v + 1]
+        self._set(i, colour, tag, colour in col[lo:hi] or colour in self._mate_colour[lo:hi]
+                  or colour in col[off[u]:off[u + 1]])
 
     def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
         # forbidden(i), inlined: greedy paints nearly every incidence
@@ -153,7 +158,7 @@ class Painter:
         if not choices:
             raise StuckError(i, tag, self.trace)
         colour = min(choices)
-        self._set(i, colour, tag, bad)
+        self._set(i, colour, tag, False)
         return colour
 
     def fill(self, ids: Iterable[int], tag: str, extra: Iterable[int] = ()) -> None:
@@ -182,14 +187,14 @@ class Painter:
                 self.fill((up[v],), tag, extra)
             self.fill(ids, tag, extra)
 
-    def _set(self, i: int, colour: int, tag: str, bad: set) -> None:
-        """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``
-        holds every colour that a painted neighbour of ``i`` holds."""
+    def _set(self, i: int, colour: int, tag: str, clash: bool) -> None:
+        """Paint ``colour`` at ``i`` with every check of ``paint``; ``clash``
+        says whether a painted neighbour of ``i`` holds ``colour``."""
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        if colour in bad:
+        if clash:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
         self.colour[i] = colour
         self._mate_colour[self._mate[i]] = colour
@@ -238,16 +243,17 @@ class Painter:
         whole list; :meth:`paint` still checks every colour."""
         n = len(ring)
         ids = [(None if spokes is None else self.id_of(r, spokes[r]),
-                self.id_of(r, s), self.id_of(s, r))
+                a := self.id_of(r, s), self._mate[a])
                for r, s in zip(ring, [*ring[1:], ring[0]])]
         look = self.free
         rows: list[list[int]] = [[] for _ in ring]
         if inner is not None:
-            head, mate, r0 = self._head, self._mate, ring[0]
-            look = lambda i: (self.free(i) if r0 in (head[i], head[mate[i]])
-                              else sorted(self.lists[i]))
-            rows = [[t for t in (self.id_of(r, w) for w in inner.get(r, ()))
-                     if self.colour[t] is None] for r in ring]
+            at_r0 = range(self._off[ring[0]], self._off[ring[0] + 1])
+            near_r0 = {*at_r0, *(self._mate[i] for i in at_r0)}
+            whole = self.lists.lists
+            look = lambda i: self.free(i) if i in near_r0 else sorted(whole[i])
+            rows = [[t for w in inner.get(r, ()) if self.colour[t := self.id_of(r, w)] is None]
+                    for r in ring]
         pend = [[look(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one
         # more than its unpainted neighbours here (four on the ring, the
@@ -261,6 +267,8 @@ class Painter:
         fits: dict[tuple, Optional[list[int]]] = {}
 
         def pair(j: int, before: tuple, block: tuple) -> bool:
+            if not pend[j % n]:
+                return True
             key = (j % n, *before[1:], *block[1:])
             if key not in fits:
                 fits[key] = _distinct(pend[key[0]], key[1:])
@@ -274,8 +282,9 @@ class Painter:
                             self.paint(i, c, tag)
                 if inner is not None:
                     for j, row in enumerate(rows):
-                        for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
-                            self.paint(t, c, tag)
+                        if row:
+                            for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
+                                self.paint(t, c, tag)
                 return
         raise StuckError(ids[0][1], tag, self.trace)
 
