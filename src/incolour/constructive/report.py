@@ -137,12 +137,7 @@ class Painter:
         return sorted(self.lists[i] - bad)
 
     def paint(self, i: int, colour: int, tag: str) -> None:
-        # forbidden(i), as a membership test on its three slices
-        col, off = self.colour, self._off
-        v, u = self._head[self._mate[i]], self._head[i]
-        lo, hi = off[v], off[v + 1]
-        self._set(i, colour, tag, colour in col[lo:hi] or colour in self._mate_colour[lo:hi]
-                  or colour in col[off[u]:off[u + 1]])
+        self._set(i, colour, tag, self.forbidden(i))
 
     def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
         # forbidden(i), inlined: greedy paints nearly every incidence
@@ -158,7 +153,7 @@ class Painter:
         if not choices:
             raise StuckError(i, tag, self.trace)
         colour = min(choices)
-        self._set(i, colour, tag, False)
+        self._set(i, colour, tag, bad)
         return colour
 
     def fill(self, ids: Iterable[int], tag: str, extra: Iterable[int] = ()) -> None:
@@ -187,14 +182,14 @@ class Painter:
                 self.fill((up[v],), tag, extra)
             self.fill(ids, tag, extra)
 
-    def _set(self, i: int, colour: int, tag: str, clash: bool) -> None:
-        """Paint ``colour`` at ``i`` with every check of ``paint``; ``clash``
-        says whether a painted neighbour of ``i`` holds ``colour``."""
+    def _set(self, i: int, colour: int, tag: str, bad: set) -> None:
+        """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``
+        holds every colour that a painted neighbour of ``i`` holds."""
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        if clash:
+        if colour in bad:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
         self.colour[i] = colour
         self._mate_colour[self._mate[i]] = colour
@@ -252,7 +247,7 @@ class Painter:
             near_r0 = {*at_r0, *(self._mate[i] for i in at_r0)}
             whole = self.lists.lists
             look = lambda i: self.free(i) if i in near_r0 else sorted(whole[i])
-            rows = [[t for w in inner.get(r, ()) if self.colour[t := self.id_of(r, w)] is None]
+            rows = [[t for w in inner.get(r, ()) if self.colour[(t := self.id_of(r, w))] is None]
                     for r in ring]
         pend = [[look(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one
@@ -360,7 +355,4 @@ def _distinct(lists: Sequence[Sequence[int]], used: Container[int]) -> Optional[
         else:
             if not augment(t, set()):
                 return None
-    chosen = [0] * len(lists)
-    for c, t in owner.items():
-        chosen[t] = c
-    return chosen
+    return sorted(owner, key=owner.get)
