@@ -6,9 +6,9 @@ A cycle with rows of pendants is a cycle unit, and :func:`paint_cycle_unit`
 paints it in two steps.  First the ring and, at each ring vertex r_i, its
 unpainted pendant incidences (r_i, r_i w), the internals, by one exact ring
 transfer, :meth:`Painter.paint_ring` with ``inner`` (``corona-ring``): an
-internal sees of the ring only the four incidences at r_i, so the ring is
-searched block by block as a bare cycle is, and consecutive blocks must
-leave the internals between them distinct free colours (Hall).  Then the
+internal sees of the ring only the four incidences on the edges at r_i, so
+the ring is searched block by block as a bare cycle is, and consecutive
+blocks must leave the internals at r_i distinct free colours (Hall).  Then the
 externals (w, w r_i) greedily (``corona-external``): each sees only the
 d(r_i) incidences at r_i, so a list of d(r_i) + 1 colours, never more than
 the bound, keeps one.  So a unit is coloured whenever it can be; that it

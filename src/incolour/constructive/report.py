@@ -137,7 +137,12 @@ class Painter:
         return sorted(self.lists[i] - bad)
 
     def paint(self, i: int, colour: int, tag: str) -> None:
-        self._set(i, colour, tag, self.forbidden(i))
+        # forbidden(i), as a membership test on its three slices
+        col, off = self.colour, self._off
+        v, u = self._head[self._mate[i]], self._head[i]
+        lo, hi = off[v], off[v + 1]
+        self._set(i, colour, tag, colour in col[lo:hi] or colour in self._mate_colour[lo:hi]
+                  or colour in col[off[u]:off[u + 1]])
 
     def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
         # forbidden(i), inlined: greedy paints nearly every incidence
@@ -153,7 +158,7 @@ class Painter:
         if not choices:
             raise StuckError(i, tag, self.trace)
         colour = min(choices)
-        self._set(i, colour, tag, bad)
+        self._set(i, colour, tag, False)  # no neighbour holds a colour of choices
         return colour
 
     def fill(self, ids: Iterable[int], tag: str, extra: Iterable[int] = ()) -> None:
@@ -182,14 +187,14 @@ class Painter:
                 self.fill((up[v],), tag, extra)
             self.fill(ids, tag, extra)
 
-    def _set(self, i: int, colour: int, tag: str, bad: set) -> None:
-        """Paint ``colour`` at ``i`` with every check of ``paint``; ``bad``
-        holds every colour that a painted neighbour of ``i`` holds."""
+    def _set(self, i: int, colour: int, tag: str, clash: bool) -> None:
+        """Paint ``colour`` at ``i`` with every check of ``paint``; ``clash``
+        says whether a painted neighbour of ``i`` holds ``colour``."""
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        if colour in bad:
+        if clash:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
         self.colour[i] = colour
         self._mate_colour[self._mate[i]] = colour
@@ -213,10 +218,9 @@ class Painter:
         on its spoke to s_i = ``spokes[r_i]``, or with ``inner`` instead the
         unpainted internals (r_i, r_i w) of a cycle unit, one for each w in
         ``inner[r_i]``.  Whatever else they see is painted already, or is
-        ignored here and painted later around these colours: an unpainted
-        neighbour is allowed only where that later step cannot get stuck,
-        like a unit's externals (w, w r_i), which go last with d(r_i) + 1
-        colours and see only the d(r_i) incidences at r_i.
+        ignored and painted later by a step that cannot get stuck, like a
+        unit's externals (w, w r_i): they see only the d(r_i) incidences at
+        r_i and go last with d(r_i) + 1 colours.
 
         Block i is (x_i, a_i, b_i), with a_i = (r_i, r_i r_{i+1}) and b_i =
         (r_{i+1}, r_{i+1} r_i), and no x_i without spokes.  A block sees
@@ -231,11 +235,9 @@ class Painter:
         (:func:`_strip`), then the internals vertex by vertex; else
         StuckError, with nothing painted.
 
-        With ``inner`` the unit touches painted incidences only at
-        ``ring[0]`` (a pre-coloured pendant edge, or a cactus unit's
-        connector), so the free colours are looked up only at the
-        incidences at ``ring[0]`` and their mates, and elsewhere are the
-        whole list; :meth:`paint` still checks every colour."""
+        With ``inner``, painted colours touch the unit only at ``ring[0]``
+        (a pre-coloured pendant edge or a cactus connector): elsewhere the
+        whole list is free, and :meth:`paint` still checks every colour."""
         n = len(ring)
         ids = [(None if spokes is None else self.id_of(r, spokes[r]),
                 a := self.id_of(r, s), self._mate[a])
@@ -275,11 +277,10 @@ class Painter:
                     for i, c in zip(block_ids, block):
                         if i is not None:
                             self.paint(i, c, tag)
-                if inner is not None:
-                    for j, row in enumerate(rows):
-                        if row:
-                            for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
-                                self.paint(t, c, tag)
+                for j, row in enumerate(rows):
+                    if row:
+                        for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
+                            self.paint(t, c, tag)
                 return
         raise StuckError(ids[0][1], tag, self.trace)
 
@@ -309,12 +310,6 @@ def _strip(lists: Sequence[tuple], start: tuple,
     state (i, a_i, b_i) found dead is never entered again: at most |a_i|
     times |b_i| states per block, polynomial."""
     steps = [*lists[1:], [[c] for c in start]]
-    # the pair check at the start's own vertex comes last: a start that no
-    # last block passes is refuted here, not by searching every state
-    if pair is not None and not any(
-            pair(len(steps), last, start) for last in _blocks(*steps[-2])
-            if start in _blocks(*steps[-1], last[1:])):
-        return None
     path, dead = [start], set()
     todo = [_blocks(*steps[0], start[1:])]
     while todo:
@@ -327,6 +322,12 @@ def _strip(lists: Sequence[tuple], start: tuple,
                 todo.append(_blocks(*steps[len(path) - 1], block[1:]))
                 break
         else:
+            # the pair check at the start's own vertex comes last: at the
+            # first dead end, refute a start that no last block passes
+            if pair is not None and not dead and not any(
+                    pair(len(steps), last, start) for last in _blocks(*steps[-2])
+                    if start in _blocks(*steps[-1], last[1:])):
+                return None
             todo.pop()
             dead.add((len(path) - 1, *path.pop()[1:]))
     return None
