@@ -229,7 +229,8 @@ def test_ring_transfer_is_exact_on_a_cactus_unit():
                       painter.id_of(0, 5)], "parent")
         fixed = [frozenset({c}) if c is not None else lst
                  for c, lst in zip(painter.colour, lists.lists)]
-        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(5), [[5, *rows[0]], *rows[1:]]))
+        pendants = [[5, *rows[0]], *rows[1:]]
+        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(5), pendants))
         found = solve_list_colouring(g, ListAssignment(fixed)).found
         assert (rep is not None) == found, seed
         if rep is not None:
