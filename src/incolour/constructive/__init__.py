@@ -35,23 +35,14 @@ from ..graphs import (
 )
 from .cactus import cactus_bound, paint_cactus
 from .coronae import corona_bound, paint_corona
-from .grids import choose_grid_window, grid_bound, paint_grid, window_choice_valid
+from .grids import grid_bound, paint_grid
 from .halin import K4_HALIN, paint_halin, required_halin_lists
-from .hamcubic import (
-    HAM_CUBIC_BOUND,
-    choose_ham_boundary,
-    choose_k4_triple,
-    ham_boundary_valid,
-    k4_triple_valid,
-    paint_ham_cubic,
-)
+from .hamcubic import HAM_CUBIC_BOUND, paint_ham_cubic
 from .report import ConstructiveReport, Painter, StuckError, TraceStep
 from .trees import paint_tree, tree_bound
 
 __all__ = [
     "ConstructiveReport", "Painter", "StuckError", "TraceStep", "PRE_FAMILIES",
-    "choose_grid_window", "choose_k4_triple", "choose_ham_boundary",
-    "window_choice_valid", "k4_triple_valid", "ham_boundary_valid",
     "corona_bound", "cactus_bound", "required_halin_lists", "tree_bound",
     "cycle_bound", "grid_bound", "HAM_CUBIC_BOUND",
     "guaranteed_bound", "construct",

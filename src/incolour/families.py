@@ -9,7 +9,7 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from .graphs import Graph, InputError
+from .graphs import Graph, InputError, repeated_edge
 
 BASIC_FAMILIES = ("path", "cycle", "star", "wheel", "complete")
 ALL_FAMILIES = BASIC_FAMILIES + (
@@ -505,6 +505,10 @@ def _build(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
         if shape is not None and not shape[0](value):
             raise InputError(f"spec parameter {key!r} must be {shape[1]}, "
                              f"got {reprlib.repr(_thawed(value))}")
+    for key in ("edges", "tree_edges"):
+        twice = repeated_edge(p.get(key, ()))
+        if twice is not None:
+            raise InputError(f"spec parameter {key!r} names the edge {list(twice)} twice")
     forms = _FORMS[f]
     for needs, may, build in forms:
         if set(needs) <= p.keys() <= {*needs, *may}:

@@ -34,6 +34,19 @@ def canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def repeated_edge(edges: Iterable[Sequence[int]]) -> Optional[Edge]:
+    """The first edge that ``edges`` names a second time, in either
+    orientation, or None.  :class:`Graph` merges such repeats; the readers
+    of edge lists from outside reject them."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        e = canon_edge(u, v)
+        if e in seen:
+            return e
+        seen.add(e)
+    return None
+
+
 class Graph:
     """Simple undirected loopless graph on dense vertices ``0..n-1``.
 

@@ -5,7 +5,8 @@ files embed an echo of the incidence enumeration they are keyed by.
 The readers check the shape of what they read: a value of the wrong JSON
 type, a non-integer where an integer belongs, or an incidence id outside
 ``0..m-1`` is a :class:`GraphError`, never a ``TypeError`` deep inside the
-library."""
+library.  A graph whose edge list names one edge twice is an
+:class:`InputError`."""
 
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from .graphs import (
     Graph,
     GraphError,
     IncidenceColouring,
+    InputError,
     ListAssignment,
+    repeated_edge,
 )
 
 
@@ -67,10 +70,17 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    n = _object(data, "a graph")["n"]
+    missing = next((key for key in ("n", "edges") if key not in _object(data, "a graph")), None)
+    if missing is not None:
+        raise GraphError(f"a graph needs the key {missing!r}")
+    n = data["n"]
     if type(n) is not int:
         raise GraphError(f"'n' must be an integer, got {reprlib.repr(n)}")
-    return Graph(n, _pairs(data["edges"], "'edges'"))
+    edges = _pairs(data["edges"], "'edges'")
+    twice = repeated_edge(edges)
+    if twice is not None:
+        raise InputError(f"'edges' names the edge {list(twice)} twice")
+    return Graph(n, edges)
 
 
 def _incidence_echo(g: Graph) -> list:

@@ -27,8 +27,12 @@ FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubi
 # least first where the former sweep traced them back from the closing
 # pair; OTHER_FAMILIES_DIGEST below pins the other runs unchanged.
 # Re-pinned again when one exact ring transfer replaced the corona
-# selectors: the corona and cactus runs moved, the others hash as before
-TRACE_DIGEST = "382818e09ed95077"
+# selectors: the corona and cactus runs moved, the others hash as before.
+# Re-pinned when exact least-first searches replaced the grid window and
+# Hamiltonian cubic boundary selectors: the grid and ham_cubic (order >= 6)
+# runs moved (other colours, and the window tag lost its case name), the
+# others hash as before
+TRACE_DIGEST = "4c3f322ebdcfba31"
 
 
 def _golden_runs():
@@ -66,8 +70,10 @@ RING_TAGS = {"cycle-solver", "cycle-dp", "halin-outer-cycle"}
 # re-pinned when every Halin graph moved to one route, whose tree steps
 # paint only the internal incidences and whose ring steps now also paint
 # the leaf ends of the spokes; and again when one exact ring transfer
-# replaced the corona selectors, which moves the corona and cactus runs
-NON_RING_DIGEST = "dc29e8436b01d2be"
+# replaced the corona selectors, which moves the corona and cactus runs;
+# and again when exact searches replaced the grid window and Hamiltonian
+# cubic boundary selectors, which moves the grid and ham_cubic runs
+NON_RING_DIGEST = "9c30ced641322073"
 
 
 def test_non_ring_steps_match_golden_digest():
@@ -103,8 +109,10 @@ def test_non_ring_steps_match_golden_digest():
 # coronae, cactuses and Hamiltonian cubic graphs of order >= 6; recorded
 # before the Halin rim transfer, which must leave all of them unchanged.
 # Re-pinned when one exact ring transfer replaced the corona selectors,
-# which moves the corona and cactus runs only
-OTHER_FAMILIES_DIGEST = "079ed4a966760971"
+# which moves the corona and cactus runs only; and again when exact
+# searches replaced the grid window and Hamiltonian cubic boundary
+# selectors, which moves the grid and ham_cubic runs only
+OTHER_FAMILIES_DIGEST = "b2a711e1173b1b16"
 
 
 def _cycle_or_halin(spec):

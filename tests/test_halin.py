@@ -1,20 +1,13 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
-import random
 
 import pytest
 
 import incolour.kernel
 from conftest import assert_valid_report
 from incolour.catalogue import halin_interleaved_spec, halin_specs, random_halin_spec
-from incolour.constructive import (
-    choose_k4_triple,
-    construct,
-    k4_triple_valid,
-    required_halin_lists,
-)
+from incolour.constructive import construct, required_halin_lists
 from incolour.constructive import _as_halin
 from incolour.families import FamilySpec, generate
 from incolour.graphs import Graph, InputError, ListAssignment, incidence_id
@@ -33,38 +26,6 @@ def wheel_as_halin(n):
 
 def k4_spec():
     return wheel_as_halin(3)
-
-
-# ------------------------------------------------------------ selectors ---
-
-def test_k4_triple_common_branch():
-    shared = frozenset(range(1, 7))
-    triple, case = choose_k4_triple(shared, shared, shared, frozenset(range(10, 16)))
-    assert triple == (1, 1, 1) and case == "common"
-
-
-def test_k4_triple_disjoint_picks_outside_target():
-    A = frozenset(range(1, 7))
-    B = frozenset(range(11, 17))
-    C = frozenset(range(21, 27))
-    target = A
-    triple, case = choose_k4_triple(A, B, C, target)
-    assert case == "disjoint"
-    assert k4_triple_valid(triple, A, B, C, target)
-    # the two sets differing from the target provide outside picks
-    assert triple[1] not in target and triple[2] not in target
-
-
-def test_k4_triple_oracle_random():
-    rng = random.Random(11)
-    for _ in range(2000):
-        pool = range(1, 13)
-        A, B, C, target = [frozenset(rng.sample(pool, 6)) for _ in range(4)]
-        triple, case = choose_k4_triple(A, B, C, target)
-        assert k4_triple_valid(triple, A, B, C, target), (case, triple)
-        brute = [t for t in itertools.product(sorted(A), sorted(B), sorted(C))
-                 if k4_triple_valid(t, A, B, C, target)]
-        assert triple in brute
 
 
 def test_halin_route_builds_no_second_graph(monkeypatch):
@@ -150,6 +111,24 @@ def test_halin_boundary_common_branch():
     """The boundary lists share one colour across C, D and E: the crafted
     input of the former selector's common branch, on the one route."""
     construct_with_boundary_lists([range(1, 7)] * 7 + [range(20, 26)])
+
+
+def test_halin_boundary_stage_rechecks():
+    """c in both outer guards with disjoint a and b pools: the crafted input
+    of the former Halin boundary selector's second stage, as lists around
+    the caterpillar's boundary for the one Halin route (the first guard,
+    five colours there, padded to six with 200)."""
+    construct_with_boundary_lists([
+        range(1, 7), range(10, 16), {5, 60, 61, 62, 63, 64}, {5, 70, 71, 72, 73, 74},
+        range(80, 86), {5, *range(10, 15)}, {*range(1, 6), 200}, range(90, 96)])
+
+
+def test_halin_boundary_shared_pair():
+    """A large A-B intersection at the boundary: the crafted input of the
+    former Halin boundary selector's shared pair, for the one Halin route."""
+    construct_with_boundary_lists([
+        range(30, 36), range(30, 36), {1, 40, 41, 42, 43, 44}, range(50, 56),
+        range(60, 66), range(100, 106), {1, *range(90, 95)}, range(70, 76)])
 
 
 def test_wheel_bounds():

@@ -7,8 +7,15 @@ import pytest
 from click.testing import CliRunner
 
 from incolour.cli import main
-from incolour.families import FamilySpec, gen_basic, gen_grid, gen_random_graph
-from incolour.graphs import Graph, GraphError, IncidenceColouring, ListAssignment, incidences
+from incolour.families import FamilySpec, gen_basic, gen_grid, gen_random_graph, generate
+from incolour.graphs import (
+    Graph,
+    GraphError,
+    IncidenceColouring,
+    InputError,
+    ListAssignment,
+    incidences,
+)
 from incolour.harness import random_list_assignment
 from incolour.jsonio import (
     colouring_from_json,
@@ -27,6 +34,21 @@ from incolour.dot import incidence_graph_dot
 def test_graph_json_roundtrip():
     g, _ = gen_grid(3, 2)
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_outside_edge_lists_name_each_edge_once():
+    """A graph file or a tree, Halin or cactus spec that names one edge
+    twice, in either orientation, is an InputError; ``Graph`` itself still
+    merges repeats for internal callers."""
+    with pytest.raises(InputError, match=r"'edges' names the edge \[0, 1\] twice"):
+        graph_from_json({"n": 3, "edges": [[0, 1], [1, 2], [1, 0]]})
+    for spec in (FamilySpec("tree", {"edges": [[0, 1], [1, 0], [1, 2]]}),
+                 FamilySpec("halin", {"tree_edges": [[0, 3], [1, 3], [2, 3], [0, 3]],
+                                      "leaf_order": [0, 1, 2]}),
+                 FamilySpec("cactus", {"cycles": [[0, 1, 2]], "edges": [[2, 3], [3, 2]]})):
+        with pytest.raises(InputError, match="names the edge"):
+            generate(spec)
+    assert Graph(3, [(0, 1), (1, 0), (1, 2)]).edges == ((0, 1), (1, 2))
 
 
 @pytest.mark.parametrize("g", [
@@ -346,6 +368,11 @@ MALFORMED_FILES = [
     ("solve", "--lists", {"lists": {str(i): [True] if i == 5 else [1, 2, 3] for i in range(8)}},
      "the list of incidence 5 must be a JSON array of integers"),
     ("construct", "--pre", {"pre": [[1, 1], [1, 2]]}, "'pre' names incidence 1 twice"),
+    ("chi", "--graph", {"n": 3, "edges": [[0, 1], [1, 2], [0, 1]]},
+     "'edges' names the edge [0, 1] twice"),
+    ("chi", "--graph", {"n": 3, "edges": [[0, 1], [1, 0]]}, "'edges' names the edge [0, 1] twice"),
+    ("chi", "--graph", {"n": 3}, "a graph needs the key 'edges'"),
+    ("chi", "--graph", {"edges": [[0, 1]]}, "a graph needs the key 'n'"),
 ]
 
 
@@ -383,7 +410,8 @@ def test_cli_fuzz_rejects_campaigns_that_run_no_trial(runner, tmp_path):
         assert "trials ok" not in r.output
 
 
-# family specs whose leaves are integers but whose nesting or form is wrong
+# family specs whose leaves are integers but whose nesting or form is wrong,
+# or whose edge list names an edge twice
 MISNESTED_SPECS = [
     ({"family": "halin", "tree_edges": [1, 2], "leaf_order": [0]},
      "'tree_edges' must be a list of integer pairs"),
@@ -399,6 +427,12 @@ MISNESTED_SPECS = [
     ({"family": "grid", "m": 4}, "a grid spec needs the parameter 'n'"),
     ({"family": "halin", "tree_edges": [], "leaf_order": []}, "Halin tree needs order >= 4"),
     ({"family": "cycle", "n": 5, "p": 2}, "a cycle spec takes (n); got 'n', 'p'"),
+    ({"family": "tree", "edges": [[0, 1], [1, 0], [1, 2]]},
+     "spec parameter 'edges' names the edge [0, 1] twice"),
+    ({"family": "halin", "tree_edges": [[0, 3], [1, 3], [2, 3], [3, 2]], "leaf_order": [0, 1, 2]},
+     "spec parameter 'tree_edges' names the edge [2, 3] twice"),
+    ({"family": "cactus", "edges": [[0, 1], [1, 2], [0, 2], [0, 2]]},
+     "spec parameter 'edges' names the edge [0, 2] twice"),
 ]
 
 

@@ -32,11 +32,10 @@ def _template(node: ast.JoinedStr) -> str:
     )
 
 
-def _code_tags_and_window_cases() -> tuple[set[str], set[str]]:
+def _code_tags() -> set[str]:
     """Tag literals and f-string tag templates in the constructive package
     (a literal that fills a template with a number, like ``grid2-square-1``,
-    counts as that template), and the window cases that
-    ``grid-step-3b:<>`` carries."""
+    counts as that template)."""
     tags: set[str] = set()
     for path in sorted(CONSTRUCTIVE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -51,27 +50,14 @@ def _code_tags_and_window_cases() -> tuple[set[str], set[str]]:
             if id(node) not in parts and TAG.match(text):
                 tags.add(text)
     templates = [re.compile(re.escape(t).replace("<>", r"\d+")) for t in tags if "<>" in t]
-    tags = {t for t in tags if "<>" in t or not any(p.fullmatch(t) for p in templates)}
-    grids = ast.parse((CONSTRUCTIVE / "grids.py").read_text())
-    cases = {
-        node.value.value
-        for node in ast.walk(grids)
-        if isinstance(node, ast.Assign)
-        and [getattr(t, "id", None) for t in node.targets] == ["case"]
-        and isinstance(node.value, ast.Constant)
-    }
-    return tags, cases
+    return {t for t in tags if "<>" in t or not any(p.fullmatch(t) for p in templates)}
 
 
 def test_readme_tag_list_matches_the_code():
     text = README.read_text()
     section = re.search(r"^## Trace rule tags\n(.*?)^## ", text, re.S | re.M).group(1)
     words = {re.sub(r"<[^>]*>", "<>", w) for w in re.findall(r"`([^`]+)`", section)}
-    readme_tags = {w for w in words if TAG.match(w)}
-    readme_cases = {w for w in words - readme_tags if re.fullmatch(r"[a-z0-9]+-[a-z0-9-]+", w)}
-    code_tags, code_cases = _code_tags_and_window_cases()
-    assert readme_tags == code_tags
-    assert readme_cases == code_cases
+    assert {w for w in words if TAG.match(w)} == _code_tags()
 
 
 def test_no_constructive_module_imports_the_search():
