@@ -54,6 +54,19 @@ def test_window_is_exact_against_brute_force():
     assert 50 < nones < 2950
 
 
+def test_window_oracle_random():
+    """Random 6-colour lists in random alpha/beta contexts: every window
+    has a choice, and _window returns the least-first one."""
+    rng = random.Random(42)
+    universe = list(range(1, 13))
+    for _ in range(2500):
+        La, Lb, Lc, Ld = [frozenset(rng.sample(universe, 6)) for _ in range(4)]
+        alphas = tuple(rng.choice(universe) for _ in range(4))
+        betas = tuple(rng.choice(universe) for _ in range(4))
+        quad = _assert_exact(*window_lists(La, Lb, Lc, Ld, alphas, betas))
+        assert quad is not None, (La, Lb, Lc, Ld, alphas, betas)
+
+
 def test_window_unconstrained_case():
     lists = [frozenset(range(1, 7))] * 4
     quad = _assert_exact(*window_lists(*lists, (7, 8, 9, 10), (11, 12, 13, 14)))
