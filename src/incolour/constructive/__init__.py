@@ -8,8 +8,9 @@ incidences), checks the lists against the family's list size, runs the
 family's painting rule on the painter and reports.  Each painting rule is
 a public ``paint_*`` function of its family's module, so that a tracer
 that wraps public functions sees it; a cycle is one
-:meth:`Painter.paint_ring`, and so is each corona or cactus cycle unit
-with its pendant internals, before its externals are filled.  A rule
+:meth:`Painter.paint_ring`, and so is a Halin rim with the leaf ends of
+its spokes, and each corona or cactus cycle unit with its pendant
+internals, before its externals are filled.  A rule
 checks only what is particular to it, such as where a corona's
 pre-colouring lies.
 

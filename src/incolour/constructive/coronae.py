@@ -19,7 +19,8 @@ exponentially.
 The painting rule :func:`paint_corona` paints the pre-coloured edge and
 hands the rest to :func:`paint_cycle_unit`, which works on host vertices
 of any graph, so the cactus colouring runs it on each cycle unit in place;
-pendant rows of any length are allowed there.
+pendant rows of any length are allowed there.  The ring transfer reads
+free lists, so colours painted before the unit count wherever they lie.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: Sequence[S
     in cycle order) and on the edges to ``pendants[i]``, the pendant
     vertices of ``ring[i]``: the ring and the internals under ``prefix`` +
     ``corona-ring``, then the externals under ``prefix`` +
-    ``corona-external``.  Only the edges at ``ring[0]`` may be painted
-    before (a pre-coloured pendant edge, or a cactus unit's connector), and
-    nothing at the pendants beyond them (:meth:`Painter.paint_ring`)."""
+    ``corona-external``.  Incidences painted before, such as a pre-coloured
+    pendant edge or a cactus unit's connector, are kept wherever they lie
+    (:meth:`Painter.paint_ring` reads free lists)."""
     painter.paint_ring(ring, prefix + "corona-ring", inner=dict(zip(ring, pendants)))
     painter.fill((painter.id_of(w, r) for r, row in zip(ring, pendants) for w in row),
                  prefix + "corona-external")

@@ -6,8 +6,10 @@ are painted greedily, root to leaves over the inner tree (``halin-tree``),
 by the walk that colours trees, :meth:`Painter.greedy_tree` with the rim
 as ``outside``: each step sees at most the maximum degree's number of
 colours.  Then the rim and the leaf ends of the spokes are painted
-together by the exact rim transfer :meth:`Painter.paint_ring` with
-``spokes`` (``halin-outer-cycle``).  Once
+together by the exact ring transfer :meth:`Painter.paint_ring`
+(``halin-outer-cycle``), with the leaf end (r, r s) of each spoke as the
+one internal at its rim vertex r: it sees the same four rim incidences
+that a corona's pendant internal sees.  Once
 the tree is painted, each rim incidence sees one painted incidence and
 each spoke incidence at most the maximum degree's number, so at 6 colours
 and maximum degree 3 or 4 the rim lists keep at least 5 colours and the
@@ -43,16 +45,16 @@ def paint_halin(painter: Painter, spec: FamilySpec) -> None:
     """Paint the Halin graph of ``painter`` described by the halin ``spec``
     at its guaranteed list size (6 for maximum degree 3 or 4 except the
     4-wheel, 7 for maximum degree 5 and the 4-wheel, max degree + 1
-    beyond): the inner tree root to leaves, then the rim with its
-    spokes."""
+    beyond): the inner tree root to leaves, then the rim with the leaf
+    ends of its spokes as internals."""
     g = painter.graph
     leaves = spec.params["leaf_order"]
     rim = set(leaves)
     # the inner tree: the vertices off the rim, from the least of them
     root = min(v for v in range(g.n) if v not in rim)
     painter.greedy_tree(root, "halin-tree", outside=rim)
-    spokes = {r: next(w for w in g.adj[r] if w not in rim) for r in leaves}
-    painter.paint_ring(leaves, "halin-outer-cycle", spokes=spokes)
+    painter.paint_ring(leaves, "halin-outer-cycle",
+                       inner={r: [w for w in g.adj[r] if w not in rim] for r in leaves})
 
 
 def _tree_is_star(g: Graph, spec: FamilySpec) -> bool:

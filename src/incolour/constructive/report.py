@@ -1,8 +1,8 @@
 """Shared machinery for the constructive colouring procedures: a painter
 that applies one colour at a time with full validity checks (or a whole
-ring at once, with the leaf ends of a Halin rim's spokes or the pendant
-internals of a corona unit, by an exact polynomial transfer), and the
-replayable report it produces.  Nothing here searches exponentially: the
+ring at once, with the internals at its vertices, such as the leaf ends
+of a Halin rim's spokes or a corona unit's pendant edges, by an exact
+polynomial transfer), and the replayable report it produces.  Nothing here searches exponentially: the
 constructive layer never calls the solver."""
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ class Painter:
 
     ``paint`` checks list membership and adjacency on every application;
     ``greedy`` picks the smallest colour that survives the incidence's
-    already-coloured neighbourhood plus any extra forbidden set.  The
-    painting rules the procedures share are written once here: ``fill``
-    (greedy on whatever is still unpainted), ``greedy_tree`` (root to
-    leaves, for trees and the inner tree of a Halin graph) and
-    ``paint_ring`` (a cycle, exactly).
+    already-coloured neighbourhood.  The painting rules the procedures
+    share are written once here: ``fill`` (greedy on whatever is still
+    unpainted), ``greedy_tree`` (root to leaves, for trees and the inner
+    tree of a Halin graph) and ``paint_ring`` (a cycle with its internals,
+    exactly).
 
     The painter reads adjacency from the graph's per-vertex index
     (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
@@ -131,10 +131,8 @@ class Painter:
         bad.discard(col[i])
         return bad
 
-    def free(self, i: int, extra: Iterable[int] = ()) -> list[int]:
-        bad = self.forbidden(i)
-        bad.update(extra)
-        return sorted(self.lists[i] - bad)
+    def free(self, i: int) -> list[int]:
+        return sorted(self.lists[i] - self.forbidden(i))
 
     def paint(self, i: int, colour: int, tag: str) -> None:
         # forbidden(i), as a membership test on its three slices
@@ -144,7 +142,7 @@ class Painter:
         self._set(i, colour, tag, colour in col[lo:hi] or colour in self._mate_colour[lo:hi]
                   or colour in col[off[u]:off[u + 1]])
 
-    def greedy(self, i: int, tag: str, extra: Iterable[int] = ()) -> int:
+    def greedy(self, i: int, tag: str) -> int:
         # forbidden(i), inlined: greedy paints nearly every incidence
         col = self.colour
         if col[i] is not None:
@@ -153,7 +151,7 @@ class Painter:
         v, u = head[self._mate[i]], head[i]
         lo, hi = off[v], off[v + 1]
         bad = set(col[lo:hi])
-        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]], extra)
+        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]])
         choices = self.lists[i] - bad
         if not choices:
             raise StuckError(i, tag, self.trace)
@@ -161,14 +159,13 @@ class Painter:
         self._set(i, colour, tag, False)  # no neighbour holds a colour of choices
         return colour
 
-    def fill(self, ids: Iterable[int], tag: str, extra: Iterable[int] = ()) -> None:
+    def fill(self, ids: Iterable[int], tag: str) -> None:
         """:meth:`greedy` on each of ``ids`` still unpainted, in order."""
         for i in ids:
             if self.colour[i] is None:
-                self.greedy(i, tag, extra)
+                self.greedy(i, tag)
 
-    def greedy_tree(self, root: int, tag: str, extra: Iterable[int] = (),
-                    outside: Container[int] = ()) -> None:
+    def greedy_tree(self, root: int, tag: str, outside: Container[int] = ()) -> None:
         """Paint root to leaves: breadth first from ``root`` over the
         vertices not in ``outside``, at each vertex its incidence towards its
         parent first, then the others in id order (those towards ``outside``
@@ -184,8 +181,8 @@ class Painter:
                     up[head[i]] = mate[i]
                     order.append(head[i])
             if up[v] is not None:
-                self.fill((up[v],), tag, extra)
-            self.fill(ids, tag, extra)
+                self.fill((up[v],), tag)
+            self.fill(ids, tag)
 
     def _set(self, i: int, colour: int, tag: str, clash: bool) -> None:
         """Paint ``colour`` at ``i`` with every check of ``paint``; ``clash``
@@ -200,89 +197,61 @@ class Painter:
         self._mate_colour[self._mate[i]] = colour
         self.trace.append(TraceStep(i, colour, tag))
 
-    def unpaint(self, i: int) -> None:
-        if self.colour[i] is None:
-            raise IncolourError(f"incidence {i} is not painted")
-        self.colour[i] = None
-        self._mate_colour[self._mate[i]] = None
-        for pos in range(len(self.trace) - 1, -1, -1):
-            if self.trace[pos].incidence == i:
-                del self.trace[pos]
-                break
-
     def paint_ring(self, ring: Sequence[int], tag: str,
-                   spokes: Optional[Mapping[int, int]] = None,
                    inner: Optional[Mapping[int, Sequence[int]]] = None) -> None:
         """Colour the cycle ``ring`` exactly: its edges unpainted, with
-        ``spokes`` also the incidence x_i = (r_i, r_i s_i) of each rim vertex
-        on its spoke to s_i = ``spokes[r_i]``, or with ``inner`` instead the
-        unpainted internals (r_i, r_i w) of a cycle unit, one for each w in
-        ``inner[r_i]``.  Whatever else they see is painted already, or is
-        ignored and painted later by a step that cannot get stuck, like a
-        unit's externals (w, w r_i): they see only the d(r_i) incidences at
-        r_i and go last with d(r_i) + 1 colours.
+        ``inner`` also the unpainted internals (r_i, r_i w) at each ring
+        vertex r_i, one for each w in ``inner[r_i]``: the leaf end of a
+        Halin spoke, or a cycle unit's pendant edges.  Every list is the
+        incidence's free list (:meth:`free`), so colours painted before
+        count wherever they lie.  Anything else they see is painted
+        already, or later by a step that cannot get stuck, like a unit's
+        externals (w, w r_i): they see only the d(r_i) incidences at r_i and
+        go last with d(r_i) + 1 colours.
 
-        Block i is (x_i, a_i, b_i), with a_i = (r_i, r_i r_{i+1}) and b_i =
-        (r_{i+1}, r_{i+1} r_i), and no x_i without spokes.  A block sees
-        only the blocks before and after it, and only their (a, b): x_i
-        avoids a_{i-1} and b_{i-1}; a_i avoids a_{i-1}, b_{i-1} and x_i; b_i
-        avoids b_{i-1}, a_i and x_i; block 0 follows the last.  An internal
-        at r_i sees, of the ring, a_{i-1}, b_{i-1}, a_i and b_i, so the
-        internals at r_i must keep distinct colours once those four are
-        removed (Hall), a check on each pair of consecutive blocks.  The
-        blocks are painted in order, x_i, a_i, b_i, from the first start
-        block, in sorted order, whose search closes the ring
-        (:func:`_strip`), then the internals vertex by vertex; else
-        StuckError, with nothing painted.
-
-        With ``inner``, painted colours touch the unit only at ``ring[0]``
-        (a pre-coloured pendant edge or a cactus connector): elsewhere the
-        whole list is free, and :meth:`paint` still checks every colour."""
+        Block i is (a_i, b_i), with a_i = (r_i, r_i r_{i+1}) and b_i =
+        (r_{i+1}, r_{i+1} r_i).  A block sees only the blocks before and
+        after it: a_i avoids a_{i-1} and b_{i-1}, b_i avoids b_{i-1} and
+        a_i; block 0 follows the last.  An internal at r_i sees, of the
+        ring, a_{i-1}, b_{i-1}, a_i and b_i, so the internals at r_i must
+        keep distinct colours once those four are removed (Hall), a check on
+        each pair of consecutive blocks.  The blocks are painted in order
+        from the first start block, in sorted order, whose search closes the
+        ring (:func:`_strip`), then the internals vertex by vertex; else
+        StuckError, with nothing painted."""
         n = len(ring)
-        ids = [(None if spokes is None else self.id_of(r, spokes[r]),
-                a := self.id_of(r, s), self._mate[a])
-               for r, s in zip(ring, [*ring[1:], ring[0]])]
-        look = self.free
-        rows: list[list[int]] = [[] for _ in ring]
-        if inner is not None:
-            at_r0 = range(self._off[ring[0]], self._off[ring[0] + 1])
-            near_r0 = {*at_r0, *(self._mate[i] for i in at_r0)}
-            whole = self.lists.lists
-            look = lambda i: self.free(i) if i in near_r0 else sorted(whole[i])
-            rows = [[t for w in inner.get(r, ()) if self.colour[(t := self.id_of(r, w))] is None]
-                    for r in ring]
-        pend = [[look(t) for t in row] for row in rows]
+        ids = [(a := self.id_of(r, s), self._mate[a]) for r, s in zip(ring, [*ring[1:], ring[0]])]
+        inner = inner or {}
+        rows = [[t for w in inner.get(r, ()) if self.colour[(t := self.id_of(r, w))] is None]
+                for r in ring]
+        pend = [[self.free(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one
         # more than its unpainted neighbours here (four on the ring, the
-        # spokes and internals beside it), can always be swapped for one of
-        # them; a spoke has four such neighbours
-        near = [4 + 2 * (spokes is not None) + len(rows[i]) + len(rows[(i + 1) % n])
-                for i in range(n)]
-        lists = [([None] if x is None else look(x)[:5], look(a)[:k + 1], look(b)[:k + 1])
-                 for (x, a, b), k in zip(ids, near)]
+        # internals beside it), can always be swapped for one of them
+        near = [4 + len(rows[i]) + len(rows[(i + 1) % n]) for i in range(n)]
+        lists = [(self.free(a)[:k + 1], self.free(b)[:k + 1]) for (a, b), k in zip(ids, near)]
         # the internals' colours for (r_j, a_{j-1}, b_{j-1}, a_j, b_j), or None
         fits: dict[tuple, Optional[list[int]]] = {}
 
         def pair(j: int, before: tuple, block: tuple) -> bool:
             if not pend[j % n]:
                 return True
-            key = (j % n, *before[1:], *block[1:])
+            key = (j % n, *before, *block)
             if key not in fits:
                 fits[key] = _distinct(pend[key[0]], key[1:])
             return fits[key] is not None
 
         for start in _blocks(*lists[0]):
-            if blocks := _strip(lists, start, None if inner is None else pair):
+            if blocks := _strip(lists, start, pair):
                 for block_ids, block in zip(ids, blocks):
                     for i, c in zip(block_ids, block):
-                        if i is not None:
-                            self.paint(i, c, tag)
+                        self.paint(i, c, tag)
                 for j, row in enumerate(rows):
                     if row:
-                        for t, c in zip(row, fits[(j, *blocks[j - 1][1:], *blocks[j][1:])]):
+                        for t, c in zip(row, fits[(j, *blocks[j - 1], *blocks[j])]):
                             self.paint(t, c, tag)
                 return
-        raise StuckError(ids[0][1], tag, self.trace)
+        raise StuckError(ids[0][0], tag, self.trace)
 
     def report(self) -> ConstructiveReport:
         if None in self.colour:
@@ -292,68 +261,71 @@ class Painter:
                                   tuple(self.trace))
 
 
-def _blocks(x_list, a_list, b_list, before=()):
-    """The blocks (x, a, b) from these lists that may follow a block ending
-    in ``before`` = (a, b), or start the ring when it is empty."""
-    return ((x, a, b) for x in x_list if x not in before
-            for a in a_list if a != x and a not in before
-            for b in b_list if b != x and b != a and b not in before[1:])
+def _blocks(a_list, b_list, before=()):
+    """The blocks (a, b) from these lists that may follow the block
+    ``before``, or start the ring when it is empty."""
+    return ((a, b) for a in a_list if a not in before
+            for b in b_list if b != a and b not in before[1:])
 
 
 def _strip(lists: Sequence[tuple], start: tuple,
-           pair: Optional[Callable[[int, tuple, tuple], bool]] = None) -> Optional[list[tuple]]:
+           pair: Callable[[int, tuple, tuple], bool]) -> Optional[list[tuple]]:
     """Blocks 0, 1, ... from ``lists`` that begin with ``start`` and close
-    the ring, or None; with ``pair``, block j may follow block j - 1 only
-    when ``pair(j, block_before, block)`` holds.  A depth-first search
-    appends a copy of ``start`` as the block after the last, so reaching it
-    closes the ring.  The future of block i depends only on (a_i, b_i), so a
-    state (i, a_i, b_i) found dead is never entered again: at most |a_i|
-    times |b_i| states per block, polynomial."""
+    the ring, or None; block j may follow block j - 1 only when
+    ``pair(j, block_before, block)`` holds.  A depth-first search appends a
+    copy of ``start`` as the block after the last, so reaching it closes
+    the ring.  The future of block i depends only on block i, so a state
+    (i, a_i, b_i) found dead is never entered again: at most |a_i| times
+    |b_i| states per block, polynomial."""
     steps = [*lists[1:], [[c] for c in start]]
     path, dead = [start], set()
-    todo = [_blocks(*steps[0], start[1:])]
+    todo = [_blocks(*steps[0], start)]
     while todo:
         for block in todo[-1]:
-            if (len(path), *block[1:]) not in dead and (
-                    pair is None or pair(len(path), path[-1], block)):
+            if (len(path), *block) not in dead and pair(len(path), path[-1], block):
                 path.append(block)
                 if len(path) > len(steps):
                     return path[:-1]
-                todo.append(_blocks(*steps[len(path) - 1], block[1:]))
+                todo.append(_blocks(*steps[len(path) - 1], block))
                 break
         else:
             # the pair check at the start's own vertex comes last: at the
             # first dead end, refute a start that no last block passes
-            if pair is not None and not dead and not any(
+            if not dead and not any(
                     pair(len(steps), last, start) for last in _blocks(*steps[-2])
-                    if start in _blocks(*steps[-1], last[1:])):
+                    if start in _blocks(*steps[-1], last)):
                 return None
             todo.pop()
-            dead.add((len(path) - 1, *path.pop()[1:]))
+            dead.add((len(path) - 1, *path.pop()))
     return None
 
 
 def _distinct(lists: Sequence[Sequence[int]], used: Container[int]) -> Optional[list[int]]:
     """One colour from each of ``lists``, all distinct and none in ``used``,
     or None when there is no such choice (Hall): each list's least free
-    colour in turn, and an augmenting path only where that sticks."""
+    colour in turn, and an augmenting path (:func:`_augment`) only where
+    that sticks."""
     owner: dict[int, int] = {}
-
-    def augment(t: int, seen: set) -> bool:
-        for c in lists[t]:
-            if c not in used and c not in seen:
-                seen.add(c)
-                if c not in owner or augment(owner[c], seen):
-                    owner[c] = t
-                    return True
-        return False
-
     for t, options in enumerate(lists):
         for c in options:
             if c not in used and c not in owner:
                 owner[c] = t
                 break
         else:
-            if not augment(t, set()):
+            if not _augment(lists, used, owner, t, set()):
                 return None
     return sorted(owner, key=owner.get)
+
+
+def _augment(lists: Sequence[Sequence[int]], used: Container[int], owner: dict[int, int],
+             t: int, seen: set) -> bool:
+    """Give list ``t`` a colour of its own in ``owner`` (colour -> list),
+    passing an owned colour on to another of its lists where needed;
+    False when no augmenting path avoids ``seen``."""
+    for c in lists[t]:
+        if c not in used and c not in seen:
+            seen.add(c)
+            if c not in owner or _augment(lists, used, owner, owner[c], seen):
+                owner[c] = t
+                return True
+    return False

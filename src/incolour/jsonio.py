@@ -2,11 +2,11 @@
 specs.  Formats are plain text and self-describing: list and colouring
 files embed an echo of the incidence enumeration they are keyed by.
 
-The readers check the shape of what they read: a value of the wrong JSON
-type, a non-integer where an integer belongs, or an incidence id outside
-``0..m-1`` is a :class:`GraphError`, never a ``TypeError`` deep inside the
-library.  A graph whose edge list names one edge twice is an
-:class:`InputError`."""
+The readers check the shape of what they read: a missing key, a value of
+the wrong JSON type, a non-integer where an integer belongs, or an
+incidence id outside ``0..m-1`` is a :class:`GraphError`, never a
+``KeyError`` or ``TypeError`` deep inside the library.  A graph whose
+edge list names one edge twice is an :class:`InputError`."""
 
 from __future__ import annotations
 
@@ -30,6 +30,14 @@ def _object(data, what: str) -> dict:
     if not isinstance(data, dict):
         raise GraphError(f"{what} must be a JSON object, got {reprlib.repr(data)}")
     return data
+
+
+def _field(data, what: str, key: str):
+    """``data[key]`` from the JSON object ``data``, else a
+    :class:`GraphError` that names the missing key."""
+    if key not in _object(data, what):
+        raise GraphError(f"{what} needs the key {key!r}")
+    return data[key]
 
 
 def _pairs(data, what: str) -> list[tuple[int, int]]:
@@ -70,13 +78,10 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    missing = next((key for key in ("n", "edges") if key not in _object(data, "a graph")), None)
-    if missing is not None:
-        raise GraphError(f"a graph needs the key {missing!r}")
-    n = data["n"]
+    n, edges = (_field(data, "a graph", key) for key in ("n", "edges"))
     if type(n) is not int:
         raise GraphError(f"'n' must be an integer, got {reprlib.repr(n)}")
-    edges = _pairs(data["edges"], "'edges'")
+    edges = _pairs(edges, "'edges'")
     twice = repeated_edge(edges)
     if twice is not None:
         raise InputError(f"'edges' names the edge {list(twice)} twice")
@@ -112,7 +117,7 @@ def lists_to_json(g: Graph, lists: ListAssignment) -> dict:
 
 def lists_from_json(g: Graph, data: dict) -> ListAssignment:
     _check_echo(g, _object(data, "a list file"))
-    lists = _object(data["lists"], "'lists'")
+    lists = _object(_field(data, "a list file", "lists"), "'lists'")
     raw = dict(zip(_incidence_ids(lists, 2 * len(g.edges)), lists.values()))
     bad = next((i for i, colours in raw.items() if not isinstance(colours, list)), None)
     if bad is None and not set(map(type, chain.from_iterable(raw.values()))) <= {int}:
@@ -133,7 +138,7 @@ def colouring_to_json(g: Graph, colouring: IncidenceColouring) -> dict:
 
 def colouring_from_json(g: Graph, data: dict) -> IncidenceColouring:
     _check_echo(g, _object(data, "a colouring file"))
-    assignment = _object(data["assignment"], "'assignment'")
+    assignment = _object(_field(data, "a colouring file", "assignment"), "'assignment'")
     out = dict(zip(_incidence_ids(assignment, 2 * len(g.edges)), assignment.values()))
     bad = next((i for i, colour in out.items() if type(colour) is not int), None)
     if bad is not None:
@@ -154,7 +159,7 @@ def pre_from_json(data: Optional[dict]) -> Optional[dict[int, int]]:
     if data is None:
         return None
     pre: dict[int, int] = {}
-    for i, colour in _pairs(_object(data, "a pre-colouring")["pre"], "'pre'"):
+    for i, colour in _pairs(_field(data, "a pre-colouring", "pre"), "'pre'"):
         if i in pre:
             raise GraphError(f"'pre' names incidence {i} twice")
         pre[i] = colour

@@ -56,9 +56,10 @@ from incolour.solver import (
 from test_grids import window_lists, window_valid
 
 
-def _campaign(instances, trials, pre=False, k=None, seed=0):
+def _campaign(instances, trials, pre=False, k=None, seed=0, universe=None):
     return run_campaign(FuzzCampaign(
         instances=tuple(instances), trials=trials, master_seed=seed, pre=pre, k=k,
+        universe=universe,
     ))
 
 
@@ -189,11 +190,17 @@ def test_criterion_09_hamiltonian_cubic():
     start = time.monotonic()
     specs = ham_cubic_named() + random_ham_cubic_specs(count=20, seed=0, max_n=20)
     report = _campaign(specs, trials=200)
+    # universe k + 1 = 7: lists share colours enough that a boundary pick
+    # without either guard of hamcubic._boundary gets stuck
+    tight = _campaign(specs, trials=200, universe=7)
     elapsed = time.monotonic() - start
-    assert report.total_failures == 0, report.summary_lines()
-    assert all(r.k == 6 for r in report.results)
+    for rep in (report, tight):
+        assert rep.total_failures == 0, rep.summary_lines()
+        assert all(r.k == 6 for r in rep.results)
+    assert {r.universe for r in tight.results} == {7}
     print(f"\nPASS criterion 9: K4, K33, the cube and 20 random cubic graphs, "
-          f"{report.total_trials} trials at 6-lists, 0 failures in {elapsed:.1f}s")
+          f"{report.total_trials} trials at 6-lists from 18 colours and "
+          f"{tight.total_trials} from 7, 0 failures in {elapsed:.1f}s")
 
 
 def test_criterion_10_structural_invariants():

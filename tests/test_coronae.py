@@ -240,6 +240,33 @@ def test_ring_transfer_is_exact_on_a_cactus_unit():
     assert (runs, unsat) == (150, 40)
 
 
+def test_ring_transfer_is_exact_with_paint_away_from_ring_start():
+    """The pendant edge at r_2 of the corona (4, 1) painted before the unit,
+    away from ``ring[0]``: the unit is coloured exactly when the exact
+    search, the painted edge fixed, finds a colouring.  Every list the ring
+    transfer reads is a free list, so the painted colours count wherever
+    they lie."""
+    n, p = 4, 1
+    g, _ = gen_corona(n, p)
+    rows = [[corona_pendant(i, 1, n, p)] for i in range(n)]
+    runs = unsat = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        lists = _short_lists(g, lambda v, w: p + 3 if v >= n else 0, rng, 2, 4, 5)
+        painter = Painter(g, lists)
+        painter.fill([painter.id_of(2, rows[2][0]), painter.id_of(rows[2][0], 2)], "pre")
+        fixed = [frozenset({c}) if c is not None else lst
+                 for c, lst in zip(painter.colour, lists.lists)]
+        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(n), rows))
+        found = solve_list_colouring(g, ListAssignment(fixed)).found
+        assert (rep is not None) == found, seed
+        if rep is not None:
+            assert_valid_report(g, lists, rep)
+        runs += 1
+        unsat += not found
+    assert runs == 150 and 0 < unsat < runs
+
+
 def test_coronae_at_delta_plus_one():
     """Lists of Δ + 1 = p + 3 colours, below the bound: every corona the
     transfer leaves stuck has no colouring."""

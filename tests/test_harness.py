@@ -213,13 +213,14 @@ def test_campaign_precoloured_trees():
     assert report.total_failures == 0 and report.total_trials == 240
     for r, spec in zip(report.results, specs):
         assert r.k == guaranteed_bound(spec, pre=True)
-    # one trial's pair, painted: the peel of one class and the anchor of the other
+    # one trial's pair, painted: both pre-colours first, then the rest
     g, spec = generate(specs[0])
     lists = random_list_assignment(g, report.results[0].k, report.results[0].universe, 5)
     pre = pre_pair(g, spec, lists, 5)
     rep = construct(spec, lists, pre=pre)
     assert rep.colouring.assignment.items() >= pre.items()
-    assert {"tree-anchor", "tree-peel"} <= {step.tag for step in rep.trace}
+    assert {(s.incidence, s.colour) for s in rep.trace[:2]} == pre.items()
+    assert {s.tag for s in rep.trace[:2]} == {"tree-anchor"}
 
 
 def test_campaign_multiworker_cactus_and_halin():

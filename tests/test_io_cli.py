@@ -373,6 +373,10 @@ MALFORMED_FILES = [
     ("chi", "--graph", {"n": 3, "edges": [[0, 1], [1, 0]]}, "'edges' names the edge [0, 1] twice"),
     ("chi", "--graph", {"n": 3}, "a graph needs the key 'edges'"),
     ("chi", "--graph", {"edges": [[0, 1]]}, "a graph needs the key 'n'"),
+    ("solve", "--lists", {}, "a list file needs the key 'lists'"),
+    ("construct", "--lists", {"incidences": None}, "a list file needs the key 'lists'"),
+    ("construct", "--pre", {}, "a pre-colouring needs the key 'pre'"),
+    ("export-dot", "--colouring", {}, "a colouring file needs the key 'assignment'"),
 ]
 
 

@@ -83,12 +83,8 @@ def test_painter_guards():
         painter.paint(1, 9, "t")
     with pytest.raises(IncolourError, match="^colour 1 conflicts at incidence 1"):
         painter.paint(1, 1, "t")
-    assert painter.free(1) == [2, 3] and painter.free(1, extra=[2]) == [3]
-    assert painter.greedy(1, "t", extra=[2]) == 3
-    painter.unpaint(1)
-    painter.unpaint(0)
-    assert not painter.painted(0)
-    painter.paint(1, 1, "t")              # fine once the conflict is gone
+    assert painter.free(1) == [2, 3] and not painter.painted(1)
+    assert painter.greedy(1, "t") == 2 and painter.painted(1)
 
 
 def test_painter_id_of_matches_incidence_id():
@@ -136,43 +132,43 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
 
 @pytest.mark.parametrize("g", SCAN_GRAPHS, ids=range(len(SCAN_GRAPHS)))
 def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g):
-    """Random partial colourings, painted, repainted and unpainted at
-    random: at every step ``forbidden`` and ``free`` agree with a scan of
-    ``incidence_neighbour_ids`` over an independent record of the colours,
-    and ``paint`` and ``greedy`` with that scan."""
+    """Walks that only paint, each on a fresh painter, at random incidences
+    and by ``paint`` or ``greedy`` at random: at every step ``forbidden``
+    and ``free`` agree with a scan of ``incidence_neighbour_ids`` over an
+    independent record of the colours, and ``paint`` and ``greedy`` with
+    that scan."""
     neigh = incidence_neighbour_ids(g)
     m = len(neigh)
     rng = random.Random(m)
     lists = ListAssignment([rng.sample(range(1, 9), 5) for _ in range(m)])
-    painter = Painter(g, lists)
-    held: dict[int, int] = {}
-    for _ in range(6 * m):
-        i = rng.randrange(m)
-        want = {held[j] for j in neigh[i] if j in held}
-        extra = rng.sample(range(1, 9), rng.randrange(3))
-        assert painter.forbidden(i) == want
-        assert painter.free(i, extra) == sorted(lists[i] - want - set(extra))
-        assert painter.painted(i) == (i in held)
-        if i in held:
-            if rng.random() < 0.7:
-                painter.unpaint(i)
-                del held[i]
-        elif rng.random() < 0.5:
-            if lists[i] - want - set(extra):
-                held[i] = painter.greedy(i, "t", extra)
-                assert held[i] == min(lists[i] - want - set(extra))
+    for _ in range(3):
+        painter = Painter(g, lists)
+        held: dict[int, int] = {}
+        for _ in range(2 * m):
+            i = rng.randrange(m)
+            want = {held[j] for j in neigh[i] if j in held}
+            assert painter.forbidden(i) == want
+            assert painter.free(i) == sorted(lists[i] - want)
+            assert painter.painted(i) == (i in held)
+            if i in held:
+                with pytest.raises(IncolourError, match="painted twice"):
+                    painter.paint(i, held[i], "t")
+            elif rng.random() < 0.5:
+                if lists[i] - want:
+                    held[i] = painter.greedy(i, "t")
+                    assert held[i] == min(lists[i] - want)
+                else:
+                    with pytest.raises(StuckError):
+                        painter.greedy(i, "t")
             else:
-                with pytest.raises(StuckError):
-                    painter.greedy(i, "t", extra)
-        else:
-            colour = rng.choice(sorted(lists[i]))
-            if colour in want:
-                with pytest.raises(IncolourError, match="conflicts"):
+                colour = rng.choice(sorted(lists[i]))
+                if colour in want:
+                    with pytest.raises(IncolourError, match="conflicts"):
+                        painter.paint(i, colour, "t")
+                else:
                     painter.paint(i, colour, "t")
-            else:
-                painter.paint(i, colour, "t")
-                held[i] = colour
-    assert held, "the walk painted nothing"
-    assert {s.incidence: s.colour for s in painter.trace} == held
-    for i in range(m):
-        assert painter.forbidden(i) == {held[j] for j in neigh[i] if j in held}
+                    held[i] = colour
+        assert held, "the walk painted nothing"
+        assert {s.incidence: s.colour for s in painter.trace} == held
+        for i in range(m):
+            assert painter.forbidden(i) == {held[j] for j in neigh[i] if j in held}

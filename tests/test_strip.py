@@ -1,7 +1,9 @@
-"""The rim transfer with spokes, ``Painter.paint_ring(ring, tag, spokes)``:
-the strip of blocks (x_i, a_i, b_i) it assumes is the Halin graph's, it
-decides exactly, its list cuts are the least exact ones, and the strip
-lemma that the Halin route rests on holds on every strip tried.
+"""The Halin rim transfer, ``Painter.paint_ring(ring, tag, inner)`` with the
+leaf end x_i = (r_i, r_i s_i) of each spoke as the one internal at rim
+vertex r_i: the strip of rim blocks (a_i, b_i) and spoke ends it assumes is
+the Halin graph's, it decides exactly, its rim list cuts are the least
+exact ones (spoke ends are internals and are not cut), and the strip lemma
+that the Halin route rests on holds on every strip tried.
 
 The strip lemma: rim lists of 5 or more colours and spoke lists of 2 or
 more always give a colourable strip.  It is checked here, not proven."""
@@ -31,10 +33,11 @@ SMALL_HALIN = [K4_HALIN, *(_as_halin(FamilySpec("wheel", {"n": n})) for n in ran
 
 
 def strip_of(g, spec):
-    """The spokes of the rim and its blocks of incidence ids (x_i, a_i, b_i)."""
+    """The spokes of the rim, as ``paint_ring``'s internals, and the strip's
+    incidence ids (x_i, a_i, b_i): the spoke end, then the rim block."""
     leaves = list(spec.params["leaf_order"])
-    spokes = {r: next(w for w in g.adj[r] if w not in leaves) for r in leaves}
-    blocks = [(incidence_id(g, r, spokes[r]), incidence_id(g, r, s), incidence_id(g, s, r))
+    spokes = {r: [w for w in g.adj[r] if w not in leaves] for r in leaves}
+    blocks = [(incidence_id(g, r, spokes[r][0]), incidence_id(g, r, s), incidence_id(g, s, r))
               for r, s in zip(leaves, leaves[1:] + leaves[:1])]
     return spokes, blocks
 
@@ -55,15 +58,15 @@ def test_strip_adjacency_is_the_graphs(spec):
                                          (a, pa), (a, pb), (b, pb))}
     assert {frozenset((i, j)) for i in ring for j in neigh[i] if j in ring} == want
     for r, (x, a, b) in zip(spec.params["leaf_order"], blocks):
-        assert len(set(neigh[x]) - ring) == g.degree(spokes[r])
+        assert len(set(neigh[x]) - ring) == g.degree(spokes[r][0])
         assert len(set(neigh[a]) - ring) == len(set(neigh[b]) - ring) == 1
 
 
 def _paint_strip(painter, spec, spokes):
-    """The painter's report after the internal incidences are painted
-    greedily and the rim with its spokes by ``paint_ring``, or None when the
-    rim is stuck; the second value fixes the painted incidences as
-    one-colour lists, for the oracle."""
+    """The painter's report after the incidences at internal vertices are
+    painted greedily and the rim with its spoke ends by ``paint_ring``, or
+    None when the rim is stuck; the second value fixes the painted
+    incidences as one-colour lists, for the oracle."""
     g, lists = painter.graph, painter.lists
     for i, inc in enumerate(incidences(g)):
         if inc.vertex not in spokes:
@@ -71,7 +74,7 @@ def _paint_strip(painter, spec, spokes):
     fixed = ListAssignment([{painter.colour[i]} if painter.painted(i) else lists[i]
                             for i in range(len(lists))])
     try:
-        painter.paint_ring(spec.params["leaf_order"], "ring", spokes=spokes)
+        painter.paint_ring(spec.params["leaf_order"], "ring", inner=spokes)
     except StuckError:
         return None, fixed
     rep = painter.report()
@@ -117,7 +120,7 @@ def wheel_strip(rims, spokes):
     for r in range(k):
         painter.paint(incidence_id(g, k, r), 100 + r, "hub")
     try:
-        painter.paint_ring(range(k), "ring", spokes=dict.fromkeys(range(k), k))
+        painter.paint_ring(range(k), "ring", inner={r: [k] for r in range(k)})
     except StuckError:
         assert not naive_satisfiable(g, lists)
         return None
@@ -127,8 +130,9 @@ def wheel_strip(rims, spokes):
 
 
 def test_spoke_takes_its_fifth_least_colour():
-    """The four ring neighbours of spoke x_2 hold its four least colours:
-    only its fifth fits, so the spoke cut at five is the least exact one."""
+    """The four ring neighbours of spoke end x_2 hold its four least
+    colours: only its fifth fits.  A spoke end is an internal of the ring,
+    whose free list is never cut."""
     rims = [range(10, 20)] * 8
     rims[2], rims[3], rims[4], rims[5] = {1}, {2}, {3}, {4}   # a_1, b_1, a_2, b_2
     spokes = [range(20, 25)] * 4
@@ -138,9 +142,10 @@ def test_spoke_takes_its_fifth_least_colour():
 
 
 def test_rim_beside_spokes_takes_its_seventh_least_colour():
-    """The six ring neighbours of a_2 (x_2, x_3, a_1, b_1, b_2, a_3) hold its
-    six least colours: only its seventh fits, so the rim cut at seven is the
-    least exact one."""
+    """The six unpainted neighbours of a_2 (the spoke ends x_2 and x_3, and
+    a_1, b_1, b_2, a_3 on the ring) hold its six least colours: only its
+    seventh fits, so the rim cut at seven, one more than four ring
+    neighbours and the internals at both ends, is the least exact one."""
     rims = [range(10, 20)] * 10
     rims[2], rims[3], rims[5], rims[6] = {1}, {2}, {3}, {4}   # a_1, b_1, b_2, a_3
     rims[4] = range(1, 8)                                      # a_2

@@ -28,15 +28,16 @@ def test_path_with_one_precoloured():
     assert_valid_report(t, lists, rep, expect={0: 2})
 
 
-def test_two_precolours_fire_peel_and_anchor():
-    # pre-colours in two colour classes: the class of the higher id is
-    # peeled, the other anchors the base case
+def test_two_precolours_are_painted_first():
+    # pre-colours in two colour classes: both are painted first, and the
+    # walk starts from the higher id, 5 = (3, 32), with its mate (2, 23)
     t, spec = gen_basic("path", 4)
     lists = ListAssignment.uniform(t, 4)   # degree 2 + two pre-colours
     rep = construct(spec, lists, pre={0: 1, 5: 2})
     assert_valid_report(t, lists, rep, expect={0: 1, 5: 2})
-    tags = {step.incidence: step.tag for step in rep.trace}
-    assert tags[0] == "tree-anchor" and tags[5] == "tree-peel"
+    assert [(s.incidence, s.tag) for s in rep.trace[:3]] == [
+        (0, "tree-anchor"), (5, "tree-anchor"), (4, "tree-anchor-mate")]
+    assert {s.tag for s in rep.trace[3:]} == {"tree-topdown"}
 
 
 def test_star_centre_incidences_distinct():
@@ -156,13 +157,37 @@ def test_random_trees_with_random_lists(n, seed, extra_pre):
     assert_valid_report(t, lists, rep, expect=pre)
 
 
-# sha256 prefix of the tree procedure's traces: trees under nested
-# peels, and the Halin runs whose inner tree it used to paint; re-pinned
-# when every Halin graph moved to one route, the internal incidences root
-# to leaves on the host painter and then the rim with its spokes, which
-# moves the Halin runs only (OTHER_FAMILIES_DIGEST in test_construct.py
-# pins the tree runs alone)
-TREE_PAINT_DIGEST = "b651aff41fbe8e69"
+def test_up_to_seven_precolours_at_the_exact_bound():
+    """Random trees with 0 to 7 pre-colours, colour classes repeating, and
+    every list exactly max degree + max(k, 1): no run is stuck and every
+    pre-colour is kept, as the one-anchor walk's count promises."""
+    rng = random.Random(7)
+    runs = {}
+    for run in range(400):
+        t, spec = gen_random_tree(2 + run % 15, run)
+        k = run % 8
+        size = t.max_degree + max(k, 1)
+        lists = random_list_assignment(t, size, size + 3, run)
+        pre = _pre_colouring(t, lists, k, rng)
+        if len(pre) != k:
+            continue
+        rep = construct(spec, lists, pre=pre)
+        assert_valid_report(t, lists, rep, expect=pre)
+        runs[k] = runs.get(k, 0) + 1
+    assert sorted(runs) == list(range(8)) and sum(runs.values()) > 300
+
+
+# sha256 prefix of the tree procedure's traces: trees with repeated
+# colour classes, and the Halin runs whose inner tree it used to paint;
+# re-pinned when every Halin graph moved to one route, the internal
+# incidences root to leaves on the host painter and then the rim with its
+# spokes, which moves the Halin runs only (OTHER_FAMILIES_DIGEST in
+# test_construct.py pins the tree runs alone).  Re-pinned when every
+# pre-colour was painted first and one anchor replaced the peel of colour
+# classes, which moves the trees with two or more pre-colours, and when
+# the spoke ends became ring internals, painted after the rim, which moves
+# the Halin runs; the trees with at most one pre-colour hash as before
+TREE_PAINT_DIGEST = "1fe7f018a6026de7"
 
 
 def _pre_colouring(t, lists, k, rng):
@@ -191,8 +216,8 @@ def _tree_runs():
         lists = random_list_assignment(t, size, size + 2, run) if t.edges else ListAssignment([])
         pre = _pre_colouring(t, lists, k, rng)
         yield t, lists, pre, construct(spec, lists, pre=pre)
-    # every pre-colour in one class: the peel leaves no anchor, and the
-    # free anchor takes the smallest colour left after the dropped one
+    # every pre-colour in one class: all three are painted first, and the
+    # walk starts from the highest id
     t, spec = gen_basic("path", 7)
     lists = ListAssignment.uniform(t, 5)
     pre = {2: 1, 7: 1, 11: 1}
@@ -219,8 +244,8 @@ def test_tree_painting_matches_golden_digest():
         h.update(f"tree n={t.n} edges={t.edges} pre={sorted(pre.items())}\n".encode())
         for step in rep.trace:
             h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-    anchor = next(s for s in rep.trace if s.tag == "tree-anchor-free")
-    assert anchor.colour == 2 and [s.tag for s in rep.trace[-3:]] == ["tree-peel"] * 3
+    assert [(s.incidence, s.tag) for s in rep.trace[:4]] == [
+        (2, "tree-anchor"), (7, "tree-anchor"), (11, "tree-anchor"), (10, "tree-anchor-mate")]
     for spec, seed, rep in _halin_runs():
         h.update(f"{spec.params['tree_edges']}|{spec.params['leaf_order']}|seed={seed}\n".encode())
         for step in rep.trace:
