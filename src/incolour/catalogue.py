@@ -17,16 +17,13 @@ def grid_specs() -> list[FamilySpec]:
     return two_rows + wide
 
 
-def tree_specs(count: int = 50, max_edges: int = 12, seed: int = 0) -> list[FamilySpec]:
-    out = []
-    for i in range(count):
-        n = 2 + (seed + i) % max_edges + 1   # 3..max_edges+2 vertices
-        out.append(FamilySpec("tree", {"n": n, "seed": seed + i}))
-    return out
+def tree_specs() -> list[FamilySpec]:
+    """Twelve random trees, with 3 to 14 vertices."""
+    return [FamilySpec("tree", {"n": 3 + i, "seed": i}) for i in range(12)]
 
 
-def wheel_specs(low: int = 4, high: int = 8) -> list[FamilySpec]:
-    return [FamilySpec("wheel", {"n": n}) for n in range(low, high + 1)]
+def wheel_specs() -> list[FamilySpec]:
+    return [FamilySpec("wheel", {"n": n}) for n in range(4, 9)]
 
 
 def halin_specs() -> list[FamilySpec]:
@@ -158,19 +155,16 @@ def ham_cubic_named() -> list[FamilySpec]:
     return [k4, k33, cube]
 
 
-def random_ham_cubic_specs(count: int = 20, seed: int = 0, max_n: int = 20) -> list[FamilySpec]:
-    out = []
-    for i in range(count):
-        n = 6 + 2 * ((seed + i) % ((max_n - 6) // 2 + 1))
-        out.append(FamilySpec("ham_cubic", {"n": n, "seed": seed + i}))
-    return out
+def random_ham_cubic_specs(count: int = 20) -> list[FamilySpec]:
+    """Random Hamiltonian cubic graphs with 6 to 20 vertices."""
+    return [FamilySpec("ham_cubic", {"n": 6 + 2 * (i % 8), "seed": i}) for i in range(count)]
 
 
 def default_fuzz_instances(family: str) -> list[FamilySpec]:
     if family == "grid":
         return grid_specs()
     if family == "tree":
-        return tree_specs(count=12)
+        return tree_specs()
     if family == "cycle":
         return [FamilySpec("cycle", {"n": n}) for n in range(3, 13)]
     if family == "halin":

@@ -23,8 +23,8 @@ from .constructive import construct as run_construct
 from .dot import incidence_graph_dot
 from .families import FamilySpec
 from .families import generate as build_family
-from .graphs import GraphError, IncolourError, InputError, validate_colouring
-from .harness import FuzzCampaign, regression_chi, run_campaign
+from .graphs import GraphError, IncolourError, InputError, ListAssignment, validate_colouring
+from .harness import FuzzCampaign, random_list_assignment, regression_chi, run_campaign
 from .jsonio import (
     colouring_from_json,
     colouring_to_json,
@@ -133,9 +133,6 @@ def generate(family, n, m, p, size, seed, spec_path, list_size, universe, lists_
     _write_json(directory / "spec.json", spec.to_json())
     written = f"{directory / 'graph.json'} and {directory / 'spec.json'}"
     if list_size is not None:
-        from .graphs import ListAssignment
-        from .harness import random_list_assignment
-
         if universe == 0:
             lists = ListAssignment.uniform(g, list_size)
         else:

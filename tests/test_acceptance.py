@@ -149,7 +149,7 @@ def test_criterion_05_k4():
 
 def test_criterion_06_halin():
     start = time.monotonic()
-    specs = wheel_specs(low=4, high=8) + halin_specs()
+    specs = wheel_specs() + halin_specs()
     report = _campaign(specs, trials=200)
     elapsed = time.monotonic() - start
     assert report.total_failures == 0, report.summary_lines()
@@ -188,7 +188,7 @@ def test_criterion_08_cactus():
 
 def test_criterion_09_hamiltonian_cubic():
     start = time.monotonic()
-    specs = ham_cubic_named() + random_ham_cubic_specs(count=20, seed=0, max_n=20)
+    specs = ham_cubic_named() + random_ham_cubic_specs()
     report = _campaign(specs, trials=200)
     # universe k + 1 = 7: lists share colours enough that a boundary pick
     # without either guard of hamcubic._boundary gets stuck

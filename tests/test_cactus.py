@@ -7,6 +7,7 @@ import pytest
 from conftest import assert_valid_report
 from incolour.catalogue import cactus_row_specs, random_cactus_specs
 from incolour.constructive import cactus_bound, construct
+from incolour.constructive.cactus import _pick_start
 from incolour.families import FamilySpec, cactus_cycles, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment
 from incolour.harness import random_list_assignment
@@ -100,15 +101,18 @@ def test_deterministic():
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
 
 
-# sha256 prefix of the cactus traces over the census rows and 40 random
-# cactuses, list seeds 0-2 at universes k+1 and 3k; re-pinned when one
-# exact ring transfer (tag cactus-corona-ring) replaced the corona
-# selectors on each cycle unit, which changes the units' colours and tags
-CACTUS_TRACE_DIGEST = "f07ac464e36b2db1"
+# sha256 prefixes of the cactus traces over the census rows and 40 random
+# cactuses, list seeds 0-2 at universes k+1 and 3k.  CACTUS_TRACE_DIGEST
+# hashes the steps in trace order; it was re-pinned when one breadth-first
+# vertex walk replaced the contracted unit tree, which changes the order
+# of the trace only.  CACTUS_SORTED_TRACE_DIGEST hashes each run's steps
+# sorted, so it pins the colours and tags whatever the order of the units.
+CACTUS_TRACE_DIGEST = "a50a161708879437"
+CACTUS_SORTED_TRACE_DIGEST = "e83e5064f6d05a1c"
 
 
 def test_cactus_traces_match_golden_digest():
-    h = hashlib.sha256()
+    h, h_sorted = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for spec in cactus_row_specs() + random_cactus_specs(count=40, seed=0):
         g, spec = generate(spec)
@@ -119,8 +123,43 @@ def test_cactus_traces_match_golden_digest():
                 rep = construct(spec, lists)
                 assert_valid_report(g, lists, rep)
                 runs += 1
-                for step in rep.trace:
-                    h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
+                steps = [f"{step.incidence},{step.colour},{step.tag}\n" for step in rep.trace]
+                h.update("".join(steps).encode())
+                h_sorted.update("".join(sorted(steps)).encode())
     assert runs == 270
     assert h.hexdigest()[:16] == CACTUS_TRACE_DIGEST
+    assert h_sorted.hexdigest()[:16] == CACTUS_SORTED_TRACE_DIGEST
 
+
+def _three_branch_start(g, cycles):
+    """The first cycle as the three-branch rule picked it: the first
+    maximal triangle, else the triangle of greatest maximum degree (first
+    on ties), else the first cycle."""
+    delta = g.max_degree
+    maximal_triangles = [
+        i for i, c in enumerate(cycles)
+        if len(c) == 3 and any(g.degree(v) == delta for v in c)
+    ]
+    if maximal_triangles:
+        return maximal_triangles[0]
+    triangles = sorted(
+        (i for i, c in enumerate(cycles) if len(c) == 3),
+        key=lambda i: (-max(g.degree(v) for v in cycles[i]), i),
+    )
+    if triangles:
+        return triangles[0]
+    return 0
+
+
+def test_pick_start_matches_the_three_branch_rule():
+    # the first triangle is not maximal: vertex 4, of degree 4, is on the second
+    crafted = FamilySpec("cactus", {"edges": [
+        [0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [4, 5], [3, 5], [4, 6], [4, 7]]})
+    g, spec = generate(crafted)
+    assert _pick_start(g, spec.params["cycles"]) == 1
+    randoms = [FamilySpec("cactus", {"size": size, "seed": seed})
+               for size in range(6, 118, 3) for seed in range(5)]
+    for spec in [crafted] + cactus_row_specs() + randoms:
+        g, spec = generate(spec)
+        cycles = spec.params["cycles"]
+        assert _pick_start(g, cycles) == _three_branch_start(g, cycles)

@@ -208,7 +208,7 @@ def test_pre_campaign_rejects_an_instance_with_no_edge():
 
 
 def test_campaign_precoloured_trees():
-    specs = tuple(tree_specs(count=12))
+    specs = tuple(tree_specs())
     report = run_campaign(FuzzCampaign(instances=specs, trials=20, pre=True))
     assert report.total_failures == 0 and report.total_trials == 240
     for r, spec in zip(report.results, specs):
