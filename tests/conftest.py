@@ -26,6 +26,23 @@ def assert_valid_report(g, lists, report, expect=None):
             assert report.colouring[i] == c
 
 
+def pre_colouring(g, lists, k, rng):
+    """Up to ``k`` pre-colours on random incidences, reusing a colour
+    already placed whenever it fits, so colour classes repeat."""
+    incs = incidences(g)
+    pre = {}
+    for i in rng.sample(range(len(incs)), min(k, len(incs))):
+        fits = [c for c in sorted(lists[i])
+                if all(pc != c or not incidence_adjacent(incs[i], incs[j])
+                       for j, pc in pre.items())]
+        reused = [c for c in fits if c in pre.values()]
+        if reused and rng.random() < 0.7:
+            pre[i] = rng.choice(reused)
+        elif fits:
+            pre[i] = rng.choice(fits)
+    return pre
+
+
 def naive_satisfiable(g, lists):
     """Independent oracle: plain backtracking over per-incidence lists,
     with adjacency from the pairwise ``incidence_adjacent``, no

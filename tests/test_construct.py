@@ -1,9 +1,10 @@
 """``construct``, the one spec-driven entry point to the constructive
-procedures: its traces are pinned by digest."""
+procedures: its checks of lists and pre-colourings, the rule each family
+reaches and its error messages.  Its traces are pinned by the golden
+corpus in ``test_golden.py``."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
@@ -19,131 +20,6 @@ from incolour.graphs import InputError, ListAssignment, validate_colouring
 from incolour.harness import FuzzCampaign, pre_pair, random_list_assignment, run_campaign
 
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
-
-# re-pinned when every Halin graph (wheels and K4, also as ham_cubic n=4,
-# included) moved to one route, the inner tree and then the rim with its
-# spokes by the strip search of `Painter.paint_ring`: that moves the Halin
-# runs, and the cycles' colours, which the depth-first strip search picks
-# least first where the former sweep traced them back from the closing
-# pair; OTHER_FAMILIES_DIGEST below pins the other runs unchanged.
-# Re-pinned again when one exact ring transfer replaced the corona
-# selectors: the corona and cactus runs moved, the others hash as before.
-# Re-pinned when exact least-first searches replaced the grid window and
-# Hamiltonian cubic boundary selectors: the grid and ham_cubic (order >= 6)
-# runs moved (other colours, and the window tag lost its case name), the
-# others hash as before.  Re-pinned when the Halin spoke ends became ring
-# internals, painted after the rim from uncut free lists: the Halin, wheel,
-# K4 and order-4 ham_cubic runs moved, the others hash as before
-TRACE_DIGEST = "30cdfa97148d0159"
-
-
-def _golden_runs():
-    specs = [s for f in FUZZ_FAMILIES for s in default_fuzz_instances(f)[:2]]
-    specs += [FamilySpec("wheel", {"n": 6}), FamilySpec("complete", {"n": 4})]
-    for spec in specs:
-        g, spec = generate(spec)
-        for pre in ((False, True) if spec.family == "corona" else (False,)):
-            k = guaranteed_bound(spec, pre=pre)
-            for seed in range(3):
-                lists = random_list_assignment(g, k, 3 * k, seed)
-                pairs = pre_pair(g, spec, lists, seed) if pre else None
-                yield spec, pre, seed, construct(spec, lists, pre=pairs)
-
-
-def test_construct_traces_match_golden_digest():
-    h = hashlib.sha256()
-    runs = 0
-    for spec, pre, seed, report in _golden_runs():
-        h.update(f"{json.dumps(spec.to_json(), sort_keys=True)}|pre={pre}|seed={seed}\n".encode())
-        for step in report.trace:
-            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-        runs += 1
-    assert runs == 54
-    assert h.hexdigest()[:16] == TRACE_DIGEST
-
-
-# the tags of the steps that paint a ring: a whole cycle, or a Halin rim
-# after its inner tree
-RING_TAGS = {"cycle-solver", "cycle-dp", "halin-outer-cycle"}
-
-# sha256 prefix of the runs behind TRACE_DIGEST, TREE_FIRST_DIGEST and
-# TREE_PAINT_DIGEST with each run's ring steps reduced to the sorted ids
-# they paint: the colours a ring takes may change, nothing else may;
-# re-pinned when every Halin graph moved to one route, whose tree steps
-# paint only the internal incidences and whose ring steps now also paint
-# the leaf ends of the spokes; and again when one exact ring transfer
-# replaced the corona selectors, which moves the corona and cactus runs;
-# and again when exact searches replaced the grid window and Hamiltonian
-# cubic boundary selectors, which moves the grid and ham_cubic runs; and
-# again when the tree rule painted every pre-colour first from one anchor,
-# which moves the trees with two or more pre-colours (the Halin ring steps
-# paint the same ids, and the Halin tree steps hash as before)
-NON_RING_DIGEST = "131a13da759bd779"
-
-
-def test_non_ring_steps_match_golden_digest():
-    from test_halin import _tree_first_runs
-    from test_trees import _halin_runs, _tree_runs
-
-    runs = [(f"{json.dumps(spec.to_json(), sort_keys=True)}|pre={pre}|seed={seed}", rep)
-            for spec, pre, seed, rep in _golden_runs()]
-    runs += [(f"tree-first seed={seed}", rep) for seed, rep in _tree_first_runs()]
-    runs += [(f"tree edges={t.edges} pre={sorted(pre.items())}", rep)
-             for t, _, pre, rep in _tree_runs()]
-    runs += [(f"{spec.params['tree_edges']}|{spec.params['leaf_order']}|seed={seed}", rep)
-             for spec, seed, rep in _halin_runs()]
-    h = hashlib.sha256()
-    ring_runs = 0
-    for label, report in runs:
-        h.update(f"{label}\n".encode())
-        ring = []
-        for step in report.trace:
-            if step.tag in RING_TAGS:
-                ring.append(step.incidence)
-            else:
-                h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-        h.update(f"ring={sorted(ring)}\n".encode())
-        ring_runs += bool(ring)
-    assert ring_runs > 0
-    assert h.hexdigest()[:16] == NON_RING_DIGEST
-
-
-# sha256 prefix of the runs behind TRACE_DIGEST, NON_RING_DIGEST and
-# TREE_PAINT_DIGEST on graphs that are neither cycles nor Halin graphs
-# (wheels, K4 and the ham_cubic K4 count as Halin graphs): grids, trees,
-# coronae, cactuses and Hamiltonian cubic graphs of order >= 6; recorded
-# before the Halin rim transfer, which must leave all of them unchanged.
-# Re-pinned when one exact ring transfer replaced the corona selectors,
-# which moves the corona and cactus runs only; and again when exact
-# searches replaced the grid window and Hamiltonian cubic boundary
-# selectors, which moves the grid and ham_cubic runs only; and again when
-# the tree rule painted every pre-colour first from one anchor, which moves
-# the trees with two or more pre-colours only
-OTHER_FAMILIES_DIGEST = "20a7180ba0d0d0e2"
-
-
-def _cycle_or_halin(spec):
-    return (spec.family in ("cycle", "halin", "wheel", "complete")
-            or (spec.family == "ham_cubic" and spec.params["n"] == 4))
-
-
-def test_other_families_match_golden_digest():
-    from test_trees import _tree_runs
-
-    h = hashlib.sha256()
-    runs = 0
-    labelled = [(f"{json.dumps(spec.to_json(), sort_keys=True)}|pre={pre}|seed={seed}", rep)
-                for spec, pre, seed, rep in _golden_runs() if not _cycle_or_halin(spec)]
-    labelled += [(f"tree edges={t.edges} pre={sorted(pre.items())}", rep)
-                 for t, _, pre, rep in _tree_runs()]
-    for label, report in labelled:
-        h.update(f"{label}\n".encode())
-        for step in report.trace:
-            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-        runs += 1
-    assert runs == 33 + 301
-    assert h.hexdigest()[:16] == OTHER_FAMILIES_DIGEST
-
 
 # one spec for every family that construct accepts
 EVERY_FAMILY = [next(s for s in default_fuzz_instances(f) if s.family == f)

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_valid_report
-from incolour.catalogue import halin_specs, random_halin_spec
-from incolour.constructive import construct, guaranteed_bound, required_halin_lists
+from conftest import assert_valid_report, pre_colouring
+from incolour.constructive import construct, guaranteed_bound
 from incolour.families import FamilySpec, gen_basic, gen_random_tree, generate
 from incolour.graphs import (
     InputError,
@@ -38,6 +36,17 @@ def test_two_precolours_are_painted_first():
     assert [(s.incidence, s.tag) for s in rep.trace[:3]] == [
         (0, "tree-anchor"), (5, "tree-anchor"), (4, "tree-anchor-mate")]
     assert {s.tag for s in rep.trace[3:]} == {"tree-topdown"}
+
+
+def test_one_class_of_three_precolours_is_painted_first():
+    # all three pre-colours are painted first, and the walk starts from the
+    # highest id, 11, with its mate 10
+    t, spec = gen_basic("path", 7)
+    lists = ListAssignment.uniform(t, 5)
+    rep = construct(spec, lists, pre={2: 1, 7: 1, 11: 1})
+    assert_valid_report(t, lists, rep, expect={2: 1, 7: 1, 11: 1})
+    assert [(s.incidence, s.tag) for s in rep.trace[:4]] == [
+        (2, "tree-anchor"), (7, "tree-anchor"), (11, "tree-anchor"), (10, "tree-anchor-mate")]
 
 
 def test_star_centre_incidences_distinct():
@@ -168,87 +177,10 @@ def test_up_to_seven_precolours_at_the_exact_bound():
         k = run % 8
         size = t.max_degree + max(k, 1)
         lists = random_list_assignment(t, size, size + 3, run)
-        pre = _pre_colouring(t, lists, k, rng)
+        pre = pre_colouring(t, lists, k, rng)
         if len(pre) != k:
             continue
         rep = construct(spec, lists, pre=pre)
         assert_valid_report(t, lists, rep, expect=pre)
         runs[k] = runs.get(k, 0) + 1
     assert sorted(runs) == list(range(8)) and sum(runs.values()) > 300
-
-
-# sha256 prefix of the tree procedure's traces: trees with repeated
-# colour classes, and the Halin runs whose inner tree it used to paint;
-# re-pinned when every Halin graph moved to one route, the internal
-# incidences root to leaves on the host painter and then the rim with its
-# spokes, which moves the Halin runs only (OTHER_FAMILIES_DIGEST in
-# test_construct.py pins the tree runs alone).  Re-pinned when every
-# pre-colour was painted first and one anchor replaced the peel of colour
-# classes, which moves the trees with two or more pre-colours, and when
-# the spoke ends became ring internals, painted after the rim, which moves
-# the Halin runs; the trees with at most one pre-colour hash as before
-TREE_PAINT_DIGEST = "1fe7f018a6026de7"
-
-
-def _pre_colouring(t, lists, k, rng):
-    """Up to ``k`` pre-colours on random incidences, reusing a colour
-    already placed whenever it fits, so colour classes repeat."""
-    incs = incidences(t)
-    pre = {}
-    for i in rng.sample(range(len(incs)), min(k, len(incs))):
-        fits = [c for c in sorted(lists[i])
-                if all(pc != c or not incidence_adjacent(incs[i], incs[j])
-                       for j, pc in pre.items())]
-        reused = [c for c in fits if c in pre.values()]
-        if reused and rng.random() < 0.7:
-            pre[i] = rng.choice(reused)
-        elif fits:
-            pre[i] = rng.choice(fits)
-    return pre
-
-
-def _tree_runs():
-    rng = random.Random(0)
-    for run in range(300):
-        t, spec = gen_random_tree(1 + run % 14, run)
-        k = run % 6 if t.edges else 0
-        size = t.max_degree + max(k, 1)
-        lists = random_list_assignment(t, size, size + 2, run) if t.edges else ListAssignment([])
-        pre = _pre_colouring(t, lists, k, rng)
-        yield t, lists, pre, construct(spec, lists, pre=pre)
-    # every pre-colour in one class: all three are painted first, and the
-    # walk starts from the highest id
-    t, spec = gen_basic("path", 7)
-    lists = ListAssignment.uniform(t, 5)
-    pre = {2: 1, 7: 1, 11: 1}
-    yield t, lists, pre, construct(spec, lists, pre=pre)
-
-
-def _halin_runs():
-    specs = list(halin_specs())
-    specs += [random_halin_spec(n, seed) for n in range(2, 9) for seed in range(20)]
-    for spec in specs:
-        g, spec = generate(spec)
-        k = required_halin_lists(g, spec)
-        for seed, universe in ((0, 3 * k), (1, k + 2)):
-            yield spec, seed, construct(spec, random_list_assignment(g, k, universe, seed))
-
-
-def test_tree_painting_matches_golden_digest():
-    h = hashlib.sha256()
-    nested = 0
-    for t, lists, pre, rep in _tree_runs():
-        assert_valid_report(t, lists, rep, expect=pre)
-        colours = [c for _, c in sorted(pre.items())]
-        nested += len([c for c in colours if c != colours[-1]]) >= 2
-        h.update(f"tree n={t.n} edges={t.edges} pre={sorted(pre.items())}\n".encode())
-        for step in rep.trace:
-            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-    assert [(s.incidence, s.tag) for s in rep.trace[:4]] == [
-        (2, "tree-anchor"), (7, "tree-anchor"), (11, "tree-anchor"), (10, "tree-anchor-mate")]
-    for spec, seed, rep in _halin_runs():
-        h.update(f"{spec.params['tree_edges']}|{spec.params['leaf_order']}|seed={seed}\n".encode())
-        for step in rep.trace:
-            h.update(f"{step.incidence},{step.colour},{step.tag}\n".encode())
-    assert nested > 0
-    assert h.hexdigest()[:16] == TREE_PAINT_DIGEST
