@@ -74,5 +74,5 @@ def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: Sequence[S
     pendant edge or a cactus unit's connector, are kept wherever they lie
     (:meth:`Painter.paint_ring` reads free lists)."""
     painter.paint_ring(ring, prefix + "corona-ring", inner=dict(zip(ring, pendants)))
-    painter.fill((painter.id_of(w, r) for r, row in zip(ring, pendants) for w in row),
+    painter.fill((incidence_id(painter.graph, w, r) for r, row in zip(ring, pendants) for w in row),
                  prefix + "corona-external")

@@ -19,7 +19,7 @@ window lemma guarantees; a window with none raises
 from __future__ import annotations
 
 from ..families import grid_vertex
-from ..graphs import _vertex_index
+from ..graphs import _vertex_index, incidence_id
 from .report import Painter, StuckError
 
 
@@ -48,7 +48,7 @@ def paint_grid(painter: Painter, m: int, n: int) -> None:
     """Paint the m-by-n grid ``gen_grid(m, n)`` of ``painter``, m >= n >= 2,
     from lists of :func:`grid_bound` colours."""
     def iid(i1: int, j1: int, i2: int, j2: int) -> int:
-        return painter.id_of(grid_vertex(i1, j1, n), grid_vertex(i2, j2, n))
+        return incidence_id(painter.graph, grid_vertex(i1, j1, n), grid_vertex(i2, j2, n))
 
     if n == 2:
         _two_rows(painter, m, iid)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from itertools import product
 
 from ..families import FamilySpec
+from ..graphs import incidence_id
 from .halin import K4_HALIN, paint_halin
 from .report import Painter, StuckError
 
@@ -65,7 +66,7 @@ def paint_ham_cubic(painter: Painter, spec: FamilySpec) -> None:
         return (i + shift) % n
 
     def iid(i: int, j: int) -> int:
-        return painter.id_of(vertex(i), vertex(j))
+        return incidence_id(painter.graph, vertex(i), vertex(j))
 
     v_s = (match[vertex(0)] - shift) % n
     v_t = (match[vertex(1)] - shift) % n
@@ -78,7 +79,7 @@ def paint_ham_cubic(painter: Painter, spec: FamilySpec) -> None:
     for i, colour in zip(picked, picks):
         painter.paint(i, colour, "ham-pick")
 
-    painter.fill((painter.id_of(x, y) for u, w in spec.params["matching"]
+    painter.fill((incidence_id(painter.graph, x, y) for u, w in spec.params["matching"]
                   for x, y in ((u, w), (w, u))), "ham-matching")
 
     painter.greedy(iid(1, 2), "ham-cycle")

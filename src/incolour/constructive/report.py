@@ -7,18 +7,17 @@ constructive layer never calls the solver."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from ..graphs import (
     Graph,
-    GraphError,
     IncidenceColouring,
     IncolourError,
     ListAssignment,
     _vertex_index,
     check_lists_cover,
+    incidence_id,
     incidence_neighbour_ids,
 )
 
@@ -102,20 +101,10 @@ class Painter:
         check_lists_cover(g, lists)
         self.graph = g
         self.lists = lists
-        self._adj = g.adj
         self._off, self._head, self._mate = _vertex_index(g)
         self.colour: list[Optional[int]] = [None] * len(self._head)
         self._mate_colour: list[Optional[int]] = [None] * len(self._head)
         self.trace: list[TraceStep] = []
-
-    def id_of(self, vertex: int, other: int) -> int:
-        """:func:`graphs.incidence_id` on the painter's graph."""
-        if 0 <= vertex < len(self._adj):
-            nbrs = self._adj[vertex]
-            pos = bisect_left(nbrs, other)
-            if pos < len(nbrs) and nbrs[pos] == other:
-                return self._off[vertex] + pos
-        raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence")
 
     def painted(self, i: int) -> bool:
         return self.colour[i] is not None
@@ -220,9 +209,9 @@ class Painter:
         ring (:func:`_strip`), then the internals vertex by vertex; else
         StuckError, with nothing painted."""
         n = len(ring)
-        ids = [(a := self.id_of(r, s), self._mate[a]) for r, s in zip(ring, [*ring[1:], ring[0]])]
+        ids = [(a := incidence_id(self.graph, r, s), self._mate[a]) for r, s in zip(ring, [*ring[1:], ring[0]])]
         inner = inner or {}
-        rows = [[t for w in inner.get(r, ()) if self.colour[(t := self.id_of(r, w))] is None]
+        rows = [[t for w in inner.get(r, ()) if self.colour[(t := incidence_id(self.graph, r, w))] is None]
                 for r in ring]
         pend = [[self.free(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one

@@ -217,12 +217,18 @@ def gen_ham_cubic(
     if matching is None:
         matching = _sample_matching(n, seed)
     pairs = sorted(tuple(sorted(pair)) for pair in matching)
+    bad = next((pair for pair in pairs if pair[0] < 0 or pair[1] >= n), None)
+    if bad is not None:
+        raise InputError(f"matching pair {bad} out of range for n={n}")
     seen: set[int] = set()
     for u, v in pairs:
+        twice = {u, v} & seen
+        if twice:
+            raise InputError(f"matching puts vertex {min(twice)} in two pairs")
         if u == v or (v - u) % n in (1, n - 1):
             raise InputError(f"matching pair {(u, v)} uses a cycle edge or loop")
         seen.update((u, v))
-    if seen != set(range(n)):
+    if len(seen) != n:
         raise InputError("matching is not perfect on 0..n-1")
     edges = [(i, (i + 1) % n) for i in range(n)] + [tuple(pair) for pair in pairs]
     g = Graph(n, edges)

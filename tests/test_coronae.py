@@ -224,8 +224,8 @@ def test_ring_transfer_is_exact_on_a_cactus_unit():
         external = lambda v, w: g.degree(w) + 1 if w < 5 and v > 4 else 0
         lists = _short_lists(g, external, rng, 4, 6, 6)
         painter = Painter(g, lists)
-        painter.fill([painter.id_of(5, 6), painter.id_of(6, 5), painter.id_of(5, 0),
-                      painter.id_of(0, 5)], "parent")
+        painter.fill([incidence_id(g, 5, 6), incidence_id(g, 6, 5), incidence_id(g, 5, 0),
+                      incidence_id(g, 0, 5)], "parent")
         fixed = [frozenset({c}) if c is not None else lst
                  for c, lst in zip(painter.colour, lists.lists)]
         pendants = [[5, *rows[0]], *rows[1:]]
@@ -253,7 +253,7 @@ def test_ring_transfer_is_exact_with_paint_away_from_ring_start():
         rng = random.Random(seed)
         lists = _short_lists(g, lambda v, w: p + 3 if v >= n else 0, rng, 2, 4, 5)
         painter = Painter(g, lists)
-        painter.fill([painter.id_of(2, rows[2][0]), painter.id_of(rows[2][0], 2)], "pre")
+        painter.fill([incidence_id(g, 2, rows[2][0]), incidence_id(g, rows[2][0], 2)], "pre")
         fixed = [frozenset({c}) if c is not None else lst
                  for c, lst in zip(painter.colour, lists.lists)]
         rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(n), rows))

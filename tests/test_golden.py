@@ -100,7 +100,8 @@ def _recipes():
             for universe in (k + 1, 3 * k):
                 yield spec, k, universe, seed, {}
     # coronae one colour below their list size, plain and pre-coloured
-    for spec in _built(FamilySpec("corona", {"n": n, "p": p}) for n in (3, 4, 5) for p in (1, 2, 3, 4)):
+    for spec in _built(FamilySpec("corona", {"n": n, "p": p})
+                       for n in (3, 4, 5) for p in (1, 2, 3, 4)):
         for pre in (False, True):
             k = guaranteed_bound(spec, pre) - 1
             for seed in range(6):
@@ -112,8 +113,10 @@ def _recipes():
         for universe in (k, k + 1, 3 * k):
             yield spec, k, universe, 3, {}
     # one large instance per family
-    for spec in _built([FamilySpec("grid", {"m": 30, "n": 30}), FamilySpec("tree", {"n": 400, "seed": 0}),
-                        FamilySpec("cycle", {"n": 301}), FamilySpec("corona", {"n": 60, "p": 3}),
+    for spec in _built([FamilySpec("grid", {"m": 30, "n": 30}),
+                        FamilySpec("tree", {"n": 400, "seed": 0}),
+                        FamilySpec("cycle", {"n": 301}),
+                        FamilySpec("corona", {"n": 60, "p": 3}),
                         FamilySpec("cactus", {"size": 600, "seed": 1}),
                         FamilySpec("ham_cubic", {"n": 200, "seed": 0})]):
         k = guaranteed_bound(spec)
@@ -136,14 +139,15 @@ def _paint(g, spec, lists, pre):
 @pytest.fixture(scope="module")
 def corpus():
     """Every run once, as (family, label, spec, graph, lists, pre, report)."""
-    runs = {}
+    runs, named = {}, (None, "")
     for spec, k, universe, seed, pre in _recipes():
         g, spec = generate(spec)
+        if named[0] is not spec:    # a spec's runs come one after another
+            named = spec, json.dumps(spec.to_json(), sort_keys=True)
         lists = random_list_assignment(g, k, universe, seed)
         if not isinstance(pre, dict):
             pre = pre(g, spec, lists, seed)
-        label = (f"{json.dumps(spec.to_json(), sort_keys=True)} k={k} universe={universe} "
-                 f"seed={seed} pre={sorted(pre.items())}")
+        label = f"{named[1]} k={k} universe={universe} seed={seed} pre={sorted(pre.items())}"
         if label not in runs:
             runs[label] = (_family(spec), label, spec, g, lists, pre, _paint(g, spec, lists, pre))
     return list(runs.values())
@@ -169,9 +173,10 @@ def test_corpus_matches_the_golden_digests(corpus):
 def test_corpus_runs_are_valid(corpus):
     """Every run that is not stuck is valid and keeps its pre-colours; only
     coronae below their list size are stuck (14 runs, 6 pre-coloured).  A
-    Halin spec is painted by its inner tree and then its rim, five of them
-    with leaf orders that do not increase, and some tree runs have
-    pre-colours in three or more classes."""
+    Halin spec is painted by its inner tree and then its rim, and at least
+    five Halin runs have leaf orders that do not increase, so the digests
+    pin a rim painted in leaf order.  Some tree runs have two or more
+    pre-colours outside the anchor's colour class."""
     stuck = stuck_pre = unsorted = nested = 0
     for family, _, spec, g, lists, pre, report in corpus:
         if report is None:

@@ -437,6 +437,12 @@ MISNESTED_SPECS = [
      "spec parameter 'tree_edges' names the edge [2, 3] twice"),
     ({"family": "cactus", "edges": [[0, 1], [1, 2], [0, 2], [0, 2]]},
      "spec parameter 'edges' names the edge [0, 2] twice"),
+    ({"family": "ham_cubic", "n": 6, "matching": [[0, 3], [3, 1], [1, 4], [2, 5]]},
+     "matching puts vertex 3 in two pairs"),
+    ({"family": "ham_cubic", "n": 6, "matching": [[0, 3], [0, 3], [1, 4], [2, 5]]},
+     "matching puts vertex 0 in two pairs"),
+    ({"family": "ham_cubic", "n": 6, "matching": [[0, 3], [1, 4], [2, 7]]},
+     "matching pair (2, 7) out of range for n=6"),
 ]
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
@@ -11,11 +10,9 @@ from incolour.constructive import construct
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic, gen_random_graph, generate
 from incolour.graphs import (
-    GraphError,
     IncidenceColouring,
     IncolourError,
     ListAssignment,
-    incidence_id,
     incidence_neighbour_ids,
 )
 
@@ -85,20 +82,6 @@ def test_painter_guards():
         painter.paint(1, 1, "t")
     assert painter.free(1) == [2, 3] and not painter.painted(1)
     assert painter.greedy(1, "t") == 2 and painter.painted(1)
-
-
-def test_painter_id_of_matches_incidence_id():
-    g = gen_basic("wheel", 5)[0]
-    painter = Painter(g, ListAssignment.uniform(g, 3))
-    for v in range(-1, g.n + 1):
-        for u in range(-1, g.n + 1):
-            try:
-                want = incidence_id(g, v, u)
-            except GraphError as exc:
-                with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
-                    painter.id_of(v, u)
-            else:
-                assert painter.id_of(v, u) == want
 
 
 def test_painter_greedy_stuck_reports_incidence():
