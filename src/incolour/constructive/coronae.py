@@ -74,5 +74,6 @@ def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: Sequence[S
     pendant edge or a cactus unit's connector, are kept wherever they lie
     (:meth:`Painter.paint_ring` reads free lists)."""
     painter.paint_ring(ring, prefix + "corona-ring", inner=dict(zip(ring, pendants)))
-    painter.fill((incidence_id(painter.graph, w, r) for r, row in zip(ring, pendants) for w in row),
+    g = painter.graph
+    painter.fill((incidence_id(g, w, r) for r, row in zip(ring, pendants) for w in row),
                  prefix + "corona-external")

@@ -209,9 +209,11 @@ class Painter:
         ring (:func:`_strip`), then the internals vertex by vertex; else
         StuckError, with nothing painted."""
         n = len(ring)
-        ids = [(a := incidence_id(self.graph, r, s), self._mate[a]) for r, s in zip(ring, [*ring[1:], ring[0]])]
+        g = self.graph
+        ids = [(a := incidence_id(g, r, s), self._mate[a])
+               for r, s in zip(ring, [*ring[1:], ring[0]])]
         inner = inner or {}
-        rows = [[t for w in inner.get(r, ()) if self.colour[(t := incidence_id(self.graph, r, w))] is None]
+        rows = [[t for w in inner.get(r, ()) if self.colour[(t := incidence_id(g, r, w))] is None]
                 for r in ring]
         pend = [[self.free(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one

@@ -13,6 +13,9 @@ from incolour.graphs import Graph, incidence_adjacent, incidences, validate_colo
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
+# the families with a constructive procedure and default fuzz instances
+FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
+
 
 def assert_valid_report(g, lists, report, expect=None):
     """Full check of a constructive result: total/proper/list-respecting via

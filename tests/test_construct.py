@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import incolour.constructive as constructive
+from conftest import FUZZ_FAMILIES
 from incolour.catalogue import corona_specs, default_fuzz_instances
 from incolour.cli import main
 from incolour.constructive import construct, guaranteed_bound
@@ -18,8 +19,6 @@ from incolour.constructive.coronae import pendant_edge_ids
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment, validate_colouring
 from incolour.harness import FuzzCampaign, pre_pair, random_list_assignment, run_campaign
-
-FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
 # one spec for every family that construct accepts
 EVERY_FAMILY = [next(s for s in default_fuzz_instances(f) if s.family == f)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import incolour.kernel
-from conftest import assert_valid_report, naive_satisfiable
+from conftest import FUZZ_FAMILIES, assert_valid_report, naive_satisfiable
 from incolour.catalogue import (
     default_fuzz_instances,
     halin_interleaved_spec,
@@ -17,7 +17,6 @@ from incolour.families import FamilySpec, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment, incidence_id
 from incolour.harness import pre_pair, random_list_assignment
 from incolour.solver import solve_list_colouring
-from test_construct import FUZZ_FAMILIES
 
 
 def test_c6_three_colour_lists():

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from conftest import assert_valid_report, pre_colouring
+from conftest import FUZZ_FAMILIES, assert_valid_report, pre_colouring
 from incolour.catalogue import (
     cactus_row_specs,
     default_fuzz_instances,
@@ -46,8 +46,6 @@ GOLDEN = {
     "ham_cubic": ("5849183cf5b3c4ca", "acf6834fb0a3aa3e"),
     "tree": ("faaab81704a65f3b", "3d9ac06dbfcf345c"),
 }
-
-FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
 
 def _family(spec):
@@ -123,10 +121,10 @@ def _recipes():
         yield spec, k, k + 1, 0, {}
 
 
-def _paint(g, spec, lists, pre):
+def _paint(g, spec, k, lists, pre):
     """The report of one run, None when it is stuck."""
     size, _, rule = _procedure(g, spec, len(pre))
-    if not g.edges or lists.min_size() >= size:
+    if k >= size:
         return construct(spec, lists, pre)
     painter = Painter(g, lists)
     try:
@@ -149,7 +147,7 @@ def corpus():
             pre = pre(g, spec, lists, seed)
         label = f"{named[1]} k={k} universe={universe} seed={seed} pre={sorted(pre.items())}"
         if label not in runs:
-            runs[label] = (_family(spec), label, spec, g, lists, pre, _paint(g, spec, lists, pre))
+            runs[label] = (_family(spec), label, spec, g, lists, pre, _paint(g, spec, k, lists, pre))
     return list(runs.values())
 
 
