@@ -17,6 +17,20 @@ settings.load_profile("deterministic")
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
 
+@pytest.fixture(scope="session")
+def corpus():
+    """The golden corpus of ``golden.py``, built once per session."""
+    from golden import build_corpus
+    return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def golden_digests(corpus):
+    """The corpus's two digests per family, as in ``golden.GOLDEN``."""
+    from golden import family_digests
+    return family_digests(corpus)
+
+
 def assert_valid_report(g, lists, report, expect=None):
     """Full check of a constructive result: total/proper/list-respecting via
     ``validate_colouring``, the linear per-vertex check, plus trace replay,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import assert_valid_report
+from golden import assert_golden
 from incolour.catalogue import cactus_row_specs, random_cactus_specs
 from incolour.constructive import cactus_bound, construct
 from incolour.constructive.cactus import _pick_start
@@ -97,6 +98,12 @@ def test_deterministic():
     r1 = construct(spec, lists)
     r2 = construct(FamilySpec("cactus", {"edges": g.edges}), lists)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
+
+
+def test_cactus_traces_match_golden_digest(golden_digests):
+    """The census rows and 40 random cactuses, list seeds 0-2 at universes
+    k + 1 and 3k, are corpus cactus runs."""
+    assert_golden(golden_digests, ["cactus"])
 
 
 def _three_branch_start(g, cycles):

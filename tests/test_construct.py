@@ -1,7 +1,7 @@
 """``construct``, the one spec-driven entry point to the constructive
 procedures: its checks of lists and pre-colourings, the rule each family
 reaches and its error messages.  Its traces are pinned by the golden
-corpus in ``test_golden.py``."""
+corpus of ``golden.py``."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import incolour.constructive as constructive
 from conftest import FUZZ_FAMILIES
+from golden import GOLDEN, assert_golden
 from incolour.catalogue import corona_specs, default_fuzz_instances
 from incolour.cli import main
 from incolour.constructive import construct, guaranteed_bound
@@ -19,6 +20,25 @@ from incolour.constructive.coronae import pendant_edge_ids
 from incolour.families import FamilySpec, generate
 from incolour.graphs import InputError, ListAssignment, validate_colouring
 from incolour.harness import FuzzCampaign, pre_pair, random_list_assignment, run_campaign
+
+
+def test_construct_traces_match_golden_digest(golden_digests):
+    """The first two fuzz instances of every family, wheel 6 and K4, at 3k
+    (coronae also pre-coloured) are corpus runs of all seven families."""
+    assert_golden(golden_digests, GOLDEN)
+
+
+def test_non_ring_steps_match_golden_digest(golden_digests):
+    """A step outside a ring, of any family, is pinned in its trace order by
+    its family's ordered digest: the sorted digest alone would let it move."""
+    assert_golden(golden_digests, GOLDEN)
+
+
+def test_other_families_match_golden_digest(golden_digests):
+    """The graphs that are neither cycles nor Halin graphs (wheels, K4 and
+    the ham_cubic K4 count as Halin graphs) are pinned apart from them."""
+    assert_golden(golden_digests, GOLDEN.keys() - {"cycle", "halin"})
+
 
 # one spec for every family that construct accepts
 EVERY_FAMILY = [next(s for s in default_fuzz_instances(f) if s.family == f)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import assert_valid_report
+from golden import assert_golden
 from incolour.constructive import Painter, StuckError, construct, corona_bound
 from incolour.constructive.coronae import paint_corona, paint_cycle_unit
 from incolour.families import FamilySpec, corona_pendant, gen_corona
@@ -295,3 +296,9 @@ def test_deterministic():
     r1 = construct(corona(4, 2), lists, pre)
     r2 = construct(corona(4, 2), lists, pre)
     assert r1.colouring == r2.colouring and r1.trace == r2.trace
+
+
+def test_corona_fallback_matches_golden_digest(golden_digests):
+    """``paint_corona`` one colour below the bound (n 3-5, p 1-4, plain and
+    pre-coloured, list seeds 0-5), stuck runs included, is in the corpus."""
+    assert_golden(golden_digests, ["corona"])

@@ -4,6 +4,7 @@ import pytest
 
 import incolour.kernel
 from conftest import assert_valid_report
+from golden import assert_golden
 from incolour.catalogue import halin_interleaved_spec, halin_specs, random_halin_spec
 from incolour.constructive import construct, required_halin_lists
 from incolour.constructive import _as_halin
@@ -190,6 +191,12 @@ def test_big_delta_nonwheel_uses_tree_first():
     rep = construct(spec, lists)
     assert_valid_report(g, lists, rep)
     assert {s.tag for s in rep.trace} == HALIN_TAGS
+
+
+def test_tree_first_traces_match_golden_digest(golden_digests):
+    """``random_halin_spec(150, s)`` for s in 1-5, whose leaf orders do not
+    increase, are corpus Halin runs: their rims are pinned in leaf order."""
+    assert_golden(golden_digests, ["halin"])
 
 
 def test_random_halin_structures():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_valid_report, pre_colouring
+from golden import assert_golden
 from incolour.constructive import construct, guaranteed_bound
 from incolour.families import FamilySpec, gen_basic, gen_random_tree, generate
 from incolour.graphs import (
@@ -47,6 +48,12 @@ def test_one_class_of_three_precolours_is_painted_first():
     assert_valid_report(t, lists, rep, expect={2: 1, 7: 1, 11: 1})
     assert [(s.incidence, s.tag) for s in rep.trace[:4]] == [
         (2, "tree-anchor"), (7, "tree-anchor"), (11, "tree-anchor"), (10, "tree-anchor-mate")]
+
+
+def test_tree_painting_matches_golden_digest(golden_digests):
+    """300 random trees with up to five pre-colours and P7 with three, and
+    the Halin graphs painted tree first, are corpus tree and Halin runs."""
+    assert_golden(golden_digests, ["tree", "halin"])
 
 
 def test_star_centre_incidences_distinct():
