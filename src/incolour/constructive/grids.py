@@ -19,7 +19,7 @@ window lemma guarantees; a window with none raises
 from __future__ import annotations
 
 from ..families import grid_vertex
-from ..graphs import _vertex_index, incidence_id
+from ..graphs import _vertex_index
 from .report import Painter, StuckError
 
 
@@ -47,8 +47,12 @@ def grid_bound(n: int) -> int:
 def paint_grid(painter: Painter, m: int, n: int) -> None:
     """Paint the m-by-n grid ``gen_grid(m, n)`` of ``painter``, m >= n >= 2,
     from lists of :func:`grid_bound` colours."""
+    off, head, _ = _vertex_index(painter.graph)
+
     def iid(i1: int, j1: int, i2: int, j2: int) -> int:
-        return incidence_id(painter.graph, grid_vertex(i1, j1, n), grid_vertex(i2, j2, n))
+        # off[v] plus the neighbour's place among v's at most 4, in order
+        v = grid_vertex(i1, j1, n)
+        return head.index(grid_vertex(i2, j2, n), off[v], off[v + 1])
 
     if n == 2:
         _two_rows(painter, m, iid)

@@ -8,7 +8,7 @@ constructive layer never calls the solver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -22,8 +22,7 @@ from ..graphs import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     incidence: int
     colour: int
     tag: str
@@ -89,12 +88,13 @@ class Painter:
     (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
     :func:`graphs.incidence_neighbour_ids`, which only the exact search,
     :meth:`ConstructiveReport.replay` and the DOT export build.
-    ``colour[i]`` is the colour of incidence ``i`` (None while unpainted)
-    and ``_mate_colour[mate[i]]`` repeats it, so the colours that
-    ``i = (v, vu)`` must avoid are three slices: ``colour`` and
-    ``_mate_colour`` over ``off[v]:off[v+1]`` (the incidences at ``v`` and
-    their mates) and ``colour`` over ``off[u]:off[u+1]`` (the incidences at
-    ``u``), less ``i``'s own colour.
+    ``colour[i]`` is the colour of incidence ``i`` (None while unpainted).
+    Two sets per vertex hold the colours painted around it: ``AT[v]`` those
+    of the incidences at ``v``, and ``IN[v]`` those of the incidences
+    ``(w, wv)`` into ``v``.  A run only ever adds colours, so the sets stay
+    exact, and the colours that ``i = (v, vu)`` must avoid are ``AT[v] |
+    IN[v] | AT[u]``, less ``i``'s own colour.  Colours are only compared
+    and ordered, never computed with, so they may be any non-negative ints.
     """
 
     def __init__(self, g: Graph, lists: ListAssignment):
@@ -103,49 +103,42 @@ class Painter:
         self.lists = lists
         self._off, self._head, self._mate = _vertex_index(g)
         self.colour: list[Optional[int]] = [None] * len(self._head)
-        self._mate_colour: list[Optional[int]] = [None] * len(self._head)
+        self.AT: list[set[int]] = [set() for _ in range(g.n)]
+        self.IN: list[set[int]] = [set() for _ in range(g.n)]
         self.trace: list[TraceStep] = []
 
     def painted(self, i: int) -> bool:
         return self.colour[i] is not None
 
     def forbidden(self, i: int) -> set[int]:
-        col, off, head = self.colour, self._off, self._head
-        v, u = head[self._mate[i]], head[i]
-        lo, hi = off[v], off[v + 1]
-        bad = set(col[lo:hi])
-        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]])
-        bad.discard(None)
+        v, u = self._head[self._mate[i]], self._head[i]
+        bad = self.AT[v] | self.IN[v] | self.AT[u]
         # a painted i holds a colour that no neighbour holds
-        bad.discard(col[i])
+        bad.discard(self.colour[i])
         return bad
 
     def free(self, i: int) -> list[int]:
         return sorted(self.lists[i] - self.forbidden(i))
 
     def paint(self, i: int, colour: int, tag: str) -> None:
-        # forbidden(i), as a membership test on its three slices
-        col, off = self.colour, self._off
+        if self.colour[i] is not None:
+            raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
+        if colour not in self.lists[i]:
+            raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
         v, u = self._head[self._mate[i]], self._head[i]
-        lo, hi = off[v], off[v + 1]
-        self._set(i, colour, tag, colour in col[lo:hi] or colour in self._mate_colour[lo:hi]
-                  or colour in col[off[u]:off[u + 1]])
+        if colour in self.AT[v] or colour in self.IN[v] or colour in self.AT[u]:
+            raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
+        self._set(i, v, u, colour, tag)
 
     def greedy(self, i: int, tag: str) -> int:
-        # forbidden(i), inlined: greedy paints nearly every incidence
-        col = self.colour
-        if col[i] is not None:
+        if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        off, head = self._off, self._head
-        v, u = head[self._mate[i]], head[i]
-        lo, hi = off[v], off[v + 1]
-        bad = set(col[lo:hi])
-        bad.update(self._mate_colour[lo:hi], col[off[u]:off[u + 1]])
-        choices = self.lists[i] - bad
+        v, u = self._head[self._mate[i]], self._head[i]
+        choices = self.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
         if not choices:
             raise StuckError(i, tag, self.trace)
         colour = min(choices)
-        self._set(i, colour, tag, False)  # no neighbour holds a colour of choices
+        self._set(i, v, u, colour, tag)
         return colour
 
     def fill(self, ids: Iterable[int], tag: str) -> None:
@@ -173,17 +166,12 @@ class Painter:
                 self.fill((up[v],), tag)
             self.fill(ids, tag)
 
-    def _set(self, i: int, colour: int, tag: str, clash: bool) -> None:
-        """Paint ``colour`` at ``i`` with every check of ``paint``; ``clash``
-        says whether a painted neighbour of ``i`` holds ``colour``."""
-        if self.colour[i] is not None:
-            raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        if colour not in self.lists[i]:
-            raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        if clash:
-            raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
+    def _set(self, i: int, v: int, u: int, colour: int, tag: str) -> None:
+        """Paint ``colour`` at ``i = (v, vu)``, which :meth:`paint` or
+        :meth:`greedy` has checked."""
         self.colour[i] = colour
-        self._mate_colour[self._mate[i]] = colour
+        self.AT[v].add(colour)
+        self.IN[u].add(colour)
         self.trace.append(TraceStep(i, colour, tag))
 
     def paint_ring(self, ring: Sequence[int], tag: str,

@@ -124,7 +124,7 @@ def _recipes():
         yield spec, k, k + 1, 0, {}
 
 
-def _paint(g, spec, k, lists, pre):
+def paint_run(g, spec, k, lists, pre):
     """The report of one run, None when it is stuck."""
     size, _, rule = _procedure(g, spec, len(pre))
     if k >= size:
@@ -138,7 +138,7 @@ def _paint(g, spec, k, lists, pre):
 
 
 def build_corpus():
-    """Every run once, as (family, label, spec, graph, lists, pre, report)."""
+    """Every run once, as (family, label, spec, graph, k, lists, pre, report)."""
     runs, named = {}, (None, "")
     for spec, k, universe, seed, pre in _recipes():
         g, spec = generate(spec)
@@ -149,14 +149,15 @@ def build_corpus():
             pre = pre(g, spec, lists, seed)
         label = f"{named[1]} k={k} universe={universe} seed={seed} pre={sorted(pre.items())}"
         if label not in runs:
-            runs[label] = (_family(spec), label, spec, g, lists, pre, _paint(g, spec, k, lists, pre))
+            runs[label] = (_family(spec), label, spec, g, k, lists, pre,
+                           paint_run(g, spec, k, lists, pre))
     return list(runs.values())
 
 
 def family_digests(corpus):
     """Each family's two digests over the corpus, as in ``GOLDEN``."""
     ordered, by_step = {}, {}
-    for family, label, _, _, _, _, report in corpus:
+    for family, label, *_, report in corpus:
         steps = ([f"{s.incidence},{s.colour},{s.tag}\n" for s in report.trace]
                  if report else ["stuck\n"])
         ordered.setdefault(family, hashlib.sha256()).update(f"{label}\n{''.join(steps)}".encode())

@@ -4,7 +4,9 @@ checks every corpus run must pass whatever its colours."""
 from __future__ import annotations
 
 from conftest import assert_valid_report
-from golden import assert_golden
+from golden import assert_golden, paint_run
+from incolour.constructive import TraceStep
+from incolour.graphs import ListAssignment
 
 
 def test_corpus_matches_the_golden_digests(golden_digests):
@@ -19,7 +21,7 @@ def test_corpus_runs_are_valid(corpus):
     pin a rim painted in leaf order.  Some tree runs have two or more
     pre-colours outside the anchor's colour class."""
     stuck = stuck_pre = unsorted = nested = 0
-    for family, _, spec, g, lists, pre, report in corpus:
+    for family, _, spec, g, _, lists, pre, report in corpus:
         if report is None:
             assert family == "corona"
             stuck += 1
@@ -34,3 +36,22 @@ def test_corpus_runs_are_valid(corpus):
         nested += family == "tree" and len([c for c in colours if c != colours[-1]]) >= 2
     assert (stuck, stuck_pre) == (14, 6)
     assert unsorted >= 5 and nested > 0
+
+
+def test_traces_do_not_depend_on_colour_values(corpus):
+    """Every run again with each colour c of its lists and pre-colours
+    renamed c * 10^15 + 3, which keeps their order: the trace is the
+    original one renamed the same way, and a stuck run stays stuck.  So no
+    procedure computes with colours, only compares and orders them, and
+    the painter may keep them in sets whatever their size."""
+    def big(c):
+        return c * 10**15 + 3
+
+    for _, label, spec, g, k, lists, pre, report in corpus:
+        renamed = ListAssignment([{big(c) for c in colours} for colours in lists.lists])
+        again = paint_run(g, spec, k, renamed, {i: big(c) for i, c in pre.items()})
+        if report is None:
+            assert again is None, label
+        else:
+            assert again.trace == tuple(TraceStep(s.incidence, big(s.colour), s.tag)
+                                        for s in report.trace), label

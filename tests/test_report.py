@@ -14,6 +14,7 @@ from incolour.graphs import (
     IncolourError,
     ListAssignment,
     incidence_neighbour_ids,
+    incidences,
 )
 
 # three graphs of each constructive family's catalogue, plus a random graph
@@ -21,6 +22,10 @@ from incolour.graphs import (
 SCAN_GRAPHS = [generate(spec)[0]
                for family in ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
                for spec in default_fuzz_instances(family)[-3:]] + [gen_random_graph(12, 5, 0.15)]
+
+# the colours the scan test draws its lists from: a dense universe, and a
+# sparse one with colour 0 and colours of 2^64 and beyond
+DENSE, SPARSE = range(1, 9), (0, 1, 5, 2**64, 2**64 + 3, 3 * 2**70, 10**30, 2**100)
 
 
 @pytest.fixture
@@ -113,17 +118,20 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     assert not naive_satisfiable(g, painter.lists)
 
 
-@pytest.mark.parametrize("g", SCAN_GRAPHS, ids=range(len(SCAN_GRAPHS)))
-def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g):
+@pytest.mark.parametrize(
+    "g, universe", [(g, DENSE) for g in SCAN_GRAPHS] + [(g, SPARSE) for g in SCAN_GRAPHS],
+    ids=[*map(str, range(len(SCAN_GRAPHS))), *(f"{i}-sparse" for i in range(len(SCAN_GRAPHS)))])
+def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
     """Walks that only paint, each on a fresh painter, at random incidences
     and by ``paint`` or ``greedy`` at random: at every step ``forbidden``
     and ``free`` agree with a scan of ``incidence_neighbour_ids`` over an
     independent record of the colours, and ``paint`` and ``greedy`` with
-    that scan."""
+    that scan.  After each walk the painter's colour sets ``AT[v]`` and
+    ``IN[v]`` hold the colours of the incidences at and into each v."""
     neigh = incidence_neighbour_ids(g)
     m = len(neigh)
     rng = random.Random(m)
-    lists = ListAssignment([rng.sample(range(1, 9), 5) for _ in range(m)])
+    lists = ListAssignment([rng.sample(universe, 5) for _ in range(m)])
     for _ in range(3):
         painter = Painter(g, lists)
         held: dict[int, int] = {}
@@ -155,3 +163,9 @@ def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g):
         assert {s.incidence: s.colour for s in painter.trace} == held
         for i in range(m):
             assert painter.forbidden(i) == {held[j] for j in neigh[i] if j in held}
+        at, into = [set() for _ in range(g.n)], [set() for _ in range(g.n)]
+        for i, colour in held.items():
+            v, (a, b) = incidences(g)[i]
+            at[v].add(colour)
+            into[a + b - v].add(colour)
+        assert (painter.AT, painter.IN) == (at, into)
