@@ -7,7 +7,6 @@ constructive layer never calls the solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs import (
@@ -28,6 +27,17 @@ class TraceStep(NamedTuple):
     tag: str
 
 
+def _as_steps(steps: list) -> list:
+    """``steps`` with each plain ``(incidence, colour, tag)`` tuple replaced
+    by its :class:`TraceStep`, in place.  The painter records plain tuples,
+    and a trace becomes steps only when it is read; in place, so that a
+    step is never held twice."""
+    for n, step in enumerate(steps):
+        if type(step) is not TraceStep:
+            steps[n] = TraceStep._make(step)
+    return steps
+
+
 class StuckError(IncolourError):
     """A constructive step found its colour list exhausted, or a ring
     coloured whole has no colouring.
@@ -37,28 +47,51 @@ class StuckError(IncolourError):
     partial trace identifies the failing step.
     """
 
-    def __init__(self, incidence: int, tag: str, trace: Sequence[TraceStep]):
+    def __init__(self, incidence: int, tag: str, trace: Iterable[tuple]):
         self.incidence = incidence
         self.tag = tag
-        self.trace = tuple(trace)
+        self._trace = list(trace)   # the steps so far: the painter may go on
         super().__init__(f"no colour available for incidence {incidence} at step {tag!r}")
 
+    @property
+    def trace(self) -> tuple[TraceStep, ...]:
+        if type(self._trace) is list:
+            self._trace = tuple(_as_steps(self._trace))
+        return self._trace
 
-@dataclass(frozen=True)
+
 class ConstructiveReport:
     """A colouring together with the ordered choices that produced it.
 
     Replaying the trace greedily (checking list membership and adjacency
-    at each application) reproduces the colouring exactly.
+    at each application) reproduces the colouring exactly.  ``trace`` is
+    a tuple of :class:`TraceStep`, built from the given steps on its first
+    read.
     """
 
-    colouring: IncidenceColouring
-    trace: tuple[TraceStep, ...]
+    __slots__ = ("colouring", "_trace")
+
+    def __init__(self, colouring: IncidenceColouring, trace: Iterable[tuple]):
+        self.colouring = colouring
+        self._trace = trace if type(trace) is list else list(trace)
+
+    @property
+    def trace(self) -> tuple[TraceStep, ...]:
+        if type(self._trace) is list:
+            self._trace = tuple(_as_steps(self._trace))
+        return self._trace
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ConstructiveReport) and self.colouring == other.colouring
+                and self.trace == other.trace)
 
     def replay(self, g: Graph, lists: ListAssignment) -> IncidenceColouring:
+        check_lists_cover(g, lists)
         neigh = incidence_neighbour_ids(g)
         out: dict[int, int] = {}
         for step in self.trace:
+            if not 0 <= step.incidence < len(neigh):
+                raise IncolourError(f"replay: no incidence {step.incidence} in the graph at {step}")
             if step.colour not in lists[step.incidence]:
                 raise IncolourError(f"replay: colour outside list at {step}")
             if step.incidence in out:
@@ -95,6 +128,8 @@ class Painter:
     exact, and the colours that ``i = (v, vu)`` must avoid are ``AT[v] |
     IN[v] | AT[u]``, less ``i``'s own colour.  Colours are only compared
     and ordered, never computed with, so they may be any non-negative ints.
+    Each paint records a plain ``(incidence, colour, tag)`` tuple, which
+    becomes a :class:`TraceStep` only when a trace is read.
     """
 
     def __init__(self, g: Graph, lists: ListAssignment):
@@ -105,7 +140,13 @@ class Painter:
         self.colour: list[Optional[int]] = [None] * len(self._head)
         self.AT: list[set[int]] = [set() for _ in range(g.n)]
         self.IN: list[set[int]] = [set() for _ in range(g.n)]
-        self.trace: list[TraceStep] = []
+        self._steps: list[tuple] = []   # (incidence, colour, tag) per paint
+
+    @property
+    def trace(self) -> list[TraceStep]:
+        """The steps painted so far, in order; read it again after painting
+        more."""
+        return _as_steps(self._steps)
 
     def painted(self, i: int) -> bool:
         return self.colour[i] is not None
@@ -123,29 +164,39 @@ class Painter:
     def paint(self, i: int, colour: int, tag: str) -> None:
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        if colour not in self.lists[i]:
+        if colour not in self.lists.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
         v, u = self._head[self._mate[i]], self._head[i]
-        if colour in self.AT[v] or colour in self.IN[v] or colour in self.AT[u]:
+        at_v = self.AT[v]
+        if colour in at_v or colour in self.IN[v] or colour in self.AT[u]:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
-        self._set(i, v, u, colour, tag)
+        self.colour[i] = colour
+        at_v.add(colour)
+        self.IN[u].add(colour)
+        self._steps.append((i, colour, tag))
 
     def greedy(self, i: int, tag: str) -> int:
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        v, u = self._head[self._mate[i]], self._head[i]
-        choices = self.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
-        if not choices:
-            raise StuckError(i, tag, self.trace)
-        colour = min(choices)
-        self._set(i, v, u, colour, tag)
-        return colour
+        self.fill((i,), tag)
+        return self.colour[i]
 
     def fill(self, ids: Iterable[int], tag: str) -> None:
-        """:meth:`greedy` on each of ``ids`` still unpainted, in order."""
+        """Paint each of ``ids`` still unpainted, in order, with the least
+        colour of its list that none of its neighbours holds."""
+        colour, lists, head, mate = self.colour, self.lists.lists, self._head, self._mate
+        AT, IN, steps = self.AT, self.IN, self._steps
         for i in ids:
-            if self.colour[i] is None:
-                self.greedy(i, tag)
+            if colour[i] is None:
+                v, u = head[mate[i]], head[i]
+                choices = lists[i].difference(AT[v], IN[v], AT[u])
+                if not choices:
+                    raise StuckError(i, tag, steps)
+                c = min(choices)
+                colour[i] = c
+                AT[v].add(c)
+                IN[u].add(c)
+                steps.append((i, c, tag))
 
     def greedy_tree(self, root: int, tag: str, outside: Container[int] = ()) -> None:
         """Paint root to leaves: breadth first from ``root`` over the
@@ -165,14 +216,6 @@ class Painter:
             if up[v] is not None:
                 self.fill((up[v],), tag)
             self.fill(ids, tag)
-
-    def _set(self, i: int, v: int, u: int, colour: int, tag: str) -> None:
-        """Paint ``colour`` at ``i = (v, vu)``, which :meth:`paint` or
-        :meth:`greedy` has checked."""
-        self.colour[i] = colour
-        self.AT[v].add(colour)
-        self.IN[u].add(colour)
-        self.trace.append(TraceStep(i, colour, tag))
 
     def paint_ring(self, ring: Sequence[int], tag: str,
                    inner: Optional[Mapping[int, Sequence[int]]] = None) -> None:
@@ -230,14 +273,15 @@ class Painter:
                         for t, c in zip(row, fits[(j, *blocks[j - 1], *blocks[j])]):
                             self.paint(t, c, tag)
                 return
-        raise StuckError(ids[0][0], tag, self.trace)
+        raise StuckError(ids[0][0], tag, self._steps)
 
     def report(self) -> ConstructiveReport:
         if None in self.colour:
             missing = self.colour.index(None)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
+        # nothing is painted after this, so the report may share the steps
         return ConstructiveReport(IncidenceColouring(dict(enumerate(self.colour))),
-                                  tuple(self.trace))
+                                  self._steps)
 
 
 def _blocks(a_list, b_list, before=()):

@@ -229,7 +229,11 @@ def incidence_graph(g: Graph) -> Graph:
 
 
 class ListAssignment:
-    """Colour lists (sets of non-negative ints) keyed by incidence id."""
+    """Colour lists (sets of non-negative ints) keyed by incidence id.
+
+    Building one checks every colour of every list: it is the entry for
+    lists from outside the library.  Lists the library draws itself from
+    colours it picked are wrapped by :meth:`_unchecked` instead."""
 
     __slots__ = ("lists",)
 
@@ -253,12 +257,20 @@ class ListAssignment:
         self.lists: tuple[frozenset[int], ...] = out
 
     @classmethod
+    def _unchecked(cls, lists: tuple[frozenset[int], ...]) -> "ListAssignment":
+        """``lists``, non-empty frozensets of non-negative ints that the
+        library built itself, wrapped without a check."""
+        out = object.__new__(cls)
+        out.lists = lists
+        return out
+
+    @classmethod
     def uniform(cls, g: Graph, k: int) -> "ListAssignment":
         """Every incidence gets the list ``{1..k}``."""
         if k < 1:
             raise GraphError("uniform list size must be >= 1")
         colours = frozenset(range(1, k + 1))
-        return cls([colours] * (2 * len(g.edges)))
+        return cls._unchecked((colours,) * (2 * len(g.edges)))
 
     @classmethod
     def from_dict(cls, g: Graph, lists: Mapping[int, Iterable[int]]) -> "ListAssignment":

@@ -51,7 +51,8 @@ def random_list_assignment(g: Graph, k: int, universe_size: int, seed: int) -> L
     so at the default universe 3k), ``sample`` runs its pool branch, and
     that branch is inlined here on ``getrandbits``: each draw takes the
     rejection loop of ``Random._randbelow`` over the same span and bit
-    length, and the drawn slot is refilled from the end of the pool.
+    length, and the drawn slot is refilled from the end of the pool.  The
+    lists are k-sets of ints from 1 up, so they are wrapped unchecked.
     """
     if k < 1 or universe_size < k:
         raise InputError("need universe_size >= k >= 1")
@@ -60,7 +61,8 @@ def random_list_assignment(g: Graph, k: int, universe_size: int, seed: int) -> L
     setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
     if universe_size > setsize:
         population = range(1, universe_size + 1)
-        return ListAssignment([frozenset(rng.sample(population, k)) for _ in range(m)])
+        return ListAssignment._unchecked(
+            tuple(frozenset(rng.sample(population, k)) for _ in range(m)))
     getrandbits = rng.getrandbits
     draws = [(span, span.bit_length()) for span in range(universe_size, universe_size - k, -1)]
     base = list(range(1, universe_size + 1))
@@ -75,7 +77,7 @@ def random_list_assignment(g: Graph, k: int, universe_size: int, seed: int) -> L
             picked.append(pool[j])
             pool[j] = pool[span - 1]
         lists.append(frozenset(picked))
-    return ListAssignment(lists)
+    return ListAssignment._unchecked(tuple(lists))
 
 
 def trial_seed(master_seed: int, instance_key: str, trial: int) -> int:

@@ -216,7 +216,8 @@ def check_choosability_exhaustive(
             lists[last] = final
             if _fitting_witness(witnesses, fit, lists) is not None:
                 continue
-            assignment = ListAssignment(lists)
+            # canonical k-sets of ints from 1 up: nothing to check
+            assignment = ListAssignment._unchecked(tuple(lists))
             res = solve_list_colouring(g, assignment, cfg)
             solves += 1
             if res.status == COLOURED:

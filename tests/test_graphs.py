@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incolour import solver
 from incolour.constructive import Painter, construct
 from incolour.families import FamilySpec, gen_basic, gen_cycle_power, gen_grid, gen_random_graph
 from incolour.graphs import (
@@ -23,6 +24,7 @@ from incolour.graphs import (
     incidences,
     validate_colouring,
 )
+from incolour.harness import random_list_assignment
 from incolour.solver import greedy_degenerate, solve_list_colouring
 
 
@@ -239,6 +241,34 @@ _BAD = r"^colours must be non-negative ints \(incidence {}\)$"
 def test_list_assignment_names_the_first_bad_incidence(lists, message, incidence):
     with pytest.raises(GraphError, match=message.format(incidence)):
         ListAssignment(lists)
+
+
+def _sweep_assignments(monkeypatch):
+    """Every assignment that a choosability sweep of C4 solves."""
+    seen = []
+    solve = solver.solve_list_colouring
+    monkeypatch.setattr(solver, "solve_list_colouring",
+                        lambda g, lists, cfg: seen.append(lists) or solve(g, lists, cfg))
+    solver.check_choosability_exhaustive(gen_basic("cycle", 4)[0], 2, 4)
+    assert len(seen) > 1
+    return seen
+
+
+# the producers that wrap lists they drew themselves without the check
+_UNCHECKED = {
+    # universe 9 is at most CPython's setsize 21: sample's pool branch, inlined
+    "sampler-pool": lambda mp: [random_list_assignment(gen_grid(3, 3)[0], 3, 9, 1)],
+    # universe 40 is above it: rng.sample itself
+    "sampler-sample": lambda mp: [random_list_assignment(gen_grid(3, 3)[0], 2, 40, 1)],
+    "uniform": lambda mp: [ListAssignment.uniform(gen_grid(3, 3)[0], 5)],
+    "sweep": _sweep_assignments,
+}
+
+
+@pytest.mark.parametrize("made", _UNCHECKED.values(), ids=_UNCHECKED.keys())
+def test_lists_wrapped_unchecked_pass_the_public_check_unchanged(made, monkeypatch):
+    for la in made(monkeypatch):
+        assert ListAssignment(la.lists).lists == la.lists
 
 
 def test_list_assignment_accepts_what_it_always_accepted():

@@ -79,6 +79,30 @@ def test_lists_json_roundtrip_and_echo_guard():
         lists_from_json(g, data)
 
 
+@pytest.mark.parametrize("lists", [
+    [[1], [], [2], [3]],
+    [[1, 2], [3], [4, -1], [5]],
+    [[1], [2], [-3], []],
+    [[1], [], [-1], [2]],
+    [[0], [2**70], [1], [2]],
+], ids=["empty", "negative", "negative-before-empty", "empty-before-negative", "fine"])
+def test_lists_from_json_checks_as_list_assignment_does(lists):
+    """The reader checks emptiness and sign itself, with ListAssignment's
+    messages and its choice of the first bad incidence."""
+    g, _ = gen_basic("path", 3)
+    data = {"lists": {str(i): colours for i, colours in enumerate(lists)}}
+    try:
+        expect = ListAssignment(lists).lists
+    except GraphError as exc:
+        with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+            lists_from_json(g, data)
+    else:
+        assert lists_from_json(g, data).lists == expect
+    del data["lists"]["3"]
+    with pytest.raises(GraphError, match=r"^missing lists for incidences \[3\]$"):
+        lists_from_json(g, data)
+
+
 def test_colouring_json_roundtrip():
     g, _ = gen_basic("cycle", 3)
     col = IncidenceColouring({0: 1, 1: 2})
@@ -207,6 +231,22 @@ def test_cli_construct_rejects_small_lists(runner, tmp_path):
     r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
                              "--lists", f"{out}/lists.json", "--out", out])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("colours, message", [
+    ([], "empty colour list for incidence 3"),
+    ([-1], "colours must be non-negative ints (incidence 3)"),
+], ids=["empty", "negative"])
+def test_cli_construct_rejects_an_empty_or_negative_list(runner, tmp_path, colours, message):
+    out = str(tmp_path)
+    runner.invoke(main, ["generate", "--family", "cycle", "--n", "6", "--k", "4", "--out", out])
+    path = tmp_path / "lists.json"
+    data = json.loads(path.read_text())
+    data["lists"]["3"] = colours
+    path.write_text(json.dumps(data))
+    r = runner.invoke(main, ["construct", "--from-spec", f"{out}/spec.json",
+                             "--lists", str(path), "--out", out])
+    assert r.exit_code == 2 and f"configuration error: {message}\n" in r.output, r.output
 
 
 def test_cli_fuzz_and_report(runner, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from incolour.families import gen_basic, gen_random_graph, generate
 from incolour.graphs import (
     IncidenceColouring,
     IncolourError,
+    InputError,
     ListAssignment,
     incidence_neighbour_ids,
     incidences,
@@ -71,6 +73,54 @@ def test_replay_rejects_trace_colouring_mismatch(coloured_star):
     other[rep.trace[0].incidence] = 99
     with pytest.raises(IncolourError):
         ConstructiveReport(IncidenceColouring(other), rep.trace[1:]).replay(g, lists)
+
+
+def test_replay_against_lists_that_do_not_cover_the_graph_is_an_input_error():
+    c5, spec = gen_basic("cycle", 5)
+    rep = construct(spec, ListAssignment.uniform(c5, 4))
+    c3, _ = gen_basic("cycle", 3)
+    with pytest.raises(InputError, match="^list assignment does not cover the incidences$"):
+        rep.replay(c5, ListAssignment.uniform(c3, 4))
+
+
+@pytest.mark.parametrize("incidence", [8, 100, -1])
+def test_replay_rejects_a_step_at_an_incidence_the_graph_lacks(coloured_star, incidence):
+    g, lists, rep = coloured_star
+    step = TraceStep(incidence, 1, "x")
+    bad = ConstructiveReport(rep.colouring, rep.trace[:2] + (step,) + rep.trace[2:])
+    with pytest.raises(IncolourError, match=rf"^replay: no incidence {incidence} in the graph "
+                                            rf"at {re.escape(repr(step))}$"):
+        bad.replay(g, lists)
+
+
+def test_traces_are_steps_whenever_read(coloured_star):
+    """The painter records plain tuples; every trace it hands out holds
+    TraceSteps, and reading a trace twice gives equal tuples."""
+    g, lists, rep = coloured_star
+    painter = Painter(g, lists)
+    painter.fill(range(3), "t")
+    assert [type(s) for s in painter.trace] == [TraceStep] * 3
+    painter.fill(range(6), "t")
+    assert [type(s) for s in painter.trace] == [TraceStep] * 6
+    again = painter.report()
+    for report in (rep, again, ConstructiveReport(rep.colouring, [tuple(s) for s in rep.trace])):
+        first = report.trace
+        assert type(first) is tuple and {type(s) for s in first} == {TraceStep}
+        assert report.trace == first and report.replay(g, lists) == report.colouring
+    assert again.trace == tuple(painter.trace)
+
+
+def test_stuck_trace_is_the_steps_before_the_error():
+    g, _ = gen_basic("path", 3)
+    painter = Painter(g, ListAssignment([{1}, {1}, {2}, {3}]))
+    painter.paint(0, 1, "t")
+    with pytest.raises(StuckError) as err:
+        painter.fill(range(4), "t")
+    painter.paint(2, 2, "u")
+    trace = err.value.trace
+    assert trace == (TraceStep(0, 1, "t"),) and type(trace[0]) is TraceStep
+    assert err.value.trace is trace
+    assert painter.trace == [TraceStep(0, 1, "t"), TraceStep(2, 2, "u")]
 
 
 def test_painter_guards():
