@@ -16,9 +16,12 @@ pre-colouring lies.
 
 :func:`construct` and :func:`guaranteed_bound` are the two entry points.
 Every instance is named by a spec: an arbitrary tree or cactus by its
-edges (``{"family": "tree", "edges": ...}``).  A pre-colouring, allowed on
-the families of :data:`PRE_FAMILIES`, is checked once, in
-:func:`construct`, before the list size.
+edges (``{"family": "tree", "edges": ...}``).  Both go through
+``_procedure``, so :func:`guaranteed_bound` rejects the specs
+:func:`construct` rejects, with the same messages: a pre-colouring off
+:data:`PRE_FAMILIES`, or a cactus that :func:`cactus_bound` finds to be a
+tree, a cycle or disconnected.  :func:`construct` then checks the
+pre-coloured incidences and colours once, before the list size.
 """
 
 from __future__ import annotations
@@ -89,9 +92,8 @@ def construct(
     g, spec = generate(spec)
     painter = Painter(g, lists)
     pre = pre or {}
+    size, short, rule = _procedure(g, spec, len(pre))
     if pre:
-        if spec.family not in PRE_FAMILIES:
-            raise InputError(f"family {spec.family!r} does not take a pre-colouring")
         m = len(painter.colour)
         bad = next((i for i in pre if not 0 <= i < m), None)
         if bad is not None:
@@ -99,7 +101,6 @@ def construct(
         verdict = validate_colouring(g, lists, IncidenceColouring(pre))
         if not (verdict.proper and verdict.list_respecting):
             raise InputError(f"bad pre-colouring: {verdict.violation}")
-    size, short, rule = _procedure(g, spec, len(pre))
     if g.edges and lists.min_size() < size:
         raise InputError(short)
     rule(painter, pre)
@@ -115,8 +116,11 @@ def _procedure(g: Graph, spec: FamilySpec, k: int) -> tuple[int, str, Rule]:
     incidences, the error message for shorter lists, and the family's
     painting rule, called as ``rule(painter, pre)``.  A rule names its
     ``paint_*`` function only when it runs, so a tracer that swaps the
-    module attribute sees the call."""
+    module attribute sees the call.  Both entry points come here, so a
+    pre-colouring off :data:`PRE_FAMILIES` is rejected here for both."""
     f, p = spec.family, spec.params
+    if k and f not in PRE_FAMILIES:
+        raise InputError(f"family {f!r} does not take a pre-colouring")
     if f in ("path", "star", "tree"):
         size = tree_bound(g, k)
         short = f"every list needs at least {size} colours"

@@ -24,6 +24,8 @@ A cactus is coloured by :func:`~incolour.constructive.construct` from a
 ``cactus`` spec: ``{"size", "seed"}`` for a random one, or its ``edges``
 (and optionally its ``cycles``) for any cactus; the generated spec carries
 the cycles that :func:`cactus_bound` and :func:`paint_cactus` read.
+:func:`cactus_bound` rejects a tree, a cycle or a disconnected graph, so
+``construct`` and ``guaranteed_bound`` both do, before any painting.
 """
 
 from __future__ import annotations
@@ -39,7 +41,14 @@ from .report import Painter
 def cactus_bound(g: Graph, cycles: Sequence[Sequence[int]]) -> int:
     """List size guaranteed to suffice for the cactus ``g`` with cycles
     ``cycles``, by maximum degree and the census of maximal cycles (cycles
-    containing a maximum-degree vertex)."""
+    containing a maximum-degree vertex).  The cactus must be connected, not
+    a tree or cycle: those have their own bounds."""
+    if not is_connected(g):
+        raise InputError("cactus colouring expects a connected graph")
+    if not cycles:
+        raise InputError("input is a tree: use the tree colouring")
+    if len(cycles) == 1 and len(cycles[0]) == g.n and len(g.edges) == g.n:
+        raise InputError("input is a cycle: use the cycle colouring")
     delta = g.max_degree
     maximal = [c for c in cycles if any(g.degree(v) == delta for v in c)]
     if delta == 3:
@@ -58,14 +67,8 @@ def paint_cactus(painter: Painter, cycles: Sequence[Sequence[int]]) -> None:
     its vertices from the first vertex of the cycle :func:`_pick_start`
     names: a cycle is painted when the walk first finds it, a vertex on no
     cycle when the walk visits it.  Every parent-first order of the units
-    gives these colours.  The cactus must be connected, not a tree or cycle."""
+    gives these colours.  The shape is checked by :func:`cactus_bound`."""
     g = painter.graph
-    if not is_connected(g):
-        raise InputError("cactus colouring expects a connected graph")
-    if not cycles:
-        raise InputError("input is a tree: use the tree colouring")
-    if len(cycles) == 1 and len(cycles[0]) == g.n and len(g.edges) == g.n:
-        raise InputError("input is a cycle: use the cycle colouring")
     cycle_of = {v: cyc for cyc in cycles for v in cyc}
     off, _, mate = _vertex_index(g)
     first = cycles[_pick_start(g, cycles)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -238,23 +237,15 @@ class ListAssignment:
     __slots__ = ("lists",)
 
     def __init__(self, lists: Sequence[Iterable[int]]):
-        # every member is type-checked (a float equal to an int colour of an
-        # earlier list must still fail), the sign once per distinct colour;
-        # on any failure the per-list loop names the first bad incidence
-        try:
-            out = tuple(map(frozenset, lists))
-        except TypeError:
-            out = None
-        if (out is None or not all(out)
-                or not all(map(isinstance, chain.from_iterable(out), repeat(int)))
-                or min(frozenset().union(*out), default=0) < 0):
-            for i, l in enumerate(lists):
-                s = frozenset(l)
-                if not s:
-                    raise GraphError(f"empty colour list for incidence {i}")
-                if any((not isinstance(c, int)) or c < 0 for c in s):
-                    raise GraphError(f"colours must be non-negative ints (incidence {i})")
-        self.lists: tuple[frozenset[int], ...] = out
+        out = []
+        for i, l in enumerate(lists):
+            s = frozenset(l)
+            if not s:
+                raise GraphError(f"empty colour list for incidence {i}")
+            if any((not isinstance(c, int)) or c < 0 for c in s):
+                raise GraphError(f"colours must be non-negative ints (incidence {i})")
+            out.append(s)
+        self.lists: tuple[frozenset[int], ...] = tuple(out)
 
     @classmethod
     def _unchecked(cls, lists: tuple[frozenset[int], ...]) -> "ListAssignment":

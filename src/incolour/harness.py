@@ -204,16 +204,18 @@ def _run_trial(task: dict) -> dict:
 def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
     """Run every trial of the campaign; never aborts on a failed trial.
 
-    A list size below 1, a universe smaller than it, or a pre-coloured
-    campaign on an instance with no edge is an :class:`InputError`, raised
-    before any trial runs."""
+    A list size below 1, a universe smaller than it, a pre-coloured
+    campaign on an instance with no edge, or an instance that
+    :func:`guaranteed_bound` rejects (with ``k`` given too) is an
+    :class:`InputError`, raised before any trial runs."""
     results = []
     tasks = []
     for spec in campaign.instances:
         g, spec = generate(spec)
         if campaign.pre and not g.edges:
             raise InputError(f"pre needs an instance with an edge, got {spec.to_json()}")
-        k = campaign.k if campaign.k is not None else guaranteed_bound(spec, pre=campaign.pre)
+        bound = guaranteed_bound(spec, pre=campaign.pre)
+        k = campaign.k if campaign.k is not None else bound
         universe = campaign.universe if campaign.universe is not None else 3 * k
         if k < 1 or universe < k:
             raise InputError(f"need universe >= k >= 1, got k={k}, universe={universe}")
@@ -281,20 +283,17 @@ class RegressionReport:
         return not self.mismatches and not self.unknowns
 
 
-def regression_chi(
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    suite: Optional[list[tuple[str, FamilySpec, int]]] = None,
-) -> RegressionReport:
-    """Exact chromatic numbers of a named suite against its expectation
-    table (the stored one by default); a budget blow-up marks the row
-    unknown (run incomplete, not failed)."""
+def regression_chi(cfg: SolverConfig = DEFAULT_CONFIG) -> RegressionReport:
+    """Exact chromatic numbers of :func:`regression_suite` against its
+    expectation table; a budget blow-up marks the row unknown (run
+    incomplete, not failed)."""
     rows = []
-    for name, spec, expected in (suite if suite is not None else regression_suite()):
+    for name, spec, expected in regression_suite():
         g, _ = generate(spec)
         try:
             value = incidence_chromatic_number(g, cfg)
             status = "ok" if value == expected else "mismatch"
-        except ChiUnknown as exc:
+        except ChiUnknown:
             value = None
             status = "unknown"
         rows.append({

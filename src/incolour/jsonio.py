@@ -126,19 +126,14 @@ def lists_from_json(g: Graph, data: dict) -> ListAssignment:
     if bad is not None:
         raise GraphError(f"the list of incidence {bad} must be a JSON array of integers, "
                          f"got {reprlib.repr(raw[bad])}")
-    # every colour is an int, so only the ids, emptiness and sign are left
-    # of what ListAssignment checks, each in id order as it does
+    # every colour is an int: complete, non-empty lists of colours >= 0 are
+    # wrapped as they are, and from_dict names what is wrong with the rest
     m = 2 * len(g.edges)
-    if len(raw) < m:
-        missing = [i for i in range(m) if i not in raw]
-        raise GraphError(f"missing lists for incidences {missing[:5]}")
-    out = tuple(frozenset(raw[i]) for i in range(m))
-    if not all(out) or min(chain.from_iterable(out), default=0) < 0:
-        i = next(i for i, s in enumerate(out) if not s or min(s) < 0)
-        if not out[i]:
-            raise GraphError(f"empty colour list for incidence {i}")
-        raise GraphError(f"colours must be non-negative ints (incidence {i})")
-    return ListAssignment._unchecked(out)
+    if len(raw) == m:
+        out = tuple(frozenset(raw[i]) for i in range(m))
+        if all(out) and min(chain.from_iterable(out), default=0) >= 0:
+            return ListAssignment._unchecked(out)
+    return ListAssignment.from_dict(g, raw)
 
 
 def colouring_to_json(g: Graph, colouring: IncidenceColouring) -> dict:

@@ -16,6 +16,18 @@ settings.load_profile("deterministic")
 # the families with a constructive procedure and default fuzz instances
 FUZZ_FAMILIES = ("grid", "tree", "cycle", "halin", "corona", "cactus", "ham_cubic")
 
+# cactus specs whose shape the cactus bound does not cover, each with the
+# message that construct and guaranteed_bound both raise
+NOT_A_CACTUS = [
+    ({"family": "cactus", "edges": [[0, 1], [1, 2], [2, 3]]},
+     "input is a tree: use the tree colouring"),
+    ({"family": "cactus", "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
+     "input is a cycle: use the cycle colouring"),
+    ({"family": "cactus", "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]},
+     "cactus colouring expects a connected graph"),
+]
+NOT_A_CACTUS_IDS = ["tree", "C5", "two-triangles"]
+
 
 @pytest.fixture(scope="session")
 def corpus():

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assert_valid_report
+from conftest import NOT_A_CACTUS, NOT_A_CACTUS_IDS, assert_valid_report
 from golden import assert_golden
 from incolour.catalogue import cactus_row_specs, random_cactus_specs
-from incolour.constructive import cactus_bound, construct
+from incolour.constructive import cactus_bound, construct, guaranteed_bound
 from incolour.constructive.cactus import _pick_start
 from incolour.families import FamilySpec, cactus_cycles, gen_basic, generate
 from incolour.graphs import InputError, ListAssignment
@@ -61,6 +61,16 @@ def test_rejects_tree_and_cycle_inputs():
     k4, _ = gen_basic("complete", 4)
     with pytest.raises(InputError, match="one-cycle-per-vertex"):
         construct(FamilySpec("cactus", {"edges": k4.edges}), ListAssignment.uniform(k4, 9))
+
+
+@pytest.mark.parametrize("data, message", NOT_A_CACTUS, ids=NOT_A_CACTUS_IDS)
+def test_guaranteed_bound_rejects_the_shapes_construct_rejects(data, message):
+    spec = FamilySpec.from_json(data)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        guaranteed_bound(spec)
+    g, spec = generate(spec)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        construct(spec, ListAssignment.uniform(g, 9))
 
 
 def test_rejects_small_lists():

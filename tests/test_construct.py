@@ -140,6 +140,36 @@ RULES = [
 ]
 
 
+@pytest.mark.parametrize("spec", [
+    FamilySpec("grid", {"m": 3, "n": 3}),
+    FamilySpec("cycle", {"n": 5}),
+    FamilySpec("wheel", {"n": 5}),
+    _HALIN,
+    FamilySpec("ham_cubic", {"n": 8, "seed": 1}),
+], ids=lambda s: s.family)
+def test_a_family_without_pre_colouring_rejects_one_at_both_entry_points(spec):
+    """``guaranteed_bound(spec, pre=True)`` and ``construct`` with a
+    pre-colouring raise one message, before any other check of it."""
+    message = f"^family '{spec.family}' does not take a pre-colouring$"
+    with pytest.raises(InputError, match=message):
+        guaranteed_bound(spec, pre=True)
+    g, spec = generate(spec)
+    with pytest.raises(InputError, match=message):
+        construct(spec, ListAssignment.uniform(g, 9), pre={0: 1, 1: 2})
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["off-the-edge", "one-more"])
+def test_a_corona_pre_colouring_must_be_the_pendant_edge(extra):
+    spec = FamilySpec("corona", {"n": 4, "p": 3})
+    g, spec = generate(spec)
+    down, up = pendant_edge_ids(g, 4, 3)
+    other = min({0, 1, 2} - {down, up})
+    pre = {down: 1, up: 2, other: 3} if extra else {other: 1}
+    with pytest.raises(InputError, match=f"^corona pre-colouring must cover incidences "
+                                         f"{down} and {up} only$"):
+        construct(spec, ListAssignment.uniform(g, 9), pre=pre)
+
+
 @pytest.mark.parametrize("spec, rule", RULES,
                          ids=[f"{s.family}{s.params.get('n', '')}" for s, _ in RULES])
 def test_construct_reaches_each_rule_by_name(monkeypatch, spec, rule):

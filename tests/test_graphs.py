@@ -219,6 +219,10 @@ def test_list_assignment_guards(k2):
         ListAssignment.from_dict(k2, {0: [1]})
     uni = ListAssignment.uniform(k2, 2)
     assert uni.min_size() == 2
+    with pytest.raises(GraphError, match="^uniform list size must be >= 1$"):
+        ListAssignment.uniform(k2, 0)
+    assert (ListAssignment.from_dict(k2, {1: [2, 3], 0: (1,)}).lists
+            == ListAssignment([(1,), [2, 3]]).lists == (frozenset({1}), frozenset({2, 3})))
 
 
 _EMPTY = "^empty colour list for incidence {}$"

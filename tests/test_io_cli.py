@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from conftest import NOT_A_CACTUS, NOT_A_CACTUS_IDS
 from incolour.cli import main
 from incolour.families import FamilySpec, gen_basic, gen_grid, gen_random_graph, generate
 from incolour.graphs import (
@@ -327,6 +328,38 @@ def test_cli_fuzz_needs_a_family_or_a_spec_file(runner, tmp_path):
     assert r.exit_code == 2
     assert "configuration error: need --family or --from-spec" in r.output
     assert not (tmp_path / "fuzz-report.json").exists()
+
+
+@pytest.mark.parametrize("data, args, message", [
+    *((data, [], message) for data, message in NOT_A_CACTUS),
+    *((data, ["--pre"], "pre applies to path, star, tree, corona instances only") for data in [
+        {"family": "grid", "m": 3, "n": 3},
+        {"family": "cycle", "n": 5},
+        {"family": "wheel", "n": 5},
+        {"family": "halin", "tree_edges": [[0, 5], [1, 5], [2, 6], [3, 6], [4, 6], [5, 6]],
+         "leaf_order": [0, 1, 2, 3, 4]},
+        {"family": "ham_cubic", "n": 8, "seed": 1},
+    ]),
+], ids=[*NOT_A_CACTUS_IDS, "grid-pre", "cycle-pre", "wheel-pre", "halin-pre", "ham_cubic-pre"])
+def test_cli_fuzz_rejects_a_spec_its_procedure_rejects(runner, tmp_path, data, args, message):
+    """A spec that construct and guaranteed_bound reject is a configuration
+    error before any trial runs, with or without an explicit --k."""
+    (tmp_path / "spec.json").write_text(json.dumps(data))
+    for k in ([], ["--k", "9"]):
+        r = runner.invoke(main, ["fuzz", "--from-spec", str(tmp_path / "spec.json"),
+                                 "--trials", "2", *args, *k, "--out", str(tmp_path)])
+        assert r.exit_code == 2 and f"configuration error: {message}\n" in r.output, r.output
+        assert "trials ok" not in r.output
+        assert not (tmp_path / "fuzz-report.json").exists()
+
+
+def test_cli_chi_and_regress_exit_3_when_the_budget_runs_out(runner, tmp_path):
+    (tmp_path / "c5.json").write_text(json.dumps(graph_to_json(gen_basic("cycle", 5)[0])))
+    r = runner.invoke(main, ["chi", "--graph", str(tmp_path / "c5.json"), "--node-budget", "1"])
+    assert r.exit_code == 3 and r.output == "unknown (bracket [3, 4])\n", r.output
+    r = runner.invoke(main, ["regress", "--node-budget", "2"])
+    assert r.exit_code == 3, r.output
+    assert "[unknown]" in r.output and "[mismatch]" not in r.output
 
 
 def test_cli_regress(runner):
