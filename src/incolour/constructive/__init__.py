@@ -19,9 +19,10 @@ Every instance is named by a spec: an arbitrary tree or cactus by its
 edges (``{"family": "tree", "edges": ...}``).  Both go through
 ``_procedure``, so :func:`guaranteed_bound` rejects the specs
 :func:`construct` rejects, with the same messages: a pre-colouring off
-:data:`PRE_FAMILIES`, or a cactus that :func:`cactus_bound` finds to be a
-tree, a cycle or disconnected.  :func:`construct` then checks the
-pre-coloured incidences and colours once, before the list size.
+:data:`PRE_FAMILIES` or on an instance with no edge, or a cactus that
+:func:`cactus_bound` finds to be a tree, a cycle or disconnected.
+:func:`construct` then checks the pre-coloured incidences and colours
+once, before the list size.
 """
 
 from __future__ import annotations
@@ -117,10 +118,14 @@ def _procedure(g: Graph, spec: FamilySpec, k: int) -> tuple[int, str, Rule]:
     painting rule, called as ``rule(painter, pre)``.  A rule names its
     ``paint_*`` function only when it runs, so a tracer that swaps the
     module attribute sees the call.  Both entry points come here, so a
-    pre-colouring off :data:`PRE_FAMILIES` is rejected here for both."""
+    pre-colouring off :data:`PRE_FAMILIES`, or on an instance with no
+    edge, is rejected here for both."""
     f, p = spec.family, spec.params
     if k and f not in PRE_FAMILIES:
         raise InputError(f"family {f!r} does not take a pre-colouring")
+    if k and not g.edges:
+        raise InputError(
+            f"a pre-colouring needs an instance with an edge, got {spec.to_json()}")
     if f in ("path", "star", "tree"):
         size = tree_bound(g, k)
         short = f"every list needs at least {size} colours"

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .constructive import PRE_FAMILIES, construct, guaranteed_bound
+from .constructive import construct, guaranteed_bound
 from .constructive.coronae import pendant_edge_ids
 from .families import FamilySpec, generate
 from .graphs import (
@@ -107,8 +107,6 @@ class FuzzCampaign:
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise InputError(f"workers must be in [1, {cpus}], got {self.workers}")
-        if self.pre and any(spec.family not in PRE_FAMILIES for spec in self.instances):
-            raise InputError(f"pre applies to {', '.join(PRE_FAMILIES)} instances only")
 
 
 @dataclass
@@ -204,16 +202,15 @@ def _run_trial(task: dict) -> dict:
 def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
     """Run every trial of the campaign; never aborts on a failed trial.
 
-    A list size below 1, a universe smaller than it, a pre-coloured
-    campaign on an instance with no edge, or an instance that
-    :func:`guaranteed_bound` rejects (with ``k`` given too) is an
-    :class:`InputError`, raised before any trial runs."""
+    A list size below 1, a universe smaller than it, or an instance that
+    :func:`guaranteed_bound` rejects (with ``k`` given too), such as a
+    pre-coloured campaign on a family that takes no pre-colouring or on
+    an instance with no edge, is an :class:`InputError`, raised before
+    any trial runs."""
     results = []
     tasks = []
     for spec in campaign.instances:
-        g, spec = generate(spec)
-        if campaign.pre and not g.edges:
-            raise InputError(f"pre needs an instance with an edge, got {spec.to_json()}")
+        _, spec = generate(spec)
         bound = guaranteed_bound(spec, pre=campaign.pre)
         k = campaign.k if campaign.k is not None else bound
         universe = campaign.universe if campaign.universe is not None else 3 * k

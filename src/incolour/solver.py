@@ -171,15 +171,18 @@ def check_choosability_exhaustive(
     Consecutive assignments differ only in their last lists, so a proper
     colouring found for one usually fits the next.  The sweep keeps the
     last ``WITNESS_CACHE_SIZE`` validated colourings, most recently used
-    first.  Each cached colouring is tested once per prefix against every
-    list but the last; in the loop over the last list, a colouring fits
-    when it fits the prefix and its last colour lies in that list.  An
-    assignment that a cached colouring fits is colourable and is counted
-    without a solve.  No colouring fits an unsatisfiable assignment, so
-    the counterexample and ``assignments_checked`` are those of solving
-    every assignment.  A witness can settle an assignment whose solve
-    would have hit the node or time budget of ``cfg``; that turns a raise
-    of :class:`EnumerationBudgetExceeded` into the correct answer and
+    first, and one set per recursion level of those that fit the lists
+    set so far: a level filters its parent's set by the one list it sets
+    (never the first, which is always {1..k}).  A new colouring joins
+    every set, since it fits every list, and an evicted one leaves them
+    all.  An assignment is colourable, and counted without a solve, when
+    a kept colouring in the deepest set has its last colour in the last
+    list; the first such colouring moves to the front.  No colouring fits
+    an unsatisfiable assignment, so the counterexample and
+    ``assignments_checked`` are those of solving every assignment.  A
+    witness can settle an assignment whose solve would have hit the node
+    or time budget of ``cfg``; that turns a raise of
+    :class:`EnumerationBudgetExceeded` into the correct answer and
     never into ``choosable=False``.
     """
     m = 2 * len(g.edges)
@@ -200,14 +203,21 @@ def check_choosability_exhaustive(
     last = m - 1
     lists = [frozenset(range(1, k + 1))] * m   # the walk sets every later list
     witnesses: list[tuple[int, ...]] = []
+    fits: list[set[tuple[int, ...]]] = [set()]   # per level: the kept that fit lists[1:pos]
     checked = solves = 0
 
-    def sweep_last(used: int) -> Optional[ListAssignment]:
-        """Every last list after the current prefix; the counterexample
-        if one is unsatisfiable."""
+    def walk(pos: int, used: int) -> Optional[ListAssignment]:
         nonlocal checked, solves
-        head = lists[:last]
-        fit = [w for w in witnesses if all(map(frozenset.__contains__, head, w))]
+        fit = fits[-1]
+        if pos < last:
+            for option, after in options[used]:
+                lists[pos] = option
+                fits.append({w for w in fit if w[pos] in option})
+                found = walk(pos + 1, after)
+                fits.pop()
+                if found is not None:
+                    return found
+            return None
         for final, _ in options[used]:
             checked += 1
             if checked > assignment_budget:
@@ -223,9 +233,10 @@ def check_choosability_exhaustive(
             if res.status == COLOURED:
                 witness = tuple(res.colouring[i] for i in range(m))
                 witnesses.insert(0, witness)
-                fit.insert(0, witness)
-                if len(witnesses) > WITNESS_CACHE_SIZE and witnesses.pop() is fit[-1]:
-                    fit.pop()
+                for s in fits:   # it fits every level; the evicted fit none
+                    s.add(witness)
+                    s.difference_update(witnesses[WITNESS_CACHE_SIZE:])
+                del witnesses[WITNESS_CACHE_SIZE:]
             elif res.status == UNKNOWN:
                 raise EnumerationBudgetExceeded("solver budget hit inside the sweep")
             else:
@@ -235,38 +246,24 @@ def check_choosability_exhaustive(
                 return assignment
         return None
 
-    def walk(pos: int, used: int) -> Optional[ListAssignment]:
-        if pos == last:
-            return sweep_last(used)
-        for option, after in options[used]:
-            lists[pos] = option
-            found = walk(pos + 1, after)
-            if found is not None:
-                return found
-        return None
-
     counterexample = walk(1, k)
     return ChoosabilityResult(counterexample is None, counterexample, checked, solves)
 
 
 def _fitting_witness(
     witnesses: list[tuple[int, ...]],
-    fit: list[tuple[int, ...]],
+    fit: set[tuple[int, ...]],
     lists: Sequence[frozenset[int]],
 ) -> Optional[tuple[int, ...]]:
-    """The first colouring of ``fit`` whose last colour lies in the last
-    of ``lists``, moved to the front of ``fit`` and of ``witnesses``;
-    ``None`` when none fits.  ``fit`` holds, in ``witnesses``' order, the
-    cached colourings (colours by incidence id) whose other colours lie
-    in their incidences' lists."""
+    """The first colouring of ``witnesses`` (colours by incidence id) that
+    is in ``fit``, the set of those whose other colours lie in their
+    lists, and whose last colour lies in the last of ``lists``, moved to
+    the front of ``witnesses``; ``None`` when none fits."""
     final = lists[-1]
-    for i, witness in enumerate(fit):
-        if witness[-1] in final:
+    for i, witness in enumerate(witnesses):
+        if witness in fit and witness[-1] in final:
             if i:
-                del fit[i]
-                fit.insert(0, witness)
-            if witnesses[0] is not witness:
-                witnesses.remove(witness)
+                del witnesses[i]
                 witnesses.insert(0, witness)
             return witness
     return None

@@ -158,6 +158,23 @@ def test_a_family_without_pre_colouring_rejects_one_at_both_entry_points(spec):
         construct(spec, ListAssignment.uniform(g, 9), pre={0: 1, 1: 2})
 
 
+@pytest.mark.parametrize("spec", [
+    FamilySpec("path", {"n": 1}),
+    FamilySpec("tree", {"edges": []}),
+], ids=["path1", "edgeless-tree"])
+def test_an_instance_with_no_edge_rejects_a_pre_colouring_at_both_entry_points(spec):
+    """No run with a pre-colouring exists on an edgeless instance, so it
+    has no pre-coloured bound either."""
+    message = (r"^a pre-colouring needs an instance with an edge, "
+               rf"got \{{'family': '{spec.family}', .*\}}$")
+    with pytest.raises(InputError, match=message):
+        guaranteed_bound(spec, pre=True)
+    assert guaranteed_bound(spec) == 1
+    g, spec = generate(spec)
+    with pytest.raises(InputError, match=message):
+        construct(spec, ListAssignment.uniform(g, 3), pre={0: 1})
+
+
 @pytest.mark.parametrize("extra", [False, True], ids=["off-the-edge", "one-more"])
 def test_a_corona_pre_colouring_must_be_the_pendant_edge(extra):
     spec = FamilySpec("corona", {"n": 4, "p": 3})

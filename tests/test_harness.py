@@ -188,17 +188,23 @@ def test_campaign_precoloured_corona():
     assert report.total_failures == 0
 
 
-def test_campaign_rejects_pre_on_non_corona_instances():
-    # pre-colours go on coronae and trees (paths and stars included) only
+def test_campaign_rejects_pre_on_non_corona_instances(monkeypatch):
+    # pre-colours go on coronae and trees (paths and stars included) only;
+    # run_campaign asks guaranteed_bound of every instance before any trial
+    def no_trial(task):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
     corona = FamilySpec("corona", {"n": 3, "p": 2})
     tree = FamilySpec("tree", {"edges": [[0, 1], [1, 2]]})
     grid = FamilySpec("grid", {"m": 3, "n": 2})
     for other in (grid, halin_specs()[0]):
-        with pytest.raises(InputError, match="corona instances only"):
-            FuzzCampaign(instances=(corona, tree, other), pre=True)
-        FuzzCampaign(instances=(corona, tree, other))
-    FuzzCampaign(instances=(corona, tree, FamilySpec("path", {"n": 2}),
-                            FamilySpec("star", {"n": 3})), pre=True)
+        campaign = FuzzCampaign(instances=(corona, tree, other), pre=True)
+        with pytest.raises(InputError, match=f"^family '{other.family}' does not take "
+                                             f"a pre-colouring$"):
+            run_campaign(campaign)
+    for spec in (corona, tree, FamilySpec("path", {"n": 2}), FamilySpec("star", {"n": 3})):
+        assert guaranteed_bound(spec, pre=True) >= 1
 
 
 def test_pre_campaign_rejects_an_instance_with_no_edge():

@@ -332,7 +332,8 @@ def test_cli_fuzz_needs_a_family_or_a_spec_file(runner, tmp_path):
 
 @pytest.mark.parametrize("data, args, message", [
     *((data, [], message) for data, message in NOT_A_CACTUS),
-    *((data, ["--pre"], "pre applies to path, star, tree, corona instances only") for data in [
+    *((data, ["--pre"], f"family '{data['family']}' does not take a pre-colouring")
+      for data in [
         {"family": "grid", "m": 3, "n": 3},
         {"family": "cycle", "n": 5},
         {"family": "wheel", "n": 5},
@@ -414,7 +415,8 @@ def test_cli_config_error_exit_code(runner, tmp_path):
     assert "bad pre-colouring: incidence 2 uses colour 99 outside its list" in r.output, r.output
     r = runner.invoke(main, ["fuzz", "--family", "grid", "--pre", "--trials", "1",
                              "--out", out])
-    assert r.exit_code == 2 and "corona instances only" in r.output, r.output
+    assert r.exit_code == 2, r.output
+    assert "configuration error: family 'grid' does not take a pre-colouring" in r.output
 
 
 # (subcommand, the option that reads the malformed file, its content, a

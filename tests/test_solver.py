@@ -355,6 +355,30 @@ def test_choosability_witnesses_are_sound(monkeypatch):
     assert nodes == 13_093
 
 
+@pytest.mark.parametrize("name", ["C3", "P4"])
+def test_choosability_fit_set_is_the_kept_colourings_fitting_the_prefix(monkeypatch, name):
+    """With two colourings kept, so that eviction runs, each lookup's
+    ``fit`` is exactly the kept colourings whose colours at incidences
+    1..m-2 lie in their lists, recomputed by brute force."""
+    g = _SWEEP_GRAPHS[name]
+    lookups = 0
+    fitting_witness = solver._fitting_witness
+
+    def checked_witness(witnesses, fit, lists):
+        nonlocal lookups
+        lookups += 1
+        inner = range(1, len(lists) - 1)
+        assert len(witnesses) <= 2
+        assert fit == {w for w in witnesses if all(w[i] in lists[i] for i in inner)}
+        return fitting_witness(witnesses, fit, lists)
+
+    monkeypatch.setattr(solver, "WITNESS_CACHE_SIZE", 2)
+    monkeypatch.setattr(solver, "_fitting_witness", checked_witness)
+    res = check_choosability_exhaustive(g, 3, 4)
+    assert _outcome(res) == _reference_sweep(g, 3, 4)
+    assert res.solves > 2 and lookups == res.assignments_checked
+
+
 def test_choosability_assignment_budget_is_exact():
     c3, _ = gen_basic("cycle", 3)
     res = check_choosability_exhaustive(c3, 3, 5, assignment_budget=66_667)
