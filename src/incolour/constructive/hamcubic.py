@@ -7,6 +7,8 @@ graphs, by the painting rule :func:`paint_ham_cubic`, rotate the cycle so
 vertex 0 is not matched two steps ahead, fix five incidences around the
 cycle edge v0-v1 (``ham-pick``), colour the matching, then close the
 cycle leaving the two guarded incidences (v0, v0v1) and (v1, v1v0) last.
+The picks and the greedy runs after them are built once per graph, kept
+in its cache, and each run is painted by one :meth:`~.report.Painter.fill`.
 
 The five are a = (v1, v1vt), b = (vs, vsv0), c = (v2, v2v1),
 d = (v0, v0vs) and e = (vt, vtv1), with vs and vt the matching partners
@@ -26,7 +28,7 @@ from itertools import product
 from ..families import FamilySpec
 from ..graphs import incidence_id
 from .halin import K4_HALIN, paint_halin
-from .report import Painter, StuckError
+from .report import Painter, StuckError, _check_unpainted, _schedule
 
 # the list size at which every Hamiltonian cubic graph is coloured
 HAM_CUBIC_BOUND = 6
@@ -56,35 +58,36 @@ def paint_ham_cubic(painter: Painter, spec: FamilySpec) -> None:
     if n == 4:
         paint_halin(painter, K4_HALIN)
         return
-    match = {}
-    for u, w in spec.params["matching"]:
-        match[u] = w
-        match[w] = u
-    shift = 2 if match[0] == 2 else 0
+    g, matching = painter.graph, spec.params["matching"]
+    key = ("ham_cubic", matching)
+    if key not in g._cache:
+        match = {}
+        for u, w in matching:
+            match[u] = w
+            match[w] = u
+        shift = 2 if match[0] == 2 else 0
 
-    def vertex(i: int) -> int:
-        return (i + shift) % n
+        def iid(i: int, j: int) -> int:
+            return incidence_id(g, (i + shift) % n, (j + shift) % n)
 
-    def iid(i: int, j: int) -> int:
-        return incidence_id(painter.graph, vertex(i), vertex(j))
-
-    v_s = (match[vertex(0)] - shift) % n
-    v_t = (match[vertex(1)] - shift) % n
-
-    picked = [iid(1, v_t), iid(v_s, 0), iid(2, 1), iid(0, v_s), iid(v_t, 1)]
+        v_s = (match[shift] - shift) % n
+        v_t = (match[shift + 1] - shift) % n
+        picked = [iid(1, v_t), iid(v_s, 0), iid(2, 1), iid(0, v_s), iid(v_t, 1)]
+        pairs = (incidence_id(g, x, y) for u, w in matching for x, y in ((u, w), (w, u)))
+        cycle = [iid(1, 2)]
+        for i in range(2, n):
+            cycle += [iid(i, (i + 1) % n), iid((i + 1) % n, i)]
+        g._cache[key] = _schedule(2 * len(g.edges), [
+            ("ham-pick", picked), ("ham-matching", [i for i in pairs if i not in picked]),
+            ("ham-cycle", cycle), ("ham-close", [iid(0, 1), iid(1, 0)])])
+    _check_unpainted(painter, g._cache[key])
+    (tag, picked), *runs = g._cache[key]
+    close = runs[-1][1]
     picks = _boundary(*map(painter.free, picked),
-                      painter.lists[iid(0, 1)], painter.lists[iid(1, 0)])
+                      painter.lists[close[0]], painter.lists[close[1]])
     if picks is None:
-        raise StuckError(picked[0], "ham-pick", painter.trace)
+        raise StuckError(picked[0], tag, painter.trace)
     for i, colour in zip(picked, picks):
-        painter.paint(i, colour, "ham-pick")
-
-    painter.fill((incidence_id(painter.graph, x, y) for u, w in spec.params["matching"]
-                  for x, y in ((u, w), (w, u))), "ham-matching")
-
-    painter.greedy(iid(1, 2), "ham-cycle")
-    for i in range(2, n):
-        painter.greedy(iid(i, (i + 1) % n), "ham-cycle")
-        painter.greedy(iid((i + 1) % n, i), "ham-cycle")
-    painter.greedy(iid(0, 1), "ham-close")
-    painter.greedy(iid(1, 0), "ham-close")
+        painter.paint(i, colour, tag)
+    for tag, ids in runs:
+        painter.fill(ids, tag)

@@ -7,6 +7,7 @@ constructive layer never calls the solver."""
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..graphs import (
@@ -159,7 +160,10 @@ class Painter:
         return bad
 
     def free(self, i: int) -> list[int]:
-        return sorted(self.lists[i] - self.forbidden(i))
+        v, u = self._head[self._mate[i]], self._head[i]
+        out = self.lists.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
+        # a painted i keeps its own colour, which no neighbour holds
+        return sorted(out if self.colour[i] is None else out | {self.colour[i]})
 
     def paint(self, i: int, colour: int, tag: str) -> None:
         if self.colour[i] is not None:
@@ -282,6 +286,34 @@ class Painter:
         # nothing is painted after this, so the report may share the steps
         return ConstructiveReport(IncidenceColouring(dict(enumerate(self.colour))),
                                   self._steps)
+
+
+def _schedule(m: int, runs: Iterable[tuple[str, Iterable[int]]]) -> tuple:
+    """``runs``, ``(tag, ids)`` pairs in painting order, as tuples, with
+    consecutive runs of one tag joined, checked to name each of the ``m``
+    incidences exactly once.  A rule that caches its schedule per graph
+    checks it once here; a painter that starts unpainted
+    (:func:`_check_unpainted`) then never paints one twice."""
+    seen = bytearray(m)
+    out = tuple((tag, tuple(i for _, ids in group for i in ids))
+                for tag, group in groupby(runs, lambda run: run[0]))
+    for tag, ids in out:
+        for i in ids:
+            if seen[i]:
+                raise IncolourError(f"incidence {i} scheduled twice (step {tag!r})")
+            seen[i] = 1
+    if 0 in seen:
+        raise IncolourError(f"incidence {seen.index(0)} never scheduled")
+    return out
+
+
+def _check_unpainted(painter: Painter, schedule: tuple) -> None:
+    """Raise :class:`IncolourError`, as painting it again would, at the
+    first incidence of ``schedule`` that ``painter`` holds painted."""
+    colour = painter.colour
+    if colour.count(None) < len(colour):
+        tag, i = next((tag, i) for tag, ids in schedule for i in ids if colour[i] is not None)
+        raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
 
 
 def _blocks(a_list, b_list, before=()):

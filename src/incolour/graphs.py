@@ -9,8 +9,8 @@ deterministic enumeration returned by :func:`incidences`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -99,6 +99,10 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
 
+    def __reduce__(self):
+        # without the cache, which holds views that do not pickle
+        return Graph, (self.n, self.edges)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
@@ -125,14 +129,17 @@ def incidences(g: Graph) -> tuple[Incidence, ...]:
 
 
 def incidence_id(g: Graph, vertex: int, other: int) -> int:
-    """Id of the incidence ``(vertex, vertex·other)``: the ids at ``vertex``
-    start at ``off[vertex]`` and follow ``g.adj[vertex]`` in order."""
-    if 0 <= vertex < g.n:
-        nbrs = g.adj[vertex]
-        pos = bisect_left(nbrs, other)
-        if pos < len(nbrs) and nbrs[pos] == other:
-            return _vertex_index(g)[0][vertex] + pos
-    raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence")
+    """Id of the incidence ``(vertex, vertex·other)``: one lookup in the
+    graph's read-only map ``(v, u) -> id``, built on first use from the
+    ``head`` of :func:`_vertex_index`, which lists ``g.adj`` in id order."""
+    if "incidence_ids" not in g._cache:
+        tails = [v for v, a in enumerate(g.adj) for _ in a]
+        ids = dict(zip(zip(tails, _vertex_index(g)[1]), range(len(tails))))
+        g._cache["incidence_ids"] = MappingProxyType(ids)
+    try:
+        return g._cache["incidence_ids"][vertex, other]
+    except KeyError:
+        raise GraphError(f"({vertex}, {vertex}{other}) is not an incidence") from None
 
 
 def incidence_adjacent(a: Incidence, b: Incidence) -> bool:
@@ -278,7 +285,7 @@ class ListAssignment:
         return self.lists[i]
 
     def min_size(self) -> int:
-        return min((len(l) for l in self.lists), default=0)
+        return min(map(len, self.lists), default=0)
 
 
 def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
