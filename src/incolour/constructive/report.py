@@ -152,13 +152,6 @@ class Painter:
     def painted(self, i: int) -> bool:
         return self.colour[i] is not None
 
-    def forbidden(self, i: int) -> set[int]:
-        v, u = self._head[self._mate[i]], self._head[i]
-        bad = self.AT[v] | self.IN[v] | self.AT[u]
-        # a painted i holds a colour that no neighbour holds
-        bad.discard(self.colour[i])
-        return bad
-
     def free(self, i: int) -> list[int]:
         v, u = self._head[self._mate[i]], self._head[i]
         out = self.lists.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])

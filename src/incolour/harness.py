@@ -4,7 +4,10 @@ exact-value regression table.
 Campaign failures are data, not exceptions: every failed trial is recorded
 with a bundle sufficient to replay it bit-for-bit.  Trial seeds derive from
 (master seed, instance, trial) alone, so results are identical for any
-worker count.
+worker count.  The process pool's machinery (``concurrent.futures`` and
+``multiprocessing``) is imported only when a campaign runs with more than
+one worker, so importing the library or running a single-process campaign
+loads neither.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -226,6 +228,10 @@ def run_campaign(campaign: FuzzCampaign) -> CampaignReport:
             tasks.append({"spec": spec, "trial": trial, "seed": seed, **common})
 
     if campaign.workers > 1:
+        # imported here: the process pool pulls in multiprocessing and some
+        # twenty other modules that a single-process run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=16))
     else:

@@ -1,0 +1,37 @@
+"""Importing the library and running a single-process campaign load no
+process-pool machinery: ``concurrent.futures`` and ``multiprocessing`` come
+in only when a campaign runs with more than one worker."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ONE_WORKER_RUN = '''
+import json, sys
+import incolour, incolour.cli
+from incolour.families import FamilySpec
+from incolour.harness import FuzzCampaign, run_campaign
+
+report = run_campaign(FuzzCampaign(instances=(FamilySpec("cycle", {"n": 5}),),
+                                   trials=2, workers=1))
+assert report.total_failures == 0, report
+print(json.dumps(sorted(sys.modules)))
+'''
+
+
+def test_import_and_one_worker_campaign_load_no_process_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", ONE_WORKER_RUN],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    modules = json.loads(run.stdout.strip().splitlines()[-1])
+    assert {"incolour.harness", "incolour.cli"} <= set(modules)
+    pool = [m for m in modules if m.startswith(("concurrent.futures", "multiprocessing"))]
+    assert pool == []

@@ -173,13 +173,22 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     ids=[*map(str, range(len(SCAN_GRAPHS))), *(f"{i}-sparse" for i in range(len(SCAN_GRAPHS)))])
 def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
     """Walks that only paint, each on a fresh painter, at random incidences
-    and by ``paint`` or ``greedy`` at random: at every step ``forbidden``
-    and ``free`` agree with a scan of ``incidence_neighbour_ids`` over an
-    independent record of the colours, and ``paint`` and ``greedy`` with
-    that scan.  After each walk the painter's colour sets ``AT[v]`` and
-    ``IN[v]`` hold the colours of the incidences at and into each v."""
+    and by ``paint`` or ``greedy`` at random: at every step the colours
+    that ``free`` reads around i = (v, vu), ``AT[v] | IN[v] | AT[u]`` less
+    i's own, and ``free`` itself agree with a scan of
+    ``incidence_neighbour_ids`` over an independent record of the colours,
+    and ``paint`` and ``greedy`` with that scan.  After each walk the
+    painter's colour sets ``AT[v]`` and ``IN[v]`` hold the colours of the
+    incidences at and into each v."""
     neigh = incidence_neighbour_ids(g)
     m = len(neigh)
+    ends = [(v, a + b - v) for v, (a, b) in incidences(g)]
+
+    def forbidden(painter, i):
+        # outside-list colours included
+        v, u = ends[i]
+        return (painter.AT[v] | painter.IN[v] | painter.AT[u]) - {painter.colour[i]}
+
     rng = random.Random(m)
     lists = ListAssignment([rng.sample(universe, 5) for _ in range(m)])
     for _ in range(3):
@@ -188,7 +197,7 @@ def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
         for _ in range(2 * m):
             i = rng.randrange(m)
             want = {held[j] for j in neigh[i] if j in held}
-            assert painter.forbidden(i) == want
+            assert forbidden(painter, i) == want
             assert painter.free(i) == sorted(lists[i] - want)
             assert painter.painted(i) == (i in held)
             if i in held:
@@ -212,10 +221,10 @@ def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
         assert held, "the walk painted nothing"
         assert {s.incidence: s.colour for s in painter.trace} == held
         for i in range(m):
-            assert painter.forbidden(i) == {held[j] for j in neigh[i] if j in held}
+            assert forbidden(painter, i) == {held[j] for j in neigh[i] if j in held}
         at, into = [set() for _ in range(g.n)], [set() for _ in range(g.n)]
         for i, colour in held.items():
-            v, (a, b) = incidences(g)[i]
+            v, u = ends[i]
             at[v].add(colour)
-            into[a + b - v].add(colour)
+            into[u].add(colour)
         assert (painter.AT, painter.IN) == (at, into)
