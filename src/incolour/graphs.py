@@ -130,10 +130,10 @@ def incidences(g: Graph) -> tuple[Incidence, ...]:
 
 def incidence_id(g: Graph, vertex: int, other: int) -> int:
     """Id of the incidence ``(vertex, vertex·other)``: one lookup in the
-    graph's read-only map ``(v, u) -> id``, built on first use from the
-    ``head`` of :func:`_vertex_index`, which lists ``g.adj`` in id order."""
+    graph's read-only map ``(v, u) -> id``, built on first use from
+    :func:`_tails` and the ``head`` of :func:`_vertex_index`."""
     if "incidence_ids" not in g._cache:
-        tails = [v for v, a in enumerate(g.adj) for _ in a]
+        tails = _tails(g)
         ids = dict(zip(zip(tails, _vertex_index(g)[1]), range(len(tails))))
         g._cache["incidence_ids"] = MappingProxyType(ids)
     try:
@@ -196,6 +196,14 @@ def _vertex_index(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
                 cursor[u] += 1
         g._cache["vertex_index"] = (tuple(off), tuple(head), tuple(mate))
     return g._cache["vertex_index"]
+
+
+def _tails(g: Graph) -> tuple[int, ...]:
+    """The vertex of each incidence, by id: ``g.adj`` unrolled, since
+    :func:`incidences` sorts by vertex."""
+    if "tails" not in g._cache:
+        g._cache["tails"] = tuple(v for v, a in enumerate(g.adj) for _ in a)
+    return g._cache["tails"]
 
 
 def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -347,11 +355,13 @@ def validate_colouring(
 ) -> Verdict:
     """Check a colouring against ``g`` (and ``lists``, if given).
 
-    Properness is checked vertex by vertex, in time linear in the number of
-    incidences: the colours at each vertex ``u`` must be distinct, and every
-    ``(v, vu)`` must avoid every colour used at ``u``.  These two conditions
-    cover the three cases of incidence adjacency (same vertex; same edge;
-    ``vw`` equal to one of the two edges).  Only when one fails are the
+    Properness is two set passes, in time linear in the number of
+    incidences: the pairs (vertex of ``i``, colour of ``i``) must be
+    distinct, so the colours at each vertex are; and none of them may equal
+    a pair (other endpoint of ``j``, colour of ``j``), so every ``(v, vu)``
+    avoids every colour used at ``u``.  These two conditions cover the
+    three cases of incidence adjacency (same vertex; same edge; ``vw``
+    equal to one of the two edges).  Only when one fails are the
     incidences searched for the first clashing pair ``(i, j)``, ``i < j``,
     in id order, which the violation names.  Unknown incidence ids are
     structural errors (:class:`GraphError`), not colouring violations.
@@ -374,21 +384,20 @@ def validate_colouring(
     else:
         # A fresh object per gap equals no colour and no other gap.
         col = [assignment[i] if i in assignment else object() for i in range(m)]
-    col_of_mate = list(map(col.__getitem__, mate))
-    proper = True
-    for lo, hi in zip(off, off[1:]):
-        here = set(col[lo:hi])
-        if len(here) < hi - lo or not here.isdisjoint(col_of_mate[lo:hi]):
-            proper = False
-            i, j = next(_clashing_pairs(off, head, mate, assignment))
-            violation = f"incidences {i} and {j} are adjacent and share colour {assignment[i]}"
-            break
+    at_tail = set(zip(_tails(g), col))
+    proper = len(at_tail) == m and at_tail.isdisjoint(zip(head, col))
+    if not proper:
+        i, j = next(_clashing_pairs(off, head, mate, assignment))
+        violation = f"incidences {i} and {j} are adjacent and share colour {assignment[i]}"
 
     list_respecting: Optional[bool] = None
     if lists is not None:
         check_lists_cover(g, lists)
         members = lists.lists
-        list_respecting = all(c in members[i] for i, c in assignment.items())
+        if total:
+            list_respecting = all(map(frozenset.__contains__, members, col))
+        else:
+            list_respecting = all(c in members[i] for i, c in assignment.items())
         if not list_respecting and violation is None:
             i = min(i for i, c in assignment.items() if c not in members[i])
             violation = f"incidence {i} uses colour {assignment[i]} outside its list"

@@ -1,22 +1,33 @@
-"""The backtracking kernel for list colouring, in pure Python.
+"""The backtracking kernel for list colouring: one search, compiled from
+``kernel.c`` and, node for node the same, in pure Python.
 
 Inputs are the structures the library already holds:
 
-* ``domains``: per-variable sorted colour lists,
+* ``domains``: per-variable sorted colour lists, each colour once,
 * ``nbrs``: per-variable neighbour ids (the graph's cached
   ``incidence_neighbour_ids``, which the kernel only reads),
 * ``uniform``: true only when every domain is the same list.
 
-One search serves every list assignment.  The distinct colours of all
-domains, in ascending order, are renumbered to rows ``0..C-1``, and block
-counts are kept per row and variable, ``blocked[row][v]``.  Every count
-starts at 1 except those of v's own colours, which start at 0, so a colour
-outside v's domain never reaches 0: it is never available and never tried,
-and a neighbour's colour is blocked in O(1) with no slot lookup.  The
-layout holds C × nv counters, which is small for the library's lists (at
-most 3Δ-2 colours) but grows with the number of distinct colours: a 20x20
-grid (1,520 incidences) with 3-lists drawn from 10,000 colours uses 3,658
-of them, 5.6 million counters, about 45 MB.
+:func:`search` runs the C kernel.  The first search builds it with the
+system C compiler into a per-user cache and loads it with ``ctypes``
+(:mod:`incolour._ckernel`); where no compiler runs or the build fails,
+every search runs the Python kernel, which is also the reference the C
+kernel is tested against.  :func:`backend_name` says which kernel
+searches run on.
+
+The two keep their block counts differently.  The Python kernel renumbers
+the distinct colours of all domains to rows ``0..C-1`` and keeps a count
+per row and variable, ``blocked[row][v]``.  Every count starts at 1 except
+those of v's own colours, which start at 0, so a colour outside v's domain
+never reaches 0, and a neighbour's colour is blocked in O(1) with no slot
+lookup.  That is C × nv counters: a 20x20 grid (1,520 incidences) with
+3-lists drawn from 10,000 colours uses 3,658 colours, 5.6 million
+counters, about 45 MB.  The C kernel keeps one count per (variable, domain
+position), and per search a table that gives, for each (variable,
+position, neighbour), the neighbour's count of that colour, or none where
+the neighbour's domain lacks it.  Its memory is the sum over the variables
+of domain size times (degree + 1), whatever the colours: about 48,000
+ints, 0.2 MB, for the same grid.
 
 Under uniform domains colour names are interchangeable, so the search
 breaks value symmetry: with ``top`` the largest position within a domain
@@ -38,10 +49,16 @@ FOUND = 0
 EXHAUSTED = 1
 CUTOFF = 2
 
+# the C kernel's search once the first search has tried to build it, and
+# False where it could not be built or loaded
+_c_search = None
+
 
 def backend_name() -> str:
-    """Name of the kernel implementation, as benchmark runs record it."""
-    return "python"
+    """The kernel searches run on, ``"c"`` or ``"python"``, as benchmark
+    runs record it.  Before the first search it builds the C kernel as
+    that search would."""
+    return "c" if _compiled() else "python"
 
 
 def search(domains, nbrs, uniform, node_budget, deadline):
@@ -63,7 +80,31 @@ def search(domains, nbrs, uniform, node_budget, deadline):
     is assigned its ``navail`` carries an offset of dmax + 1 (dmax the
     largest domain), which lifts its key above every unassigned one, so the
     pick is the first variable holding the smallest key.
+
+    Both kernels count a node per value tried, stop with ``CUTOFF`` as soon
+    as the count passes ``node_budget``, and compare the clock with
+    ``deadline`` (a ``time.monotonic`` value) at every node whose count is
+    a multiple of 1,024.
     """
+    c_search = _compiled()
+    if c_search:
+        return c_search(domains, nbrs, uniform, node_budget, deadline)
+    return _search_python(domains, nbrs, uniform, node_budget, deadline)
+
+
+def _compiled():
+    """The C kernel's search, built and loaded on the first call; False
+    where that fails."""
+    global _c_search
+    if _c_search is None:
+        from . import _ckernel
+        _c_search = _ckernel.load() or False
+    return _c_search
+
+
+def _search_python(domains, nbrs, uniform, node_budget, deadline):
+    """The search of :func:`search` in pure Python: the reference for
+    ``kernel.c`` and the kernel of hosts without a C compiler."""
     nv = len(domains)
     if nv == 0:
         return FOUND, [], 0

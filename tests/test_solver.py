@@ -43,6 +43,14 @@ from incolour.solver import (
 )
 
 
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Every search of the test runs on the pure-Python kernel, which
+    ``test_kernel.py`` checks against the C kernel the others run on."""
+    monkeypatch.setattr(kernel, "_c_search", False)
+    assert kernel.backend_name() == "python"
+
+
 def test_cycle_examples():
     c6, _ = gen_basic("cycle", 6)
     res = solve_list_colouring(c6, ListAssignment.uniform(c6, 3))
@@ -83,6 +91,10 @@ def test_solver_agrees_with_naive_oracle_on_dense_random_lists():
     assert nodes == DENSE_RANDOM_NODES
 
 
+def test_python_kernel_gives_the_dense_random_nodes(python_kernel):
+    test_solver_agrees_with_naive_oracle_on_dense_random_lists()
+
+
 # sha256 prefix of (status, nodes, sorted colouring) over the seeded sample
 # below, recorded while the kernel still read CSR-packed arrays
 SOLVER_DIGEST = "dcbd9e2b617c7b6c"
@@ -117,6 +129,10 @@ def test_solver_matches_golden_digest():
     assert outcomes[True, UNKNOWN] > 0 and outcomes[False, UNKNOWN] == 0
     assert outcomes[False, COLOURED] > 0 and outcomes[False, UNSATISFIABLE] > 0
     assert h.hexdigest()[:16] == SOLVER_DIGEST
+
+
+def test_python_kernel_matches_golden_digest(python_kernel):
+    test_solver_matches_golden_digest()
 
 
 def test_budget_yields_unknown_never_unsat():
