@@ -19,7 +19,6 @@ from .graphs import (
     incidence_adjacent,
     incidence_graph,
     incidence_id,
-    incidence_neighbourhood,
     incidences,
     validate_colouring,
 )
@@ -41,12 +40,10 @@ from .solver import (
     ChoosabilityResult,
     ChiUnknown,
     DegeneracyOrder,
-    GreedyResult,
     SolveResult,
     SolverConfig,
     check_choosability_exhaustive,
     degeneracy_order,
-    graph_degeneracy,
     greedy_degenerate,
     incidence_chromatic_number,
     solve_list_colouring,

@@ -120,8 +120,10 @@ class Painter:
 
     The painter reads adjacency from the graph's per-vertex index
     (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
-    :func:`graphs.incidence_neighbour_ids`, which only the exact search,
-    :meth:`ConstructiveReport.replay` and the DOT export build.
+    :func:`graphs.incidence_neighbour_ids`, which only the solver (the
+    exact search, and the order of its degeneracy greedy, which paints
+    through :meth:`fill`), :meth:`ConstructiveReport.replay` and the DOT
+    export build.
     ``colour[i]`` is the colour of incidence ``i`` (None while unpainted).
     Two sets per vertex hold the colours painted around it: ``AT[v]`` those
     of the incidences at ``v``, and ``IN[v]`` those of the incidences

@@ -83,12 +83,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        if "edge_set" not in self._cache:
-            self._cache["edge_set"] = frozenset(self.edges)
-        return self._cache["edge_set"]
-
     def without_edge(self, u: int, v: int) -> "Graph":
         e = canon_edge(u, v)
         return Graph(self.n, [f for f in self.edges if f != e])
@@ -151,27 +145,6 @@ def incidence_adjacent(a: Incidence, b: Incidence) -> bool:
     return canon_edge(a.vertex, b.vertex) in (a.edge, b.edge)
 
 
-def incidence_neighbourhood(inc: Incidence, g: Graph) -> set[Incidence]:
-    """Incidences adjacent to ``inc = (v, vu)`` in ``g``.
-
-    The result is ``A-(v) | A+(v) | A-(u)`` minus ``inc`` itself and has
-    exactly ``2*deg(v) + deg(u) - 2`` members.
-    """
-    v = inc.vertex
-    e = inc.edge
-    u = e[0] if e[1] == v else e[1]
-    if e not in g.edge_set:
-        raise GraphError(f"{inc!r} is not an incidence of the graph")
-    out: set[Incidence] = set()
-    for x in g.adj[v]:
-        out.add(Incidence(v, canon_edge(v, x)))   # A-(v)
-        out.add(Incidence(x, canon_edge(x, v)))   # A+(v)
-    for x in g.adj[u]:
-        out.add(Incidence(u, canon_edge(u, x)))   # A-(u)
-    out.discard(inc)
-    return out
-
-
 def _vertex_index(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The incidence ids grouped by vertex, as ``(off, head, mate)``.
 
@@ -212,7 +185,7 @@ def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     The neighbours of ``(v, vu)`` are ``A-(v) | A+(v) | A-(u)`` minus
     itself: the incidences at ``v``, their mates, and the incidences at
-    ``u``.
+    ``u``, ``2*deg(v) + deg(u) - 2`` in all.
     """
     if "incidence_neighbour_ids" not in g._cache:
         off, head, mate = _vertex_index(g)

@@ -13,7 +13,7 @@ system C compiler into a per-user cache and loads it with ``ctypes``
 (:mod:`incolour._ckernel`); where no compiler runs or the build fails,
 every search runs the Python kernel, which is also the reference the C
 kernel is tested against.  :func:`backend_name` says which kernel
-searches run on.
+searches have run on, and ``None`` before the first search.
 
 The two keep their block counts differently.  The Python kernel renumbers
 the distinct colours of all domains to rows ``0..C-1`` and keeps a count
@@ -44,6 +44,7 @@ hit (unknown).
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 FOUND = 0
 EXHAUSTED = 1
@@ -54,11 +55,13 @@ CUTOFF = 2
 _c_search = None
 
 
-def backend_name() -> str:
-    """The kernel searches run on, ``"c"`` or ``"python"``, as benchmark
-    runs record it.  Before the first search it builds the C kernel as
-    that search would."""
-    return "c" if _compiled() else "python"
+def backend_name() -> Optional[str]:
+    """The kernel searches have run on, ``"c"`` or ``"python"``, as
+    benchmark runs record it, and ``None`` before the first search: it
+    builds and loads nothing itself."""
+    if _c_search is None:
+        return None
+    return "c" if _c_search else "python"
 
 
 def search(domains, nbrs, uniform, node_budget, deadline):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernel
+from .constructive.report import ConstructiveReport, Painter, StuckError
 from .graphs import (
     Graph,
     IncidenceColouring,
@@ -110,7 +111,8 @@ def incidence_chromatic_number(g: Graph, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     the largest colour that :func:`greedy_degenerate` uses on the lists
     ``{1..3*max_degree-2}`` (``{1, 2}`` when the maximum degree is 1): the
     re-validated greedy colouring proves that value without a search.  If
-    the greedy gets stuck, the sweep runs up to ``3*max_degree - 2``.
+    the greedy gets stuck (:class:`StuckError`), the sweep runs up to
+    ``3*max_degree - 2``.
     Raises :class:`ChiUnknown` with the tightest proven bracket if the
     budget runs out mid-sweep.
     """
@@ -118,11 +120,13 @@ def incidence_chromatic_number(g: Graph, cfg: SolverConfig = DEFAULT_CONFIG) -> 
         return 0
     delta = g.max_degree
     hi = 2 if delta == 1 else 3 * delta - 2
-    greedy = greedy_degenerate(g, ListAssignment.uniform(g, hi))
-    proven = None
-    if greedy.found:
-        proven = hi = max(greedy.colouring.assignment.values())
-        verdict = validate_colouring(g, ListAssignment.uniform(g, hi), greedy.colouring)
+    try:
+        greedy = greedy_degenerate(g, ListAssignment.uniform(g, hi)).colouring
+    except StuckError:
+        proven = None
+    else:
+        proven = hi = max(greedy.assignment.values())
+        verdict = validate_colouring(g, ListAssignment.uniform(g, hi), greedy)
         if not verdict.ok:  # pragma: no cover - greedy soundness guard
             raise IncolourError(f"greedy produced an invalid colouring: {verdict.violation}")
     for p in range(delta + 1, hi + 1):
@@ -322,37 +326,16 @@ def degeneracy_order(adjacency: Sequence[Sequence[int]]) -> DegeneracyOrder:
     return DegeneracyOrder(tuple(seq), tuple(back))
 
 
-def graph_degeneracy(g: Graph) -> int:
-    return degeneracy_order(g.adj).degeneracy
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    colouring: Optional[IncidenceColouring]
-    stuck_incidence: Optional[int]
-    order: DegeneracyOrder
-
-    @property
-    def found(self) -> bool:
-        return self.colouring is not None
-
-
-def greedy_degenerate(g: Graph, lists: ListAssignment) -> GreedyResult:
+def greedy_degenerate(g: Graph, lists: ListAssignment) -> ConstructiveReport:
     """Colour incidences along a reversed degeneracy order of the incidence
-    graph, always taking the smallest available list colour.
+    graph, each with the least list colour that no painted neighbour holds:
+    :meth:`Painter.fill` with the tag ``degenerate-greedy``.
 
-    Succeeds whenever every list has at least degeneracy+1 colours; running
-    out of colours is a legitimate outcome reported with the stuck
-    incidence, not an error.
+    Succeeds whenever every list has at least degeneracy + 1 colours, and
+    returns the colouring with its trace.  A list that runs out raises
+    :class:`StuckError` with the incidence and the trace so far.
     """
-    check_lists_cover(g, lists)
-    neigh = incidence_neighbour_ids(g)
-    order = degeneracy_order(neigh)
-    colours: dict[int, int] = {}
-    for v in reversed(order.sequence):
-        taken = {colours[w] for w in neigh[v] if w in colours}
-        choice = min((c for c in lists[v] if c not in taken), default=None)
-        if choice is None:
-            return GreedyResult(None, v, order)
-        colours[v] = choice
-    return GreedyResult(IncidenceColouring(colours), None, order)
+    painter = Painter(g, lists)
+    order = degeneracy_order(incidence_neighbour_ids(g))
+    painter.fill(reversed(order.sequence), "degenerate-greedy")
+    return painter.report()

@@ -328,8 +328,8 @@ def test_random_tree_and_degenerate():
         assert is_tree(t)
         d = gen_random_degenerate(10, 2, seed)
         # every prefix construction leaves a vertex of degree <= 2
-        from incolour.solver import graph_degeneracy
-        assert graph_degeneracy(d) <= 2
+        from incolour.solver import degeneracy_order
+        assert degeneracy_order(d.adj).degeneracy <= 2
 
 
 def test_spec_json_roundtrip():

@@ -20,7 +20,6 @@ from incolour.graphs import (
     incidence_graph,
     incidence_id,
     incidence_neighbour_ids,
-    incidence_neighbourhood,
     incidences,
     validate_colouring,
 )
@@ -65,31 +64,29 @@ def test_incidence_adjacent_conditions():
 
 def test_neighbourhood_sizes():
     k2 = Graph(2, [(0, 1)])
-    assert len(incidence_neighbourhood(Incidence(0, (0, 1)), k2)) == 1
+    assert len(incidence_neighbour_ids(k2)[incidence_id(k2, 0, 1)]) == 1
     s3, _ = gen_basic("star", 3)
-    leaf_inc = Incidence(1, (0, 1))
-    assert len(incidence_neighbourhood(leaf_inc, s3)) == 2 * 1 + 3 - 2
+    assert len(incidence_neighbour_ids(s3)[incidence_id(s3, 1, 0)]) == 2 * 1 + 3 - 2
     big, _ = gen_grid(5, 5)
     centre = 12   # row 3, column 3: degree 4, all neighbours degree 4
-    inc = Incidence(centre, canon_edge(centre, 13))
-    assert len(incidence_neighbourhood(inc, big)) == 10
+    assert len(incidence_neighbour_ids(big)[incidence_id(big, centre, 13)]) == 10
 
 
 def test_neighbourhood_rejects_a_non_incidence():
     p3, _ = gen_basic("path", 3)
     with pytest.raises(GraphError, match="not an incidence"):
-        incidence_neighbourhood(Incidence(0, (0, 2)), p3)
+        incidence_id(p3, 0, 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_neighbourhood_formula_random(seed, n):
     g = gen_random_graph(n, seed, density=0.4)
-    for inc in incidences(g):
+    neigh = incidence_neighbour_ids(g)
+    for i, inc in enumerate(incidences(g)):
         v = inc.vertex
         u = inc.edge[0] if inc.edge[1] == v else inc.edge[1]
-        expected = 2 * g.degree(v) + g.degree(u) - 2
-        assert len(incidence_neighbourhood(inc, g)) == expected
+        assert len(neigh[i]) == 2 * g.degree(v) + g.degree(u) - 2
 
 
 @settings(max_examples=60, deadline=None)

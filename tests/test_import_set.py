@@ -1,7 +1,8 @@
 """Importing the library and running a single-process campaign load no
 process-pool machinery and no C kernel: ``concurrent.futures`` and
 ``multiprocessing`` come in only when a campaign runs with more than one
-worker, and ``ctypes`` and the compiler only at the first exact search."""
+worker, and ``ctypes`` and the compiler only at the first exact search,
+which naming the kernel backend does not start."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ report = run_campaign(FuzzCampaign(instances=(FamilySpec("cycle", {"n": 5}),),
                                    trials=2, workers=1))
 assert report.total_failures == 0, report
 assert kernel._c_search is None, "the C kernel was loaded"
+assert kernel.backend_name() is None, "no search ran"
 print(json.dumps(sorted(sys.modules)))
 '''
 

@@ -171,8 +171,9 @@ def test_the_first_search_builds_into_the_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(kernel, "_c_search", None)
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(_ckernel, "_cache_dir", lambda: tmp_path / "file" / "cache")
-    assert kernel.backend_name() == "c"
+    assert kernel.backend_name() is None
     assert solve_list_colouring(c4, ListAssignment.uniform(c4, 3)).status == "unsatisfiable"
+    assert kernel.backend_name() == "c"
 
 
 @pytest.mark.parametrize("nbrs", [[[1], [2]], [[1], [-1]], [[1]]], ids=["past-nv", "negative", "short"])

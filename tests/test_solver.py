@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import hypercube, naive_satisfiable
 from incolour import kernel, solver
+from incolour.constructive import StuckError
 from incolour.families import (
     gen_basic,
     gen_grid,
@@ -36,7 +37,6 @@ from incolour.solver import (
     SolverConfig,
     check_choosability_exhaustive,
     degeneracy_order,
-    graph_degeneracy,
     greedy_degenerate,
     incidence_chromatic_number,
     solve_list_colouring,
@@ -449,6 +449,8 @@ def test_choosability_budget_never_gives_a_wrong_answer():
 
 
 def test_degeneracy_order_invariant():
+    """Each vertex leaves with its number of later neighbours, which is the
+    least degree among the vertices not yet removed."""
     for seed in range(15):
         g = gen_random_graph(12, seed, density=0.35)
         order = degeneracy_order(g.adj)
@@ -456,39 +458,76 @@ def test_degeneracy_order_invariant():
         for i, v in enumerate(order.sequence):
             later = sum(1 for w in g.adj[v] if pos[w] > i)
             assert later == order.back_degrees[i]
-        assert order.degeneracy == graph_degeneracy(g)
+            assert later == min(sum(1 for w in g.adj[x] if pos[w] >= i)
+                                for x in order.sequence[i:])
+        assert order.degeneracy == max(order.back_degrees)
 
 
 def test_incidence_graph_degeneracy_bound():
     for seed in range(12):
         g = gen_random_degenerate(10, 2, seed)
-        d = graph_degeneracy(g)
+        d = degeneracy_order(g.adj).degeneracy
         ig_degen = degeneracy_order(incidence_neighbour_ids(g)).degeneracy
         assert ig_degen <= g.max_degree + 2 * d - 2
 
 
 def test_greedy_degenerate_success_cases():
     t, _ = gen_random_tree(10, 3)
-    res = greedy_degenerate(t, ListAssignment.uniform(t, t.max_degree + 1))
-    assert res.found
+    lists = ListAssignment.uniform(t, t.max_degree + 1)
+    assert validate_colouring(t, lists, greedy_degenerate(t, lists).colouring).ok
     g44, _ = gen_grid(4, 4)
-    res = greedy_degenerate(g44, ListAssignment.uniform(g44, g44.max_degree + 3))
-    assert res.found
-    assert validate_colouring(g44, None, res.colouring).ok
+    lists = ListAssignment.uniform(g44, g44.max_degree + 3)
+    res = greedy_degenerate(g44, lists)
+    assert validate_colouring(g44, lists, res.colouring).ok
+    assert {step.tag for step in res.trace} == {"degenerate-greedy"}
+    assert res.replay(g44, lists) == res.colouring
 
 
 def test_greedy_degenerate_failure_is_reported():
     c3, _ = gen_basic("cycle", 3)
-    res = greedy_degenerate(c3, ListAssignment.uniform(c3, 2))
-    assert not res.found
-    assert res.stuck_incidence is not None
+    with pytest.raises(StuckError) as stuck:
+        greedy_degenerate(c3, ListAssignment.uniform(c3, 2))
+    assert (stuck.value.incidence, stuck.value.tag) == (2, "degenerate-greedy")
+    # the two incidences before it in the reversed order, 0 to 5
+    assert [step.incidence for step in stuck.value.trace] == [0, 1]
 
 
 def test_greedy_planar_margin():
     # grids are planar; degree + 9 lists always succeed
     g, _ = gen_grid(5, 5)
-    res = greedy_degenerate(g, ListAssignment.uniform(g, g.max_degree + 9))
-    assert res.found
+    lists = ListAssignment.uniform(g, g.max_degree + 9)
+    assert validate_colouring(g, lists, greedy_degenerate(g, lists).colouring).ok
+
+
+# sha256 prefix of each run's colouring, or the incidence it got stuck at,
+# over the seeded sample below, recorded from the greedy's own loop before
+# it painted through Painter.fill
+GREEDY_DIGEST = "65fcdb4f21170434"
+
+
+def test_greedy_matches_golden_digest():
+    """Random graphs with short (max degree + 1), middle and long (the
+    lists of the chromatic number's sweep) uniform lists."""
+    h = hashlib.sha256()
+    stuck = 0
+    for seed in range(60):
+        g = gen_random_graph(9, seed, density=0.4)
+        if not g.edges:
+            continue
+        d = g.max_degree
+        for k in (d + 1, 2 * d, 3 * d - 2):
+            lists = ListAssignment.uniform(g, k)
+            try:
+                res = greedy_degenerate(g, lists)
+            except StuckError as exc:
+                out = exc.incidence
+                stuck += 1
+            else:
+                assert res.replay(g, lists) == res.colouring
+                out = tuple(res.colouring[i] for i in range(2 * len(g.edges)))
+            h.update(f"{seed} {k} {out}\n".encode())
+    assert h.hexdigest()[:16] == GREEDY_DIGEST
+    assert stuck == 30
 
 
 @st.composite
