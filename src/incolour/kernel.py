@@ -13,21 +13,8 @@ system C compiler into a per-user cache and loads it with ``ctypes``
 (:mod:`incolour._ckernel`); where no compiler runs or the build fails,
 every search runs the Python kernel, which is also the reference the C
 kernel is tested against.  :func:`backend_name` says which kernel
-searches have run on, and ``None`` before the first search.
-
-The two keep their block counts differently.  The Python kernel renumbers
-the distinct colours of all domains to rows ``0..C-1`` and keeps a count
-per row and variable, ``blocked[row][v]``.  Every count starts at 1 except
-those of v's own colours, which start at 0, so a colour outside v's domain
-never reaches 0, and a neighbour's colour is blocked in O(1) with no slot
-lookup.  That is C × nv counters: a 20x20 grid (1,520 incidences) with
-3-lists drawn from 10,000 colours uses 3,658 colours, 5.6 million
-counters, about 45 MB.  The C kernel keeps one count per (variable, domain
-position), and per search a table that gives, for each (variable,
-position, neighbour), the neighbour's count of that colour, or none where
-the neighbour's domain lacks it.  Its memory is the sum over the variables
-of domain size times (degree + 1), whatever the colours: about 48,000
-ints, 0.2 MB, for the same grid.
+searches have run on, and ``None`` before the first search.  Both
+kernels keep the one data layout that :func:`search` describes.
 
 Under uniform domains colour names are interchangeable, so the search
 breaks value symmetry: with ``top`` the largest position within a domain
@@ -44,6 +31,7 @@ hit (unknown).
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Optional
 
 FOUND = 0
@@ -84,6 +72,13 @@ def search(domains, nbrs, uniform, node_budget, deadline):
     largest domain), which lifts its key above every unassigned one, so the
     pick is the first variable holding the smallest key.
 
+    The layout: one block count per (variable, domain position), ``cnt``,
+    and per search a table of slots that gives, for each (variable,
+    position, neighbour), the index in ``cnt`` of that colour's count in
+    the neighbour's domain, or -1 where that domain lacks the colour.  So
+    memory follows list size times degree, whatever the number of distinct
+    colours.  Neighbour ids outside ``0..nv-1`` raise ValueError.
+
     Both kernels count a node per value tried, stop with ``CUTOFF`` as soon
     as the count passes ``node_budget``, and compare the clock with
     ``deadline`` (a ``time.monotonic`` value) at every node whose count is
@@ -106,21 +101,23 @@ def _compiled():
 
 
 def _search_python(domains, nbrs, uniform, node_budget, deadline):
-    """The search of :func:`search` in pure Python: the reference for
-    ``kernel.c`` and the kernel of hosts without a C compiler."""
+    """:func:`search` in pure Python on ``kernel.c``'s arrays: the reference
+    for the C kernel and the kernel of hosts without a C compiler."""
     nv = len(domains)
     if nv == 0:
         return FOUND, [], 0
-    row_of = {c: r for r, c in enumerate(sorted(set().union(*domains)))}
-    blocked = [[1] * nv for _ in row_of]
-    # rows[v][pos]: the block counts of the colour at position pos of v's domain
-    rows = []
-    for v, dom in enumerate(domains):
-        own = [blocked[row_of[c]] for c in dom]
-        for row in own:
-            row[v] = 0
-        rows.append(own)
-    sizes = [len(own) for own in rows]
+    # ks_new: v's counts start at doff[v]; slots[v][pos][j] is the slot of
+    # the colour at pos in v's j-th neighbour, from its {colour: index}
+    if len(nbrs) != nv or not all(min(ws) >= 0 and max(ws) < nv for ws in nbrs if ws):
+        raise ValueError("neighbour ids must name the variables 0..nv-1")
+    doff = list(accumulate(map(len, domains), initial=0))
+    index_of = [{c: o + p for p, c in enumerate(dom)}.get for dom, o in zip(domains, doff)]
+    slots = []
+    for dom, ws in zip(domains, nbrs):
+        gets = [index_of[w] for w in ws]
+        slots.append([[get(c, -1) for get in gets] for c in dom])
+    cnt = [0] * doff[-1]
+    sizes = list(map(len, domains))
     dmax = max(sizes)
     d = max(map(len, nbrs))
     step = d + 1                       # one available colour in a key
@@ -133,36 +130,39 @@ def _search_python(domains, nbrs, uniform, node_budget, deadline):
     top = -1 if uniform else dmax
     limit = node_budget if node_budget is not None else 1 << 62
     nodes = 0
+    # ks_run
     while True:
+        # the lowest id among the least keys
         cur = key.index(min(key))
-        own = rows[cur]
         size = sizes[cur]
         pos = 0
         while True:
             hi = top + 2 if top + 2 < size else size
             while pos < hi:
-                row = own[pos]
-                if row[cur] == 0:
+                if cnt[doff[cur] + pos] == 0:
                     nodes += 1
                     if nodes > limit:
                         return CUTOFF, None, nodes
                     if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                         return CUTOFF, None, nodes
+                    # assign
                     ws = nbrs[cur]
+                    sl = slots[cur][pos]
                     wipeout = False
-                    for w in ws:
-                        b = row[w]
-                        row[w] = b + 1
-                        if b == 0:
-                            b = key[w] - d
-                            key[w] = b
-                            if b < step:
-                                wipeout = True
-                        else:
-                            key[w] += 1
+                    for w, c in zip(ws, sl):
+                        if c >= 0:
+                            b = cnt[c]
+                            cnt[c] = b + 1
+                            if b == 0:
+                                b = key[w] - d
+                                key[w] = b
+                                if b < step:
+                                    wipeout = True
+                                continue
+                        key[w] += 1
                     if not wipeout:
                         break
-                    _undo(ws, row, key, d)
+                    _undo(ws, sl, cnt, key, d)
                 pos += 1
             if pos < hi:
                 break
@@ -170,11 +170,10 @@ def _search_python(domains, nbrs, uniform, node_budget, deadline):
                 return EXHAUSTED, None, nodes
             cur = trail.pop()
             top = tops.pop()
-            own = rows[cur]
             size = sizes[cur]
             pos = pos_of[cur]
             key[cur] -= assigned_off
-            _undo(nbrs[cur], own[pos], key, d)
+            _undo(nbrs[cur], slots[cur][pos], cnt, key, d)
             pos += 1
         pos_of[cur] = pos
         key[cur] += assigned_off
@@ -186,14 +185,15 @@ def _search_python(domains, nbrs, uniform, node_budget, deadline):
             return FOUND, [domains[v][pos_of[v]] for v in range(nv)], nodes
 
 
-def _undo(ws, row, key, d):
-    """Undo one assignment's key updates on its neighbours ``ws``: each
-    regains an uncoloured neighbour, and the colour whose blocks ``row``
-    holds is unblocked where its count returns to 0."""
-    for w in ws:
-        b = row[w] - 1
-        row[w] = b
-        if b == 0:
-            key[w] += d
-        else:
-            key[w] -= 1
+def _undo(ws, sl, cnt, key, d):
+    """kernel.c's undo: each neighbour in ``ws`` regains an uncoloured
+    neighbour, and the colour is unblocked where its count, at index
+    ``sl[j]`` of ``cnt`` (-1: none), returns to 0."""
+    for w, c in zip(ws, sl):
+        if c >= 0:
+            b = cnt[c] - 1
+            cnt[c] = b
+            if b == 0:
+                key[w] += d
+                continue
+        key[w] -= 1

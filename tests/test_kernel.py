@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from conftest import hypercube
 from incolour import _ckernel, kernel
 from incolour.families import gen_basic, gen_grid, gen_random_graph
 from incolour.graphs import ListAssignment, incidence_neighbour_ids
+from incolour.harness import random_list_assignment
 from incolour.solver import COLOURED, SolverConfig, solve_list_colouring
 
 
@@ -64,7 +66,9 @@ def test_kernels_agree(c_search, seed, n, mode, budget):
 def test_kernels_agree_on_long_searches(c_search):
     """Searches of thousands of nodes, each way through a pause of the C
     kernel at every 1,024th node: exhausted, found, and cut off between
-    pauses and at one."""
+    pauses and at one; and on the 12x12 grid (528 incidences) with lists
+    that are not uniform, so that many slots are -1, found after
+    backtracking and cut off."""
     q4 = incidence_neighbour_ids(hypercube(4))
     p5 = [[1, 2, 3, 4, 5]] * len(q4)
     assert both(c_search, p5, q4, False) == (kernel.EXHAUSTED, None, 26_125)
@@ -73,6 +77,30 @@ def test_kernels_agree_on_long_searches(c_search):
     nbrs = incidence_neighbour_ids(gen_grid(8, 8)[0])
     status, colours, nodes = both(c_search, [[1, 2, 3, 4, 5]] * len(nbrs), nbrs, True)
     assert (status, nodes) == (kernel.FOUND, 1_402)
+    g, _ = gen_grid(12, 12)
+    nbrs = incidence_neighbour_ids(g)
+    domains = [sorted(l) for l in random_list_assignment(g, 4, 8, 2).lists]
+    assert both(c_search, domains, nbrs, False)[::2] == (kernel.FOUND, 2_772)
+    domains = [sorted(l) for l in random_list_assignment(g, 5, 6, 0).lists]
+    assert both(c_search, domains, nbrs, False, node_budget=5_000) == (kernel.CUTOFF, None, 5_001)
+
+
+def test_the_python_kernels_memory_follows_list_size_times_degree():
+    """The 20x20 grid (1,520 incidences) with 3-lists from 10,000 colours,
+    3,692 of them in use: a count per distinct colour and incidence peaks
+    at 43.5 MiB, a count and its slots per list position at 1.7 MiB."""
+    g, _ = gen_grid(20, 20)
+    nbrs = incidence_neighbour_ids(g)
+    rng = random.Random(0)
+    domains = [sorted(rng.sample(range(1, 10_001), 3)) for _ in nbrs]
+    tracemalloc.start()
+    try:
+        status, colours, nodes = kernel._search_python(domains, nbrs, False, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (status, nodes) == (kernel.FOUND, 1_520)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_kernels_meet_a_passed_deadline_at_the_same_node(c_search):
@@ -178,5 +206,8 @@ def test_the_first_search_builds_into_the_cache(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("nbrs", [[[1], [2]], [[1], [-1]], [[1]]], ids=["past-nv", "negative", "short"])
 def test_the_c_kernel_refuses_neighbour_ids_it_cannot_index(c_search, nbrs):
-    with pytest.raises(ValueError, match="neighbour ids"):
-        c_search([[1, 2], [1, 2]], nbrs, False, None, None)
+    """And so does the Python kernel, where -1 would name the last
+    variable."""
+    for search in (c_search, kernel._search_python):
+        with pytest.raises(ValueError, match="neighbour ids"):
+            search([[1, 2], [1, 2]], nbrs, False, None, None)
