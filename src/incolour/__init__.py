@@ -17,7 +17,6 @@ from .graphs import (
     ListAssignment,
     Verdict,
     incidence_adjacent,
-    incidence_graph,
     incidence_id,
     incidences,
     validate_colouring,

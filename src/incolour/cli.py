@@ -9,6 +9,7 @@ directory.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,7 @@ def _read_spec(spec_path: str, family: Optional[str], flags=()) -> FamilySpec:
 
 
 def _config_guard(fn):
+    @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -85,8 +87,6 @@ def _config_guard(fn):
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
 
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
     return wrapped
 
 

@@ -105,6 +105,4 @@ def _paint_cycle_unit(painter: Painter, cycle: Sequence[int], entry: int) -> Non
     ring = [*cycle[pos:], *cycle[:pos]]
     if ring[1] > ring[-1]:
         ring = [ring[0]] + ring[1:][::-1]
-    in_cycle = set(cycle)
-    pendants = [[w for w in painter.graph.adj[u] if w not in in_cycle] for u in ring]
-    paint_cycle_unit(painter, ring, pendants, prefix="cactus-")
+    paint_cycle_unit(painter, ring, prefix="cactus-")

@@ -4,11 +4,12 @@ extending a pre-coloured pendant edge at v0.
 
 A cycle with rows of pendants is a cycle unit, and :func:`paint_cycle_unit`
 paints it in two steps.  First the ring and, at each ring vertex r_i, its
-unpainted pendant incidences (r_i, r_i w), the internals, by one exact ring
-transfer, :meth:`Painter.paint_ring` with ``inner`` (``corona-ring``): an
-internal sees of the ring only the four incidences on the edges at r_i, so
-the ring is searched block by block as a bare cycle is, and consecutive
-blocks must leave the internals at r_i distinct free colours (Hall).  Then the
+unpainted incidences (r_i, r_i w) to vertices w off the ring, the
+internals, by one exact ring transfer, :meth:`Painter.paint_ring`
+(``corona-ring``), which finds the internals itself: an internal sees of
+the ring only the four incidences on the edges at r_i, so the ring is
+searched block by block as a bare cycle is, and consecutive blocks must
+leave the internals at r_i distinct free colours (Hall).  Then the
 externals (w, w r_i) greedily (``corona-external``): each sees only the
 d(r_i) incidences at r_i, so a list of d(r_i) + 1 colours, never more than
 the bound, keeps one.  So a unit is coloured whenever it can be; that it
@@ -53,8 +54,7 @@ def paint_corona(painter: Painter, n: int, p: int, pre: Optional[dict[int, int]]
                 f"corona pre-colouring must cover incidences {down} and {up} only")
         painter.paint(down, pre[down], "corona-pre")
         painter.paint(up, pre[up], "corona-pre")
-    rows = [[corona_pendant(i, j, n, p) for j in range(1, p + 1)] for i in range(n)]
-    paint_cycle_unit(painter, range(n), rows)
+    paint_cycle_unit(painter, range(n))
 
 
 def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
@@ -64,16 +64,16 @@ def pendant_edge_ids(g: Graph, n: int, p: int) -> tuple[int, int]:
     return incidence_id(g, 0, leaf), incidence_id(g, leaf, 0)
 
 
-def paint_cycle_unit(painter: Painter, ring: Sequence[int], pendants: Sequence[Sequence[int]],
-                     prefix: str = "") -> None:
+def paint_cycle_unit(painter: Painter, ring: Sequence[int], prefix: str = "") -> None:
     """Colour every unpainted incidence on the cycle ``ring`` (host vertices
-    in cycle order) and on the edges to ``pendants[i]``, the pendant
-    vertices of ``ring[i]``: the ring and the internals under ``prefix`` +
-    ``corona-ring``, then the externals under ``prefix`` +
-    ``corona-external``.  Incidences painted before, such as a pre-coloured
-    pendant edge or a cactus unit's connector, are kept wherever they lie
-    (:meth:`Painter.paint_ring` reads free lists)."""
-    painter.paint_ring(ring, prefix + "corona-ring", inner=dict(zip(ring, pendants)))
-    g = painter.graph
-    painter.fill((incidence_id(g, w, r) for r, row in zip(ring, pendants) for w in row),
+    in cycle order) and on the edges from its vertices to vertices off it:
+    the ring and the internals (r, r w) under ``prefix`` + ``corona-ring``,
+    then the externals (w, w r) under ``prefix`` + ``corona-external``, in
+    ring order and at each r in adjacency order.  Incidences painted
+    before, such as a pre-coloured pendant edge or a cactus unit's
+    connector, are kept wherever they lie (:meth:`Painter.paint_ring` reads
+    free lists)."""
+    painter.paint_ring(ring, prefix + "corona-ring")
+    g, on_ring = painter.graph, set(ring)
+    painter.fill((incidence_id(g, w, r) for r in ring for w in g.adj[r] if w not in on_ring),
                  prefix + "corona-external")

@@ -53,8 +53,7 @@ def paint_halin(painter: Painter, spec: FamilySpec) -> None:
     # the inner tree: the vertices off the rim, from the least of them
     root = min(v for v in range(g.n) if v not in rim)
     painter.greedy_tree(root, "halin-tree", outside=rim)
-    painter.paint_ring(leaves, "halin-outer-cycle",
-                       inner={r: [w for w in g.adj[r] if w not in rim] for r in leaves})
+    painter.paint_ring(leaves, "halin-outer-cycle")
 
 
 def _tree_is_star(g: Graph, spec: FamilySpec) -> bool:

@@ -8,7 +8,7 @@ constructive layer never calls the solver."""
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -110,13 +110,12 @@ class ConstructiveReport:
 class Painter:
     """Incremental colouring state for one constructive run.
 
-    ``paint`` checks list membership and adjacency on every application;
-    ``greedy`` picks the smallest colour that survives the incidence's
-    already-coloured neighbourhood.  The painting rules the procedures
-    share are written once here: ``fill`` (greedy on whatever is still
-    unpainted), ``greedy_tree`` (root to leaves, for trees and the inner
-    tree of a Halin graph) and ``paint_ring`` (a cycle with its internals,
-    exactly).
+    ``paint`` checks list membership and adjacency on every application.
+    The painting rules the procedures share are written once here:
+    ``fill`` (the least colour that survives the already-coloured
+    neighbourhood, on whatever is still unpainted), ``greedy_tree`` (root
+    to leaves, for trees and the inner tree of a Halin graph) and
+    ``paint_ring`` (a cycle with its internals, exactly).
 
     The painter reads adjacency from the graph's per-vertex index
     (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
@@ -151,9 +150,6 @@ class Painter:
         more."""
         return _as_steps(self._steps)
 
-    def painted(self, i: int) -> bool:
-        return self.colour[i] is not None
-
     def free(self, i: int) -> list[int]:
         v, u = self._head[self._mate[i]], self._head[i]
         out = self.lists.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
@@ -173,12 +169,6 @@ class Painter:
         at_v.add(colour)
         self.IN[u].add(colour)
         self._steps.append((i, colour, tag))
-
-    def greedy(self, i: int, tag: str) -> int:
-        if self.colour[i] is not None:
-            raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        self.fill((i,), tag)
-        return self.colour[i]
 
     def fill(self, ids: Iterable[int], tag: str) -> None:
         """Paint each of ``ids`` still unpainted, in order, with the least
@@ -216,12 +206,11 @@ class Painter:
                 self.fill((up[v],), tag)
             self.fill(ids, tag)
 
-    def paint_ring(self, ring: Sequence[int], tag: str,
-                   inner: Optional[Mapping[int, Sequence[int]]] = None) -> None:
-        """Colour the cycle ``ring`` exactly: its edges unpainted, with
-        ``inner`` also the unpainted internals (r_i, r_i w) at each ring
-        vertex r_i, one for each w in ``inner[r_i]``: the leaf end of a
-        Halin spoke, or a cycle unit's pendant edges.  Every list is the
+    def paint_ring(self, ring: Sequence[int], tag: str) -> None:
+        """Colour the cycle ``ring`` exactly: its edges unpainted, and the
+        internals at each ring vertex r_i, the unpainted incidences (r_i,
+        r_i w) with w off the ring, in id order: the leaf end of a Halin
+        spoke, or a cycle unit's pendant edges.  Every list is the
         incidence's free list (:meth:`free`), so colours painted before
         count wherever they lie.  Anything else they see is painted
         already, or later by a step that cannot get stuck, like a unit's
@@ -239,12 +228,12 @@ class Painter:
         ring (:func:`_strip`), then the internals vertex by vertex; else
         StuckError, with nothing painted."""
         n = len(ring)
-        g = self.graph
+        g, off, head, colour = self.graph, self._off, self._head, self.colour
         ids = [(a := incidence_id(g, r, s), self._mate[a])
                for r, s in zip(ring, [*ring[1:], ring[0]])]
-        inner = inner or {}
-        rows = [[t for w in inner.get(r, ()) if self.colour[(t := incidence_id(g, r, w))] is None]
-                for r in ring]
+        on_ring = set(ring)
+        rows = [[t for t in range(off[r], off[r + 1])
+                 if head[t] not in on_ring and colour[t] is None] for r in ring]
         pend = [[self.free(t) for t in row] for row in rows]
         # exact: a colour outside an incidence's least free colours, one
         # more than its unpainted neighbours here (four on the ring, the

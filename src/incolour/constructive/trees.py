@@ -40,7 +40,7 @@ def paint_tree(painter: Painter, pre: dict[int, int]) -> None:
         painter.paint(i, colour, "tree-anchor")
     anchor = max(pre, default=0)
     if not pre:
-        painter.greedy(anchor, "tree-anchor-free")
+        painter.fill((anchor,), "tree-anchor-free")
     _, head, mate = _vertex_index(painter.graph)
     painter.fill((mate[anchor],), "tree-anchor-mate")
     painter.greedy_tree(head[mate[anchor]], "tree-topdown")

@@ -407,18 +407,6 @@ def gen_random_graph(n: int, seed: int, density: float = 0.3) -> Graph:
     return Graph(n, edges)
 
 
-def gen_random_degenerate(n: int, d: int, seed: int) -> Graph:
-    """Random d-degenerate graph: each new vertex attaches to at most d
-    earlier vertices."""
-    rng = random.Random(seed)
-    edges = []
-    for v in range(1, n):
-        k = rng.randint(1, min(d, v))
-        for u in rng.sample(range(v), k):
-            edges.append((u, v))
-    return Graph(n, edges)
-
-
 def generate(spec: FamilySpec) -> tuple[Graph, FamilySpec]:
     """Materialize a spec (the inverse of the gen_* constructors).
 

@@ -83,10 +83,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        e = canon_edge(u, v)
-        return Graph(self.n, [f for f in self.edges if f != e])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -201,18 +197,6 @@ def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
                 out.append(tuple(sorted(ids)))
         g._cache["incidence_neighbour_ids"] = tuple(out)
     return g._cache["incidence_neighbour_ids"]
-
-
-def incidence_graph(g: Graph) -> Graph:
-    """The graph on the incidences of ``g``: vertex ``i`` is the ``i``-th
-    incidence, edges given by incidence adjacency.
-
-    A proper vertex colouring of this graph is exactly an incidence
-    colouring of ``g``.
-    """
-    neigh = incidence_neighbour_ids(g)
-    edges = [(i, j) for i, ids in enumerate(neigh) for j in ids if i < j]
-    return Graph(len(neigh), edges)
 
 
 class ListAssignment:

@@ -18,7 +18,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .constructive import construct, guaranteed_bound
@@ -104,6 +104,10 @@ class FuzzCampaign:
         # a campaign that runs no trial would report "0/0 trials ok"
         if not self.instances:
             raise InputError("a campaign needs at least one instance")
+        for name in ("trials", "workers", "k", "universe"):
+            value = getattr(self, name)
+            if not (type(value) is int or (value is None and name in ("k", "universe"))):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         cpus = os.cpu_count() or 1
@@ -138,18 +142,7 @@ class CampaignReport:
         return {
             "total_trials": self.total_trials,
             "total_failures": self.total_failures,
-            "instances": [
-                {
-                    "spec": r.spec,
-                    "k": r.k,
-                    "universe": r.universe,
-                    "trials": r.trials,
-                    "successes": r.successes,
-                    "failures": r.failures,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in self.results
-            ],
+            "instances": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in self.results],
         }
 
     def summary_lines(self) -> list[str]:

@@ -158,10 +158,6 @@ def spec_from_json(data: dict) -> FamilySpec:
     return FamilySpec.from_json(data)
 
 
-def pre_to_json(pre: dict[int, int]) -> dict:
-    return {"pre": [[i, c] for i, c in sorted(pre.items())]}
-
-
 def pre_from_json(data: Optional[dict]) -> Optional[dict[int, int]]:
     if data is None:
         return None

@@ -36,12 +36,15 @@ class SolverConfig:
     deadline that has already passed (the kernel checks it every 1,024
     nodes).  A hit budget or deadline yields the distinguishable
     ``unknown`` outcome, never a wrong ``unsatisfiable``.  Negative (or
-    NaN) budgets are rejected as configuration errors."""
+    NaN) budgets, and a node budget that is not an int, are rejected as
+    configuration errors."""
 
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None     # seconds
 
     def __post_init__(self):
+        if self.node_budget is not None and type(self.node_budget) is not int:
+            raise InputError(f"node_budget must be an integer, got {self.node_budget!r}")
         for name in ("node_budget", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:

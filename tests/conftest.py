@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
 from hypothesis import settings
 
 from incolour import families
-from incolour.graphs import Graph, incidence_adjacent, incidences, validate_colouring
+from incolour.graphs import (
+    Graph,
+    incidence_adjacent,
+    incidence_neighbour_ids,
+    incidences,
+    validate_colouring,
+)
 
 # every @given test draws the same examples on every run, so its time and
 # coverage do not vary and a failure it finds reproduces without a database
@@ -111,6 +118,25 @@ def hypercube(d):
     ids differ in one bit."""
     return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
                           if not v >> b & 1])
+
+
+def incidence_graph(g):
+    """The graph on the incidences of ``g``: vertex ``i`` is the ``i``-th
+    incidence, edges given by incidence adjacency, so a proper vertex
+    colouring of it is exactly an incidence colouring of ``g``."""
+    neigh = incidence_neighbour_ids(g)
+    return Graph(len(neigh), [(i, j) for i, ids in enumerate(neigh) for j in ids if i < j])
+
+
+def gen_random_degenerate(n, d, seed):
+    """Random d-degenerate graph: each new vertex attaches to at most d
+    earlier vertices."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        k = rng.randint(1, min(d, v))
+        edges.extend((u, v) for u in rng.sample(range(v), k))
+    return Graph(n, edges)
 
 
 @pytest.fixture

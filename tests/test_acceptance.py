@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 
+from conftest import gen_random_degenerate, incidence_graph
 from incolour.catalogue import (
     cactus_row_specs,
     halin_specs,
@@ -27,7 +28,6 @@ from incolour.families import (
     FamilySpec,
     gen_basic,
     gen_cycle_power,
-    gen_random_degenerate,
     gen_random_graph,
     gen_random_tree,
     generate,
@@ -215,8 +215,6 @@ def test_criterion_10_structural_invariants():
             v = inc.vertex
             u = inc.edge[0] if inc.edge[1] == v else inc.edge[1]
             assert len(ids) == 2 * g.degree(v) + g.degree(u) - 2
-    from incolour.graphs import incidence_graph
-
     for n in range(3, 9):
         c, _ = gen_basic("cycle", n)
         phi = {}

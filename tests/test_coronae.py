@@ -229,8 +229,7 @@ def test_ring_transfer_is_exact_on_a_cactus_unit():
                       incidence_id(g, 0, 5)], "parent")
         fixed = [frozenset({c}) if c is not None else lst
                  for c, lst in zip(painter.colour, lists.lists)]
-        pendants = [[5, *rows[0]], *rows[1:]]
-        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(5), pendants))
+        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(5)))
         found = solve_list_colouring(g, ListAssignment(fixed)).found
         assert (rep is not None) == found, seed
         if rep is not None:
@@ -248,16 +247,16 @@ def test_ring_transfer_is_exact_with_paint_away_from_ring_start():
     they lie."""
     n, p = 4, 1
     g, _ = gen_corona(n, p)
-    rows = [[corona_pendant(i, 1, n, p)] for i in range(n)]
+    leaf = corona_pendant(2, 1, n, p)
     runs = unsat = 0
     for seed in range(150):
         rng = random.Random(seed)
         lists = _short_lists(g, lambda v, w: p + 3 if v >= n else 0, rng, 2, 4, 5)
         painter = Painter(g, lists)
-        painter.fill([incidence_id(g, 2, rows[2][0]), incidence_id(g, rows[2][0], 2)], "pre")
+        painter.fill([incidence_id(g, 2, leaf), incidence_id(g, leaf, 2)], "pre")
         fixed = [frozenset({c}) if c is not None else lst
                  for c, lst in zip(painter.colour, lists.lists)]
-        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(n), rows))
+        rep = _coloured(painter, lambda pa: paint_cycle_unit(pa, range(n)))
         found = solve_list_colouring(g, ListAssignment(fixed)).found
         assert (rep is not None) == found, seed
         if rep is not None:

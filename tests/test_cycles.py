@@ -110,8 +110,7 @@ def test_paint_ring_around_a_painted_hub(n):
         lists = ListAssignment([range(1, 3 * n + 4) if i in spokes else lists[i]
                                 for i in range(len(lists))])
         painter = Painter(g, lists)
-        for i in spokes:
-            painter.greedy(i, "spoke")
+        painter.fill(spokes, "spoke")
         fixed = ListAssignment([{painter.colour[i]} if i in spokes else lists[i]
                                 for i in range(len(lists))])
         coloured = _paint_ring(painter, range(n)) is not None

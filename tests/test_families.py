@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_random_degenerate
 from incolour.catalogue import default_fuzz_instances, random_halin_spec, random_ham_cubic_specs
 from incolour.families import (
     ALL_FAMILIES,
@@ -26,7 +27,6 @@ from incolour.families import (
     gen_grid,
     gen_halin,
     gen_ham_cubic,
-    gen_random_degenerate,
     gen_random_graph,
     gen_random_tree,
     gen_tree,

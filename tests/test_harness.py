@@ -171,7 +171,7 @@ def test_campaign_times_each_instance_by_its_own_trials():
     assert grid.seconds > cycle.seconds > 0
 
 
-@pytest.mark.parametrize("workers", [0, -1, os.cpu_count() + 1])
+@pytest.mark.parametrize("workers", [0, -1, os.cpu_count() + 1, 2.0, True])
 def test_campaign_rejects_worker_counts_outside_cpu_range(workers):
     with pytest.raises(InputError):
         FuzzCampaign(instances=(FamilySpec("corona", {"n": 3, "p": 2}),), workers=workers)
@@ -302,7 +302,10 @@ def test_regression_budget_marks_unknown():
     assert report.unknowns and not report.ok
 
 
-@pytest.mark.parametrize("kwargs", [{"trials": -3}, {"trials": 0}, {"instances": ()}])
+# counts that are not ints are rejected as early: run_campaign could not use them
+@pytest.mark.parametrize("kwargs", [{"trials": -3}, {"trials": 0}, {"instances": ()},
+                                    {"trials": 2.5}, {"trials": True}, {"k": 4.0},
+                                    {"universe": 12.5}])
 def test_campaign_rejects_running_no_trial(kwargs):
     with pytest.raises(InputError):
         FuzzCampaign(**{"instances": (FamilySpec("cycle", {"n": 5}),), **kwargs})

@@ -129,14 +129,13 @@ def test_painter_guards():
     painter.paint(0, 1, "t")
     with pytest.raises(IncolourError, match="^incidence 0 painted twice"):
         painter.paint(0, 2, "t")
-    with pytest.raises(IncolourError, match="^incidence 0 painted twice"):
-        painter.greedy(0, "t")
     with pytest.raises(IncolourError, match="^colour 9 outside list of incidence 1"):
         painter.paint(1, 9, "t")
     with pytest.raises(IncolourError, match="^colour 1 conflicts at incidence 1"):
         painter.paint(1, 1, "t")
-    assert painter.free(1) == [2, 3] and not painter.painted(1)
-    assert painter.greedy(1, "t") == 2 and painter.painted(1)
+    assert painter.free(1) == [2, 3] and painter.colour[1] is None
+    painter.fill((1,), "t")
+    assert painter.colour[1] == 2
 
 
 def test_painter_greedy_stuck_reports_incidence():
@@ -144,7 +143,7 @@ def test_painter_greedy_stuck_reports_incidence():
     painter = Painter(g, ListAssignment([{1}, {1}, {2}, {3}]))
     painter.paint(0, 1, "t")
     with pytest.raises(StuckError) as err:
-        painter.greedy(1, "t")
+        painter.fill((1,), "t")
     assert err.value.incidence == 1
     assert err.value.trace == (TraceStep(0, 1, "t"),)
 
@@ -173,11 +172,11 @@ def test_paint_ring_stuck_on_c4_with_uniform_three_lists():
     ids=[*map(str, range(len(SCAN_GRAPHS))), *(f"{i}-sparse" for i in range(len(SCAN_GRAPHS)))])
 def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
     """Walks that only paint, each on a fresh painter, at random incidences
-    and by ``paint`` or ``greedy`` at random: at every step the colours
+    and by ``paint`` or ``fill`` at random: at every step the colours
     that ``free`` reads around i = (v, vu), ``AT[v] | IN[v] | AT[u]`` less
     i's own, and ``free`` itself agree with a scan of
     ``incidence_neighbour_ids`` over an independent record of the colours,
-    and ``paint`` and ``greedy`` with that scan.  After each walk the
+    and ``paint`` and ``fill`` with that scan.  After each walk the
     painter's colour sets ``AT[v]`` and ``IN[v]`` hold the colours of the
     incidences at and into each v."""
     neigh = incidence_neighbour_ids(g)
@@ -199,17 +198,18 @@ def test_forbidden_and_free_match_a_scan_of_the_neighbour_table(g, universe):
             want = {held[j] for j in neigh[i] if j in held}
             assert forbidden(painter, i) == want
             assert painter.free(i) == sorted(lists[i] - want)
-            assert painter.painted(i) == (i in held)
+            assert (painter.colour[i] is not None) == (i in held)
             if i in held:
                 with pytest.raises(IncolourError, match="painted twice"):
                     painter.paint(i, held[i], "t")
             elif rng.random() < 0.5:
                 if lists[i] - want:
-                    held[i] = painter.greedy(i, "t")
+                    painter.fill((i,), "t")
+                    held[i] = painter.colour[i]
                     assert held[i] == min(lists[i] - want)
                 else:
                     with pytest.raises(StuckError):
-                        painter.greedy(i, "t")
+                        painter.fill((i,), "t")
             else:
                 colour = rng.choice(sorted(lists[i]))
                 if colour in want:

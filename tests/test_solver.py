@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hypercube, naive_satisfiable
+from conftest import gen_random_degenerate, hypercube, naive_satisfiable
 from incolour import kernel, solver
 from incolour.constructive import StuckError
 from incolour.families import (
     gen_basic,
     gen_grid,
-    gen_random_degenerate,
     gen_random_graph,
     gen_random_tree,
 )
@@ -167,7 +166,8 @@ def test_time_budget_yields_unknown():
 
 
 def test_negative_budgets_are_configuration_errors():
-    for bad in ({"node_budget": -5}, {"time_budget": -1.0}, {"time_budget": float("nan")}):
+    for bad in ({"node_budget": -5}, {"time_budget": -1.0}, {"time_budget": float("nan")},
+                {"node_budget": 100.0}, {"node_budget": True}):
         with pytest.raises(InputError):
             SolverConfig(**bad)
     SolverConfig(node_budget=0, time_budget=0.0)   # zero is a valid budget
@@ -208,7 +208,8 @@ def test_chi_monotone_under_edge_deletion():
             continue
         chi = incidence_chromatic_number(g)
         u, v = g.edges[seed % len(g.edges)]
-        assert incidence_chromatic_number(g.without_edge(u, v)) <= chi
+        h = Graph(g.n, [e for e in g.edges if e != (u, v)])
+        assert incidence_chromatic_number(h) <= chi
 
 
 def test_completeness_against_naive_oracle_small():

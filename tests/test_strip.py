@@ -1,9 +1,9 @@
-"""The Halin rim transfer, ``Painter.paint_ring(ring, tag, inner)`` with the
-leaf end x_i = (r_i, r_i s_i) of each spoke as the one internal at rim
-vertex r_i: the strip of rim blocks (a_i, b_i) and spoke ends it assumes is
-the Halin graph's, it decides exactly, its rim list cuts are the least
-exact ones (spoke ends are internals and are not cut), and the strip lemma
-that the Halin route rests on holds on every strip tried.
+"""The Halin rim transfer, ``Painter.paint_ring(ring, tag)``, which takes
+the unpainted leaf end x_i = (r_i, r_i s_i) of each spoke as the one
+internal at rim vertex r_i: the strip of rim blocks (a_i, b_i) and spoke
+ends it assumes is the Halin graph's, it decides exactly, its rim list cuts
+are the least exact ones (spoke ends are internals and are not cut), and
+the strip lemma that the Halin route rests on holds on every strip tried.
 
 The strip lemma: rim lists of 5 or more colours and spoke lists of 2 or
 more always give a colourable strip.  It is checked here, not proven."""
@@ -22,7 +22,14 @@ from incolour.catalogue import halin_interleaved_spec, halin_specs, random_halin
 from incolour.constructive import Painter, StuckError, _as_halin
 from incolour.constructive.halin import K4_HALIN
 from incolour.families import FamilySpec, gen_basic, generate
-from incolour.graphs import ListAssignment, incidence_id, incidence_neighbour_ids, incidences
+from incolour.graphs import (
+    IncidenceColouring,
+    ListAssignment,
+    incidence_id,
+    incidence_neighbour_ids,
+    incidences,
+    validate_colouring,
+)
 
 
 # small Halin graphs: K4, the wheels on rims C4-C8, the catalogue's
@@ -33,8 +40,9 @@ SMALL_HALIN = [K4_HALIN, *(_as_halin(FamilySpec("wheel", {"n": n})) for n in ran
 
 
 def strip_of(g, spec):
-    """The spokes of the rim, as ``paint_ring``'s internals, and the strip's
-    incidence ids (x_i, a_i, b_i): the spoke end, then the rim block."""
+    """The spokes of the rim, whose leaf ends are ``paint_ring``'s
+    internals, and the strip's incidence ids (x_i, a_i, b_i): the spoke
+    end, then the rim block."""
     leaves = list(spec.params["leaf_order"])
     spokes = {r: [w for w in g.adj[r] if w not in leaves] for r in leaves}
     blocks = [(incidence_id(g, r, spokes[r][0]), incidence_id(g, r, s), incidence_id(g, s, r))
@@ -68,13 +76,10 @@ def _paint_strip(painter, spec, spokes):
     None when the rim is stuck; the second value fixes the painted
     incidences as one-colour lists, for the oracle."""
     g, lists = painter.graph, painter.lists
-    for i, inc in enumerate(incidences(g)):
-        if inc.vertex not in spokes:
-            painter.greedy(i, "tree")
-    fixed = ListAssignment([{painter.colour[i]} if painter.painted(i) else lists[i]
-                            for i in range(len(lists))])
+    painter.fill([i for i, inc in enumerate(incidences(g)) if inc.vertex not in spokes], "tree")
+    fixed = ListAssignment([lists[i] if c is None else {c} for i, c in enumerate(painter.colour)])
     try:
-        painter.paint_ring(spec.params["leaf_order"], "ring", inner=spokes)
+        painter.paint_ring(spec.params["leaf_order"], "ring")
     except StuckError:
         return None, fixed
     rep = painter.report()
@@ -120,13 +125,34 @@ def wheel_strip(rims, spokes):
     for r in range(k):
         painter.paint(incidence_id(g, k, r), 100 + r, "hub")
     try:
-        painter.paint_ring(range(k), "ring", inner={r: [k] for r in range(k)})
+        painter.paint_ring(range(k), "ring")
     except StuckError:
         assert not naive_satisfiable(g, lists)
         return None
     rep = painter.report()
     assert_valid_report(g, lists, rep)
     return rep, g
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_paint_ring_takes_the_unpainted_spoke_ends_as_internals(n):
+    """On a wheel with nothing painted, ``paint_ring`` over the rim paints
+    the rim incidences and the spoke ends (r, r·hub), the unpainted
+    incidences from the ring to the hub, and leaves the hub's own
+    incidences unpainted; the partial colouring is proper and from the
+    lists."""
+    g, _ = gen_basic("wheel", n)
+    lists = ListAssignment.uniform(g, 7)
+    painter = Painter(g, lists)
+    painter.paint_ring(range(n), "ring")
+    rim = {incidence_id(g, r, s) for r in range(n) for s in ((r + 1) % n, (r - 1) % n)}
+    spoke_ends = {incidence_id(g, r, n) for r in range(n)}
+    painted = {i for i, c in enumerate(painter.colour) if c is not None}
+    assert painted == rim | spoke_ends
+    assert all(painter.colour[incidence_id(g, n, r)] is None for r in range(n))
+    verdict = validate_colouring(g, lists, IncidenceColouring(
+        {i: c for i, c in enumerate(painter.colour) if c is not None}))
+    assert verdict.proper and verdict.list_respecting
 
 
 def test_spoke_takes_its_fifth_least_colour():
