@@ -89,18 +89,20 @@ def _bind(path: Path) -> ctypes.CDLL:
 def search(lib, domains, nbrs, uniform, node_budget, deadline):
     """:func:`incolour.kernel.search` in ``kernel.c``, which hands control
     back at every 1,024th node for the deadline check (and so that Ctrl-C
-    stops a long search)."""
+    stops a long search).  Under ``uniform`` it reads ``domains[0]`` only,
+    as the one domain of every variable."""
     nv = len(domains)
     if nv == 0:
         return FOUND, [], 0
+    first = domains[0]
     try:
-        col = array("q", chain.from_iterable(domains))
+        col = array("q", first) * nv if uniform else array("q", chain.from_iterable(domains))
     except OverflowError:
         # colours beyond 64 bits: kernel.c only compares them, so their
         # ranks among all the colours do as well
         rank = {c: r for r, c in enumerate(sorted(set().union(*domains)))}
         col = array("q", map(rank.__getitem__, chain.from_iterable(domains)))
-    size = array("i", map(len, domains))
+    size = array("i", [len(first)]) * nv if uniform else array("i", map(len, domains))
     deg = array("i", map(len, nbrs))
     nbr = array("i", chain.from_iterable(nbrs))
     # kernel.c indexes by these ids unchecked
@@ -124,6 +126,8 @@ def search(lib, domains, nbrs, uniform, node_budget, deadline):
         lib.ks_free(state)
     if status != FOUND:
         return status, None, nodes[0]
+    if uniform:
+        return FOUND, list(map(first.__getitem__, pos)), nodes[0]
     return FOUND, [dom[p] for dom, p in zip(domains, pos)], nodes[0]
 
 

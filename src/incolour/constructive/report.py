@@ -267,9 +267,9 @@ class Painter:
         if None in self.colour:
             missing = self.colour.index(None)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
+        colouring = IncidenceColouring._unchecked(dict(enumerate(self.colour)))
         # nothing is painted after this, so the report may share the steps
-        return ConstructiveReport(IncidenceColouring(dict(enumerate(self.colour))),
-                                  self._steps)
+        return ConstructiveReport(colouring, self._steps)
 
 
 def _schedule(m: int, runs: Iterable[tuple[str, Iterable[int]]]) -> tuple:

@@ -229,7 +229,10 @@ class ListAssignment:
 
     @classmethod
     def uniform(cls, g: Graph, k: int) -> "ListAssignment":
-        """Every incidence gets the list ``{1..k}``."""
+        """Every incidence gets the list ``{1..k}``; ``k`` is an int (not a
+        bool) of at least 1."""
+        if type(k) is not int:
+            raise GraphError(f"uniform list size must be an integer, got {k!r}")
         if k < 1:
             raise GraphError("uniform list size must be >= 1")
         colours = frozenset(range(1, k + 1))
@@ -260,12 +263,23 @@ def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
 
 
 class IncidenceColouring:
-    """A (possibly partial) map incidence id -> colour."""
+    """A (possibly partial) map incidence id -> colour.
+
+    Building one copies the map.  A dict the library has just built, and
+    keeps no other reference to, is wrapped by :meth:`_unchecked` instead."""
 
     __slots__ = ("assignment",)
 
     def __init__(self, assignment: Optional[Mapping[int, int]] = None):
         self.assignment: dict[int, int] = dict(assignment or {})
+
+    @classmethod
+    def _unchecked(cls, assignment: dict[int, int]) -> "IncidenceColouring":
+        """``assignment``, a dict the library built itself, wrapped without
+        a copy."""
+        out = object.__new__(cls)
+        out.assignment = assignment
+        return out
 
     def __getitem__(self, i: int) -> int:
         return self.assignment[i]

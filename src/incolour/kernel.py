@@ -6,7 +6,8 @@ Inputs are the structures the library already holds:
 * ``domains``: per-variable sorted colour lists, each colour once,
 * ``nbrs``: per-variable neighbour ids (the graph's cached
   ``incidence_neighbour_ids``, which the kernel only reads),
-* ``uniform``: true only when every domain is the same list.
+* ``uniform``: true only when every domain is the same list (see
+  :func:`search`).
 
 :func:`search` runs the C kernel.  The first search builds it with the
 system C compiler into a per-user cache and loads it with ``ctypes``
@@ -83,6 +84,12 @@ def search(domains, nbrs, uniform, node_budget, deadline):
     as the count passes ``node_budget``, and compare the clock with
     ``deadline`` (a ``time.monotonic`` value) at every node whose count is
     a multiple of 1,024.
+
+    ``uniform`` promises that every domain is the same list.  The caller
+    may then pass one list object for every variable, as the solver does,
+    and the C kernel's marshaller copies ``domains[0]`` alone into its
+    arrays.  So the flag set on unequal domains breaks the contract: the C
+    search runs on the first domain everywhere.
     """
     c_search = _compiled()
     if c_search:

@@ -36,8 +36,9 @@ class SolverConfig:
     deadline that has already passed (the kernel checks it every 1,024
     nodes).  A hit budget or deadline yields the distinguishable
     ``unknown`` outcome, never a wrong ``unsatisfiable``.  Negative (or
-    NaN) budgets, and a node budget that is not an int, are rejected as
-    configuration errors."""
+    NaN) budgets, a node budget that is not an int, and a time budget that
+    is not an int or float, are rejected as configuration errors; a bool
+    is neither."""
 
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None     # seconds
@@ -45,6 +46,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_budget is not None and type(self.node_budget) is not int:
             raise InputError(f"node_budget must be an integer, got {self.node_budget!r}")
+        if self.time_budget is not None and (
+                type(self.time_budget) is bool or not isinstance(self.time_budget, (int, float))):
+            raise InputError(f"time_budget must be a number of seconds, got {self.time_budget!r}")
         for name in ("node_budget", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:
@@ -90,14 +94,16 @@ def solve_list_colouring(
     before being handed back.
     """
     check_lists_cover(g, lists)
-    domains = [sorted(l) for l in lists.lists]
+    sets = lists.lists
     # the tuple comparison stops at the first list unequal to the first
-    uniform = bool(domains) and lists.lists == (lists[0],) * len(domains)
+    uniform = bool(sets) and sets == (sets[0],) * len(sets)
+    # uniform lists are sorted once, and the kernel is passed that one list
+    domains = [sorted(sets[0])] * len(sets) if uniform else [sorted(l) for l in sets]
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     status, colours, nodes = kernel.search(
         domains, incidence_neighbour_ids(g), uniform, cfg.node_budget, deadline)
     if status == kernel.FOUND:
-        colouring = IncidenceColouring(dict(enumerate(colours)))
+        colouring = IncidenceColouring._unchecked(dict(enumerate(colours)))
         verdict = validate_colouring(g, lists, colouring)
         if not verdict.ok:  # pragma: no cover - kernel soundness guard
             raise IncolourError(f"kernel produced an invalid colouring: {verdict.violation}")

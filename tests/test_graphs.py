@@ -222,6 +222,22 @@ def test_list_assignment_guards(k2):
             == ListAssignment([(1,), [2, 3]]).lists == (frozenset({1}), frozenset({2, 3})))
 
 
+@pytest.mark.parametrize("k", [2.5, "3", True], ids=["float", "str", "bool"])
+def test_uniform_list_size_must_be_an_int(k2, k):
+    with pytest.raises(GraphError, match="^uniform list size must be an integer, got "):
+        ListAssignment.uniform(k2, k)
+
+
+def test_a_colouring_copies_the_map_it_is_given():
+    d = {0: 1, 1: 2}
+    colouring = IncidenceColouring(d)
+    d[0] = 3
+    d[2] = 1
+    del d[1]
+    assert colouring.assignment == {0: 1, 1: 2}
+    assert colouring.assignment is not d
+
+
 _EMPTY = "^empty colour list for incidence {}$"
 _BAD = r"^colours must be non-negative ints \(incidence {}\)$"
 

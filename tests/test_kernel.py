@@ -46,7 +46,7 @@ def test_searches_run_on_the_c_kernel(c_search):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(4, 9), mode=st.sampled_from(
-    ["uniform", "uniform-unflagged", "mixed", "wide"]),
+    ["uniform", "uniform-copies", "uniform-unflagged", "mixed", "wide"]),
     budget=st.one_of(st.none(), st.integers(0, 80)))
 def test_kernels_agree(c_search, seed, n, mode, budget):
     g = gen_random_graph(n, seed, density=0.35 + (seed % 5) * 0.1)
@@ -60,7 +60,10 @@ def test_kernels_agree(c_search, seed, n, mode, budget):
         universe = d + 3 if mode == "mixed" else 4 * d + 8
         domains = [sorted(rng.sample(range(1, universe + 1), rng.randint(1, d + 1)))
                    for _ in nbrs]
-    both(c_search, domains, nbrs, mode == "uniform", budget)
+    out = both(c_search, domains, nbrs, mode in ("uniform", "uniform-copies"), budget)
+    if mode == "uniform-copies":
+        # equal but distinct lists, flagged: as the one shared list
+        assert both(c_search, [list(dom) for dom in domains], nbrs, True, budget) == out
 
 
 def test_kernels_agree_on_long_searches(c_search):

@@ -167,7 +167,8 @@ def test_time_budget_yields_unknown():
 
 def test_negative_budgets_are_configuration_errors():
     for bad in ({"node_budget": -5}, {"time_budget": -1.0}, {"time_budget": float("nan")},
-                {"node_budget": 100.0}, {"node_budget": True}):
+                {"node_budget": 100.0}, {"node_budget": True},
+                {"time_budget": "5"}, {"time_budget": True}):
         with pytest.raises(InputError):
             SolverConfig(**bad)
     SolverConfig(node_budget=0, time_budget=0.0)   # zero is a valid budget
