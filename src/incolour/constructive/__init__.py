@@ -107,7 +107,7 @@ def construct(
     rule(painter, pre)
     report = painter.report()
     for i, colour in pre.items():
-        if report.colouring.assignment.get(i) != colour:
+        if report.colouring.get(i) != colour:
             raise IncolourError(f"colouring changes the pre-colour {colour} of incidence {i}")
     return report
 

@@ -2,8 +2,9 @@
 that applies one colour at a time with full validity checks (or a whole
 ring at once, with the internals at its vertices, such as the leaf ends
 of a Halin rim's spokes or a corona unit's pendant edges, by an exact
-polynomial transfer), and the replayable report it produces.  Nothing here searches exponentially: the
-constructive layer never calls the solver."""
+polynomial transfer), and the replayable report it produces.  Nothing
+here searches exponentially: the constructive layer never calls the
+solver."""
 
 from __future__ import annotations
 
@@ -28,15 +29,14 @@ class TraceStep(NamedTuple):
     tag: str
 
 
-def _as_steps(steps: list) -> list:
-    """``steps`` with each plain ``(incidence, colour, tag)`` tuple replaced
-    by its :class:`TraceStep`, in place.  The painter records plain tuples,
-    and a trace becomes steps only when it is read; in place, so that a
-    step is never held twice."""
-    for n, step in enumerate(steps):
-        if type(step) is not TraceStep:
-            steps[n] = TraceStep._make(step)
-    return steps
+def _trace(holder) -> tuple[TraceStep, ...]:
+    """``holder._trace``, a list of ``(incidence, colour, tag)`` tuples, as
+    a tuple of :class:`TraceStep`, built on the first read and kept: the
+    painter records plain tuples, and a trace nobody reads never becomes
+    steps."""
+    if type(holder._trace) is list:
+        holder._trace = tuple(map(TraceStep._make, holder._trace))
+    return holder._trace
 
 
 class StuckError(IncolourError):
@@ -54,11 +54,7 @@ class StuckError(IncolourError):
         self._trace = list(trace)   # the steps so far: the painter may go on
         super().__init__(f"no colour available for incidence {incidence} at step {tag!r}")
 
-    @property
-    def trace(self) -> tuple[TraceStep, ...]:
-        if type(self._trace) is list:
-            self._trace = tuple(_as_steps(self._trace))
-        return self._trace
+    trace = property(_trace)
 
 
 class ConstructiveReport:
@@ -76,11 +72,7 @@ class ConstructiveReport:
         self.colouring = colouring
         self._trace = trace if type(trace) is list else list(trace)
 
-    @property
-    def trace(self) -> tuple[TraceStep, ...]:
-        if type(self._trace) is list:
-            self._trace = tuple(_as_steps(self._trace))
-        return self._trace
+    trace = property(_trace)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConstructiveReport) and self.colouring == other.colouring
@@ -89,7 +81,7 @@ class ConstructiveReport:
     def replay(self, g: Graph, lists: ListAssignment) -> IncidenceColouring:
         check_lists_cover(g, lists)
         neigh = incidence_neighbour_ids(g)
-        out: dict[int, int] = {}
+        out = IncidenceColouring()
         for step in self.trace:
             if not 0 <= step.incidence < len(neigh):
                 raise IncolourError(f"replay: no incidence {step.incidence} in the graph at {step}")
@@ -101,10 +93,9 @@ class ConstructiveReport:
                 if out.get(w) == step.colour:
                     raise IncolourError(f"replay: conflict at {step}")
             out[step.incidence] = step.colour
-        replayed = IncidenceColouring(out)
-        if replayed != self.colouring:
+        if out != self.colouring:
             raise IncolourError("replay does not reproduce the colouring")
-        return replayed
+        return out
 
 
 class Painter:
@@ -130,8 +121,9 @@ class Painter:
     exact, and the colours that ``i = (v, vu)`` must avoid are ``AT[v] |
     IN[v] | AT[u]``, less ``i``'s own colour.  Colours are only compared
     and ordered, never computed with, so they may be any non-negative ints.
-    Each paint records a plain ``(incidence, colour, tag)`` tuple, which
-    becomes a :class:`TraceStep` only when a trace is read.
+    Each paint records a plain ``(incidence, colour, tag)`` tuple.  Reading
+    a trace builds its :class:`TraceStep` values from those tuples and
+    leaves the painter's record as it is.
     """
 
     def __init__(self, g: Graph, lists: ListAssignment):
@@ -146,20 +138,20 @@ class Painter:
 
     @property
     def trace(self) -> list[TraceStep]:
-        """The steps painted so far, in order; read it again after painting
-        more."""
-        return _as_steps(self._steps)
+        """The steps painted so far, in order, as a new list; read it again
+        after painting more."""
+        return list(map(TraceStep._make, self._steps))
 
     def free(self, i: int) -> list[int]:
         v, u = self._head[self._mate[i]], self._head[i]
-        out = self.lists.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
+        out = self.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
         # a painted i keeps its own colour, which no neighbour holds
         return sorted(out if self.colour[i] is None else out | {self.colour[i]})
 
     def paint(self, i: int, colour: int, tag: str) -> None:
         if self.colour[i] is not None:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
-        if colour not in self.lists.lists[i]:
+        if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
         v, u = self._head[self._mate[i]], self._head[i]
         at_v = self.AT[v]
@@ -173,7 +165,7 @@ class Painter:
     def fill(self, ids: Iterable[int], tag: str) -> None:
         """Paint each of ``ids`` still unpainted, in order, with the least
         colour of its list that none of its neighbours holds."""
-        colour, lists, head, mate = self.colour, self.lists.lists, self._head, self._mate
+        colour, lists, head, mate = self.colour, self.lists, self._head, self._mate
         AT, IN, steps = self.AT, self.IN, self._steps
         for i in ids:
             if colour[i] is None:
@@ -267,7 +259,7 @@ class Painter:
         if None in self.colour:
             missing = self.colour.index(None)
             raise IncolourError(f"colouring incomplete: incidence {missing} unpainted")
-        colouring = IncidenceColouring._unchecked(dict(enumerate(self.colour)))
+        colouring = IncidenceColouring(enumerate(self.colour))
         # nothing is painted after this, so the report may share the steps
         return ConstructiveReport(colouring, self._steps)
 

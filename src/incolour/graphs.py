@@ -28,6 +28,14 @@ class InputError(IncolourError):
     """An operation was called outside its documented preconditions."""
 
 
+def check_ints(**values) -> None:
+    """Raise :class:`InputError` at the first of ``values`` that is not an
+    int, or is a bool, naming it."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def canon_edge(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
@@ -199,16 +207,17 @@ def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
     return g._cache["incidence_neighbour_ids"]
 
 
-class ListAssignment:
-    """Colour lists (sets of non-negative ints) keyed by incidence id.
+class ListAssignment(tuple):
+    """Colour lists (sets of non-negative ints) keyed by incidence id: the
+    tuple of those lists, as frozensets.
 
     Building one checks every colour of every list: it is the entry for
     lists from outside the library.  Lists the library draws itself from
     colours it picked are wrapped by :meth:`_unchecked` instead."""
 
-    __slots__ = ("lists",)
+    __slots__ = ()
 
-    def __init__(self, lists: Sequence[Iterable[int]]):
+    def __new__(cls, lists: Iterable[Iterable[int]]):
         out = []
         for i, l in enumerate(lists):
             s = frozenset(l)
@@ -217,15 +226,13 @@ class ListAssignment:
             if any((not isinstance(c, int)) or c < 0 for c in s):
                 raise GraphError(f"colours must be non-negative ints (incidence {i})")
             out.append(s)
-        self.lists: tuple[frozenset[int], ...] = tuple(out)
+        return tuple.__new__(cls, out)
 
     @classmethod
     def _unchecked(cls, lists: tuple[frozenset[int], ...]) -> "ListAssignment":
         """``lists``, non-empty frozensets of non-negative ints that the
         library built itself, wrapped without a check."""
-        out = object.__new__(cls)
-        out.lists = lists
-        return out
+        return tuple.__new__(cls, lists)
 
     @classmethod
     def uniform(cls, g: Graph, k: int) -> "ListAssignment":
@@ -246,14 +253,14 @@ class ListAssignment:
             raise GraphError(f"missing lists for incidences {missing[:5]}")
         return cls([lists[i] for i in range(m)])
 
-    def __len__(self) -> int:
-        return len(self.lists)
-
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return self.lists[i]
+    @property
+    def lists(self) -> "ListAssignment":
+        """The assignment itself, for readers written when it wrapped its
+        tuple under this name."""
+        return self
 
     def min_size(self) -> int:
-        return min(map(len, self.lists), default=0)
+        return min(map(len, self), default=0)
 
 
 def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
@@ -262,39 +269,18 @@ def check_lists_cover(g: Graph, lists: ListAssignment) -> None:
         raise InputError("list assignment does not cover the incidences")
 
 
-class IncidenceColouring:
-    """A (possibly partial) map incidence id -> colour.
+class IncidenceColouring(dict):
+    """A (possibly partial) map incidence id -> colour: a dict, built as
+    one is, from a mapping (which it copies) or from ``(id, colour)``
+    pairs."""
 
-    Building one copies the map.  A dict the library has just built, and
-    keeps no other reference to, is wrapped by :meth:`_unchecked` instead."""
+    __slots__ = ()
 
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment: Optional[Mapping[int, int]] = None):
-        self.assignment: dict[int, int] = dict(assignment or {})
-
-    @classmethod
-    def _unchecked(cls, assignment: dict[int, int]) -> "IncidenceColouring":
-        """``assignment``, a dict the library built itself, wrapped without
-        a copy."""
-        out = object.__new__(cls)
-        out.assignment = assignment
-        return out
-
-    def __getitem__(self, i: int) -> int:
-        return self.assignment[i]
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.assignment
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IncidenceColouring) and self.assignment == other.assignment
-
-    def items(self):
-        return self.assignment.items()
+    @property
+    def assignment(self) -> "IncidenceColouring":
+        """The colouring itself, for readers written when it wrapped its
+        dict under this name."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -334,8 +320,9 @@ def validate_colouring(
     three cases of incidence adjacency (same vertex; same edge; ``vw``
     equal to one of the two edges).  Only when one fails are the
     incidences searched for the first clashing pair ``(i, j)``, ``i < j``,
-    in id order, which the violation names.  Unknown incidence ids are
-    structural errors (:class:`GraphError`), not colouring violations.
+    in id order, which the violation names.  A key that is not the int id
+    of an incidence is a structural error (:class:`GraphError`, naming the
+    key), not a colouring violation.
 
     The solvers' adjacency (:func:`incidence_neighbour_ids`) is built from
     the same per-vertex index, so the tests check both against a pairwise
@@ -343,35 +330,33 @@ def validate_colouring(
     """
     off, head, mate = _vertex_index(g)
     m = len(head)
-    assignment = colouring.assignment
-    for i in assignment:
-        if not (0 <= i < m):
-            raise GraphError(f"unknown incidence id {i}")
-    total = len(assignment) == m
+    for i in colouring:
+        if type(i) is not int or not 0 <= i < m:
+            raise GraphError(f"unknown incidence id {i!r}")
+    total = len(colouring) == m
     violation = None
 
     if total:
-        col = list(map(assignment.__getitem__, range(m)))
+        col = list(map(colouring.__getitem__, range(m)))
     else:
         # A fresh object per gap equals no colour and no other gap.
-        col = [assignment[i] if i in assignment else object() for i in range(m)]
+        col = [colouring[i] if i in colouring else object() for i in range(m)]
     at_tail = set(zip(_tails(g), col))
     proper = len(at_tail) == m and at_tail.isdisjoint(zip(head, col))
     if not proper:
-        i, j = next(_clashing_pairs(off, head, mate, assignment))
-        violation = f"incidences {i} and {j} are adjacent and share colour {assignment[i]}"
+        i, j = next(_clashing_pairs(off, head, mate, colouring))
+        violation = f"incidences {i} and {j} are adjacent and share colour {colouring[i]}"
 
     list_respecting: Optional[bool] = None
     if lists is not None:
         check_lists_cover(g, lists)
-        members = lists.lists
         if total:
-            list_respecting = all(map(frozenset.__contains__, members, col))
+            list_respecting = all(map(frozenset.__contains__, lists, col))
         else:
-            list_respecting = all(c in members[i] for i, c in assignment.items())
+            list_respecting = all(c in lists[i] for i, c in colouring.items())
         if not list_respecting and violation is None:
-            i = min(i for i, c in assignment.items() if c not in members[i])
-            violation = f"incidence {i} uses colour {assignment[i]} outside its list"
+            i = min(i for i, c in colouring.items() if c not in lists[i])
+            violation = f"incidence {i} uses colour {colouring[i]} outside its list"
     if violation is None and not total:
         missing = next(i for i in range(m) if i not in colouring)
         violation = f"incidence {missing} is uncoloured"

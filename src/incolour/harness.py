@@ -29,6 +29,7 @@ from .graphs import (
     IncolourError,
     InputError,
     ListAssignment,
+    check_ints,
     incidence_id,
     validate_colouring,
 )
@@ -55,7 +56,9 @@ def random_list_assignment(g: Graph, k: int, universe_size: int, seed: int) -> L
     rejection loop of ``Random._randbelow`` over the same span and bit
     length, and the drawn slot is refilled from the end of the pool.  The
     lists are k-sets of ints from 1 up, so they are wrapped unchecked.
+    ``k`` and ``universe_size`` must be ints, not bools (:class:`InputError`).
     """
+    check_ints(k=k, universe_size=universe_size)
     if k < 1 or universe_size < k:
         raise InputError("need universe_size >= k >= 1")
     rng = random.Random(seed)
@@ -90,7 +93,9 @@ def trial_seed(master_seed: int, instance_key: str, trial: int) -> int:
 
 @dataclass(frozen=True)
 class FuzzCampaign:
-    """A family sweep: instances, list-size rule, universe, trials, seed."""
+    """A family sweep: instances, list-size rule, universe, trials, seed.
+    Every count and the seed is an int (not a bool) and ``pre`` a bool, else
+    :class:`InputError` at construction."""
 
     instances: tuple[FamilySpec, ...]
     trials: int = 200
@@ -104,10 +109,11 @@ class FuzzCampaign:
         # a campaign that runs no trial would report "0/0 trials ok"
         if not self.instances:
             raise InputError("a campaign needs at least one instance")
-        for name in ("trials", "workers", "k", "universe"):
-            value = getattr(self, name)
-            if not (type(value) is int or (value is None and name in ("k", "universe"))):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        optional = {"k": self.k, "universe": self.universe}
+        check_ints(trials=self.trials, workers=self.workers, master_seed=self.master_seed,
+                   **{name: value for name, value in optional.items() if value is not None})
+        if type(self.pre) is not bool:
+            raise InputError(f"pre must be a bool, got {self.pre!r}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         cpus = os.cpu_count() or 1

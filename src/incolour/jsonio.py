@@ -110,7 +110,7 @@ def _check_echo(g: Graph, data: dict) -> None:
 
 def lists_to_json(g: Graph, lists: ListAssignment) -> dict:
     return {
-        "lists": {str(i): sorted(l) for i, l in enumerate(lists.lists)},
+        "lists": {str(i): sorted(l) for i, l in enumerate(lists)},
         "incidences": _incidence_echo(g),
     }
 
@@ -146,12 +146,13 @@ def colouring_to_json(g: Graph, colouring: IncidenceColouring) -> dict:
 def colouring_from_json(g: Graph, data: dict) -> IncidenceColouring:
     _check_echo(g, _object(data, "a colouring file"))
     assignment = _object(_field(data, "a colouring file", "assignment"), "'assignment'")
-    out = dict(zip(_incidence_ids(assignment, 2 * len(g.edges)), assignment.values()))
+    out = IncidenceColouring(zip(_incidence_ids(assignment, 2 * len(g.edges)),
+                                 assignment.values()))
     bad = next((i for i, colour in out.items() if type(colour) is not int), None)
     if bad is not None:
         raise GraphError(f"the colour of incidence {bad} must be an integer, "
                          f"got {reprlib.repr(out[bad])}")
-    return IncidenceColouring(out)
+    return out
 
 
 def spec_from_json(data: dict) -> FamilySpec:

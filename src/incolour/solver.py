@@ -17,6 +17,7 @@ from .graphs import (
     IncolourError,
     InputError,
     ListAssignment,
+    check_ints,
     check_lists_cover,
     incidence_neighbour_ids,
     validate_colouring,
@@ -44,8 +45,8 @@ class SolverConfig:
     time_budget: Optional[float] = None     # seconds
 
     def __post_init__(self):
-        if self.node_budget is not None and type(self.node_budget) is not int:
-            raise InputError(f"node_budget must be an integer, got {self.node_budget!r}")
+        if self.node_budget is not None:
+            check_ints(node_budget=self.node_budget)
         if self.time_budget is not None and (
                 type(self.time_budget) is bool or not isinstance(self.time_budget, (int, float))):
             raise InputError(f"time_budget must be a number of seconds, got {self.time_budget!r}")
@@ -94,16 +95,15 @@ def solve_list_colouring(
     before being handed back.
     """
     check_lists_cover(g, lists)
-    sets = lists.lists
     # the tuple comparison stops at the first list unequal to the first
-    uniform = bool(sets) and sets == (sets[0],) * len(sets)
+    uniform = bool(lists) and lists == (lists[0],) * len(lists)
     # uniform lists are sorted once, and the kernel is passed that one list
-    domains = [sorted(sets[0])] * len(sets) if uniform else [sorted(l) for l in sets]
+    domains = [sorted(lists[0])] * len(lists) if uniform else [sorted(l) for l in lists]
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     status, colours, nodes = kernel.search(
         domains, incidence_neighbour_ids(g), uniform, cfg.node_budget, deadline)
     if status == kernel.FOUND:
-        colouring = IncidenceColouring._unchecked(dict(enumerate(colours)))
+        colouring = IncidenceColouring(enumerate(colours))
         verdict = validate_colouring(g, lists, colouring)
         if not verdict.ok:  # pragma: no cover - kernel soundness guard
             raise IncolourError(f"kernel produced an invalid colouring: {verdict.violation}")
@@ -134,7 +134,7 @@ def incidence_chromatic_number(g: Graph, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     except StuckError:
         proven = None
     else:
-        proven = hi = max(greedy.assignment.values())
+        proven = hi = max(greedy.values())
         verdict = validate_colouring(g, ListAssignment.uniform(g, hi), greedy)
         if not verdict.ok:  # pragma: no cover - greedy soundness guard
             raise IncolourError(f"greedy produced an invalid colouring: {verdict.violation}")
@@ -173,7 +173,8 @@ def check_choosability_exhaustive(
     add nothing (the union of all lists can never use more colours) and
     are rejected.  Any counterexample is re-checked by a fresh solver run
     before being returned; ``solves`` counts the assignments solved, not
-    that re-check.
+    that re-check.  ``k``, ``universe_size`` and ``assignment_budget`` must
+    be ints, not bools (:class:`InputError`).
 
     A later list's candidates depend only on how many colours the lists
     before it use, so each count's candidate lists are built once per
@@ -199,6 +200,7 @@ def check_choosability_exhaustive(
     never into ``choosable=False``.
     """
     m = 2 * len(g.edges)
+    check_ints(k=k, universe_size=universe_size, assignment_budget=assignment_budget)
     if k < 1 or universe_size < k:
         raise InputError("need universe_size >= k >= 1")
     if m and universe_size > k * m:
@@ -244,7 +246,7 @@ def check_choosability_exhaustive(
             res = solve_list_colouring(g, assignment, cfg)
             solves += 1
             if res.status == COLOURED:
-                witness = tuple(res.colouring[i] for i in range(m))
+                witness = tuple(res.colouring.values())   # built in id order
                 witnesses.insert(0, witness)
                 for s in fits:   # it fits every level; the evicted fit none
                     s.add(witness)

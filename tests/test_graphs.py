@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +188,11 @@ def test_validate_colouring_structural_error():
     c3, _ = gen_basic("cycle", 3)
     with pytest.raises(GraphError):
         validate_colouring(c3, None, IncidenceColouring({99: 1}))
+    # a key that is not an int is named, with or without lists
+    for key in ("0", None, 0.5, 1.0, True):
+        for lists in (None, ListAssignment.uniform(c3, 4)):
+            with pytest.raises(GraphError, match=rf"^unknown incidence id {re.escape(repr(key))}$"):
+                validate_colouring(c3, lists, IncidenceColouring({key: 1}))
 
 
 # every entry point that takes a list assignment, called on C6
@@ -226,6 +233,20 @@ def test_list_assignment_guards(k2):
 def test_uniform_list_size_must_be_an_int(k2, k):
     with pytest.raises(GraphError, match="^uniform list size must be an integer, got "):
         ListAssignment.uniform(k2, k)
+
+
+def test_colourings_and_list_assignments_are_the_dict_and_tuple_they_hold(k2):
+    colouring = IncidenceColouring({0: 1})
+    assert colouring == {0: 1} and isinstance(colouring, dict)
+    assert IncidenceColouring(enumerate([3, 4])) == {0: 3, 1: 4}
+    lists = ListAssignment([[1, 2], {3}])
+    assert lists == (frozenset({1, 2}), frozenset({3})) and isinstance(lists, tuple)
+    assert ListAssignment.uniform(k2, 2) == (frozenset({1, 2}),) * 2
+    # the names that readers from before these were containers still use
+    assert colouring.assignment is colouring and lists.lists is lists
+    for value in (colouring, lists):
+        with pytest.raises(AttributeError):
+            value.extra = 1   # no per-instance dict
 
 
 def test_a_colouring_copies_the_map_it_is_given():

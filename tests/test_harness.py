@@ -64,6 +64,9 @@ def test_random_lists_guards(k2):
         random_list_assignment(k2, 0, 4, 0)
     with pytest.raises(InputError):
         random_list_assignment(k2, 5, 4, 0)
+    for k, universe in [(2.0, 4), (True, 4), (2, 4.0), (2, True), ("2", 4)]:
+        with pytest.raises(InputError, match="must be an integer, got "):
+            random_list_assignment(k2, k, universe, 0)
 
 
 def test_single_list_frequencies_within_five_sigma():
@@ -305,7 +308,8 @@ def test_regression_budget_marks_unknown():
 # counts that are not ints are rejected as early: run_campaign could not use them
 @pytest.mark.parametrize("kwargs", [{"trials": -3}, {"trials": 0}, {"instances": ()},
                                     {"trials": 2.5}, {"trials": True}, {"k": 4.0},
-                                    {"universe": 12.5}])
+                                    {"universe": 12.5}, {"pre": "no"}, {"pre": 1},
+                                    {"master_seed": True}, {"master_seed": 1.0}])
 def test_campaign_rejects_running_no_trial(kwargs):
     with pytest.raises(InputError):
         FuzzCampaign(**{"instances": (FamilySpec("cycle", {"n": 5}),), **kwargs})

@@ -110,6 +110,15 @@ def test_traces_are_steps_whenever_read(coloured_star):
     assert again.trace == tuple(painter.trace)
 
 
+def test_reading_a_trace_leaves_the_painters_steps_plain(coloured_star):
+    g, lists, _ = coloured_star
+    painter = Painter(g, lists)
+    painter.fill(range(len(lists)), "t")
+    report = painter.report()
+    assert len(report.trace) == len(lists) and len(painter.trace) == len(lists)
+    assert {type(step) for step in painter._steps} == {tuple}
+
+
 def test_stuck_trace_is_the_steps_before_the_error():
     g, _ = gen_basic("path", 3)
     painter = Painter(g, ListAssignment([{1}, {1}, {2}, {3}]))

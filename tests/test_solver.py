@@ -266,6 +266,11 @@ def test_choosability_guards(k2):
     c4, _ = gen_basic("cycle", 4)
     with pytest.raises(EnumerationBudgetExceeded):
         check_choosability_exhaustive(c4, 4, 8, assignment_budget=50)
+    for kwargs in ({"k": 2.0}, {"k": True}, {"universe_size": 3.0}, {"universe_size": True},
+                   {"assignment_budget": "50"}, {"assignment_budget": 50.0},
+                   {"assignment_budget": True}):
+        with pytest.raises(InputError, match="must be an integer, got "):
+            check_choosability_exhaustive(c4, **{"k": 2, "universe_size": 3, **kwargs})
 
 
 def _canonical_assignments(m, k, universe):
