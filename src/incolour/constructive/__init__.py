@@ -96,9 +96,10 @@ def construct(
     size, short, rule = _procedure(g, spec, len(pre))
     if pre:
         m = len(painter.colour)
-        bad = next((i for i in pre if not 0 <= i < m), None)
-        if bad is not None:
-            raise InputError(f"pre-coloured incidence {bad} out of range")
+        for i in pre:
+            if type(i) is not int or not 0 <= i < m:
+                what = "out of range" if type(i) is int else "is not an integer"
+                raise InputError(f"pre-coloured incidence {i!r} {what}")
         verdict = validate_colouring(g, lists, IncidenceColouring(pre))
         if not (verdict.proper and verdict.list_respecting):
             raise InputError(f"bad pre-colouring: {verdict.violation}")

@@ -70,7 +70,7 @@ def paint_cactus(painter: Painter, cycles: Sequence[Sequence[int]]) -> None:
     gives these colours.  The shape is checked by :func:`cactus_bound`."""
     g = painter.graph
     cycle_of = {v: cyc for cyc in cycles for v in cyc}
-    off, _, mate = _vertex_index(g)
+    off, _, mate, _ = _vertex_index(g)
     first = cycles[_pick_start(g, cycles)]
     _paint_cycle_unit(painter, first, first[0])
     order, seen = list(first), set(first)

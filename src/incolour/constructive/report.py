@@ -19,7 +19,7 @@ from ..graphs import (
     _vertex_index,
     check_lists_cover,
     incidence_id,
-    incidence_neighbour_ids,
+    validate_colouring,
 )
 
 
@@ -60,10 +60,11 @@ class StuckError(IncolourError):
 class ConstructiveReport:
     """A colouring together with the ordered choices that produced it.
 
-    Replaying the trace greedily (checking list membership and adjacency
-    at each application) reproduces the colouring exactly.  ``trace`` is
-    a tuple of :class:`TraceStep`, built from the given steps on its first
-    read.
+    Replaying the trace (each step on an incidence of the graph, none
+    painted twice, and the result checked for list membership and
+    adjacency by :func:`graphs.validate_colouring`) reproduces the
+    colouring exactly.  ``trace`` is a tuple of :class:`TraceStep`, built
+    from the given steps on its first read.
     """
 
     __slots__ = ("colouring", "_trace")
@@ -80,19 +81,16 @@ class ConstructiveReport:
 
     def replay(self, g: Graph, lists: ListAssignment) -> IncidenceColouring:
         check_lists_cover(g, lists)
-        neigh = incidence_neighbour_ids(g)
         out = IncidenceColouring()
         for step in self.trace:
-            if not 0 <= step.incidence < len(neigh):
+            if not 0 <= step.incidence < len(lists):
                 raise IncolourError(f"replay: no incidence {step.incidence} in the graph at {step}")
-            if step.colour not in lists[step.incidence]:
-                raise IncolourError(f"replay: colour outside list at {step}")
             if step.incidence in out:
                 raise IncolourError(f"replay: incidence {step.incidence} painted twice")
-            for w in neigh[step.incidence]:
-                if out.get(w) == step.colour:
-                    raise IncolourError(f"replay: conflict at {step}")
             out[step.incidence] = step.colour
+        verdict = validate_colouring(g, lists, out)
+        if not (verdict.proper and verdict.list_respecting):
+            raise IncolourError(f"replay: {verdict.violation}")
         if out != self.colouring:
             raise IncolourError("replay does not reproduce the colouring")
         return out
@@ -109,11 +107,13 @@ class Painter:
     ``paint_ring`` (a cycle with its internals, exactly).
 
     The painter reads adjacency from the graph's per-vertex index
-    (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``), never from
-    :func:`graphs.incidence_neighbour_ids`, which only the solver (the
-    exact search, and the order of its degeneracy greedy, which paints
-    through :meth:`fill`), :meth:`ConstructiveReport.replay` and the DOT
-    export build.
+    (:func:`graphs._vertex_index`: ``off``, ``head``, ``mate``, ``tail``),
+    never from :func:`graphs.incidence_neighbour_ids`, which only the
+    solver (the exact search, and the order of its degeneracy greedy, which
+    paints through :meth:`fill`) and the DOT export build, and
+    :func:`graphs.validate_colouring` only when it reports a clash.
+    :meth:`ConstructiveReport.replay` builds no table of its own: it hands
+    adjacency to the validator.
     ``colour[i]`` is the colour of incidence ``i`` (None while unpainted).
     Two sets per vertex hold the colours painted around it: ``AT[v]`` those
     of the incidences at ``v``, and ``IN[v]`` those of the incidences
@@ -130,7 +130,7 @@ class Painter:
         check_lists_cover(g, lists)
         self.graph = g
         self.lists = lists
-        self._off, self._head, self._mate = _vertex_index(g)
+        self._off, self._head, self._mate, self._tail = _vertex_index(g)
         self.colour: list[Optional[int]] = [None] * len(self._head)
         self.AT: list[set[int]] = [set() for _ in range(g.n)]
         self.IN: list[set[int]] = [set() for _ in range(g.n)]
@@ -143,7 +143,7 @@ class Painter:
         return list(map(TraceStep._make, self._steps))
 
     def free(self, i: int) -> list[int]:
-        v, u = self._head[self._mate[i]], self._head[i]
+        v, u = self._tail[i], self._head[i]
         out = self.lists[i].difference(self.AT[v], self.IN[v], self.AT[u])
         # a painted i keeps its own colour, which no neighbour holds
         return sorted(out if self.colour[i] is None else out | {self.colour[i]})
@@ -153,7 +153,7 @@ class Painter:
             raise IncolourError(f"incidence {i} painted twice (step {tag!r})")
         if colour not in self.lists[i]:
             raise IncolourError(f"colour {colour} outside list of incidence {i} (step {tag!r})")
-        v, u = self._head[self._mate[i]], self._head[i]
+        v, u = self._tail[i], self._head[i]
         at_v = self.AT[v]
         if colour in at_v or colour in self.IN[v] or colour in self.AT[u]:
             raise IncolourError(f"colour {colour} conflicts at incidence {i} (step {tag!r})")
@@ -165,11 +165,11 @@ class Painter:
     def fill(self, ids: Iterable[int], tag: str) -> None:
         """Paint each of ``ids`` still unpainted, in order, with the least
         colour of its list that none of its neighbours holds."""
-        colour, lists, head, mate = self.colour, self.lists, self._head, self._mate
+        colour, lists, head, tail = self.colour, self.lists, self._head, self._tail
         AT, IN, steps = self.AT, self.IN, self._steps
         for i in ids:
             if colour[i] is None:
-                v, u = head[mate[i]], head[i]
+                v, u = tail[i], head[i]
                 choices = lists[i].difference(AT[v], IN[v], AT[u])
                 if not choices:
                     raise StuckError(i, tag, steps)

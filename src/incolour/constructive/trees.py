@@ -41,6 +41,6 @@ def paint_tree(painter: Painter, pre: dict[int, int]) -> None:
     anchor = max(pre, default=0)
     if not pre:
         painter.fill((anchor,), "tree-anchor-free")
-    _, head, mate = _vertex_index(painter.graph)
+    _, _, mate, tail = _vertex_index(painter.graph)
     painter.fill((mate[anchor],), "tree-anchor-mate")
-    painter.greedy_tree(head[mate[anchor]], "tree-topdown")
+    painter.greedy_tree(tail[anchor], "tree-topdown")

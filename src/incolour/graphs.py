@@ -118,21 +118,19 @@ def incidences(g: Graph) -> tuple[Incidence, ...]:
     its id; every list assignment and colouring is keyed by these ids.
     """
     if "incidences" not in g._cache:
-        out = []
-        for v in range(g.n):
-            for u in g.adj[v]:
-                out.append(Incidence(v, canon_edge(v, u)))
-        g._cache["incidences"] = tuple(out)
+        _, head, _, tail = _vertex_index(g)
+        g._cache["incidences"] = tuple(
+            Incidence(v, canon_edge(v, u)) for v, u in zip(tail, head))
     return g._cache["incidences"]
 
 
 def incidence_id(g: Graph, vertex: int, other: int) -> int:
     """Id of the incidence ``(vertex, vertex·other)``: one lookup in the
-    graph's read-only map ``(v, u) -> id``, built on first use from
-    :func:`_tails` and the ``head`` of :func:`_vertex_index`."""
+    graph's read-only map ``(v, u) -> id``, built on first use from the
+    ``tail`` and ``head`` of :func:`_vertex_index`."""
     if "incidence_ids" not in g._cache:
-        tails = _tails(g)
-        ids = dict(zip(zip(tails, _vertex_index(g)[1]), range(len(tails))))
+        _, head, _, tail = _vertex_index(g)
+        ids = dict(zip(zip(tail, head), range(len(head))))
         g._cache["incidence_ids"] = MappingProxyType(ids)
     try:
         return g._cache["incidence_ids"][vertex, other]
@@ -149,13 +147,14 @@ def incidence_adjacent(a: Incidence, b: Incidence) -> bool:
     return canon_edge(a.vertex, b.vertex) in (a.edge, b.edge)
 
 
-def _vertex_index(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The incidence ids grouped by vertex, as ``(off, head, mate)``.
+def _vertex_index(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The incidence ids grouped by vertex, as ``(off, head, mate, tail)``:
+    the one walk of ``g.adj`` that fixes the id order.
 
-    ``off[v]:off[v+1]`` are the ids of the incidences at ``v`` (contiguous,
-    because :func:`incidences` sorts by vertex); for ``i = (v, vu)``,
-    ``head[i]`` is ``u`` and ``mate[i]`` is the id of ``(u, uv)``.  So
-    ``head[mate[i]]`` is ``v``.
+    An incidence ``(v, vu)`` has its id by (vertex, other endpoint) order,
+    so ``off[v]:off[v+1]`` are the ids of the incidences at ``v``; for such
+    an id ``i``, ``tail[i]`` is ``v``, ``head[i]`` is ``u`` and ``mate[i]``
+    is the id of ``(u, uv)``.  So ``head[mate[i]]`` is ``tail[i]``.
     """
     if "vertex_index" not in g._cache:
         off = [0]
@@ -166,21 +165,15 @@ def _vertex_index(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
         cursor = off[:-1]
         head: list[int] = []
         mate: list[int] = []
-        for a in g.adj:
+        tail: list[int] = []
+        for v, a in enumerate(g.adj):
             head.extend(a)
+            tail.extend([v] * len(a))
             for u in a:
                 mate.append(cursor[u])
                 cursor[u] += 1
-        g._cache["vertex_index"] = (tuple(off), tuple(head), tuple(mate))
+        g._cache["vertex_index"] = (tuple(off), tuple(head), tuple(mate), tuple(tail))
     return g._cache["vertex_index"]
-
-
-def _tails(g: Graph) -> tuple[int, ...]:
-    """The vertex of each incidence, by id: ``g.adj`` unrolled, since
-    :func:`incidences` sorts by vertex."""
-    if "tails" not in g._cache:
-        g._cache["tails"] = tuple(v for v, a in enumerate(g.adj) for _ in a)
-    return g._cache["tails"]
 
 
 def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +185,7 @@ def incidence_neighbour_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
     ``u``, ``2*deg(v) + deg(u) - 2`` in all.
     """
     if "incidence_neighbour_ids" not in g._cache:
-        off, head, mate = _vertex_index(g)
+        off, head, mate, _ = _vertex_index(g)
         out = []
         for v in range(g.n):
             lo, hi = off[v], off[v + 1]
@@ -225,7 +218,8 @@ class ListAssignment(tuple):
                 raise GraphError(f"empty colour list for incidence {i}")
             if any((not isinstance(c, int)) or c < 0 for c in s):
                 raise GraphError(f"colours must be non-negative ints (incidence {i})")
-            out.append(s)
+            # a bool is kept as the int it equals, which a file can hold
+            out.append(s if set(map(type, s)) == {int} else frozenset(map(int, s)))
         return tuple.__new__(cls, out)
 
     @classmethod
@@ -320,15 +314,15 @@ def validate_colouring(
     three cases of incidence adjacency (same vertex; same edge; ``vw``
     equal to one of the two edges).  Only when one fails are the
     incidences searched for the first clashing pair ``(i, j)``, ``i < j``,
-    in id order, which the violation names.  A key that is not the int id
-    of an incidence is a structural error (:class:`GraphError`, naming the
-    key), not a colouring violation.
+    in id order, which the violation names, from
+    :func:`incidence_neighbour_ids` (so only a clash builds that table).
+    A key that is not the int id of an incidence is a structural error
+    (:class:`GraphError`, naming the key), not a colouring violation.
 
-    The solvers' adjacency (:func:`incidence_neighbour_ids`) is built from
-    the same per-vertex index, so the tests check both against a pairwise
-    scan with :func:`incidence_adjacent`.
+    The tests check this and :func:`incidence_neighbour_ids` against a
+    pairwise scan with :func:`incidence_adjacent`.
     """
-    off, head, mate = _vertex_index(g)
+    _, head, _, tail = _vertex_index(g)
     m = len(head)
     for i in colouring:
         if type(i) is not int or not 0 <= i < m:
@@ -341,10 +335,12 @@ def validate_colouring(
     else:
         # A fresh object per gap equals no colour and no other gap.
         col = [colouring[i] if i in colouring else object() for i in range(m)]
-    at_tail = set(zip(_tails(g), col))
+    at_tail = set(zip(tail, col))
     proper = len(at_tail) == m and at_tail.isdisjoint(zip(head, col))
     if not proper:
-        i, j = next(_clashing_pairs(off, head, mate, colouring))
+        neigh = incidence_neighbour_ids(g)
+        i, j = next((i, j) for i in sorted(colouring) for j in neigh[i]
+                    if j > i and j in colouring and colouring[j] == colouring[i])
         violation = f"incidences {i} and {j} are adjacent and share colour {colouring[i]}"
 
     list_respecting: Optional[bool] = None
@@ -363,15 +359,3 @@ def validate_colouring(
     if violation is None:
         return _VALID[list_respecting]
     return Verdict(total=total, proper=proper, list_respecting=list_respecting, violation=violation)
-
-
-def _clashing_pairs(off, head, mate, assignment: Mapping[int, int]):
-    """Pairs ``(i, j)``, ``i < j``, of adjacent incidences with one colour,
-    in lexicographic order."""
-    for i in sorted(assignment):
-        c = assignment[i]
-        u, v = head[i], head[mate[i]]
-        lo, hi = off[v], off[v + 1]
-        around = {*range(lo, hi), *mate[lo:hi], *range(off[u], off[u + 1])}
-        for j in sorted(j for j in around if j > i and j in assignment and assignment[j] == c):
-            yield i, j

@@ -21,6 +21,7 @@ from .graphs import (
     IncidenceColouring,
     InputError,
     ListAssignment,
+    _vertex_index,
     repeated_edge,
 )
 
@@ -90,20 +91,22 @@ def graph_from_json(data: dict) -> Graph:
 
 def _incidence_echo(g: Graph) -> list:
     """``[vertex, [a, b]]`` per incidence in id order, edge ``a < b``: the
-    enumeration of :func:`graphs.incidences`, read off ``g.adj``."""
-    return [[v, [v, u] if v < u else [u, v]] for v, nbrs in enumerate(g.adj) for u in nbrs]
+    enumeration of :func:`graphs.incidences`, read off its index."""
+    _, head, _, tail = _vertex_index(g)
+    return [[v, [v, u] if v < u else [u, v]] for v, u in zip(tail, head)]
 
 
 def _check_echo(g: Graph, data: dict) -> None:
     """A file's echo, when it has one, must be :func:`_incidence_echo`:
-    compared entry by entry against ``g.adj``, so the echo is never built."""
+    compared entry by entry against the graph's index, so the echo is never
+    built."""
     echo = data.get("incidences")
     if echo is None:
         return
-    if isinstance(echo, list) and len(echo) == 2 * len(g.edges):
-        entries = iter(echo)
-        if all(next(entries) == [v, [v, u] if v < u else [u, v]]
-               for v, nbrs in enumerate(g.adj) for u in nbrs):
+    _, head, _, tail = _vertex_index(g)
+    if isinstance(echo, list) and len(echo) == len(head):
+        if all(entry == [v, [v, u] if v < u else [u, v]]
+               for entry, v, u in zip(echo, tail, head)):
             return
     raise GraphError("incidence enumeration in file does not match the graph")
 

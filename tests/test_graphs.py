@@ -18,6 +18,7 @@ from incolour.graphs import (
     InputError,
     ListAssignment,
     Verdict,
+    _vertex_index,
     canon_edge,
     incidence_adjacent,
     incidence_id,
@@ -402,6 +403,12 @@ def test_neighbour_ids_match_pairwise_adjacency(g):
 @given(_graphs())
 def test_incidence_id_matches_enumeration(g):
     incs = incidences(g)
+    off, head, mate, tail = _vertex_index(g)
+    assert len(off) == g.n + 1 and len(head) == len(mate) == len(tail) == len(incs)
+    for i, inc in enumerate(incs):
+        assert tail[i] == inc.vertex == head[mate[i]]
+    for v in range(g.n):
+        assert list(range(off[v], off[v + 1])) == [i for i, t in enumerate(tail) if t == v]
     for v in range(-1, g.n + 1):
         for u in range(-1, g.n + 1):
             if 0 <= v < g.n and u in g.adj[v]:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from conftest import NOT_A_CACTUS, NOT_A_CACTUS_IDS
 from incolour.cli import main
+from incolour.constructive import construct
 from incolour.families import FamilySpec, gen_basic, gen_grid, gen_random_graph, generate
 from incolour.graphs import (
     Graph,
@@ -29,6 +30,7 @@ from incolour.jsonio import (
     _incidence_echo,
 )
 from incolour.dot import incidence_graph_dot
+from incolour.solver import solve_list_colouring
 
 
 def test_graph_json_roundtrip():
@@ -111,6 +113,22 @@ def test_colouring_json_roundtrip():
     data["assignment"]["99"] = 1
     with pytest.raises(GraphError):
         colouring_from_json(g, data)
+
+
+@pytest.mark.parametrize("colour_with", [
+    lambda g, spec, lists: construct(spec, lists).colouring,
+    lambda g, spec, lists: solve_list_colouring(g, lists).colouring,
+], ids=["constructed", "solved"])
+def test_a_bool_colour_survives_a_file_round_trip(colour_with):
+    """A list given the colour True holds the int 1, so a colouring drawn
+    from it writes 1, not ``true``, and reads back equal."""
+    g, spec = gen_basic("cycle", 3)
+    lists = ListAssignment([[True, 2, 3]] * 6)
+    assert {type(c) for l in lists for c in l} == {int}
+    colouring = colour_with(g, spec, lists)
+    assert 1 in colouring.values() and {type(c) for c in colouring.values()} == {int}
+    data = json.loads(json.dumps(colouring_to_json(g, colouring)))
+    assert colouring_from_json(g, data) == colouring
 
 
 def test_pre_json_roundtrip():

@@ -8,6 +8,7 @@ import pytest
 from conftest import naive_satisfiable
 from incolour.catalogue import default_fuzz_instances
 from incolour.constructive import construct
+from incolour.constructive import report as report_module
 from incolour.constructive.report import ConstructiveReport, Painter, StuckError, TraceStep
 from incolour.families import gen_basic, gen_random_graph, generate
 from incolour.graphs import (
@@ -50,20 +51,30 @@ def test_replay_rejects_out_of_list_colour(coloured_star):
         bad.replay(g, lists)
 
 
-def test_replay_rejects_duplicate_step(coloured_star):
+def test_replay_rejects_duplicate_step(coloured_star, monkeypatch):
+    """Refused while the steps are read, before any validation runs."""
     g, lists, rep = coloured_star
-    bad = ConstructiveReport(rep.colouring, rep.trace + (rep.trace[0],))
-    with pytest.raises(IncolourError):
+
+    def validate(*args):
+        raise AssertionError("validated a trace that paints an incidence twice")
+
+    monkeypatch.setattr(report_module, "validate_colouring", validate)
+    again = rep.trace[0]
+    bad = ConstructiveReport(rep.colouring, rep.trace + (again,))
+    with pytest.raises(IncolourError, match=f"^replay: incidence {again.incidence} painted twice$"):
         bad.replay(g, lists)
 
 
 def test_replay_rejects_injected_conflict(coloured_star):
     g, lists, rep = coloured_star
-    # recolour the second step with the first step's colour: ids 0 and 1 are
-    # both internal incidences of the star centre, hence adjacent
+    # recolour the second step with the first step's colour: ids 0 and 3 are
+    # the two incidences of the edge 01, hence adjacent, and the only pair
+    # with one colour, which the validator names
     first, second = rep.trace[0], rep.trace[1]
+    assert (first.incidence, second.incidence) == (0, 3)
     tampered = (first, TraceStep(second.incidence, first.colour, second.tag)) + rep.trace[2:]
-    with pytest.raises(IncolourError):
+    with pytest.raises(IncolourError, match=f"^replay: incidences 0 and 3 are adjacent "
+                                            f"and share colour {first.colour}$"):
         ConstructiveReport(rep.colouring, tampered).replay(g, lists)
 
 

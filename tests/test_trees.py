@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,11 @@ def test_rejects_precoloured_id_out_of_range():
     for i in (4, -1):
         with pytest.raises(InputError, match=f"pre-coloured incidence {i} out of range"):
             construct(spec, lists, pre={i: 1})
+    # a key that is not an int, a bool included, is named by the same scan
+    for key in ("a", None, True):
+        with pytest.raises(InputError, match=f"^pre-coloured incidence {re.escape(repr(key))} "
+                                             f"is not an integer$"):
+            construct(spec, lists, pre={key: 1})
 
 
 def test_two_precoloured_same_colour_far_apart():
